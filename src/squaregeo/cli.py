@@ -10,12 +10,11 @@ import argparse
 import sys
 
 from .chords import build_chord_graph
-from .embedding import brute_force_orders, embed, make_order_pair
 from .errors import GenerationError, ParseError
 from .graph import BabPartition, Graph
 from .instances import emit_certificate, emit_instance, generate_bab, parse_certificate, parse_instance
 from .necessary import NecessaryStatus, check_necessary
-from .pipeline import NO, YES, Certificate, recognize, verify_certificate
+from .pipeline import NO, YES, Certificate, _oracle_certificate, recognize, verify_certificate
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -117,24 +116,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g, p = _load_instance(args.instance)
-    found = brute_force_orders(g, args.oracle_bound)
-    if found is None:
-        print("verdict: no")
-        return EXIT_NO
-    o1, o2 = found
-    pair = make_order_pair(g, o1, o2)
-    cert = Certificate(
-        verdict=YES,
-        route="oracle",
-        order1=o1,
-        order2=o2,
-        completion1=pair.c1,
-        completion2=pair.c2,
-        embedding=embed(g, pair),
-    )
+    g, _ = _load_instance(args.instance)
+    cert = _oracle_certificate(g, args.oracle_bound)
     _print_certificate(cert, args.format)
-    return EXIT_YES
+    return _verdict_exit(cert.verdict)
 
 
 def cmd_gen(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .chords import build_chord_graph, compute_ab_sets
+from .chords import build_chord_graph
 from .embedding import Embedding
 from .errors import GenerationError, ParseError
 from .graph import BabPartition, Graph, build_graph, validate_bab
@@ -212,8 +212,8 @@ def generate_bab(
             return g, p
         if nec.status is not NecessaryStatus.PASS:
             continue
-        suff = check_sufficient(g, p, cg, compute_ab_sets(cg, p))
-        if suff.conditions_hold:
+        suff = check_sufficient(g, p, cg, nec)
+        if suff.reason not in ("partial-orders", "nesting"):
             return g, p
     raise GenerationError(
         f"no instance with filter {filter!r} within {max_attempts} attempts"

@@ -57,25 +57,30 @@ class ColoringRefutation:
     detail: str = ""
 
 
-def _bfs_coloring(cg: ChordGraph):
-    """Color all non-isolated nodes by BFS; returns (color list, conflict edges)."""
+def _bfs_coloring(cg: ChordGraph) -> tuple[list[int | None], bool]:
+    """Color the non-isolated nodes by BFS from the least one; returns the
+    color list and whether some edge joins two nodes of one color.
+
+    A non-isolated node the BFS leaves unreached raises ScopeError, so the
+    scope check takes precedence over any refutation.
+    """
     color: list[int | None] = [None] * len(cg.nodes)
-    conflicts = []
+    conflict = False
     live = cg.non_isolated_mask
-    for root in bits(live):
-        if color[root] is not None:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in bits(cg.adj[u]):
-                if color[v] is None:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    conflicts.append((min(u, v), max(u, v)))
-    return color, sorted(set(conflicts))
+    queue: list[int] = []
+    if live:
+        queue.append(next(bits(live)))
+        color[queue[0]] = 0
+    for u in queue:
+        for v in bits(cg.adj[u]):
+            if color[v] is None:
+                color[v] = 1 - color[u]
+                queue.append(v)
+            elif color[v] == color[u]:
+                conflict = True
+    if len(queue) < live.bit_count():
+        raise ScopeError("chord graph has several non-isolated components")
+    return color, conflict
 
 
 def _shortest_odd_cycle(cg: ChordGraph) -> tuple[int, ...]:
@@ -124,11 +129,8 @@ def color_constrained(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | Colorin
     BFS from the lexicographically least node, then a global swap so the
     constraint holds (root red when no constraint applies).
     """
-    comps = cg.components()
-    if len(comps) > 1:
-        raise ScopeError("chord graph has several non-isolated components")
-    color, conflicts = _bfs_coloring(cg)
-    if conflicts:
+    color, conflict = _bfs_coloring(cg)
+    if conflict:
         cyc = _shortest_odd_cycle(cg)
         return ColoringRefutation(
             kind="odd-cycle",

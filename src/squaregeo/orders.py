@@ -4,7 +4,9 @@ From an admissible chord-graph coloring, each rigid pair orients one
 X-relation pair and one Y-relation pair. When both relations are partial
 orders and the nesting and rigid-free requirements hold, two total orders are
 assembled from pairwise placement rules; their interval completions are
-disjoint for every instance in scope, which the caller re-verifies.
+disjoint for every instance in scope, which the caller re-verifies. The
+coloring and the rigid-free report come from the passing necessary verdict
+and are not recomputed here.
 """
 
 from __future__ import annotations
@@ -12,18 +14,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .chords import ChordGraph, build_chord_graph, compute_ab_sets
-from .errors import OrderConstructionError
-from .graph import BabPartition, Graph, bits, nx_mask, ny_mask
-from .necessary import (
-    BLUE,
-    RED,
-    ColoringRefutation,
-    RigidFreeReport,
-    TwoColoring,
-    check_rigid_free,
-    color_constrained,
-)
+from .chords import ChordGraph, compute_ab_sets
+from .errors import OrderConstructionError, ScopeError
+from .graph import BabPartition, Graph, nx_mask, ny_mask
+from .necessary import BLUE, NecessaryStatus, NecessaryVerdict, TwoColoring
 
 
 @dataclass(frozen=True)
@@ -291,105 +285,53 @@ def build_order2(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
 
 @dataclass(frozen=True)
 class SufficiencyVerdict:
-    coloring_ok: bool
-    partial_orders_ok: bool
-    nesting_ok: bool
-    rigid_free_ok: bool
+    """Outcome of the order construction.
+
+    ``orders`` holds the two orders when construction succeeded; otherwise
+    ``reason`` names the failed condition or the constraint cycle.
+    ``swapped`` records that X_a and X_b traded roles before construction.
+    """
+
     orders: tuple[LinearOrder, LinearOrder] | None
-    swapped: bool
-    coloring: TwoColoring | None = None
-    refutation: ColoringRefutation | None = None
-    rigid_free: RigidFreeReport | None = None
-    relations: tuple[DerivedRelation, DerivedRelation] | None = None
+    swapped: bool = False
     reason: str = ""
 
-    @property
-    def conditions_hold(self) -> bool:
-        return (
-            self.coloring_ok
-            and self.partial_orders_ok
-            and self.nesting_ok
-            and self.rigid_free_ok
-        )
 
-    @property
-    def satisfied(self) -> bool:
-        return self.orders is not None
-
-
-def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, ab) -> SufficiencyVerdict:
+def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVerdict) -> SufficiencyVerdict:
     """Evaluate the sufficiency conditions and construct the orders.
 
-    When only the b-side passes the rigid-free test, the roles of X_a and
-    X_b are exchanged before construction; the resulting orders apply to the
-    graph unchanged.
-    """
-    colored = color_constrained(cg, ab)
-    rfr = check_rigid_free(g, p, cg)
-    nesting_ok = p.a_nested and p.b_nested
-    if isinstance(colored, ColoringRefutation):
-        return SufficiencyVerdict(
-            coloring_ok=False,
-            partial_orders_ok=False,
-            nesting_ok=nesting_ok,
-            rigid_free_ok=rfr.holds,
-            orders=None,
-            swapped=False,
-            refutation=colored,
-            rigid_free=rfr,
-            reason="coloring",
-        )
-    rel_x, rel_y = derive_relations(cg, colored, p)
-    po_ok = validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok
-    flags_ok = po_ok and nesting_ok and rfr.holds
-    if not flags_ok:
-        reason = "partial-orders" if not po_ok else ("nesting" if not nesting_ok else "rigid-free")
-        return SufficiencyVerdict(
-            coloring_ok=True,
-            partial_orders_ok=po_ok,
-            nesting_ok=nesting_ok,
-            rigid_free_ok=rfr.holds,
-            orders=None,
-            swapped=False,
-            coloring=colored,
-            rigid_free=rfr,
-            relations=(rel_x, rel_y),
-            reason=reason,
-        )
+    The sufficient conditions include the necessary ones, so ``nec`` must be
+    the PASS verdict of ``check_necessary`` on the same (g, p, cg); any other
+    status raises ScopeError. Its coloring and rigid-free report are reused,
+    leaving the partial orders, the nesting and the construction to check.
 
-    swapped = False
+    When only the b-side passes the rigid-free test, the roles of X_a and
+    X_b are exchanged before construction. The exchange keeps the chord
+    graph's nodes and edges, so ``cg`` serves as is, and trades the two
+    forced sets, so the canonical coloring of the exchanged instance is the
+    current one with red and blue swapped; with no forced node it stays
+    unchanged. The resulting orders apply to the graph unchanged.
+    """
+    if nec.status is not NecessaryStatus.PASS:
+        raise ScopeError(f"sufficiency needs a passing necessary verdict, got {nec.status.value}")
+    f = nec.coloring
+    rel_x, rel_y = derive_relations(cg, f, p)
+    if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
+        return SufficiencyVerdict(orders=None, reason="partial-orders")
+    if not (p.a_nested and p.b_nested):
+        return SufficiencyVerdict(orders=None, reason="nesting")
+
+    swapped = not nec.rigid_free.side_a_ok
+    if swapped:
+        ab = compute_ab_sets(cg, p)
+        p = p.mirrored()
+        if ab.script_a_mask or ab.script_b_mask:
+            f = TwoColoring(red=f.blue, blue=f.red)
+            rel_x, rel_y = derive_relations(cg, f, p)
     try:
-        if not rfr.side_a_ok:
-            swapped = True
-            p = p.mirrored()
-            cg = build_chord_graph(g, p)
-            ab = compute_ab_sets(cg, p)
-            colored = color_constrained(cg, ab)
-            assert isinstance(colored, TwoColoring)
-            rel_x, rel_y = derive_relations(cg, colored, p)
-        o1 = build_order1(g, p, rel_x, rel_y)
-        o2 = build_order2(g, p, rel_x, rel_y)
+        orders = (build_order1(g, p, rel_x, rel_y), build_order2(g, p, rel_x, rel_y))
     except OrderConstructionError as exc:
         return SufficiencyVerdict(
-            coloring_ok=True,
-            partial_orders_ok=True,
-            nesting_ok=True,
-            rigid_free_ok=True,
-            orders=None,
-            swapped=swapped,
-            coloring=colored,
-            rigid_free=rfr,
-            relations=(rel_x, rel_y),
-            reason=f"order construction cycled through {exc.cycle}",
+            orders=None, swapped=swapped, reason=f"order construction cycled through {exc.cycle}"
         )
-    return SufficiencyVerdict(
-        coloring_ok=True,
-        partial_orders_ok=True,
-        nesting_ok=True,
-        rigid_free_ok=True,
-        orders=(o1, o2),
-        swapped=swapped,
-        coloring=colored,
-        rigid_free=rfr,
-        relations=(rel_x, rel_y),
-    )
+    return SufficiencyVerdict(orders=orders, swapped=swapped)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chords import build_chord_graph, compute_ab_sets
+from .chords import build_chord_graph
 from .embedding import (
     Embedding,
     brute_force_orders,
@@ -115,8 +115,8 @@ def recognize(
             verdict=NO, route="necessary", reason=_necessary_reason(nec), necessary=nec
         )
 
-    suff = check_sufficient(g, p, cg, compute_ab_sets(cg, p))
-    if suff.satisfied:
+    suff = check_sufficient(g, p, cg, nec)
+    if suff.orders is not None:
         o1, o2 = suff.orders
         pair = make_order_pair(g, o1, o2)
         if pair.valid:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from squaregeo import emit_certificate, emit_instance, recognize
+from squaregeo import emit_certificate, emit_instance, parse_certificate, recognize
 from squaregeo.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, main
+from squaregeo.pipeline import NO
 
 from test_necessary import RIGID_FAIL_EDGES
+from test_pipeline import NO_CORE_EDGE_EDGES
 from squaregeo import build_graph, validate_bab
 
 
@@ -156,6 +158,22 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", str(path)]) == EXIT_YES
     out = capsys.readouterr().out
     assert "order1: 0 1 2 3" in out
+
+
+def test_oracle_structured_no_verifies(tmp_path, capsys):
+    g = build_graph(6, NO_CORE_EDGE_EDGES)
+    p = validate_bab(g, [0, 1, 2], [1, 2, 3], [4, 5])
+    inst = tmp_path / "no.txt"
+    inst.write_text(emit_instance(g, p))
+    assert main(["oracle", "--format", "structured", str(inst)]) == EXIT_NO
+    out = capsys.readouterr().out
+    cert = parse_certificate(out)
+    assert cert.verdict == NO and cert.route == "oracle"
+    assert cert.reason == "no order pair with disjoint forced sets"
+    cert_path = tmp_path / "no.cert"
+    cert_path.write_text(out)
+    assert main(["verify", str(inst), str(cert_path)]) == EXIT_YES
+    assert capsys.readouterr().out == "certificate ok\n"
 
 
 def test_parse_error_goes_to_stderr(tmp_path, capsys):

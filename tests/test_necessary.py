@@ -12,7 +12,7 @@ from squaregeo import (
     compute_ab_sets,
     validate_bab,
 )
-from squaregeo.chords import RigidPair
+from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
 from squaregeo.errors import ScopeError
 from squaregeo.necessary import (
     BLUE,
@@ -127,6 +127,17 @@ def test_disconnected_chord_graph_is_out_of_scope(disconnected7):
     nec = check_necessary(g, p, cg)
     assert nec.status is NecessaryStatus.OUT_OF_SCOPE
     assert "components" in nec.reason
+
+
+def test_scope_error_takes_precedence_over_odd_cycle():
+    """A triangle beside a separate edge: the coloring stops at the second
+    component whichever side the odd cycle lies on."""
+    nodes = tuple((0, y) for y in range(5))
+    no_forced = AbVertexSets(frozenset(), frozenset(), 0, 0)
+    for adj in ((0b00110, 0b00101, 0b00011, 0b10000, 0b01000),
+                (0b00010, 0b00001, 0b11000, 0b10100, 0b01100)):
+        with pytest.raises(ScopeError):
+            color_constrained(ChordGraph(nodes, adj, 0, 0), no_forced)
 
 
 def test_region_sets_frozen(g8, c4):

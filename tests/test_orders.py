@@ -3,15 +3,17 @@
 import pytest
 
 from squaregeo import (
+    NecessaryStatus,
     build_chord_graph,
     build_graph,
+    check_necessary,
     check_sufficient,
     color_constrained,
     compute_ab_sets,
     validate_bab,
 )
 from squaregeo.embedding import make_order_pair
-from squaregeo.errors import OrderConstructionError
+from squaregeo.errors import OrderConstructionError, ScopeError
 from squaregeo.orders import (
     DerivedRelation,
     LinearOrder,
@@ -23,6 +25,7 @@ from squaregeo.orders import (
 )
 
 from test_necessary import REGION_OVERSHOOT_EDGES, RIGID_FAIL_EDGES
+from test_pipeline import NON_NESTED_EDGES
 
 
 def _prepared(g, p):
@@ -30,6 +33,11 @@ def _prepared(g, p):
     ab = compute_ab_sets(cg, p)
     col = color_constrained(cg, ab)
     return cg, ab, col
+
+
+def _sufficient(g, p):
+    cg = build_chord_graph(g, p)
+    return check_sufficient(g, p, cg, check_necessary(g, p, cg))
 
 
 def test_g8_relations_frozen(g8):
@@ -119,9 +127,7 @@ def test_c4_orders_frozen(c4):
 
 def test_check_sufficient_g8(g8):
     g, p = g8
-    cg, ab, _ = _prepared(g, p)
-    s = check_sufficient(g, p, cg, ab)
-    assert s.conditions_hold and s.satisfied
+    s = _sufficient(g, p)
     assert not s.swapped
     assert s.reason == ""
     assert s.orders[0].seq == (0, 1, 2, 4, 3, 5, 6, 7)
@@ -133,17 +139,30 @@ def test_swap_fires_when_only_b_side_is_free():
     its b side; construction swaps back and lands on the same orders."""
     g = build_graph(7, REGION_OVERSHOOT_EDGES)
     p = validate_bab(g, [0, 1, 2], [1, 2, 3], [4, 5, 6])
-    cg, ab, _ = _prepared(g, p)
-    plain = check_sufficient(g, p, cg, ab)
-    assert not plain.swapped and plain.satisfied
+    plain = _sufficient(g, p)
+    assert not plain.swapped and plain.orders is not None
 
     pm = validate_bab(g, [1, 2, 3], [0, 1, 2], [4, 5, 6])
-    cgm, abm, _ = _prepared(g, pm)
-    swapped = check_sufficient(g, pm, cgm, abm)
-    assert swapped.swapped and swapped.satisfied
+    swapped = _sufficient(g, pm)
+    assert swapped.swapped and swapped.reason == ""
     assert swapped.orders[0].seq == plain.orders[0].seq == (0, 2, 1, 5, 6, 3, 4)
     assert swapped.orders[1].seq == plain.orders[1].seq == (1, 2, 3, 0, 4, 5, 6)
     assert make_order_pair(g, *swapped.orders).valid
+
+
+def test_swap_without_forced_nodes_keeps_the_coloring():
+    """No chord-graph node is forced here, so exchanging the sides keeps the
+    canonical coloring instead of trading its classes."""
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3),
+                        (3, 4), (3, 5), (4, 5)])
+    p = validate_bab(g, [0, 1, 2], [1, 2], [3, 4, 5])
+    cg, ab, _ = _prepared(g, p)
+    assert not ab.script_a and not ab.script_b
+    s = check_sufficient(g, p, cg, check_necessary(g, p, cg))
+    assert s.swapped
+    assert s.orders[0].seq == (1, 2, 0, 4, 3, 5)
+    assert s.orders[1].seq == (2, 1, 0, 3, 4, 5)
+    assert make_order_pair(g, *s.orders).valid
 
 
 def test_mirrored_g8_builds_without_swap(g8):
@@ -151,48 +170,42 @@ def test_mirrored_g8_builds_without_swap(g8):
     roles changes the constructed orders but not their validity."""
     g, _ = g8
     pm = validate_bab(g, [1, 2, 3], [0, 1, 2], [4, 5, 6, 7])
-    cgm, abm, _ = _prepared(g, pm)
-    s = check_sufficient(g, pm, cgm, abm)
-    assert s.satisfied and not s.swapped
+    s = _sufficient(g, pm)
+    assert s.reason == "" and not s.swapped
     assert s.orders[0].seq == (3, 2, 1, 6, 7, 0, 5, 4)
     assert s.orders[1].seq == (0, 1, 3, 2, 4, 5, 6, 7)
     assert make_order_pair(g, *s.orders).valid
 
 
-def test_coloring_refutation_blocks_construction(triangle6):
-    g, p = triangle6
+def _assert_blocked(g, p, status):
     cg = build_chord_graph(g, p)
-    ab = compute_ab_sets(cg, p)
-    s = check_sufficient(g, p, cg, ab)
-    assert not s.coloring_ok
-    assert s.reason == "coloring"
-    assert s.orders is None
-    assert s.refutation is not None
-    assert not s.conditions_hold and not s.satisfied
+    nec = check_necessary(g, p, cg)
+    assert nec.status is status
+    with pytest.raises(ScopeError, match="passing necessary verdict"):
+        check_sufficient(g, p, cg, nec)
+
+
+def test_coloring_refutation_blocks_construction(triangle6):
+    _assert_blocked(*triangle6, NecessaryStatus.FAIL)
+
+
+def test_out_of_scope_blocks_construction(disconnected7):
+    _assert_blocked(*disconnected7, NecessaryStatus.OUT_OF_SCOPE)
 
 
 def test_crossing_private_neighborhoods_fail_nesting():
-    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4), (0, 3), (1, 4)])
-    p = validate_bab(g, [0, 1, 2], [2], [3, 4])
+    g = build_graph(8, NON_NESTED_EDGES)
+    p = validate_bab(g, [0, 1, 2, 3], [2, 3, 4], [5, 6, 7])
     assert not p.a_nested
-    cg, ab, _ = _prepared(g, p)
-    s = check_sufficient(g, p, cg, ab)
-    assert s.coloring_ok and s.partial_orders_ok
-    assert not s.nesting_ok
+    s = _sufficient(g, p)
     assert s.reason == "nesting"
-    assert s.orders is None
+    assert s.orders is None and not s.swapped
 
 
 def test_rigid_free_blocks_construction():
     g = build_graph(7, RIGID_FAIL_EDGES)
     p = validate_bab(g, [0, 1, 2], [1, 2, 3], [4, 5, 6])
-    cg, ab, _ = _prepared(g, p)
-    s = check_sufficient(g, p, cg, ab)
-    assert s.coloring_ok and s.partial_orders_ok and s.nesting_ok
-    assert not s.rigid_free_ok
-    assert s.reason == "rigid-free"
-    assert not s.conditions_hold
-    assert s.orders is None
+    _assert_blocked(g, p, NecessaryStatus.FAIL)
 
 
 def test_constraint_cycle_raises():

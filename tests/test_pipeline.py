@@ -1,11 +1,19 @@
 """End-to-end recognition: verdicts, routes, reasons and certificates."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 from squaregeo import (
+    build_chord_graph,
     build_graph,
+    check_rigid_free,
+    chords,
+    color_constrained,
     emit_certificate,
+    necessary,
+    orders,
+    pipeline,
     recognize,
     validate_bab,
     verify_certificate,
@@ -103,6 +111,28 @@ def test_region_overshoot_recognized_yes():
     assert verify_certificate(g, cert).ok
 
 
+def test_recognize_runs_each_analysis_once(g8, monkeypatch):
+    """The chord graph, the coloring and the rigid-free report are computed
+    once per instance, also when construction swaps the two sides."""
+    calls = Counter()
+    for fn in (build_chord_graph, check_rigid_free, color_constrained):
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] += 1
+            return _fn(*args)
+        for mod in (chords, necessary, orders, pipeline):
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+
+    g = build_graph(7, REGION_OVERSHOOT_EDGES)
+    swap = (g, validate_bab(g, [1, 2, 3], [0, 1, 2], [4, 5, 6]))
+    for g, p in (g8, swap):
+        calls.clear()
+        cert = recognize(g, p)
+        assert cert.verdict == YES
+        assert calls == {"build_chord_graph": 1, "color_constrained": 1, "check_rigid_free": 1}
+    assert cert.sufficiency.swapped
+
+
 def test_disconnected_chord_graph_undecided(disconnected7):
     g, p = disconnected7
     cert = recognize(g, p)
@@ -133,7 +163,7 @@ def test_nesting_failure_undecided():
     cert = recognize(g, p)
     assert cert.verdict == UNDECIDED and cert.route == "sufficiency"
     assert cert.reason == "sufficiency: nesting"
-    assert cert.sufficiency is not None and not cert.sufficiency.nesting_ok
+    assert cert.sufficiency.reason == "nesting" and cert.sufficiency.orders is None
     cert = recognize(g, p, allow_oracle=True, oracle_bound=8)
     assert cert.verdict == YES and cert.route == "oracle"
     assert verify_certificate(g, cert).ok
