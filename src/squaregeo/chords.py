@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import BabPartition, Graph, bits, ny_mask
+from .graph import BabPartition, Graph, bits, mask_of, ny_mask
 from .errors import InputError
 
 
@@ -118,24 +118,36 @@ class ChordGraph:
         (x, y), (xp, yp) = self.nodes[i], self.nodes[j]
         return make_rigid_pair((x, yp), (xp, y))
 
+    def bfs(self, root: int) -> tuple[list[int], list[int], list[int]]:
+        """Breadth-first search from ``root``, the one traversal of this graph.
+
+        Returns the reached nodes in FIFO queue order, each node enqueuing its
+        unseen neighbors ``adj[u] & ~seen`` in ascending order, and per node
+        its depth and parent; both are -1 where undefined.
+        """
+        depth = [-1] * len(self.nodes)
+        parent = [-1] * len(self.nodes)
+        depth[root] = 0
+        order = [root]
+        seen = 1 << root
+        for u in order:
+            new = self.adj[u] & ~seen
+            seen |= new
+            for v in bits(new):
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                order.append(v)
+        return order, depth, parent
+
     def components(self) -> list[tuple[int, ...]]:
         """Connected components over non-isolated nodes, as sorted tuples."""
         seen = 0
         comps = []
-        live = self.non_isolated_mask
-        for s in bits(live):
-            if (seen >> s) & 1:
-                continue
-            frontier = 1 << s
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-            seen |= comp
-            comps.append(tuple(bits(comp)))
+        for s in bits(self.non_isolated_mask):
+            if not (seen >> s) & 1:
+                comp = sorted(self.bfs(s)[0])
+                seen |= mask_of(comp)
+                comps.append(tuple(comp))
         return comps
 
 

@@ -126,7 +126,10 @@ def parse_certificate(text: str) -> Certificate:
         if key in ("verdict", "route", "reason"):
             fields[key] = rest
         elif key in ("order1", "order2"):
-            fields[key] = LinearOrder.from_seq(_int_fields(i, rest, key))
+            seq = _int_fields(i, rest, key)
+            if sorted(seq) != list(range(len(seq))):
+                raise ParseError(f"line {i}: {key} is not a permutation of 0..{len(seq) - 1}")
+            fields[key] = LinearOrder.from_seq(seq)
         elif key in ("completion1", "completion2"):
             fields[key] = _parse_pairs(i, rest)
         elif key == "coord":

@@ -57,66 +57,59 @@ class ColoringRefutation:
     detail: str = ""
 
 
+def _layer_masks(order: list[int], depth: list[int]) -> list[int]:
+    """One node mask per BFS depth."""
+    layers = [0] * (depth[order[-1]] + 1)
+    for v in order:
+        layers[depth[v]] |= 1 << v
+    return layers
+
+
 def _bfs_coloring(cg: ChordGraph) -> tuple[list[int | None], bool]:
-    """Color the non-isolated nodes by BFS from the least one; returns the
-    color list and whether some edge joins two nodes of one color.
+    """Color the non-isolated nodes by BFS depth parity from the least one;
+    returns the colors and whether some edge joins two nodes of one color,
+    that is, some node's neighbor mask meets its own BFS layer.
 
     A non-isolated node the BFS leaves unreached raises ScopeError, so the
     scope check takes precedence over any refutation.
     """
-    color: list[int | None] = [None] * len(cg.nodes)
-    conflict = False
     live = cg.non_isolated_mask
-    queue: list[int] = []
-    if live:
-        queue.append(next(bits(live)))
-        color[queue[0]] = 0
-    for u in queue:
-        for v in bits(cg.adj[u]):
-            if color[v] is None:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                conflict = True
-    if len(queue) < live.bit_count():
+    if not live:
+        return [None] * len(cg.nodes), False
+    order, depth, _ = cg.bfs(next(bits(live)))
+    if len(order) < live.bit_count():
         raise ScopeError("chord graph has several non-isolated components")
-    return color, conflict
+    layers = _layer_masks(order, depth)
+    conflict = any(cg.adj[v] & layers[depth[v]] for v in order)
+    return [d % 2 if d >= 0 else None for d in depth], conflict
 
 
 def _shortest_odd_cycle(cg: ChordGraph) -> tuple[int, ...]:
-    """Shortest odd cycle, found by BFS layering from every non-isolated node."""
+    """Shortest odd cycle, from a BFS rooted at every non-isolated node.
+
+    An edge u < v inside a BFS layer closes the cycle from u up the parent
+    chain to the nearest common ancestor and down to v. Roots go ascending,
+    edges in queue order of u then ascending v; the first strictly shortest
+    cycle is kept, and a triangle ends the search at once.
+    """
     best: tuple[int, ...] | None = None
-    live = list(bits(cg.non_isolated_mask))
-    for root in live:
-        dist = {root: 0}
-        parent = {root: None}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in bits(cg.adj[u]):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-        for u in dist:
-            for v in bits(cg.adj[u]):
-                if v in dist and u < v and dist[u] == dist[v]:
-                    pu, pv = [], []
-                    a, b = u, v
-                    while a is not None:
-                        pu.append(a)
-                        a = parent[a]
-                    while b is not None:
-                        pv.append(b)
-                        b = parent[b]
-                    common = set(pu) & set(pv)
-                    ai = next(i for i, x in enumerate(pu) if x in common)
-                    bi = next(i for i, x in enumerate(pv) if x in common)
-                    if pu[ai] != pv[bi]:
-                        continue
-                    cycle = pu[: ai + 1] + pv[:bi][::-1]
-                    if len(cycle) % 2 == 1 and (best is None or len(cycle) < len(best)):
-                        best = tuple(cycle)
+    for root in bits(cg.non_isolated_mask):
+        order, depth, parent = cg.bfs(root)
+        layers = _layer_masks(order, depth)
+        for u in order:
+            for v in bits(cg.adj[u] & layers[depth[u]] >> (u + 1) << (u + 1)):
+                a, b, k = u, v, 0
+                while a != b:
+                    a, b, k = parent[a], parent[b], k + 1
+                if best is not None and 2 * k + 1 >= len(best):
+                    continue
+                up, down = [u], [v]
+                for _ in range(k):
+                    up.append(parent[up[-1]])
+                    down.append(parent[down[-1]])
+                best = tuple(up + down[-2::-1])
+                if k == 1:
+                    return best
     assert best is not None
     return best
 

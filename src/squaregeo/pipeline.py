@@ -155,10 +155,11 @@ class CertificateCheck:
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     """Re-check a certificate from its own fields.
 
-    For YES: both orders are permutations of V, the stored forced sets match
-    the ones the orders induce, they are disjoint, and the coordinates pass
-    the exact adjacency test. NO and UNDECIDED certificates only need a
-    consistent shape.
+    For YES: both orders are permutations of V, there is one coordinate
+    pair per vertex, the stored forced sets match the ones the orders
+    induce, they are disjoint, and the coordinates pass the exact adjacency
+    test. A malformed field is reported as a problem. NO and UNDECIDED
+    certificates only need a consistent shape.
     """
     problems = []
     if cert.verdict not in (YES, NO, UNDECIDED):
@@ -178,6 +179,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
         problems.append("forced sets missing")
     if cert.embedding is None:
         problems.append("embedding missing")
+    elif len(cert.embedding.coords) != g.n:
+        problems.append(f"embedding has {len(cert.embedding.coords)} coordinates for {g.n} vertices")
     if problems:
         return CertificateCheck(ok=False, problems=tuple(problems))
 

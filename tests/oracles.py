@@ -11,7 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from squaregeo.graph import BabPartition, Graph
+from squaregeo.chords import ChordGraph
+from squaregeo.graph import BabPartition, Graph, bits
 
 
 def scan_completion(g: Graph, seq) -> frozenset[tuple[int, int]]:
@@ -264,3 +265,45 @@ def linf_embedding_report(g, coords):
             if adj != (d <= 1):
                 mismatches.append((u, v))
     return mismatches, boundary
+
+
+def shortest_odd_cycle_by_all_roots(cg: ChordGraph) -> tuple[int, ...]:
+    """Shortest odd cycle, found by BFS layering from every non-isolated node.
+
+    The original dict-and-path-list search, kept as the reference for the
+    witness ``necessary._shortest_odd_cycle`` must reproduce exactly.
+    """
+    best: tuple[int, ...] | None = None
+    live = list(bits(cg.non_isolated_mask))
+    for root in live:
+        dist = {root: 0}
+        parent = {root: None}
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in bits(cg.adj[u]):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+        for u in dist:
+            for v in bits(cg.adj[u]):
+                if v in dist and u < v and dist[u] == dist[v]:
+                    pu, pv = [], []
+                    a, b = u, v
+                    while a is not None:
+                        pu.append(a)
+                        a = parent[a]
+                    while b is not None:
+                        pv.append(b)
+                        b = parent[b]
+                    common = set(pu) & set(pv)
+                    ai = next(i for i, x in enumerate(pu) if x in common)
+                    bi = next(i for i, x in enumerate(pv) if x in common)
+                    if pu[ai] != pv[bi]:
+                        continue
+                    cycle = pu[: ai + 1] + pv[:bi][::-1]
+                    if len(cycle) % 2 == 1 and (best is None or len(cycle) < len(best)):
+                        best = tuple(cycle)
+    assert best is not None
+    return best

@@ -123,7 +123,29 @@ def test_components_single_and_split(g8, disconnected7):
     assert build_chord_graph(g, p).components() == [(0, 1, 2, 3, 4, 5, 6, 7)]
     g, p = disconnected7
     cg = build_chord_graph(g, p)
-    assert len(cg.components()) == 3
+    assert cg.components() == [(0, 3), (1, 6), (4, 7)]
+
+
+def test_bfs_queue_order_depths_and_parents(g8):
+    g, p = g8
+    cg = build_chord_graph(g, p)
+    order, depth, parent = cg.bfs(0)
+    assert order == [0, 5, 1, 2, 3, 4, 6, 7]
+    assert depth == [0, 2, 2, 2, 2, 1, 3, 3]
+    assert parent == [-1, 5, 5, 5, 5, 0, 3, 3]
+    order, depth, parent = cg.bfs(5)
+    assert order == [5, 0, 1, 2, 3, 4, 6, 7]
+    assert depth == [1, 1, 1, 1, 1, 0, 2, 2]
+    assert parent == [5, 5, 5, 5, 5, -1, 3, 3]
+
+
+def test_bfs_stays_in_the_root_component(disconnected7):
+    g, p = disconnected7
+    cg = build_chord_graph(g, p)
+    order, depth, parent = cg.bfs(0)
+    assert order == [0, 3]
+    assert depth == [0, -1, -1, 1, -1, -1, -1, -1, -1]
+    assert parent == [-1, -1, -1, 0, -1, -1, -1, -1, -1]
 
 
 def test_forced_color_node_sets(g8, c4):

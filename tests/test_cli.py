@@ -150,6 +150,30 @@ def test_verify_flags_tampering(tmp_path, g8, g8_file, capsys):
     assert "problem:" in capsys.readouterr().out
 
 
+def test_verify_rejects_an_order_that_is_not_a_permutation(tmp_path, g8, g8_file, capsys):
+    g, p = g8
+    text = emit_certificate(recognize(g, p))
+    order1 = next(line for line in text.splitlines() if line.startswith("order1 "))
+    bad = text.replace(order1, "order1 0 1 2 9 4 5 6 7")
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(bad)
+    assert main(["verify", g8_file, str(cert_path)]) == EXIT_UNDECIDED
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 4: order1 is not a permutation")
+
+
+def test_verify_reports_missing_coordinates(tmp_path, g8, g8_file, capsys):
+    g, p = g8
+    text = emit_certificate(recognize(g, p))
+    last = text.splitlines()[-1]
+    assert last.startswith("coord 7 ")
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(text.replace(last + "\n", ""))
+    assert main(["verify", g8_file, str(cert_path)]) == EXIT_NO
+    out = capsys.readouterr().out
+    assert out == "problem: embedding has 7 coordinates for 8 vertices\n"
+
+
 def test_oracle_command(tmp_path, capsys):
     g = build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     p = validate_bab(g, [0, 1], [0, 1], [2, 3])

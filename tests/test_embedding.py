@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from squaregeo import build_graph, validate_bab
+from squaregeo import build_graph, embedding, validate_bab
 from squaregeo.embedding import (
     Embedding,
     brute_force_orders,
@@ -183,6 +183,25 @@ def test_embed_g8(g8):
     mism, boundary = linf_embedding_report(g, emb.coords)
     assert mism == []
     assert boundary >= 1  # e.g. vertices 0 and 2 sit exactly one apart in x
+
+
+def test_embed_checks_the_realized_axes(g8, monkeypatch):
+    """The axes are checked once, by embed: a wrong coordinate from the axis
+    realization still ends in StructuralError."""
+    g, _ = g8
+    pair = make_order_pair(
+        g, LinearOrder.from_seq(G8_ORDER1), LinearOrder.from_seq(G8_ORDER2)
+    )
+    real = embedding.realize_unit_interval
+
+    def shifted(g_aug, o):
+        coords = list(real(g_aug, o))
+        coords[0] += 3
+        return tuple(coords)
+
+    monkeypatch.setattr(embedding, "realize_unit_interval", shifted)
+    with pytest.raises(StructuralError, match="embedding check failed"):
+        embed(g, pair)
 
 
 def test_embed_rejects_invalid_pair(c4):

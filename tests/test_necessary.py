@@ -19,11 +19,18 @@ from squaregeo.necessary import (
     RED,
     ColoringRefutation,
     TwoColoring,
+    _bfs_coloring,
+    _shortest_odd_cycle,
     rigid_region_sets,
 )
+from squaregeo.instances import generate_bab
 
 from conftest import enumerate_bab_instances
-from oracles import rigid_pairs_by_definition, square_geometric_by_order_search
+from oracles import (
+    rigid_pairs_by_definition,
+    shortest_odd_cycle_by_all_roots,
+    square_geometric_by_order_search,
+)
 
 # Both private sides of this 7-vertex instance trap a rigid pair, so the
 # rigid-free disjunction fails; the order-search oracle confirms there is no
@@ -105,6 +112,26 @@ def test_odd_cycle_is_really_a_cycle(triangle6):
     for i, node in enumerate(ref.cycle):
         nxt = ref.cycle[(i + 1) % k]
         assert (cg.adj[cg.node_index(node)] >> cg.node_index(nxt)) & 1
+
+
+def test_odd_cycle_matches_the_reference_search():
+    """The witness is the cycle the original all-roots search returns, on
+    every random instance whose chord graph is connected but not bipartite."""
+    lengths = []
+    for shape in ((2, 3, 2, 6), (3, 3, 3, 6), (3, 4, 3, 8)):
+        for seed in range(60):
+            g, p = generate_bab(shape, 0.5, seed)
+            cg = build_chord_graph(g, p)
+            try:
+                conflict = _bfs_coloring(cg)[1]
+            except ScopeError:
+                continue
+            if conflict:
+                cycle = _shortest_odd_cycle(cg)
+                assert cycle == shortest_odd_cycle_by_all_roots(cg), (shape, seed)
+                lengths.append(len(cycle))
+    assert len(lengths) == 157
+    assert lengths.count(5) == 3
 
 
 def test_forced_conflict_refutation():
