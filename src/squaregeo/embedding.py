@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .chords import RigidPair, enumerate_rigid_pairs
 from .errors import InputError, ScopeError, StructuralError
-from .graph import BabPartition, Graph, is_unit_interval_order
+from .graph import BabPartition, Graph, bits, is_unit_interval_order, prefix_masks
 from .orders import LinearOrder
 
 Pair = tuple[int, int]
@@ -23,22 +24,27 @@ Pair = tuple[int, int]
 
 def completion(g: Graph, o: LinearOrder) -> frozenset[Pair]:
     """Non-edges {w, z} straddled by some edge u~v with u at or before w and
-    z at or before v in o. Computed with a prefix maximum over edge spans."""
-    n = g.n
-    pos = o.rank
-    cover = [-1] * n
-    for u, v in g.edges():
-        lo, hi = sorted((pos[u], pos[v]))
-        if hi > cover[lo]:
-            cover[lo] = hi
-    for i in range(1, n):
-        if cover[i - 1] > cover[i]:
-            cover[i] = cover[i - 1]
+    z at or before v in o.
+
+    One sweep along o keeps ``reach``, the farthest position of a neighbor
+    of any vertex at or before the current position i; the vertex w at i is
+    forced to every non-neighbor at positions i+1..reach, read off prefix
+    masks. Each pair is emitted once, from its earlier vertex, as
+    (min, max). O(n) mask operations on n-bit integers plus the output.
+    """
+    seq = o.seq
+    n = len(seq)
+    prefix = prefix_masks(seq)
     forced = []
-    for w, z in g.non_edges():
-        pw, pz = sorted((pos[w], pos[z]))
-        if cover[pw] >= pz:
-            forced.append((w, z))
+    seen = 0  # neighbors of the vertices at positions 0..i
+    reach = 0
+    for i, w in enumerate(seq):
+        seen |= g.adj[w]
+        reach = max(reach, i)
+        while reach + 1 < n and seen & ~prefix[reach + 1]:
+            reach += 1
+        for z in bits((prefix[reach + 1] ^ prefix[i + 1]) & ~g.adj[w]):
+            forced.append((w, z) if w < z else (z, w))
     return frozenset(forced)
 
 
@@ -149,9 +155,11 @@ def realize_unit_interval(g_aug: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
     plus a gap unit) and to the vertex right after it (distance at most 1,
     which bounds all later neighbor predecessors by monotonicity). The
     resulting difference constraints are solved exactly over values of the
-    form a + b*gap, and the gap is fixed afterwards to a rational small
-    enough for every constraint. The result is not re-checked here: the
-    caller, ``embed``, checks the finished embedding exactly, once.
+    form a + b*gap, by Bellman-Ford on integer pairs (a, b), and the gap
+    is fixed afterwards to a rational small enough for every constraint.
+    The couplings come from one sweep of prefix masks along o. The result
+    is not re-checked here: the caller, ``embed``, checks the finished
+    embedding exactly, once.
     """
     n = g_aug.n
     if n == 0:
@@ -162,21 +170,19 @@ def realize_unit_interval(g_aug: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
         )
     # constraint x_b - x_a <= (wa + wb*gap) stored as (a, b, wa, wb)
     arcs: list[tuple[int, int, int, int]] = []
+    prefix = prefix_masks(o.seq)
     for k in range(1, n):
         arcs.append((k, k - 1, 0, 0))
-        vk = g_aug.adj[o.seq[k]]
-        last_non = None
-        for j in range(k - 1, -1, -1):
-            if not (vk >> o.seq[j]) & 1:
-                last_non = j
-                break
-        first_near = 0 if last_non is None else last_non + 1
+        # the order passed the test above, so the neighbors before k are
+        # exactly the positions first_near..k-1
+        first_near = k - (g_aug.adj[o.seq[k]] & prefix[k]).bit_count()
         if first_near <= k - 1:
             arcs.append((first_near, k, 1, 0))
-        if last_non is not None:
-            arcs.append((k, last_non, -1, -1))
+        if first_near > 0:
+            arcs.append((k, first_near - 1, -1, -1))
 
-    dist = [(Fraction(0), 0)] * n
+    # every weight is an integer, so the distances stay integral
+    dist = [(0, 0)] * n
     for _ in range(n + 1):
         changed = False
         for a, b, wa, wb in arcs:
@@ -193,8 +199,8 @@ def realize_unit_interval(g_aug: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
     for a, b, wa, wb in arcs:
         slack = wa - (dist[b][0] - dist[a][0])
         over = (dist[b][1] - dist[a][1]) - wb
-        if slack > 0 and over > 0 and slack / over < gap:
-            gap = slack / over
+        if slack > 0 and over > 0 and Fraction(slack, over) < gap:
+            gap = Fraction(slack, over)
     base_a, base_b = dist[0]
     coords = [Fraction(0)] * n
     for k in range(n):
@@ -238,18 +244,45 @@ class EmbeddingCheck:
     violation: Pair | None = None
 
 
+def _within_one(vals: Sequence[Fraction]) -> list[int]:
+    """``out[v]`` is the mask of vertices whose value is within 1 of
+    ``vals[v]``, v included: a two-pointer sweep over the vertices sorted
+    by value, reading each window off prefix masks."""
+    n = len(vals)
+    by_val = sorted(range(n), key=vals.__getitem__)
+    prefix = prefix_masks(by_val)
+    out = [0] * n
+    lo = hi = 0
+    for v in by_val:
+        x = vals[v]
+        while x - vals[by_val[lo]] > 1:
+            lo += 1
+        while hi < n and vals[by_val[hi]] - x <= 1:
+            hi += 1
+        out[v] = prefix[hi] ^ prefix[lo]
+    return out
+
+
 def verify_embedding(g: Graph, e: Embedding) -> EmbeddingCheck:
     """Adjacency iff max-metric distance at most 1, exact comparisons; a
-    non-adjacent pair at distance exactly 1 fails."""
+    non-adjacent pair at distance exactly 1 fails.
+
+    Each axis is one sorted sweep (``_within_one``) that compares the
+    coordinates themselves, exactly, without scaling them to a common
+    denominator: no number grows beyond the input's own coordinates, and
+    the sweep keeps n masks of n bits, the size of the adjacency. u's near
+    set is the meet of its two axis masks; the reported violation is the
+    lexicographically first pair (u, v), u < v, where it differs from
+    ``adj[u]``. O(n log n) comparisons plus O(n) mask operations.
+    """
     if len(e.coords) != g.n:
         raise InputError("coordinate count differs from vertex count")
+    near_x = _within_one([x for x, _ in e.coords])
+    near_y = _within_one([y for _, y in e.coords])
     for u in range(g.n):
-        xu, yu = e.coords[u]
-        for v in range(u + 1, g.n):
-            xv, yv = e.coords[v]
-            near = abs(xu - xv) <= 1 and abs(yu - yv) <= 1
-            if near != g.adjacent(u, v):
-                return EmbeddingCheck(ok=False, violation=(u, v))
+        wrong = (near_x[u] & near_y[u] ^ g.adj[u]) >> (u + 1)
+        if wrong:
+            return EmbeddingCheck(ok=False, violation=(u, u + (wrong & -wrong).bit_length()))
     return EmbeddingCheck(ok=True)
 
 

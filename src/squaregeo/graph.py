@@ -29,6 +29,24 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def prefix_masks(seq: Sequence[int]) -> list[int]:
+    """``out[i]`` is the mask of ``seq[:i]``, for i in 0..len(seq); the
+    vertices at positions lo..hi-1 are then ``out[hi] ^ out[lo]``."""
+    out = [0]
+    for v in seq:
+        out.append(out[-1] | 1 << v)
+    return out
+
+
+def _capped(ids: Sequence[int]) -> str:
+    """The first ten ids of a sorted list, then a count of the rest, so an
+    error message stays short whatever the input's size."""
+    shown = ", ".join(map(str, ids[:10]))
+    if len(ids) > 10:
+        shown += f", … ({len(ids) - 10} more)"
+    return f"[{shown}]"
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph.
@@ -229,11 +247,13 @@ def validate_bab(g: Graph, x_a: Iterable[int], x_b: Iterable[int], y: Iterable[i
     ys = frozenset(y)
     x_union = xa | xb
     if x_union & ys:
-        raise StructuralError(f"X and Y overlap on {sorted(x_union & ys)}")
+        raise StructuralError(f"X and Y overlap on {_capped(sorted(x_union & ys))}")
     if x_union | ys != frozenset(range(g.n)):
         missing = sorted(frozenset(range(g.n)) - (x_union | ys))
         extra = sorted((x_union | ys) - frozenset(range(g.n)))
-        raise StructuralError(f"sets do not cover V: missing={missing} extra={extra}")
+        raise StructuralError(
+            f"sets do not cover V: missing={_capped(missing)} extra={_capped(extra)}"
+        )
     if not xa & xb:
         raise StructuralError("X_a and X_b must intersect")
 
@@ -272,25 +292,20 @@ def is_unit_interval_order(g: Graph, order: Sequence[int]) -> bool:
 
     ``order`` is a permutation of V. The test is the classical three-point
     condition: whenever u comes before z before v and u~v, both u~z and z~v
-    must hold. Runs in O(n^2) by checking that each vertex's neighbors form a
-    contiguous block ending (resp. starting) at the vertex itself.
+    must hold. Equivalently each vertex's closed neighborhood is one block
+    of consecutive positions (Corneil et al. 1995). One sweep along the
+    order counts v's neighbors before and after its position i and compares
+    ``adj[v]`` with the block of that many positions on each side, taken
+    from prefix masks: O(n) mask operations on n-bit integers.
     """
     seq = list(order)
     if sorted(seq) != list(range(g.n)):
         raise InputError("order is not a permutation of V")
-    n = g.n
-    pos = [0] * n
+    prefix = prefix_masks(seq)
     for i, v in enumerate(seq):
-        pos[v] = i
-    for i, v in enumerate(seq):
-        earlier = [pos[u] for u in bits(g.adj[v]) if pos[u] < i]
-        if earlier:
-            lo = min(earlier)
-            if i - lo != len(earlier):
-                return False
-        later = [pos[u] for u in bits(g.adj[v]) if pos[u] > i]
-        if later:
-            hi = max(later)
-            if hi - i != len(later):
-                return False
+        nbrs = g.adj[v]
+        before = (nbrs & prefix[i]).bit_count()
+        after = nbrs.bit_count() - before
+        if nbrs != prefix[i + 1 + after] ^ prefix[i - before] ^ (1 << v):
+            return False
     return True

@@ -12,6 +12,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from squaregeo.chords import ChordGraph
+from squaregeo.embedding import Embedding, EmbeddingCheck
+from squaregeo.errors import InputError
 from squaregeo.graph import BabPartition, Graph, bits
 
 
@@ -265,6 +267,25 @@ def linf_embedding_report(g, coords):
             if adj != (d <= 1):
                 mismatches.append((u, v))
     return mismatches, boundary
+
+
+def verify_embedding_by_pairs(g: Graph, e: Embedding) -> EmbeddingCheck:
+    """Adjacency iff max-metric distance at most 1, exact comparisons; a
+    non-adjacent pair at distance exactly 1 fails.
+
+    The original pair loop, kept as the reference for the ``ok`` flag and
+    the first violation ``embedding.verify_embedding`` must reproduce.
+    """
+    if len(e.coords) != g.n:
+        raise InputError("coordinate count differs from vertex count")
+    for u in range(g.n):
+        xu, yu = e.coords[u]
+        for v in range(u + 1, g.n):
+            xv, yv = e.coords[v]
+            near = abs(xu - xv) <= 1 and abs(yu - yv) <= 1
+            if near != g.adjacent(u, v):
+                return EmbeddingCheck(ok=False, violation=(u, v))
+    return EmbeddingCheck(ok=True)
 
 
 def shortest_odd_cycle_by_all_roots(cg: ChordGraph) -> tuple[int, ...]:

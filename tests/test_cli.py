@@ -209,6 +209,15 @@ def test_parse_error_goes_to_stderr(tmp_path, capsys):
     assert captured.err.startswith("parse error: line 1")
 
 
+def test_validate_caps_the_listed_vertices(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("bab-instance v1\nn 300000\nxa 0 1\nxb 1 2\ny 3\n")
+    assert main(["validate", str(path)]) == EXIT_UNDECIDED
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert "missing=[4, 5, 6, 7, 8, 9, 10, 11, 12, 13, … (299986 more)] extra=[]" in err
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["validate", "/nonexistent/path.txt"]) == EXIT_UNDECIDED
     assert capsys.readouterr().err.startswith("error:")

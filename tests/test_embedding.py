@@ -1,6 +1,7 @@
 """Forced sets, exact axis realizations and plane embeddings."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from squaregeo.embedding import (
 from squaregeo.errors import InputError, ScopeError, StructuralError
 from squaregeo.orders import LinearOrder
 
-from oracles import linf_embedding_report, scan_completion
+from oracles import linf_embedding_report, scan_completion, verify_embedding_by_pairs
 
 G8_ORDER1 = (0, 1, 2, 4, 3, 5, 6, 7)
 G8_ORDER2 = (3, 2, 0, 1, 6, 7, 5, 4)
@@ -65,6 +66,18 @@ def test_completion_matches_edge_scan_exhaustively():
         g = build_graph(4, [e for e, keep in zip(vertex_pairs, picks) if keep])
         for seq in itertools.permutations(range(4)):
             assert completion(g, LinearOrder.from_seq(seq)) == scan_completion(g, seq)
+
+
+def test_completion_matches_edge_scan_on_random_graphs():
+    rng = random.Random(4)
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        density = rng.random()
+        g = build_graph(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        )
+        seq = rng.sample(range(n), n)
+        assert completion(g, LinearOrder.from_seq(seq)) == scan_completion(g, seq)
 
 
 def test_covering_edge(c4):
@@ -222,6 +235,33 @@ def test_verify_embedding_boundary_semantics():
 
     nudged = Embedding(coords=((Fraction(0), Fraction(0)), (Fraction(1001, 1000), Fraction(1))))
     assert verify_embedding(hole, nudged).ok
+
+
+def test_verify_embedding_matches_the_pair_loop():
+    """Quarter-integer coordinates put many pairs at distance exactly 1;
+    the graph is the points' own near graph with a few pairs flipped, so
+    both passing embeddings and violations anywhere in the order occur."""
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(0, 14)
+        coords = tuple(
+            (Fraction(rng.randint(0, 12), 4), Fraction(rng.randint(0, 12), 4)) for _ in range(n)
+        )
+        edges = {
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if abs(coords[u][0] - coords[v][0]) <= 1 and abs(coords[u][1] - coords[v][1]) <= 1
+        }
+        pairs = list(itertools.combinations(range(n), 2))
+        for flip in rng.sample(pairs, min(len(pairs), rng.choice((0, 0, 1, 3)))):
+            edges ^= {flip}
+        g = build_graph(n, edges)
+        e = Embedding(coords=coords)
+        got = verify_embedding(g, e)
+        assert got == verify_embedding_by_pairs(g, e)
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}
 
 
 def test_verify_embedding_count_mismatch():

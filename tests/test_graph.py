@@ -1,6 +1,8 @@
 """Graph container, partition validation and the interval-order test."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +119,26 @@ def test_validate_bab_rejects_broken_partitions():
         validate_bab(g, [0], [1], [2, 3])
 
 
+def test_validate_bab_caps_the_listed_vertices():
+    g = build_graph(30, [])
+    with pytest.raises(StructuralError) as overlap:
+        validate_bab(g, range(25), range(25), range(30))
+    assert str(overlap.value) == (
+        "X and Y overlap on [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, … (15 more)]"
+    )
+    with pytest.raises(StructuralError) as cover:
+        validate_bab(g, [0], [0], range(100, 150))
+    assert str(cover.value) == (
+        "sets do not cover V: missing=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, … (19 more)] "
+        "extra=[100, 101, 102, 103, 104, 105, 106, 107, 108, 109, … (40 more)]"
+    )
+    with pytest.raises(StructuralError) as ten:
+        validate_bab(g, [0], [0], range(1, 20))
+    assert str(ten.value) == (
+        "sets do not cover V: missing=[20, 21, 22, 23, 24, 25, 26, 27, 28, 29] extra=[]"
+    )
+
+
 def test_validate_bab_names_the_missing_clique_edge():
     g = build_graph(4, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(StructuralError, match=r"Y is not a clique: missing edge \(2,3\)"):
@@ -154,6 +176,29 @@ def test_unit_interval_order_matches_three_point_scan_exhaustively():
         g = build_graph(4, [pairs[i] for i in range(len(pairs)) if (bitsum >> i) & 1])
         for seq in itertools.permutations(range(4)):
             assert is_unit_interval_order(g, seq) == umbrella_ok(g, seq)
+
+
+def test_unit_interval_order_matches_three_point_scan_on_random_orders():
+    """Random graphs, and near graphs of points on a quarter-integer line
+    (unit interval graphs) under their sorted order and random orders."""
+    rng = random.Random(3)
+    verdicts = set()
+    for _ in range(3000):
+        n = rng.randint(0, 10)
+        if rng.random() < 0.5:
+            density = rng.random()
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            seqs = [rng.sample(range(n), n)]
+        else:
+            xs = [Fraction(rng.randint(0, 4 * n), 4) for _ in range(n)]
+            edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if abs(xs[u] - xs[v]) <= 1]
+            seqs = [sorted(range(n), key=xs.__getitem__), rng.sample(range(n), n)]
+        g = build_graph(n, edges)
+        for seq in seqs:
+            got = is_unit_interval_order(g, seq)
+            assert got == umbrella_ok(g, seq)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 @given(st.integers(2, 7), st.data())
