@@ -6,7 +6,6 @@ from .chords import (
     RigidPair,
     audit_assumption1,
     build_chord_graph,
-    classify_nonedges,
     compute_ab_sets,
     enumerate_rigid_pairs,
 )
@@ -14,7 +13,6 @@ from .embedding import (
     Embedding,
     OrderPair,
     brute_force_orders,
-    chord_distribution,
     completion,
     embed,
     make_order_pair,
@@ -85,8 +83,6 @@ __all__ = [
     "check_necessary",
     "check_rigid_free",
     "check_sufficient",
-    "chord_distribution",
-    "classify_nonedges",
     "color_constrained",
     "completion",
     "compute_ab_sets",

@@ -9,8 +9,9 @@ and joins two nodes exactly when they are the chords of a common rigid pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graph import BabPartition, Graph, bits, mask_of, ny_mask
+from .graph import BabPartition, Graph, bits, mask_of, ny_mask, union_of
 from .errors import InputError
 
 
@@ -29,10 +30,6 @@ class RigidPair:
         """The two non-edges (x1,y2) and (x2,y1) completed by this pair."""
         return ((self.x1, self.y2), (self.x2, self.y1))
 
-    @property
-    def edge_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.x1, self.y1), (self.x2, self.y2))
-
 
 def make_rigid_pair(ex: tuple[int, int], ey: tuple[int, int]) -> RigidPair:
     """Build a RigidPair from its two x-y edges, normalizing the orientation."""
@@ -41,26 +38,10 @@ def make_rigid_pair(ex: tuple[int, int], ey: tuple[int, int]) -> RigidPair:
 
 
 def enumerate_rigid_pairs(g: Graph, p: BabPartition) -> tuple[RigidPair, ...]:
-    """All rigid pairs, sorted by their normalized coordinates.
-
-    For each adjacent pair x < x' in X the crossing parts of their
-    Y-neighborhoods generate exactly the rigid pairs anchored at that pair;
-    Y is a clique so the y1~y2 requirement always holds.
-    """
-    xs = sorted(p.x_all)
-    out = []
-    for i, x in enumerate(xs):
-        nyx = ny_mask(g, p, x)
-        for xp in xs[i + 1:]:
-            if not g.adjacent(x, xp):
-                continue
-            nyxp = ny_mask(g, p, xp)
-            left = nyx & ~nyxp
-            right = nyxp & ~nyx
-            for y in bits(left):
-                for yp in bits(right):
-                    out.append(make_rigid_pair((x, y), (xp, yp)))
-    return tuple(sorted(out))
+    """All rigid pairs, sorted by their normalized coordinates: one per
+    chord-graph edge, read off as the edge's witness."""
+    cg = build_chord_graph(g, p)
+    return tuple(sorted(cg.witness(i, j) for i, j in cg.edges()))
 
 
 @dataclass(frozen=True)
@@ -107,10 +88,6 @@ class ChordGraph:
                 m |= 1 << i
         return m
 
-    @property
-    def isolated_mask(self) -> int:
-        return ~self.non_isolated_mask & ((1 << len(self.nodes)) - 1)
-
     def witness(self, i: int, j: int) -> RigidPair:
         """The unique rigid pair whose chords are nodes i and j."""
         if not (self.adj[i] >> j) & 1:
@@ -151,60 +128,38 @@ class ChordGraph:
         return comps
 
 
+def y_end_masks(nodes: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """``out[y]`` is the mask of the indices of the nodes (x, y) with that
+    y-end, for y in 0..n-1."""
+    out = [0] * n
+    for i, (_, y) in enumerate(nodes):
+        out[y] |= 1 << i
+    return out
+
+
 def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
     """Construct the chord graph of (g, p).
 
     Nodes are all X-Y non-edges. From node (x, y), neighbors are the nodes
     (x', y') with x' adjacent to both x and y, and y' a Y-neighbor of x (the
-    node property already gives x' !~ y'). Neighborhood masks per candidate
-    x' are precomputed over each x'-block, keeping the work within a small
-    constant times n^4 while staying on integer bit operations.
+    node property already gives x' !~ y'). One pass over sorted X lays the
+    nodes out and keeps a node mask per x-end, ``by_x`` (a contiguous
+    range); ``by_y`` has one per y-end. The neighbor mask of (x, y) is then
+    the union of ``by_x[x']`` over x' in N(x) & N(y) & X, cut to
+    ``near_y[x]``, the union of ``by_y[y']`` over y' in N_Y(x).
     """
-    xs = sorted(p.x_all)
     nodes: list[tuple[int, int]] = []
-    block_start: dict[int, int] = {}
-    block_ys: dict[int, list[int]] = {}
-    for x in xs:
-        non_nb = sorted(bits(p.y_mask & ~g.adj[x]))
-        block_start[x] = len(nodes)
-        block_ys[x] = non_nb
-        nodes.extend((x, y) for y in non_nb)
-
-    # row_select[xp] maps a Y-neighborhood mask owner x to the node-index mask
-    # of xp's block restricted to N_Y(x); built lazily per (xp, x).
-    cache: dict[tuple[int, int], int] = {}
-
-    def block_mask(xp: int, x: int) -> int:
-        key = (xp, x)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        nyx = g.adj[x] & p.y_mask
-        m = 0
-        base = block_start[xp]
-        for off, y in enumerate(block_ys[xp]):
-            if (nyx >> y) & 1:
-                m |= 1 << (base + off)
-        cache[key] = m
-        return m
-
-    x_mask = p.x_mask
-    adj = []
-    for x, y in nodes:
-        cand = g.adj[x] & g.adj[y] & x_mask
-        m = 0
-        for xp in bits(cand):
-            m |= block_mask(xp, x)
-        adj.append(m)
-
-    a_mask = 0
-    b_mask = 0
-    for i, (x, _) in enumerate(nodes):
-        if (p.a_only_mask >> x) & 1:
-            a_mask |= 1 << i
-        elif (p.b_only_mask >> x) & 1:
-            b_mask |= 1 << i
-    return ChordGraph(tuple(nodes), tuple(adj), a_mask, b_mask)
+    by_x = [0] * g.n
+    for x in bits(p.x_mask):
+        start = len(nodes)
+        nodes.extend((x, y) for y in bits(p.y_mask & ~g.adj[x]))
+        by_x[x] = (1 << len(nodes)) - (1 << start)
+    by_y = y_end_masks(nodes, g.n)
+    near_y = {x: union_of(by_y, g.adj[x] & p.y_mask) for x in bits(p.x_mask)}
+    adj = tuple(union_of(by_x, g.adj[x] & g.adj[y] & p.x_mask) & near_y[x] for x, y in nodes)
+    return ChordGraph(
+        tuple(nodes), adj, union_of(by_x, p.a_only_mask), union_of(by_x, p.b_only_mask)
+    )
 
 
 @dataclass(frozen=True)
@@ -301,21 +256,3 @@ def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> AssumptionRe
         has_core_edge=core,
         failures=tuple(failures),
     )
-
-
-@dataclass(frozen=True)
-class NonEdgeClasses:
-    """X-Y non-edges split into isolated (class 1) and non-isolated (class 2)
-    chord-graph nodes, plus the private-to-private pairs (class 3)."""
-
-    isolated: frozenset[tuple[int, int]]
-    linked: frozenset[tuple[int, int]]
-    cross: frozenset[tuple[int, int]]
-
-
-def classify_nonedges(g: Graph, p: BabPartition, cg: ChordGraph) -> NonEdgeClasses:
-    iso = cg.isolated_mask
-    isolated = frozenset(cg.nodes[i] for i in bits(iso))
-    linked = frozenset(cg.nodes[i] for i in bits(cg.non_isolated_mask))
-    cross = frozenset((a, b) for a in p.a_only for b in p.b_only)
-    return NonEdgeClasses(isolated=isolated, linked=linked, cross=cross)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chords import RigidPair, enumerate_rigid_pairs
 from .errors import InputError, ScopeError, StructuralError
 from .graph import BabPartition, Graph, bits, is_unit_interval_order, prefix_masks
 from .orders import LinearOrder
@@ -97,53 +96,6 @@ def verify_orders(g: Graph, o1: LinearOrder, o2: LinearOrder) -> OrderCheck:
         witness1=covering_edge(g, o1, w, z),
         witness2=covering_edge(g, o2, w, z),
     )
-
-
-@dataclass(frozen=True)
-class ChordSplit:
-    rigid: RigidPair
-    in_first: Pair | None
-    in_second: Pair | None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.in_first is not None
-            and self.in_second is not None
-            and self.in_first != self.in_second
-        )
-
-
-@dataclass(frozen=True)
-class ChordDistribution:
-    splits: tuple[ChordSplit, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.splits)
-
-
-def chord_distribution(g: Graph, p: BabPartition, pair: OrderPair) -> ChordDistribution:
-    """For each rigid pair, which forced set holds which of its two chords.
-
-    With disjoint forced sets each rigid pair must contribute exactly one
-    chord to each side; a split with a missing or doubled side is flagged.
-    """
-    if not pair.valid:
-        raise InputError("order pair invalid: forced sets intersect")
-    splits = []
-    for rp in enumerate_rigid_pairs(g, p):
-        chords = [tuple(sorted(ch)) for ch in rp.chords]
-        first = [ch for ch in chords if ch in pair.c1]
-        second = [ch for ch in chords if ch in pair.c2]
-        splits.append(
-            ChordSplit(
-                rigid=rp,
-                in_first=first[0] if len(first) == 1 else None,
-                in_second=second[0] if len(second) == 1 else None,
-            )
-        )
-    return ChordDistribution(splits=tuple(splits))
 
 
 def realize_unit_interval(g_aug: Graph, o: LinearOrder) -> tuple[Fraction, ...]:

@@ -7,8 +7,8 @@ frozen; functions return new values instead of mutating.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import InputError, ScopeError, StructuralError
@@ -29,6 +29,14 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def union_of(masks: Sequence[int], ids: int) -> int:
+    """The union of ``masks[i]`` over the set bits i of ``ids``."""
+    m = 0
+    for i in bits(ids):
+        m |= masks[i]
+    return m
+
+
 def prefix_masks(seq: Sequence[int]) -> list[int]:
     """``out[i]`` is the mask of ``seq[:i]``, for i in 0..len(seq); the
     vertices at positions lo..hi-1 are then ``out[hi] ^ out[lo]``."""
@@ -38,12 +46,13 @@ def prefix_masks(seq: Sequence[int]) -> list[int]:
     return out
 
 
-def _capped(ids: Sequence[int]) -> str:
-    """The first ten ids of a sorted list, then a count of the rest, so an
-    error message stays short whatever the input's size."""
-    shown = ", ".join(map(str, ids[:10]))
-    if len(ids) > 10:
-        shown += f", … ({len(ids) - 10} more)"
+def _capped(ids: Iterable[int], count: int) -> str:
+    """The first ten of ``count`` ascending ids, then a count of the rest,
+    so an error message stays short whatever the input's size. Only the
+    ten shown are drawn from ``ids``."""
+    shown = ", ".join(map(str, itertools.islice(ids, 10)))
+    if count > 10:
+        shown += f", … ({count - 10} more)"
     return f"[{shown}]"
 
 
@@ -112,33 +121,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
-
-
-class NestingRelation(Enum):
-    """Outcome of comparing two scoped neighborhoods under inclusion."""
-
-    EQUAL = "equal"
-    LEFT_SUBSET = "left-subset"
-    RIGHT_SUBSET = "right-subset"
-    CROSSING = "crossing"
-
-
-def nesting(g: Graph, u: int, v: int, scope: Iterable[int]) -> NestingRelation:
-    """Compare N(u) and N(v) restricted to ``scope`` under set inclusion.
-
-    Exactly one outcome is reported; EQUAL when the restrictions coincide,
-    LEFT_SUBSET when N(u) is a proper subset of N(v), and symmetrically.
-    """
-    smask = mask_of(scope)
-    nu = g.adj[u] & smask
-    nv = g.adj[v] & smask
-    if nu == nv:
-        return NestingRelation.EQUAL
-    if nu & ~nv == 0:
-        return NestingRelation.LEFT_SUBSET
-    if nv & ~nu == 0:
-        return NestingRelation.RIGHT_SUBSET
-    return NestingRelation.CROSSING
 
 
 @dataclass(frozen=True)
@@ -234,42 +216,59 @@ def _nested_sequence(g: Graph, members: Iterable[int], scope_mask: int):
     return tuple(seq), True
 
 
+def check_cover(n: int, xa: frozenset[int], xb: frozenset[int], ys: frozenset[int]) -> None:
+    """Raise StructuralError unless X = X_a | X_b and Y are disjoint and
+    list exactly the ids 0..n-1.
+
+    O(ids listed), whatever n: the first ten missing ids are found lazily
+    and the rest only counted, so a parser can run it before allocating
+    anything of size n.
+    """
+    x_union = xa | xb
+    if x_union & ys:
+        overlap = sorted(x_union & ys)
+        raise StructuralError(f"X and Y overlap on {_capped(overlap, len(overlap))}")
+    listed = x_union | ys
+    extra = sorted(v for v in listed if not 0 <= v < n)
+    inside = len(listed) - len(extra)
+    if inside < n or extra:
+        missing = (v for v in range(n) if v not in listed)
+        raise StructuralError(
+            f"sets do not cover V: missing={_capped(missing, n - inside)}"
+            f" extra={_capped(extra, len(extra))}"
+        )
+
+
 def validate_bab(g: Graph, x_a: Iterable[int], x_b: Iterable[int], y: Iterable[int]) -> BabPartition:
     """Validate the clique partition and derive the nesting sequences.
 
-    Raises StructuralError when a set fails to be a clique (naming the missing
-    edge), when the sets do not partition V, or when X_a and X_b are disjoint.
-    An edge between a private X_a vertex and a private X_b vertex is out of
-    scope and raises ScopeError.
+    Raises StructuralError when a set fails to be a clique (naming the first
+    missing edge), when the sets do not partition V, or when X_a and X_b are
+    disjoint. An edge between a private X_a vertex and a private X_b vertex
+    is out of scope and raises ScopeError. Each clique and the private sides
+    are checked with one mask test per vertex.
     """
     xa = frozenset(x_a)
     xb = frozenset(x_b)
     ys = frozenset(y)
-    x_union = xa | xb
-    if x_union & ys:
-        raise StructuralError(f"X and Y overlap on {_capped(sorted(x_union & ys))}")
-    if x_union | ys != frozenset(range(g.n)):
-        missing = sorted(frozenset(range(g.n)) - (x_union | ys))
-        extra = sorted((x_union | ys) - frozenset(range(g.n)))
-        raise StructuralError(
-            f"sets do not cover V: missing={_capped(missing)} extra={_capped(extra)}"
-        )
+    check_cover(g.n, xa, xb, ys)
     if not xa & xb:
         raise StructuralError("X_a and X_b must intersect")
 
-    for name, members in (("X_a", xa), ("X_b", xb), ("Y", ys)):
-        ordered = sorted(members)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1:]:
-                if not g.adjacent(u, v):
-                    raise StructuralError(f"{name} is not a clique: missing edge ({u},{v})")
+    xa_mask, xb_mask, y_mask = mask_of(xa), mask_of(xb), mask_of(ys)
+    for name, members in (("X_a", xa_mask), ("X_b", xb_mask), ("Y", y_mask)):
+        for u in bits(members):
+            lack = (members & ~g.adj[u]) >> (u + 1)
+            if lack:
+                v = u + (lack & -lack).bit_length()
+                raise StructuralError(f"{name} is not a clique: missing edge ({u},{v})")
 
-    for a in sorted(xa - xb):
-        for b in sorted(xb - xa):
-            if g.adjacent(a, b):
-                raise ScopeError(f"edge ({a},{b}) joins the private sides of X_a and X_b")
+    for a in bits(xa_mask & ~xb_mask):
+        hit = g.adj[a] & xb_mask & ~xa_mask
+        if hit:
+            b = (hit & -hit).bit_length() - 1
+            raise ScopeError(f"edge ({a},{b}) joins the private sides of X_a and X_b")
 
-    y_mask = mask_of(ys)
     a_seq, a_nested = _nested_sequence(g, xa - xb, y_mask)
     b_seq, b_nested = _nested_sequence(g, xb - xa, y_mask)
     return BabPartition(
@@ -281,8 +280,8 @@ def validate_bab(g: Graph, x_a: Iterable[int], x_b: Iterable[int], y: Iterable[i
         a_nested=a_nested,
         b_nested=b_nested,
         parts_connected=len(ys) > 0,
-        xa_mask=mask_of(xa),
-        xb_mask=mask_of(xb),
+        xa_mask=xa_mask,
+        xb_mask=xb_mask,
         y_mask=y_mask,
     )
 

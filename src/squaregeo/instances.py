@@ -9,18 +9,20 @@ decimals.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 from .chords import build_chord_graph
 from .embedding import Embedding
 from .errors import GenerationError, ParseError
-from .graph import BabPartition, Graph, build_graph, validate_bab
+from .graph import BabPartition, Graph, build_graph, check_cover, validate_bab
 from .necessary import NecessaryStatus, check_necessary
 from .orders import LinearOrder, check_sufficient
 from .pipeline import NO, UNDECIDED, YES, Certificate
 
 INSTANCE_HEADER = "bab-instance v1"
 CERTIFICATE_HEADER = "bab-certificate v1"
+_COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _content_lines(text: str):
@@ -69,6 +71,8 @@ def parse_instance(text: str) -> tuple[Graph, BabPartition]:
     for key, val in sets.items():
         if val is None:
             raise ParseError(f"line {lines[-1][0]}: missing {key} line")
+    # the ids are checked against n before anything of size n is allocated
+    check_cover(n, *(frozenset(sets[key]) for key in ("xa", "xb", "y")))
     g = build_graph(n, edges)
     p = validate_bab(g, sets["xa"], sets["xb"], sets["y"])
     return g, p
@@ -82,6 +86,16 @@ def emit_instance(g: Graph, p: BabPartition) -> str:
     for u, v in g.edges():
         out.append(f"edge {u} {v}")
     return "\n".join(out) + "\n"
+
+
+def _coordinate(tok: str) -> Fraction:
+    """A coordinate in a form ``emit_certificate`` writes, an integer or a
+    fraction; anything else raises ValueError. Fraction() alone would also
+    take exponents, and "1e10000000" would build a ten-million-digit
+    integer."""
+    if not _COORDINATE.fullmatch(tok):
+        raise ValueError(f"bad coordinate {tok!r}")
+    return Fraction(tok)
 
 
 def _emit_pairs(key: str, pairs) -> str:
@@ -137,7 +151,7 @@ def parse_certificate(text: str) -> Certificate:
             if len(toks) != 3:
                 raise ParseError(f"line {i}: coord wants vertex x y")
             try:
-                coords[int(toks[0])] = (Fraction(toks[1]), Fraction(toks[2]))
+                coords[int(toks[0])] = (_coordinate(toks[1]), _coordinate(toks[2]))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"line {i}: bad coordinate in {rest!r}") from None
         else:

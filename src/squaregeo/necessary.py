@@ -18,9 +18,10 @@ from .chords import (
     audit_assumption1,
     build_chord_graph,
     compute_ab_sets,
+    y_end_masks,
 )
 from .errors import ScopeError
-from .graph import BabPartition, Graph, bits, ny_mask
+from .graph import BabPartition, Graph, bits, mask_of, ny_mask, union_of
 
 RED = "red"
 BLUE = "blue"
@@ -179,29 +180,26 @@ def rigid_region_sets(cg: ChordGraph, p: BabPartition) -> tuple[frozenset[int], 
 
 @dataclass(frozen=True)
 class RigidFreeReport:
-    """Emptiness test per private side.
+    """Emptiness test per private side, with its witnesses.
 
     Side a holds when no vertex v of X_a minus X_b admits a rigid pair whose
     x-ends are both shared, or split between a shared and a private-b vertex,
-    with both y-ends inside N_Y(v). Side b is symmetric. The *_wide variants
-    quantify v over the whole of X_a (resp. X_b) instead of the private part
-    only; they are informational. Violations pair each trapped vertex with a
-    witnessing rigid pair.
-
-    The region sets act as a screen: a violating pair drops both of its y's
-    into the opposite side's region set, so a vertex meeting that set in at
-    most one y is clean without scanning pairs. The converse is false; a
-    vertex can meet the region set twice through unrelated rigid pairs.
+    with both y-ends inside N_Y(v); side b is symmetric. Only private
+    vertices are quantified: a shared vertex may trap such a pair without
+    refuting anything. Each violation pairs a trapped private vertex,
+    ascending, with the first such rigid pair in chord-edge order.
     """
 
-    r_xa: frozenset[int]
-    r_xb: frozenset[int]
-    side_a_ok: bool
-    side_b_ok: bool
-    side_a_ok_wide: bool
-    side_b_ok_wide: bool
     a_violations: tuple[tuple[int, RigidPair], ...]
     b_violations: tuple[tuple[int, RigidPair], ...]
+
+    @property
+    def side_a_ok(self) -> bool:
+        return not self.a_violations
+
+    @property
+    def side_b_ok(self) -> bool:
+        return not self.b_violations
 
     @property
     def holds(self) -> bool:
@@ -209,47 +207,41 @@ class RigidFreeReport:
 
 
 def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeReport:
+    """Find the trapped private vertices of each side.
+
+    The region sets are a screen: a trapping pair drops both of its y's
+    into the opposite side's region set, so a vertex meeting that set in
+    at most one y is clean. The converse is false; a vertex can meet the
+    set twice through unrelated rigid pairs. Past the screen, ``near`` is
+    the chord nodes with y in N_Y(v) and x-end not private to v's side, and
+    v is trapped when a chord edge inside ``near`` has a shared x-end; the
+    witness is the first such edge (i ascending, then the lowest j > i).
+    """
     r_xa, r_xb = rigid_region_sets(cg, p)
-    ra_mask = sum(1 << y for y in r_xa)
-    rb_mask = sum(1 << y for y in r_xb)
-    pairs = [cg.witness(i, j) for i, j in cg.edges()]
+    by_y = y_end_masks(cg.nodes, g.n)
+    shared = ((1 << len(cg.nodes)) - 1) & ~(cg.a_vertex_mask | cg.b_vertex_mask)
 
-    def permitted(other_mask: int) -> list[RigidPair]:
-        allowed = p.shared_mask | other_mask
-        keep = []
-        for rp in pairs:
-            xm = (1 << rp.x1) | (1 << rp.x2)
-            if not (xm & ~allowed) and (xm & p.shared_mask):
-                keep.append(rp)
-        return keep
-
-    def trapped(members, candidates, region_mask):
+    def trapped(private: int, own_nodes: int, region: frozenset[int]):
+        region_mask = mask_of(region)
         out = []
-        for v in sorted(members):
+        for v in bits(private):
             ny = ny_mask(g, p, v)
             if (ny & region_mask).bit_count() <= 1:
                 continue
-            for rp in candidates:
-                if (ny >> rp.y1) & 1 and (ny >> rp.y2) & 1:
-                    out.append((v, rp))
+            near = union_of(by_y, ny) & ~own_nodes
+            for i in bits(near):
+                js = cg.adj[i] & near
+                if not (shared >> i) & 1:
+                    js &= shared  # then the shared x-end must be j's
+                js >>= i + 1
+                if js:
+                    out.append((v, cg.witness(i, i + (js & -js).bit_length())))
                     break
         return tuple(out)
 
-    cand_a = permitted(p.b_only_mask)
-    cand_b = permitted(p.a_only_mask)
-    a_wide = trapped(p.x_a, cand_a, rb_mask)
-    b_wide = trapped(p.x_b, cand_b, ra_mask)
-    a_viol = tuple(t for t in a_wide if t[0] in p.a_only)
-    b_viol = tuple(t for t in b_wide if t[0] in p.b_only)
     return RigidFreeReport(
-        r_xa=r_xa,
-        r_xb=r_xb,
-        side_a_ok=not a_viol,
-        side_b_ok=not b_viol,
-        side_a_ok_wide=not a_wide,
-        side_b_ok_wide=not b_wide,
-        a_violations=a_viol,
-        b_violations=b_viol,
+        trapped(p.a_only_mask, cg.a_vertex_mask, r_xb),
+        trapped(p.b_only_mask, cg.b_vertex_mask, r_xa),
     )
 
 

@@ -30,9 +30,6 @@ class DerivedRelation:
     def related(self, u: int, v: int) -> bool:
         return (u, v) in self.pairs
 
-    def out_set(self, v: int) -> frozenset[int]:
-        return frozenset(b for a, b in self.pairs if a == v)
-
 
 def derive_relations(cg: ChordGraph, f: TwoColoring, p: BabPartition) -> tuple[DerivedRelation, DerivedRelation]:
     """Orient X and Y pairs from every chord-graph edge under coloring f.

@@ -7,14 +7,16 @@ imports the package's algorithmic paths beyond the plain data containers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from squaregeo.chords import ChordGraph
+from squaregeo.chords import ChordGraph, RigidPair
 from squaregeo.embedding import Embedding, EmbeddingCheck
 from squaregeo.errors import InputError
-from squaregeo.graph import BabPartition, Graph, bits
+from squaregeo.graph import BabPartition, Graph, bits, ny_mask
 
 
 def scan_completion(g: Graph, seq) -> frozenset[tuple[int, int]]:
@@ -328,3 +330,162 @@ def shortest_odd_cycle_by_all_roots(cg: ChordGraph) -> tuple[int, ...]:
                         best = tuple(cycle)
     assert best is not None
     return best
+
+
+def _region_sets_by_scan(cg: ChordGraph, p: BabPartition):
+    """R(X_a), R(X_b): y's appearing in a non-isolated node whose x-end lies
+    in X_a (resp. X_b); shared x-ends contribute to both."""
+    ra: set[int] = set()
+    rb: set[int] = set()
+    live = cg.non_isolated_mask
+    for i in bits(live):
+        x, y = cg.nodes[i]
+        if (p.xa_mask >> x) & 1:
+            ra.add(y)
+        if (p.xb_mask >> x) & 1:
+            rb.add(y)
+    return frozenset(ra), frozenset(rb)
+
+
+def rigid_free_by_pair_scan(g: Graph, p: BabPartition, cg: ChordGraph):
+    """(a_violations, b_violations) by scanning one RigidPair per chord edge.
+
+    The original ``check_rigid_free``, kept as the reference for the
+    violations ``necessary.check_rigid_free`` must reproduce exactly; only
+    the report it builds is cut down to the two violation tuples.
+    """
+    r_xa, r_xb = _region_sets_by_scan(cg, p)
+    ra_mask = sum(1 << y for y in r_xa)
+    rb_mask = sum(1 << y for y in r_xb)
+    pairs = [cg.witness(i, j) for i, j in cg.edges()]
+
+    def permitted(other_mask: int) -> list[RigidPair]:
+        allowed = p.shared_mask | other_mask
+        keep = []
+        for rp in pairs:
+            xm = (1 << rp.x1) | (1 << rp.x2)
+            if not (xm & ~allowed) and (xm & p.shared_mask):
+                keep.append(rp)
+        return keep
+
+    def trapped(members, candidates, region_mask):
+        out = []
+        for v in sorted(members):
+            ny = ny_mask(g, p, v)
+            if (ny & region_mask).bit_count() <= 1:
+                continue
+            for rp in candidates:
+                if (ny >> rp.y1) & 1 and (ny >> rp.y2) & 1:
+                    out.append((v, rp))
+                    break
+        return tuple(out)
+
+    cand_a = permitted(p.b_only_mask)
+    cand_b = permitted(p.a_only_mask)
+    a_wide = trapped(p.x_a, cand_a, rb_mask)
+    b_wide = trapped(p.x_b, cand_b, ra_mask)
+    a_viol = tuple(t for t in a_wide if t[0] in p.a_only)
+    b_viol = tuple(t for t in b_wide if t[0] in p.b_only)
+    return a_viol, b_viol
+
+
+def edge_pairs(rp: RigidPair) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two x-y edges (x1, y1) and (x2, y2) of a rigid pair."""
+    return ((rp.x1, rp.y1), (rp.x2, rp.y2))
+
+
+def out_set(rel, v: int) -> frozenset[int]:
+    """Everything a derived relation puts after ``v``."""
+    return frozenset(b for a, b in rel.pairs if a == v)
+
+
+class NestingRelation(Enum):
+    """Outcome of comparing two scoped neighborhoods under inclusion."""
+
+    EQUAL = "equal"
+    LEFT_SUBSET = "left-subset"
+    RIGHT_SUBSET = "right-subset"
+    CROSSING = "crossing"
+
+
+def nesting(g: Graph, u: int, v: int, scope) -> NestingRelation:
+    """Compare N(u) and N(v) restricted to ``scope`` under set inclusion.
+
+    Exactly one outcome is reported; EQUAL when the restrictions coincide,
+    LEFT_SUBSET when N(u) is a proper subset of N(v), and symmetrically.
+    """
+    nu = {w for w in scope if g.adjacent(u, w)}
+    nv = {w for w in scope if g.adjacent(v, w)}
+    if nu == nv:
+        return NestingRelation.EQUAL
+    if nu < nv:
+        return NestingRelation.LEFT_SUBSET
+    if nv < nu:
+        return NestingRelation.RIGHT_SUBSET
+    return NestingRelation.CROSSING
+
+
+@dataclass(frozen=True)
+class NonEdgeClasses:
+    """X-Y non-edges split into isolated (class 1) and non-isolated (class 2)
+    chord-graph nodes, plus the private-to-private pairs (class 3)."""
+
+    isolated: frozenset[tuple[int, int]]
+    linked: frozenset[tuple[int, int]]
+    cross: frozenset[tuple[int, int]]
+
+
+def classify_nonedges(g: Graph, p: BabPartition, cg: ChordGraph) -> NonEdgeClasses:
+    isolated = frozenset(node for node, a in zip(cg.nodes, cg.adj) if not a)
+    linked = frozenset(node for node, a in zip(cg.nodes, cg.adj) if a)
+    cross = frozenset((a, b) for a in p.a_only for b in p.b_only)
+    return NonEdgeClasses(isolated=isolated, linked=linked, cross=cross)
+
+
+@dataclass(frozen=True)
+class ChordSplit:
+    rigid: RigidPair
+    in_first: tuple[int, int] | None
+    in_second: tuple[int, int] | None
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.in_first is not None
+            and self.in_second is not None
+            and self.in_first != self.in_second
+        )
+
+
+@dataclass(frozen=True)
+class ChordDistribution:
+    splits: tuple[ChordSplit, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(s.ok for s in self.splits)
+
+
+def chord_distribution(g: Graph, p: BabPartition, pair) -> ChordDistribution:
+    """For each rigid pair, which forced set of the order pair holds which of
+    its two chords; rigid pairs from the four-tuple scan, in sorted order.
+
+    With disjoint forced sets each rigid pair must contribute exactly one
+    chord to each side; a split with a missing or doubled side is flagged.
+    """
+    if not pair.valid:
+        raise InputError("order pair invalid: forced sets intersect")
+    splits = []
+    for (x1, y1), (x2, y2) in sorted(rigid_pairs_by_definition(g, p)):
+        rp = RigidPair(x1, y1, x2, y2)
+        chords = [tuple(sorted(ch)) for ch in rp.chords]
+        first = [ch for ch in chords if ch in pair.c1]
+        second = [ch for ch in chords if ch in pair.c2]
+        splits.append(
+            ChordSplit(
+                rigid=rp,
+                in_first=first[0] if len(first) == 1 else None,
+                in_second=second[0] if len(second) == 1 else None,
+            )
+        )
+    return ChordDistribution(splits=tuple(splits))

@@ -19,7 +19,6 @@ from squaregeo import (
 )
 from squaregeo.embedding import (
     brute_force_orders,
-    chord_distribution,
     completion,
     make_order_pair,
 )
@@ -30,6 +29,7 @@ from squaregeo.orders import LinearOrder
 from conftest import enumerate_bab_instances
 from oracles import (
     bipartite_by_bfs,
+    chord_distribution,
     completion_closure_violations,
     linf_embedding_report,
 )

@@ -218,6 +218,31 @@ def test_validate_caps_the_listed_vertices(tmp_path, capsys):
     assert "missing=[4, 5, 6, 7, 8, 9, 10, 11, 12, 13, … (299986 more)] extra=[]" in err
 
 
+def test_validate_rejects_a_huge_vertex_count_at_once(tmp_path, capsys):
+    """n = 10**20 with four ids listed: the cover check runs before anything
+    of size n is allocated."""
+    path = tmp_path / "huge.txt"
+    path.write_text("bab-instance v1\nn 100000000000000000000\nxa 0\nxb 0\ny 1\n")
+    assert main(["validate", str(path)]) == EXIT_UNDECIDED
+    err = capsys.readouterr().err
+    assert err.startswith("error: sets do not cover V: missing=[2, 3, 4,")
+    assert "(99999999999999999988 more)] extra=[]" in err
+    assert len(err.encode()) < 1024 and err.count("\n") == 1
+
+
+def test_verify_rejects_an_exponent_coordinate_at_once(tmp_path, g8, g8_file, capsys):
+    g, p = g8
+    text = emit_certificate(recognize(g, p))
+    bad = text.replace("coord 0 0 1", "coord 0 1e10000000 1")
+    assert bad != text
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(bad)
+    assert main(["verify", g8_file, str(cert_path)]) == EXIT_UNDECIDED
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line ") and "bad coordinate" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["validate", "/nonexistent/path.txt"]) == EXIT_UNDECIDED
     assert capsys.readouterr().err.startswith("error:")

@@ -10,7 +10,6 @@ from squaregeo import build_graph, embedding, validate_bab
 from squaregeo.embedding import (
     Embedding,
     brute_force_orders,
-    chord_distribution,
     completion,
     covering_edge,
     embed,
@@ -22,7 +21,12 @@ from squaregeo.embedding import (
 from squaregeo.errors import InputError, ScopeError, StructuralError
 from squaregeo.orders import LinearOrder
 
-from oracles import linf_embedding_report, scan_completion, verify_embedding_by_pairs
+from oracles import (
+    chord_distribution,
+    linf_embedding_report,
+    scan_completion,
+    verify_embedding_by_pairs,
+)
 
 G8_ORDER1 = (0, 1, 2, 4, 3, 5, 6, 7)
 G8_ORDER2 = (3, 2, 0, 1, 6, 7, 5, 4)

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from squaregeo import build_graph, is_unit_interval_order, validate_bab
 from squaregeo.errors import InputError, ScopeError, StructuralError
-from squaregeo.graph import NestingRelation, bits, mask_of, nesting, ny_mask
+from squaregeo.graph import bits, mask_of, ny_mask
 
-from oracles import umbrella_ok
+from oracles import NestingRelation, nesting, umbrella_ok
 
 
 def test_build_graph_edges_are_sorted_and_symmetric():
@@ -143,6 +143,40 @@ def test_validate_bab_names_the_missing_clique_edge():
     g = build_graph(4, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(StructuralError, match=r"Y is not a clique: missing edge \(2,3\)"):
         validate_bab(g, [0, 1], [0, 1], [2, 3])
+
+
+def test_validate_bab_reports_the_first_bad_pair_of_a_pair_scan():
+    """The clique and private-side checks name the pair a scan over every
+    pair would name first: sets in the order X_a, X_b, Y, pairs ascending."""
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(3, 9)
+        block = [rng.choice("asby") for _ in range(n)]
+        block[rng.randrange(n)] = "s"
+        xa = [v for v in range(n) if block[v] in "as"]
+        xb = [v for v in range(n) if block[v] in "sb"]
+        ys = [v for v in range(n) if block[v] == "y"]
+        pairs = list(itertools.combinations(range(n), 2))
+        g = build_graph(n, [e for e in pairs if rng.random() < 0.93])
+        want = None
+        for name, members in (("X_a", xa), ("X_b", xb), ("Y", ys)):
+            missing = [e for e in itertools.combinations(sorted(members), 2) if not g.adjacent(*e)]
+            if missing and want is None:
+                want = f"{name} is not a clique: missing edge ({missing[0][0]},{missing[0][1]})"
+        if want is None:
+            private = [(a, b) for a in sorted(set(xa) - set(xb)) for b in sorted(set(xb) - set(xa))]
+            cross = [e for e in private if g.adjacent(*e)]
+            if cross:
+                want = f"edge ({cross[0][0]},{cross[0][1]}) joins the private sides of X_a and X_b"
+        try:
+            validate_bab(g, xa, xb, ys)
+            got = None
+        except (StructuralError, ScopeError) as exc:
+            got = str(exc)
+        assert got == want, (g.edges(), xa, xb, ys)
+        outcomes.add(want.split()[0] if want else None)
+    assert outcomes == {None, "X_a", "X_b", "Y", "edge"}
 
 
 def test_private_cross_edge_is_out_of_scope():

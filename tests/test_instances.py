@@ -110,6 +110,8 @@ def test_negative_certificate_round_trip(triangle6):
         ("bab-certificate v1\nverdict yes\ncompletion1 0;1\n", "line 3: bad pair '0;1'"),
         ("bab-certificate v1\nverdict yes\ncoord 0 1\n", "line 3: coord wants"),
         ("bab-certificate v1\nverdict yes\ncoord 0 a b\n", "line 3: bad coordinate"),
+        ("bab-certificate v1\nverdict yes\ncoord 0 1e10000000 0\n", "line 3: bad coordinate"),
+        ("bab-certificate v1\nverdict yes\ncoord 0 0.5 0\n", "line 3: bad coordinate"),
         ("bab-certificate v1\nverdict yes\ncoord 1 0 0\n", "do not cover"),
         ("bab-certificate v1\nverdict yes\nshrug\n", "line 3: unknown keyword"),
     ],

@@ -27,6 +27,7 @@ from squaregeo.instances import generate_bab
 
 from conftest import enumerate_bab_instances
 from oracles import (
+    rigid_free_by_pair_scan,
     rigid_pairs_by_definition,
     shortest_odd_cycle_by_all_roots,
     square_geometric_by_order_search,
@@ -195,7 +196,7 @@ def test_g8_rigid_free(g8):
     assert (rfr.side_a_ok, rfr.side_b_ok) == (True, True)
     # Quantifying over the whole cliques instead flips both sides: shared
     # vertex 2 traps {1.5, 3.6} and shared vertex 1 traps {0.4, 2.5}.
-    assert (rfr.side_a_ok_wide, rfr.side_b_ok_wide) == (False, False)
+    assert _sides_by_scan(g, p) == (True, True, False, False)
     assert rfr.a_violations == ()
     assert rfr.b_violations == ()
     assert rfr.holds
@@ -253,12 +254,17 @@ def _sides_by_scan(g, p):
 
 
 def test_rigid_free_matches_direct_scan_small():
+    """The sides follow the private-only scan, also where quantifying over
+    the whole cliques would give another answer."""
+    wide_differs = 0
     for n in range(2, 6):
         for g, p in enumerate_bab_instances(n):
             cg = build_chord_graph(g, p)
             rfr = check_rigid_free(g, p, cg)
-            got = (rfr.side_a_ok, rfr.side_b_ok, rfr.side_a_ok_wide, rfr.side_b_ok_wide)
-            assert got == _sides_by_scan(g, p), (g.edges(), sorted(p.x_a), sorted(p.x_b))
+            scan = _sides_by_scan(g, p)
+            assert (rfr.side_a_ok, rfr.side_b_ok) == scan[:2], (g.edges(), sorted(p.x_a), sorted(p.x_b))
+            wide_differs += scan[:2] != scan[2:]
+    assert wide_differs > 0
 
 
 def test_rigid_free_matches_direct_scan_generated():
@@ -266,6 +272,7 @@ def test_rigid_free_matches_direct_scan_generated():
     from squaregeo.errors import GenerationError
 
     shapes = [(1, 2, 1, 3), (2, 2, 1, 2), (1, 2, 2, 2), (2, 2, 2, 2), (1, 3, 1, 3)]
+    wide_differs = 0
     for seed in range(120):
         try:
             g, p = generate_bab(shapes[seed % len(shapes)], 0.25 + (seed % 11) / 20, seed)
@@ -273,8 +280,29 @@ def test_rigid_free_matches_direct_scan_generated():
             continue
         cg = build_chord_graph(g, p)
         rfr = check_rigid_free(g, p, cg)
-        got = (rfr.side_a_ok, rfr.side_b_ok, rfr.side_a_ok_wide, rfr.side_b_ok_wide)
-        assert got == _sides_by_scan(g, p), (g.edges(), sorted(p.x_a), sorted(p.x_b))
+        scan = _sides_by_scan(g, p)
+        assert (rfr.side_a_ok, rfr.side_b_ok) == scan[:2], (g.edges(), sorted(p.x_a), sorted(p.x_b))
+        wide_differs += scan[:2] != scan[2:]
+    assert wide_differs > 0
+
+
+def test_rigid_free_witnesses_match_the_pair_scan():
+    """Each trapped vertex and its rigid pair equal the original scan over
+    one RigidPair per chord edge, on every n <= 5 isomorphism class and on
+    seeded random instances; both sides have violations."""
+    instances = [gp for n in range(2, 6) for gp in enumerate_bab_instances(n)]
+    for shape in ((2, 3, 2, 6), (3, 3, 3, 6), (3, 4, 3, 8)):
+        for seed in range(30):
+            instances.append(generate_bab(shape, 0.3 + (seed % 5) / 10, seed))
+    seen_a = seen_b = 0
+    for g, p in instances:
+        cg = build_chord_graph(g, p)
+        rfr = check_rigid_free(g, p, cg)
+        ref = rigid_free_by_pair_scan(g, p, cg)
+        assert (rfr.a_violations, rfr.b_violations) == ref, (g.edges(), sorted(p.x_a), sorted(p.x_b))
+        seen_a += len(ref[0])
+        seen_b += len(ref[1])
+    assert seen_a > 0 and seen_b > 0
 
 
 def test_pass_reports_both_checks(g8):

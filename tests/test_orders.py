@@ -24,6 +24,7 @@ from squaregeo.orders import (
     validate_partial_order,
 )
 
+from oracles import out_set
 from test_necessary import REGION_OVERSHOOT_EDGES, RIGID_FAIL_EDGES
 from test_pipeline import NON_NESTED_EDGES
 
@@ -49,8 +50,8 @@ def test_g8_relations_frozen(g8):
     assert rel_y.domain == frozenset({4, 5, 6, 7})
     assert sorted(rel_y.pairs) == [(4, 5), (4, 6), (4, 7), (5, 6), (5, 7)]
     assert rel_x.related(1, 3) and not rel_x.related(3, 1)
-    assert rel_y.out_set(4) == frozenset({5, 6, 7})
-    assert rel_y.out_set(7) == frozenset()
+    assert out_set(rel_y, 4) == frozenset({5, 6, 7})
+    assert out_set(rel_y, 7) == frozenset()
 
 
 def test_c4_relations_frozen(c4):
