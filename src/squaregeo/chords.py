@@ -164,95 +164,59 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
 
 @dataclass(frozen=True)
 class AbVertexSets:
-    """Nodes of the chord graph whose color is forced.
+    """Nodes of the chord graph whose color is forced, as node-index masks.
 
-    ``script_a``: non-isolated a-vertices with at least one neighbor that is
-    not itself an a-vertex; ``script_b`` symmetrically.
+    ``script_a_mask``: non-isolated a-vertices with at least one neighbor
+    that is not itself an a-vertex; ``script_b_mask`` symmetrically.
     """
 
-    script_a: frozenset[tuple[int, int]]
-    script_b: frozenset[tuple[int, int]]
     script_a_mask: int
     script_b_mask: int
 
 
 def compute_ab_sets(cg: ChordGraph, p: BabPartition) -> AbVertexSets:
-    sa = 0
-    sb = 0
-    for i in range(len(cg.nodes)):
-        if (cg.a_vertex_mask >> i) & 1 and cg.adj[i] & ~cg.a_vertex_mask:
-            sa |= 1 << i
-        if (cg.b_vertex_mask >> i) & 1 and cg.adj[i] & ~cg.b_vertex_mask:
-            sb |= 1 << i
-    return AbVertexSets(
-        script_a=frozenset(cg.nodes[i] for i in bits(sa)),
-        script_b=frozenset(cg.nodes[i] for i in bits(sb)),
-        script_a_mask=sa,
-        script_b_mask=sb,
-    )
+    def forced(side: int) -> int:
+        return mask_of(i for i in bits(side) if cg.adj[i] & ~side)
+
+    return AbVertexSets(forced(cg.a_vertex_mask), forced(cg.b_vertex_mask))
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
     """Audit of the structural preconditions the decision rules need.
 
-    ``compliant`` is the conjunction of the four flags; non-compliance routes
-    the pipeline to UNDECIDED (or to the brute-force oracle when allowed),
+    ``failures`` names each failed precondition; non-compliance routes the
+    pipeline to UNDECIDED (or to the brute-force oracle when allowed),
     never to a hard failure.
     """
 
-    chord_connected: bool
-    degree_bounds_ok: bool
-    b_non_dominated: bool
-    has_core_edge: bool
     failures: tuple[str, ...]
 
     @property
     def compliant(self) -> bool:
-        return (
-            self.chord_connected
-            and self.degree_bounds_ok
-            and self.b_non_dominated
-            and self.has_core_edge
-        )
+        return not self.failures
 
 
 def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> AssumptionReport:
     failures = []
 
     components = cg.components()
-    chord_connected = len(components) <= 1
-    if not chord_connected:
+    if len(components) > 1:
         failures.append(f"chord graph splits into {len(components)} non-isolated components")
 
     y_size = len(p.y)
-    degree_ok = True
     for v in sorted(p.a_only | p.b_only):
         d = ny_mask(g, p, v).bit_count()
         if not 0 < d < y_size:
-            degree_ok = False
             failures.append(f"private vertex {v} has {d} Y-neighbors out of {y_size}")
 
-    b_ok = True
     for b in sorted(p.b_only):
         nyb = ny_mask(g, p, b)
         if all(nyb & ~ny_mask(g, p, u) == 0 for u in sorted(p.x_all) if u != b):
-            b_ok = False
             failures.append(f"N_Y({b}) nests inside every other X vertex's Y-neighborhood")
 
     ab_mask = cg.a_vertex_mask | cg.b_vertex_mask
-    core = False
-    for i in range(len(cg.nodes)):
-        if not (ab_mask >> i) & 1 and cg.adj[i] & ~ab_mask:
-            core = True
-            break
-    if not core:
+    if not any(cg.adj[i] & ~ab_mask for i in range(len(cg.nodes)) if not (ab_mask >> i) & 1):
         failures.append("no chord-graph edge avoids the forced-color nodes")
 
-    return AssumptionReport(
-        chord_connected=chord_connected,
-        degree_bounds_ok=degree_ok,
-        b_non_dominated=b_ok,
-        has_core_edge=core,
-        failures=tuple(failures),
-    )
+    return AssumptionReport(failures=tuple(failures))

@@ -51,6 +51,8 @@ def parse_instance(text: str) -> tuple[Graph, BabPartition]:
     for i, line in lines[1:]:
         key, _, rest = line.partition(" ")
         if key == "n":
+            if n is not None:
+                raise ParseError(f"line {i}: duplicate n line")
             vals = _int_fields(i, rest, "n")
             if len(vals) != 1 or vals[0] < 0:
                 raise ParseError(f"line {i}: n wants one nonnegative integer")
@@ -137,6 +139,8 @@ def parse_certificate(text: str) -> Certificate:
     coords: dict[int, tuple[Fraction, Fraction]] = {}
     for i, line in lines[1:]:
         key, _, rest = line.partition(" ")
+        if key in fields:
+            raise ParseError(f"line {i}: duplicate {key} line")
         if key in ("verdict", "route", "reason"):
             fields[key] = rest
         elif key in ("order1", "order2"):
@@ -151,9 +155,12 @@ def parse_certificate(text: str) -> Certificate:
             if len(toks) != 3:
                 raise ParseError(f"line {i}: coord wants vertex x y")
             try:
-                coords[int(toks[0])] = (_coordinate(toks[1]), _coordinate(toks[2]))
+                v, xy = int(toks[0]), (_coordinate(toks[1]), _coordinate(toks[2]))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"line {i}: bad coordinate in {rest!r}") from None
+            if v in coords:
+                raise ParseError(f"line {i}: duplicate coord line for vertex {v}")
+            coords[v] = xy
         else:
             raise ParseError(f"line {i}: unknown keyword {key!r}")
     verdict = fields.get("verdict")

@@ -4,6 +4,10 @@ A square geometric instance must have a bipartite chord graph admitting a
 proper 2-coloring with every forced-red node red and every forced-blue node
 blue, and at least one private side must be rigid-free. Failures come with
 re-checkable witnesses.
+
+Sets of chord-graph nodes, the coloring's two classes and the forced sets,
+are node-index masks over ``ChordGraph.nodes``; the rigid region sets are
+vertex masks.
 """
 
 from __future__ import annotations
@@ -23,23 +27,14 @@ from .chords import (
 from .errors import ScopeError
 from .graph import BabPartition, Graph, bits, mask_of, ny_mask, union_of
 
-RED = "red"
-BLUE = "blue"
-
 
 @dataclass(frozen=True)
 class TwoColoring:
-    """A proper 2-coloring of the non-isolated chord-graph nodes."""
+    """A proper 2-coloring of the non-isolated chord-graph nodes, as two
+    node-index masks; isolated nodes are in neither."""
 
-    red: frozenset[tuple[int, int]]
-    blue: frozenset[tuple[int, int]]
-
-    def color_of(self, node: tuple[int, int]) -> str | None:
-        if node in self.red:
-            return RED
-        if node in self.blue:
-            return BLUE
-        return None
+    red: int
+    blue: int
 
 
 @dataclass(frozen=True)
@@ -47,9 +42,10 @@ class ColoringRefutation:
     """Why no admissible coloring exists.
 
     kind 'odd-cycle' carries a shortest odd cycle (tuple of nodes); kind
-    'forced-conflict' carries two nodes whose forced or propagated colors
-    clash together with the even-length path connecting them when same-set,
-    here reported simply as the node pair.
+    'forced-conflict' carries the two nodes that cannot both get their
+    forced color: two forced-red (or two forced-blue) nodes the proper
+    coloring puts in different classes, or a forced-red and a forced-blue
+    node it puts in the same class.
     """
 
     kind: str
@@ -156,26 +152,19 @@ def color_constrained(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | Colorin
         red_value = color[sa[0]]
     elif sb:
         red_value = 1 - color[sb[0]]
-    red = frozenset(cg.nodes[i] for i, c in enumerate(color) if c == red_value)
-    blue = frozenset(
-        cg.nodes[i] for i, c in enumerate(color) if c is not None and c != red_value
-    )
-    return TwoColoring(red=red, blue=blue)
+    red = mask_of(i for i, c in enumerate(color) if c == red_value)
+    return TwoColoring(red=red, blue=cg.non_isolated_mask & ~red)
 
 
-def rigid_region_sets(cg: ChordGraph, p: BabPartition) -> tuple[frozenset[int], frozenset[int]]:
-    """R(X_a), R(X_b): y's appearing in a non-isolated node whose x-end lies
-    in X_a (resp. X_b); shared x-ends contribute to both."""
-    ra: set[int] = set()
-    rb: set[int] = set()
+def rigid_region_sets(cg: ChordGraph, p: BabPartition) -> tuple[int, int]:
+    """R(X_a), R(X_b) as vertex masks: y's appearing in a non-isolated node
+    whose x-end lies in X_a (resp. X_b); shared x-ends contribute to both."""
     live = cg.non_isolated_mask
-    for i in bits(live):
-        x, y = cg.nodes[i]
-        if (p.xa_mask >> x) & 1:
-            ra.add(y)
-        if (p.xb_mask >> x) & 1:
-            rb.add(y)
-    return frozenset(ra), frozenset(rb)
+
+    def y_ends(nodes: int) -> int:
+        return mask_of(cg.nodes[i][1] for i in bits(nodes))
+
+    return y_ends(live & ~cg.b_vertex_mask), y_ends(live & ~cg.a_vertex_mask)
 
 
 @dataclass(frozen=True)
@@ -221,12 +210,11 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
     by_y = y_end_masks(cg.nodes, g.n)
     shared = ((1 << len(cg.nodes)) - 1) & ~(cg.a_vertex_mask | cg.b_vertex_mask)
 
-    def trapped(private: int, own_nodes: int, region: frozenset[int]):
-        region_mask = mask_of(region)
+    def trapped(private: int, own_nodes: int, region: int):
         out = []
         for v in bits(private):
             ny = ny_mask(g, p, v)
-            if (ny & region_mask).bit_count() <= 1:
+            if (ny & region).bit_count() <= 1:
                 continue
             near = union_of(by_y, ny) & ~own_nodes
             for i in bits(near):
@@ -253,7 +241,11 @@ class NecessaryStatus(Enum):
 
 @dataclass(frozen=True)
 class NecessaryVerdict:
+    """``forced`` holds the forced-color node masks whenever the audit
+    passed, so construction need not recompute them."""
+
     status: NecessaryStatus
+    forced: AbVertexSets | None = None
     coloring: TwoColoring | None = None
     refutation: ColoringRefutation | None = None
     rigid_free: RigidFreeReport | None = None
@@ -275,6 +267,7 @@ def check_necessary(g: Graph, p: BabPartition, cg: ChordGraph | None = None) -> 
     if isinstance(colored, ColoringRefutation):
         return NecessaryVerdict(
             status=NecessaryStatus.FAIL,
+            forced=ab,
             refutation=colored,
             reason=colored.kind,
         )
@@ -282,8 +275,9 @@ def check_necessary(g: Graph, p: BabPartition, cg: ChordGraph | None = None) -> 
     if not rfr.holds:
         return NecessaryVerdict(
             status=NecessaryStatus.FAIL,
+            forced=ab,
             coloring=colored,
             rigid_free=rfr,
             reason="rigid-free",
         )
-    return NecessaryVerdict(status=NecessaryStatus.PASS, coloring=colored, rigid_free=rfr)
+    return NecessaryVerdict(status=NecessaryStatus.PASS, forced=ab, coloring=colored, rigid_free=rfr)

@@ -7,6 +7,10 @@ assembled from pairwise placement rules; their interval completions are
 disjoint for every instance in scope, which the caller re-verifies. The
 coloring and the rigid-free report come from the passing necessary verdict
 and are not recomputed here.
+
+The coloring arrives as two node-index masks. A relation, like the set of
+placement constraints, is one successor mask per vertex: bit v of
+``succ[u]`` says u comes before v.
 """
 
 from __future__ import annotations
@@ -14,21 +18,21 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .chords import ChordGraph, compute_ab_sets
+from .chords import ChordGraph
 from .errors import OrderConstructionError, ScopeError
-from .graph import BabPartition, Graph, nx_mask, ny_mask
-from .necessary import BLUE, NecessaryStatus, NecessaryVerdict, TwoColoring
+from .graph import BabPartition, Graph, bits, mask_of, nx_mask, ny_mask
+from .necessary import NecessaryStatus, NecessaryVerdict, TwoColoring
 
 
 @dataclass(frozen=True)
 class DerivedRelation:
-    """A strict binary relation over a vertex domain (reflexivity implied)."""
+    """A strict binary relation on the vertices: ``succ[u]`` is the mask of
+    the v with u before v."""
 
-    domain: frozenset[int]
-    pairs: frozenset[tuple[int, int]]
+    succ: tuple[int, ...]
 
     def related(self, u: int, v: int) -> bool:
-        return (u, v) in self.pairs
+        return bool((self.succ[u] >> v) & 1)
 
 
 def derive_relations(cg: ChordGraph, f: TwoColoring, p: BabPartition) -> tuple[DerivedRelation, DerivedRelation]:
@@ -36,27 +40,19 @@ def derive_relations(cg: ChordGraph, f: TwoColoring, p: BabPartition) -> tuple[D
 
     An edge joins the chords (x, y') and (x', y) of the rigid pair
     {xy, x'y'}; red on the (x, y') side puts x before x' and y before y'.
+    Each edge is read once, from its red end: f is proper and isolated
+    nodes have no edges, so every edge has exactly one red end.
     """
-    x_pairs: set[tuple[int, int]] = set()
-    y_pairs: set[tuple[int, int]] = set()
-    for i, j in cg.edges():
-        u = cg.nodes[i]
-        v = cg.nodes[j]
-        cu = f.color_of(u)
-        cv = f.color_of(v)
-        if cu == cv or cu is None or cv is None:
-            continue
-        if cu == BLUE:
-            u, v = v, u
-        # u is the red chord (x, y'), v the blue chord (x', y)
-        x, yp = u
-        xp, y = v
-        x_pairs.add((x, xp))
-        y_pairs.add((y, yp))
-    return (
-        DerivedRelation(domain=frozenset(p.x_all), pairs=frozenset(x_pairs)),
-        DerivedRelation(domain=frozenset(p.y), pairs=frozenset(y_pairs)),
-    )
+    n = (p.x_mask | p.y_mask).bit_length()  # the partition covers 0..n-1
+    x_succ = [0] * n
+    y_succ = [0] * n
+    for i in bits(f.red):
+        x, yp = cg.nodes[i]
+        for j in bits(cg.adj[i]):
+            xp, y = cg.nodes[j]
+            x_succ[x] |= 1 << xp
+            y_succ[y] |= 1 << yp
+    return DerivedRelation(tuple(x_succ)), DerivedRelation(tuple(y_succ))
 
 
 @dataclass(frozen=True)
@@ -66,21 +62,23 @@ class PartialOrderCheck:
     transitivity_violation: tuple[int, int, int] | None = None
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def validate_partial_order(rel: DerivedRelation) -> PartialOrderCheck:
-    """Antisymmetry, then transitivity through out-set containment."""
-    for u, v in sorted(rel.pairs):
-        if u != v and (v, u) in rel.pairs:
-            return PartialOrderCheck(ok=False, antisymmetry_violation=(u, v))
-    outs: dict[int, set[int]] = {}
-    for u, v in rel.pairs:
-        outs.setdefault(u, set()).add(v)
-    for v in sorted(outs):
-        for u in sorted(outs[v]):
-            extra = outs.get(u, set()) - outs[v]
+    """Antisymmetry, then transitivity through successor-mask containment;
+    each reports its least violation."""
+    succ = rel.succ
+    for u, s in enumerate(succ):
+        for v in bits(s & ~(1 << u)):
+            if (succ[v] >> u) & 1:
+                return PartialOrderCheck(ok=False, antisymmetry_violation=(u, v))
+    for v, s in enumerate(succ):
+        for u in bits(s):
+            extra = succ[u] & ~s
             if extra:
-                return PartialOrderCheck(
-                    ok=False, transitivity_violation=(v, u, min(extra))
-                )
+                return PartialOrderCheck(ok=False, transitivity_violation=(v, u, _lowest(extra)))
     return PartialOrderCheck(ok=True)
 
 
@@ -110,15 +108,31 @@ class LinearOrder:
 
 
 class _ConstraintSet:
-    """Accumulates 'u before v' arcs with tie handling for equal neighborhoods."""
+    """'u before v' constraints as one successor mask per vertex, with tie
+    handling for equal neighborhoods."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.arcs: set[tuple[int, int]] = set()
+        self.succ = [0] * n
 
     def add(self, u: int, v: int):
         if u != v:
-            self.arcs.add((u, v))
+            self.succ[u] |= 1 << v
+
+    def add_all(self, us: int, vs: int):
+        """Every vertex of mask ``us`` before every other vertex of ``vs``."""
+        for u in bits(us):
+            self.succ[u] |= vs & ~(1 << u)
+
+    def add_oriented(self, rel: DerivedRelation, u: int, v: int, reverse_rel: bool) -> bool:
+        """Order a related pair as ``rel`` does, or reversed; False when
+        neither is related to the other."""
+        if not (rel.related(u, v) or rel.related(v, u)):
+            return False
+        if rel.related(u, v) != reverse_rel:
+            self.add(u, v)
+        else:
+            self.add(v, u)
+        return True
 
     def add_inclusion(self, u: int, v: int, mu: int, mv: int):
         """Order by inclusion of neighborhood masks: strictly smaller first,
@@ -131,37 +145,49 @@ class _ConstraintSet:
             self.add(v, u)
 
     def toposort(self) -> tuple[int, ...]:
-        indeg = [0] * self.n
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            succ[u].append(v)
-            indeg[v] += 1
-        heap = [v for v in range(self.n) if indeg[v] == 0]
+        """The topological order that always places the least ready vertex."""
+        indeg = [0] * len(self.succ)
+        for s in self.succ:
+            for w in bits(s):
+                indeg[w] += 1
+        heap = [v for v, d in enumerate(indeg) if d == 0]
         heapq.heapify(heap)
         seq = []
         while heap:
             v = heapq.heappop(heap)
             seq.append(v)
-            for w in succ[v]:
+            for w in bits(self.succ[v]):
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(heap, w)
-        if len(seq) < self.n:
-            raise OrderConstructionError(self._find_cycle(succ, indeg))
+        if len(seq) < len(self.succ):
+            raise OrderConstructionError(self._find_cycle(mask_of(v for v, d in enumerate(indeg) if d)))
         return tuple(seq)
 
-    def _find_cycle(self, succ, indeg):
-        remaining = {v for v in range(self.n) if indeg[v] > 0}
-        start = min(remaining)
-        path = [start]
-        seen = {start}
-        v = start
+    def _find_cycle(self, left: int) -> tuple[int, ...]:
+        """A cycle among the unplaced vertices ``left``. Vertices with no
+        successor left are dropped until none remain, so every vertex left
+        leads to a cycle; the walk then follows least successors from the
+        least vertex until one repeats."""
+        while dead := mask_of(v for v in bits(left) if not self.succ[v] & left):
+            left &= ~dead
+        path = [_lowest(left)]
         while True:
-            v = min(w for w in succ[v] if w in remaining)
-            if v in seen:
+            v = _lowest(self.succ[path[-1]] & left)
+            if v in path:
                 return tuple(path[path.index(v):])
             path.append(v)
-            seen.add(v)
+
+
+def _x_rule_pairs(g, p, rel_x, members: int, reverse_rel: bool, cons: _ConstraintSet):
+    """Shared skeleton of rules 1.1 and 2.1 over the X vertices ``members``:
+    the oriented relation (reversed in the second order), else Y-neighborhood
+    inclusion."""
+    xs = [(x, ny_mask(g, p, x)) for x in bits(members)]
+    for i, (x, mx) in enumerate(xs):
+        for xp, mxp in xs[i + 1:]:
+            if not cons.add_oriented(rel_x, x, xp, reverse_rel):
+                cons.add_inclusion(x, xp, mx, mxp)
 
 
 def _y_rule_pairs(g, p, rel_y, reverse_rel: bool, swap_sides: bool, cons: _ConstraintSet):
@@ -171,26 +197,17 @@ def _y_rule_pairs(g, p, rel_y, reverse_rel: bool, swap_sides: bool, cons: _Const
     the difference-pattern rule applies only to pairs neither related nor
     nested, where its two clauses cannot clash with the nesting clause.
     """
-    ys = sorted(p.y)
-    for i, y in enumerate(ys):
-        my = nx_mask(g, p, y)
-        for yp in ys[i + 1:]:
-            myp = nx_mask(g, p, yp)
-            related = rel_y.related(y, yp) or rel_y.related(yp, y)
-            nested = my & ~myp == 0 or myp & ~my == 0
-            if related:
-                if rel_y.related(y, yp) != reverse_rel:
-                    cons.add(y, yp)
-                else:
-                    cons.add(yp, y)
+    left_target = p.b_only_mask if swap_sides else p.a_only_mask
+    right_target = p.a_only_mask if swap_sides else p.b_only_mask
+    ys = [(y, nx_mask(g, p, y)) for y in bits(p.y_mask)]
+    for i, (y, my) in enumerate(ys):
+        for yp, myp in ys[i + 1:]:
+            if cons.add_oriented(rel_y, y, yp, reverse_rel):
                 continue
-            if nested:
+            if my & ~myp == 0 or myp & ~my == 0:
                 # bigger X-neighborhood first in both orders
                 cons.add_inclusion(y, yp, ~my, ~myp)
-                continue
-            left_target = p.b_only_mask if swap_sides else p.a_only_mask
-            right_target = p.a_only_mask if swap_sides else p.b_only_mask
-            if my & ~myp & ~left_target == 0 and myp & ~my & ~right_target == 0:
+            elif my & ~myp & ~left_target == 0 and myp & ~my & ~right_target == 0:
                 cons.add(y, yp)
             elif myp & ~my & ~left_target == 0 and my & ~myp & ~right_target == 0:
                 cons.add(yp, y)
@@ -208,43 +225,22 @@ def build_order1(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
     topological tie-break.
     """
     cons = _ConstraintSet(g.n)
-    shared = sorted(p.shared)
-
-    for i, x in enumerate(shared):
-        for xp in shared[i + 1:]:
-            if rel_x.related(x, xp):
-                cons.add(x, xp)
-            elif rel_x.related(xp, x):
-                cons.add(xp, x)
-            else:
-                cons.add_inclusion(x, xp, ny_mask(g, p, x), ny_mask(g, p, xp))
-
-    for prev, cur in zip(p.a_seq, p.a_seq[1:]):
-        cons.add(prev, cur)
-    for prev, cur in zip(p.b_seq, p.b_seq[1:]):
-        cons.add(prev, cur)
+    _x_rule_pairs(g, p, rel_x, p.shared_mask, reverse_rel=False, cons=cons)
+    for seq in (p.a_seq, p.b_seq):
+        for prev, cur in zip(seq, seq[1:]):
+            cons.add(prev, cur)
     if p.a_seq:
-        for x in shared:
-            cons.add(p.a_seq[-1], x)
+        cons.add_all(1 << p.a_seq[-1], p.shared_mask)
     if p.b_seq:
-        for x in shared:
-            cons.add(x, p.b_seq[0])
+        cons.add_all(p.shared_mask, 1 << p.b_seq[0])
 
     _y_rule_pairs(g, p, rel_y, reverse_rel=False, swap_sides=False, cons=cons)
 
     if p.a_seq and p.b_seq:
-        a_last = p.a_seq[-1]
-        nya = ny_mask(g, p, a_last)
-        for y in sorted(p.y):
-            if (nya >> y) & 1:
-                cons.add(y, p.b_seq[0])
-            else:
-                cons.add(p.b_seq[-1], y)
-
-    for x in sorted(p.x_a):
-        for y in sorted(p.y):
-            cons.add(x, y)
-
+        nya = ny_mask(g, p, p.a_seq[-1])
+        cons.add_all(nya, 1 << p.b_seq[0])
+        cons.add_all(1 << p.b_seq[-1], p.y_mask & ~nya)
+    cons.add_all(p.xa_mask, p.y_mask)
     return LinearOrder.from_seq(cons.toposort())
 
 
@@ -253,30 +249,17 @@ def build_order2(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
     kept; mutually non-nested private pairs put the b before the a), then Y
     with the oriented relation reversed and the difference pattern mirrored."""
     cons = _ConstraintSet(g.n)
-    xs = sorted(p.x_all)
-
-    for i, x in enumerate(xs):
-        for xp in xs[i + 1:]:
-            if rel_x.related(x, xp):
-                cons.add(xp, x)
-            elif rel_x.related(xp, x):
-                cons.add(x, xp)
-            else:
-                cons.add_inclusion(x, xp, ny_mask(g, p, x), ny_mask(g, p, xp))
-
-    for a in sorted(p.a_only):
+    _x_rule_pairs(g, p, rel_x, p.x_mask, reverse_rel=True, cons=cons)
+    for a in bits(p.a_only_mask):
         nya = ny_mask(g, p, a)
-        for b in sorted(p.b_only):
+        for b in bits(p.b_only_mask):
             nyb = ny_mask(g, p, b)
             if nya & ~nyb and nyb & ~nya:
                 cons.add(b, a)
 
     _y_rule_pairs(g, p, rel_y, reverse_rel=True, swap_sides=True, cons=cons)
 
-    for x in xs:
-        for y in sorted(p.y):
-            cons.add(x, y)
-
+    cons.add_all(p.x_mask, p.y_mask)
     return LinearOrder.from_seq(cons.toposort())
 
 
@@ -320,9 +303,8 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
 
     swapped = not nec.rigid_free.side_a_ok
     if swapped:
-        ab = compute_ab_sets(cg, p)
         p = p.mirrored()
-        if ab.script_a_mask or ab.script_b_mask:
+        if nec.forced.script_a_mask or nec.forced.script_b_mask:
             f = TwoColoring(red=f.blue, blue=f.red)
             rel_x, rel_y = derive_relations(cg, f, p)
     try:

@@ -7,6 +7,7 @@ imports the package's algorithmic paths beyond the plain data containers.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -15,8 +16,9 @@ from itertools import combinations, permutations, product
 
 from squaregeo.chords import ChordGraph, RigidPair
 from squaregeo.embedding import Embedding, EmbeddingCheck
-from squaregeo.errors import InputError
+from squaregeo.errors import InputError, OrderConstructionError
 from squaregeo.graph import BabPartition, Graph, bits, ny_mask
+from squaregeo.orders import DerivedRelation, PartialOrderCheck
 
 
 def scan_completion(g: Graph, seq) -> frozenset[tuple[int, int]]:
@@ -394,9 +396,179 @@ def edge_pairs(rp: RigidPair) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((rp.x1, rp.y1), (rp.x2, rp.y2))
 
 
-def out_set(rel, v: int) -> frozenset[int]:
+def members(mask: int) -> frozenset[int]:
+    """The set bits of a mask, as a set of ids."""
+    return frozenset(bits(mask))
+
+
+def nodes_of(cg: ChordGraph, mask: int) -> frozenset[tuple[int, int]]:
+    """The chord-graph nodes of a node-index mask."""
+    return frozenset(cg.nodes[i] for i in bits(mask))
+
+
+def relation_pairs(rel) -> list[tuple[int, int]]:
+    """The pairs (u, v) of a derived relation, sorted."""
+    return [(u, v) for u, s in enumerate(rel.succ) for v in bits(s)]
+
+
+def relation_of(n: int, pairs) -> DerivedRelation:
+    """The derived relation on n vertices holding exactly ``pairs``."""
+    succ = [0] * n
+    for u, v in pairs:
+        succ[u] |= 1 << v
+    return DerivedRelation(tuple(succ))
+
+
+def out_set(rel: DerivedRelation, v: int) -> frozenset[int]:
     """Everything a derived relation puts after ``v``."""
-    return frozenset(b for a, b in rel.pairs if a == v)
+    return members(rel.succ[v])
+
+
+def constraint_arcs(cons) -> set[tuple[int, int]]:
+    """The 'u before v' arcs held by a constraint set, which keeps
+    successor masks as a relation does."""
+    return set(relation_pairs(cons))
+
+
+# The relation and constraint formats before successor masks: colorings and
+# relations as frozensets of tuples, constraints as a set of arcs. The three
+# functions below are the original implementations, copied verbatim apart
+# from the class names, as the reference for the mask-based versions.
+
+RED = "red"
+BLUE = "blue"
+
+
+@dataclass(frozen=True)
+class NodeColoring:
+    """A proper 2-coloring of the non-isolated chord-graph nodes."""
+
+    red: frozenset[tuple[int, int]]
+    blue: frozenset[tuple[int, int]]
+
+    def color_of(self, node: tuple[int, int]) -> str | None:
+        if node in self.red:
+            return RED
+        if node in self.blue:
+            return BLUE
+        return None
+
+
+def node_coloring(cg: ChordGraph, f) -> NodeColoring:
+    """A mask coloring as sets of nodes."""
+    return NodeColoring(red=nodes_of(cg, f.red), blue=nodes_of(cg, f.blue))
+
+
+@dataclass(frozen=True)
+class PairRelation:
+    """A strict binary relation over a vertex domain (reflexivity implied)."""
+
+    domain: frozenset[int]
+    pairs: frozenset[tuple[int, int]]
+
+    def related(self, u: int, v: int) -> bool:
+        return (u, v) in self.pairs
+
+
+def derive_relations_by_pairs(cg: ChordGraph, f: NodeColoring, p: BabPartition) -> tuple[PairRelation, PairRelation]:
+    """Orient X and Y pairs from every chord-graph edge under coloring f.
+
+    An edge joins the chords (x, y') and (x', y) of the rigid pair
+    {xy, x'y'}; red on the (x, y') side puts x before x' and y before y'.
+    """
+    x_pairs: set[tuple[int, int]] = set()
+    y_pairs: set[tuple[int, int]] = set()
+    for i, j in cg.edges():
+        u = cg.nodes[i]
+        v = cg.nodes[j]
+        cu = f.color_of(u)
+        cv = f.color_of(v)
+        if cu == cv or cu is None or cv is None:
+            continue
+        if cu == BLUE:
+            u, v = v, u
+        # u is the red chord (x, y'), v the blue chord (x', y)
+        x, yp = u
+        xp, y = v
+        x_pairs.add((x, xp))
+        y_pairs.add((y, yp))
+    return (
+        PairRelation(domain=frozenset(p.x_all), pairs=frozenset(x_pairs)),
+        PairRelation(domain=frozenset(p.y), pairs=frozenset(y_pairs)),
+    )
+
+
+def validate_partial_order_by_pairs(rel: PairRelation) -> PartialOrderCheck:
+    """Antisymmetry, then transitivity through out-set containment."""
+    for u, v in sorted(rel.pairs):
+        if u != v and (v, u) in rel.pairs:
+            return PartialOrderCheck(ok=False, antisymmetry_violation=(u, v))
+    outs: dict[int, set[int]] = {}
+    for u, v in rel.pairs:
+        outs.setdefault(u, set()).add(v)
+    for v in sorted(outs):
+        for u in sorted(outs[v]):
+            extra = outs.get(u, set()) - outs[v]
+            if extra:
+                return PartialOrderCheck(
+                    ok=False, transitivity_violation=(v, u, min(extra))
+                )
+    return PartialOrderCheck(ok=True)
+
+
+class ArcConstraintSet:
+    """Accumulates 'u before v' arcs with tie handling for equal neighborhoods."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.arcs: set[tuple[int, int]] = set()
+
+    def add(self, u: int, v: int):
+        if u != v:
+            self.arcs.add((u, v))
+
+    def add_inclusion(self, u: int, v: int, mu: int, mv: int):
+        """Order by inclusion of neighborhood masks: strictly smaller first,
+        equal masks broken by ascending id."""
+        if mu == mv:
+            self.add(min(u, v), max(u, v))
+        elif mu & ~mv == 0:
+            self.add(u, v)
+        elif mv & ~mu == 0:
+            self.add(v, u)
+
+    def toposort(self) -> tuple[int, ...]:
+        indeg = [0] * self.n
+        succ: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in sorted(self.arcs):
+            succ[u].append(v)
+            indeg[v] += 1
+        heap = [v for v in range(self.n) if indeg[v] == 0]
+        heapq.heapify(heap)
+        seq = []
+        while heap:
+            v = heapq.heappop(heap)
+            seq.append(v)
+            for w in succ[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(heap, w)
+        if len(seq) < self.n:
+            raise OrderConstructionError(self._find_cycle(succ, indeg))
+        return tuple(seq)
+
+    def _find_cycle(self, succ, indeg):
+        remaining = {v for v in range(self.n) if indeg[v] > 0}
+        start = min(remaining)
+        path = [start]
+        seen = {start}
+        v = start
+        while True:
+            v = min(w for w in succ[v] if w in remaining)
+            if v in seen:
+                return tuple(path[path.index(v):])
+            path.append(v)
+            seen.add(v)
 
 
 class NestingRelation(Enum):

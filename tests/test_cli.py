@@ -209,6 +209,17 @@ def test_parse_error_goes_to_stderr(tmp_path, capsys):
     assert captured.err.startswith("parse error: line 1")
 
 
+def test_validate_rejects_a_repeated_n_line(tmp_path, g8, capsys):
+    g, p = g8
+    text = emit_instance(g, p).replace("n 8\n", "n 8\nn 8\n")
+    path = tmp_path / "twice.txt"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == EXIT_UNDECIDED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 3: duplicate n line\n"
+
+
 def test_validate_caps_the_listed_vertices(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     path.write_text("bab-instance v1\nn 300000\nxa 0 1\nxb 1 2\ny 3\n")

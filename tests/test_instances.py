@@ -59,6 +59,7 @@ def test_instance_text_is_normalized():
         ("bab-instance v1\nn one\n", "line 2: n wants integers"),
         ("bab-instance v1\nn 2 3\n", "line 2: n wants one nonnegative"),
         ("bab-instance v1\nn 4\nxa 0\nxa 1\n", "line 4: duplicate xa"),
+        ("bab-instance v1\nn 4\nxa 0\nn 4\n", "line 4: duplicate n line"),
         ("bab-instance v1\nn 4\nedge 0 1 2\n", "line 3: edge wants two"),
         ("bab-instance v1\nn 4\nfoo bar\n", "line 3: unknown keyword 'foo'"),
         ("bab-instance v1\nxa 0\nxb 0\ny 1\n", "missing n"),
@@ -114,6 +115,14 @@ def test_negative_certificate_round_trip(triangle6):
         ("bab-certificate v1\nverdict yes\ncoord 0 0.5 0\n", "line 3: bad coordinate"),
         ("bab-certificate v1\nverdict yes\ncoord 1 0 0\n", "do not cover"),
         ("bab-certificate v1\nverdict yes\nshrug\n", "line 3: unknown keyword"),
+        ("bab-certificate v1\nverdict no\nverdict yes\n", "line 3: duplicate verdict line"),
+        ("bab-certificate v1\nverdict no\nroute a\nroute b\n", "line 4: duplicate route line"),
+        ("bab-certificate v1\nverdict no\nreason a\n\nreason b\n", "line 5: duplicate reason line"),
+        ("bab-certificate v1\nverdict yes\norder1 0 1\norder1 1 0\n", "line 4: duplicate order1 line"),
+        ("bab-certificate v1\nverdict yes\norder2 0\norder2 0\n", "line 4: duplicate order2 line"),
+        ("bab-certificate v1\nverdict yes\ncompletion1\ncompletion1 0,1\n", "line 4: duplicate completion1"),
+        ("bab-certificate v1\nverdict yes\ncompletion2 0,1\ncompletion2\n", "line 4: duplicate completion2"),
+        ("bab-certificate v1\nverdict yes\ncoord 0 0 0\ncoord 0 1 1\n", "line 4: duplicate coord line for vertex 0"),
     ],
 )
 def test_certificate_parse_errors(text, fragment):

@@ -15,8 +15,6 @@ from squaregeo import (
 from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
 from squaregeo.errors import ScopeError
 from squaregeo.necessary import (
-    BLUE,
-    RED,
     ColoringRefutation,
     TwoColoring,
     _bfs_coloring,
@@ -27,6 +25,8 @@ from squaregeo.instances import generate_bab
 
 from conftest import enumerate_bab_instances
 from oracles import (
+    members,
+    nodes_of,
     rigid_free_by_pair_scan,
     rigid_pairs_by_definition,
     shortest_odd_cycle_by_all_roots,
@@ -66,19 +66,19 @@ def test_g8_coloring_frozen(g8):
     cg = build_chord_graph(g, p)
     col = color_constrained(cg, compute_ab_sets(cg, p))
     assert isinstance(col, TwoColoring)
-    assert sorted(col.red) == [(0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
-    assert sorted(col.blue) == [(2, 4), (3, 4), (3, 5)]
-    assert col.color_of((0, 5)) == RED
-    assert col.color_of((3, 4)) == BLUE
-    assert col.color_of((0, 3)) is None  # isolated node stays uncolored
+    assert sorted(nodes_of(cg, col.red)) == [(0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
+    assert sorted(nodes_of(cg, col.blue)) == [(2, 4), (3, 4), (3, 5)]
+    assert (col.red >> cg.node_index((0, 5))) & 1
+    assert (col.blue >> cg.node_index((3, 4))) & 1
+    assert (0, 3) not in nodes_of(cg, col.red | col.blue)  # not an X-Y node
 
 
 def test_c4_coloring_canonical(c4):
     g, p = c4
     cg = build_chord_graph(g, p)
     col = color_constrained(cg, compute_ab_sets(cg, p))
-    assert col.red == frozenset({(0, 3)})
-    assert col.blue == frozenset({(1, 2)})
+    assert nodes_of(cg, col.red) == frozenset({(0, 3)})
+    assert nodes_of(cg, col.blue) == frozenset({(1, 2)})
 
 
 def test_forced_nodes_land_in_their_classes(g8):
@@ -86,8 +86,8 @@ def test_forced_nodes_land_in_their_classes(g8):
     cg = build_chord_graph(g, p)
     ab = compute_ab_sets(cg, p)
     col = color_constrained(cg, ab)
-    assert set(ab.script_a) <= col.red
-    assert set(ab.script_b) <= col.blue
+    assert ab.script_a_mask & ~col.red == 0
+    assert ab.script_b_mask & ~col.blue == 0
 
 
 def test_triangle6_odd_cycle(triangle6):
@@ -161,7 +161,7 @@ def test_scope_error_takes_precedence_over_odd_cycle():
     """A triangle beside a separate edge: the coloring stops at the second
     component whichever side the odd cycle lies on."""
     nodes = tuple((0, y) for y in range(5))
-    no_forced = AbVertexSets(frozenset(), frozenset(), 0, 0)
+    no_forced = AbVertexSets(0, 0)
     for adj in ((0b00110, 0b00101, 0b00011, 0b10000, 0b01000),
                 (0b00010, 0b00001, 0b11000, 0b10100, 0b01100)):
         with pytest.raises(ScopeError):
@@ -171,10 +171,10 @@ def test_scope_error_takes_precedence_over_odd_cycle():
 def test_region_sets_frozen(g8, c4):
     g, p = g8
     cg = build_chord_graph(g, p)
-    assert rigid_region_sets(cg, p) == (frozenset({4, 5, 6, 7}), frozenset({4, 5, 6, 7}))
+    assert tuple(map(members, rigid_region_sets(cg, p))) == (frozenset({4, 5, 6, 7}), frozenset({4, 5, 6, 7}))
     g, p = c4
     cg = build_chord_graph(g, p)
-    assert rigid_region_sets(cg, p) == (frozenset({2, 3}), frozenset({2, 3}))
+    assert tuple(map(members, rigid_region_sets(cg, p))) == (frozenset({2, 3}), frozenset({2, 3}))
 
 
 def test_region_sets_skip_isolated_nodes(g8):
@@ -183,7 +183,7 @@ def test_region_sets_skip_isolated_nodes(g8):
     region sets collect y's only from nodes with a chord-graph neighbor."""
     g, p = g8
     cg = build_chord_graph(g, p)
-    ra, rb = rigid_region_sets(cg, p)
+    ra, rb = map(members, rigid_region_sets(cg, p))
     live = {cg.nodes[i] for i in range(len(cg.nodes)) if cg.adj[i]}
     assert ra == frozenset(y for x, y in live if x in p.x_a)
     assert rb == frozenset(y for x, y in live if x in p.x_b)
@@ -217,7 +217,7 @@ def test_rigid_free_failure_carries_witnesses():
 
 def test_region_overshoot_alone_is_not_a_violation():
     g, p, cg = _instance(7, REGION_OVERSHOOT_EDGES, [0, 1, 2], [1, 2, 3], [4, 5, 6])
-    ra, rb = rigid_region_sets(cg, p)
+    ra, rb = map(members, rigid_region_sets(cg, p))
     ny0 = {y for y in p.y if g.adjacent(0, y)}
     assert len(ny0 & rb) == 2
     rfr = check_rigid_free(g, p, cg)

@@ -10,6 +10,7 @@ from squaregeo import (
     check_rigid_free,
     chords,
     color_constrained,
+    compute_ab_sets,
     emit_certificate,
     necessary,
     orders,
@@ -112,10 +113,11 @@ def test_region_overshoot_recognized_yes():
 
 
 def test_recognize_runs_each_analysis_once(g8, monkeypatch):
-    """The chord graph, the coloring and the rigid-free report are computed
-    once per instance, also when construction swaps the two sides."""
+    """The chord graph, the forced sets, the coloring and the rigid-free
+    report are computed once per instance, also when construction swaps the
+    two sides."""
     calls = Counter()
-    for fn in (build_chord_graph, check_rigid_free, color_constrained):
+    for fn in (build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets):
         def counted(*args, _fn=fn):
             calls[_fn.__name__] += 1
             return _fn(*args)
@@ -129,7 +131,8 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
         calls.clear()
         cert = recognize(g, p)
         assert cert.verdict == YES
-        assert calls == {"build_chord_graph": 1, "color_constrained": 1, "check_rigid_free": 1}
+        assert calls == {"build_chord_graph": 1, "color_constrained": 1, "check_rigid_free": 1,
+                         "compute_ab_sets": 1}
     assert cert.sufficiency.swapped
 
 
