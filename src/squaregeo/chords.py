@@ -9,6 +9,7 @@ and joins two nodes exactly when they are the chords of a common rigid pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .graph import BabPartition, Graph, bits, mask_of, ny_mask, union_of
@@ -80,8 +81,9 @@ class ChordGraph:
                 out.append((i, j))
         return out
 
-    @property
+    @cached_property
     def non_isolated_mask(self) -> int:
+        """Nodes with at least one neighbor; computed once per chord graph."""
         m = 0
         for i, a in enumerate(self.adj):
             if a:

@@ -238,37 +238,78 @@ def verify_embedding(g: Graph, e: Embedding) -> EmbeddingCheck:
     return EmbeddingCheck(ok=True)
 
 
+class _NonEdgesIn(dict):
+    """``ne[S]``: the non-edges {u, v} (u < v) inside vertex mask S, as bits
+    u*n + v; each entry is computed on first use."""
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, s: int) -> int:
+        adj, n = self.g.adj, self.g.n
+        m = 0
+        for u in bits(s):
+            m |= (s & ~adj[u]) >> (u + 1) << (u * n + u + 1)
+        self[s] = m
+        return m
+
+
 def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrder] | None:
     """Exhaustive search for two orders with disjoint forced sets.
 
-    Reversing an order leaves its forced set unchanged, so only orders that
-    are lexicographically no larger than their reversal are scanned; the
-    returned pair is still the lexicographically first among all candidates.
-    Scope-guarded since the search is factorial.
+    Each order's forced set is one int over pair bits, {u, v} (u < v) at
+    bit u*n + v. A non-edge is forced exactly when some edge spans it, and
+    among the edges whose later end is v, the one to v's earliest neighbor
+    spans all the others. So placing v at position k forces exactly the
+    non-edges inside positions p..k, p the position of v's earliest placed
+    neighbor, and the OR over those windows of ``ne[S]``, the non-edges
+    inside vertex set S, equals ``completion``. ``ne`` is filled on demand,
+    so nothing of size 2^n is built up front.
+
+    Reversing an order leaves its forced set unchanged, so only orders no
+    larger than their reversal are scanned; for n >= 2 that is
+    ``perm[0] < perm[-1]``. Whether a forced set has a disjoint partner is
+    decided once per distinct set. The returned pair is the first
+    candidate order with a partner and its first partner, in the
+    lexicographic order of the scan. Scope-guarded since the search is
+    factorial.
     """
-    if g.n > bound:
-        raise ScopeError(f"brute force limited to {bound} vertices, got {g.n}")
-    if g.n == 0:
+    n = g.n
+    if n > bound:
+        raise ScopeError(f"brute force limited to {bound} vertices, got {n}")
+    if n == 0:
         empty = LinearOrder.from_seq(())
         return (empty, empty)
-    non_edges = g.non_edges()
-    index = {pair: i for i, pair in enumerate(non_edges)}
+    adj = g.adj
+    vertex_bit = [1 << v for v in range(n)]
+    ne = _NonEdgesIn(g)
 
-    reps: list[tuple[tuple[int, ...], int]] = []
-    for perm in itertools.permutations(range(g.n)):
-        if perm > perm[::-1]:
+    perms: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    for perm in itertools.permutations(range(n)):
+        if perm[0] > perm[-1]:
             continue
-        o = LinearOrder.from_seq(perm)
-        mask = 0
-        for pair in completion(g, o):
-            mask |= 1 << index[pair]
-        reps.append((perm, mask))
+        mask = placed = 0
+        prefixes = [0]  # prefixes[i]: the vertices at positions 0..i-1
+        for v in perm:
+            nb = adj[v] & placed
+            placed |= vertex_bit[v]
+            if nb:
+                p = 0  # the position of v's earliest placed neighbor
+                while not prefixes[p + 1] & nb:
+                    p += 1
+                mask |= ne[placed ^ prefixes[p]]
+            prefixes.append(placed)
+        perms.append(perm)
+        masks.append(mask)
 
-    all_masks = {mask for _, mask in reps}
-    for perm, mask in reps:
-        if any(mask & other == 0 for other in all_masks):
-            o1 = LinearOrder.from_seq(perm)
-            for perm2, mask2 in reps:
-                if mask & mask2 == 0:
-                    return (o1, LinearOrder.from_seq(perm2))
+    distinct = set(masks)
+    has_partner: dict[int, bool] = {}
+    for perm, mask in zip(perms, masks):
+        if mask not in has_partner:
+            has_partner[mask] = any(mask & other == 0 for other in distinct)
+        if has_partner[mask]:
+            perm2 = next(p2 for p2, m2 in zip(perms, masks) if mask & m2 == 0)
+            return (LinearOrder.from_seq(perm), LinearOrder.from_seq(perm2))
     return None

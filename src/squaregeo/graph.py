@@ -88,15 +88,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
 
-    def non_edges(self) -> list[tuple[int, int]]:
-        """All non-adjacent unordered pairs, lexicographically."""
-        out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if not self.adjacent(u, v):
-                    out.append((u, v))
-        return out
-
     def with_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """A new graph with the given pairs added as edges."""
         adj = list(self.adj)

@@ -2,12 +2,15 @@
 
 Everything here recomputes results from raw definitions: direct scans,
 exhaustive permutation search and a discretized geometric search. Nothing
-imports the package's algorithmic paths beyond the plain data containers.
+imports the package's algorithmic paths beyond the plain data containers,
+except the verbatim copies of earlier package versions at the end of the
+file, which call what they called then.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -15,17 +18,27 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from squaregeo.chords import ChordGraph, RigidPair
-from squaregeo.embedding import Embedding, EmbeddingCheck
-from squaregeo.errors import InputError, OrderConstructionError
+from squaregeo.embedding import Embedding, EmbeddingCheck, completion
+from squaregeo.errors import InputError, OrderConstructionError, ScopeError
 from squaregeo.graph import BabPartition, Graph, bits, ny_mask
-from squaregeo.orders import DerivedRelation, PartialOrderCheck
+from squaregeo.orders import DerivedRelation, LinearOrder, PartialOrderCheck
+
+
+def non_edges(g: Graph) -> list[tuple[int, int]]:
+    """All non-adjacent unordered pairs, lexicographically."""
+    out = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.adjacent(u, v):
+                out.append((u, v))
+    return out
 
 
 def scan_completion(g: Graph, seq) -> frozenset[tuple[int, int]]:
     """Forced non-edges by scanning every edge for a covering witness."""
     pos = {v: i for i, v in enumerate(seq)}
     forced = set()
-    for w, z in g.non_edges():
+    for w, z in non_edges(g):
         pw, pz = sorted((pos[w], pos[z]))
         for u, v in g.edges():
             lo, hi = sorted((pos[u], pos[v]))
@@ -93,7 +106,7 @@ def square_geometric_by_order_search(g: Graph) -> bool:
     """Dumb search over all order pairs, no symmetry pruning."""
     perms = list(permutations(range(g.n)))
     masks = {}
-    index = {pair: i for i, pair in enumerate(g.non_edges())}
+    index = {pair: i for i, pair in enumerate(non_edges(g))}
     for perm in perms:
         m = 0
         for pair in scan_completion(g, perm):
@@ -211,7 +224,7 @@ def completion_closure_violations(g, seq, comp, p=None):
     maxnp = [max((pos[w] for w in g.neighbors(v)), default=-1) for v in range(n)]
 
     out = []
-    for w, z in g.non_edges():
+    for w, z in non_edges(g):
         pw, pz = pos[w], pos[z]
         have = forced(w, z) in comp
         if not have:
@@ -569,6 +582,48 @@ class ArcConstraintSet:
                 return tuple(path[path.index(v):])
             path.append(v)
             seen.add(v)
+
+
+# The exhaustive order search before forced-pair masks: one LinearOrder, one
+# ``completion`` frozenset and one index lookup per permutation. Copied
+# verbatim apart from the name and one call of the ``non_edges`` helper
+# above, which was a ``Graph`` method, as the reference for
+# ``brute_force_orders``.
+
+
+def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrder] | None:
+    """Exhaustive search for two orders with disjoint forced sets.
+
+    Reversing an order leaves its forced set unchanged, so only orders that
+    are lexicographically no larger than their reversal are scanned; the
+    returned pair is still the lexicographically first among all candidates.
+    Scope-guarded since the search is factorial.
+    """
+    if g.n > bound:
+        raise ScopeError(f"brute force limited to {bound} vertices, got {g.n}")
+    if g.n == 0:
+        empty = LinearOrder.from_seq(())
+        return (empty, empty)
+    index = {pair: i for i, pair in enumerate(non_edges(g))}
+
+    reps: list[tuple[tuple[int, ...], int]] = []
+    for perm in itertools.permutations(range(g.n)):
+        if perm > perm[::-1]:
+            continue
+        o = LinearOrder.from_seq(perm)
+        mask = 0
+        for pair in completion(g, o):
+            mask |= 1 << index[pair]
+        reps.append((perm, mask))
+
+    all_masks = {mask for _, mask in reps}
+    for perm, mask in reps:
+        if any(mask & other == 0 for other in all_masks):
+            o1 = LinearOrder.from_seq(perm)
+            for perm2, mask2 in reps:
+                if mask & mask2 == 0:
+                    return (o1, LinearOrder.from_seq(perm2))
+    return None
 
 
 class NestingRelation(Enum):

@@ -17,11 +17,7 @@ from squaregeo import (
     recognize,
     verify_certificate,
 )
-from squaregeo.embedding import (
-    brute_force_orders,
-    completion,
-    make_order_pair,
-)
+from squaregeo.embedding import completion, make_order_pair
 from squaregeo.errors import GenerationError
 from squaregeo.necessary import NecessaryStatus
 from squaregeo.orders import LinearOrder
@@ -29,6 +25,7 @@ from squaregeo.orders import LinearOrder
 from conftest import enumerate_bab_instances
 from oracles import (
     bipartite_by_bfs,
+    brute_force_orders_by_completion,
     chord_distribution,
     completion_closure_violations,
     linf_embedding_report,
@@ -55,8 +52,9 @@ def _dens(seed: int) -> float:
 def decided_corpus():
     """Records (g, p, truth, cert, nec) for every enumerated instance on
     up to 5 vertices plus 1000 seeded 6-vertex instances. ``truth`` is the
-    exhaustive order search; ``cert`` allows the same search as fallback,
-    so every verdict in here is definitive."""
+    reference exhaustive order search in ``oracles``, independent of the
+    package's; ``cert`` allows the package's search as fallback, so every
+    verdict in here is definitive."""
     instances = []
     for n, want in sorted(ENUMERATED_COUNTS.items()):
         batch = list(enumerate_bab_instances(n))
@@ -67,7 +65,7 @@ def decided_corpus():
             instances.append(generate_bab(shape, _dens(seed), seed))
     records = []
     for g, p in instances:
-        truth = brute_force_orders(g, 6) is not None
+        truth = brute_force_orders_by_completion(g, 6) is not None
         cert = recognize(g, p, allow_oracle=True, oracle_bound=6)
         nec = check_necessary(g, p)
         records.append((g, p, truth, cert, nec))

@@ -1,12 +1,13 @@
 """Forced sets, exact axis realizations and plane embeddings."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from squaregeo import build_graph, embedding, validate_bab
+from squaregeo import build_graph, embedding, generate_bab, validate_bab
 from squaregeo.embedding import (
     Embedding,
     brute_force_orders,
@@ -21,7 +22,9 @@ from squaregeo.embedding import (
 from squaregeo.errors import InputError, ScopeError, StructuralError
 from squaregeo.orders import LinearOrder
 
+from conftest import bab_shapes, enumerate_bab_instances
 from oracles import (
+    brute_force_orders_by_completion,
     chord_distribution,
     linf_embedding_report,
     scan_completion,
@@ -291,6 +294,41 @@ def test_brute_force_no_pair(triangle6):
 
 def test_brute_force_bound():
     g = build_graph(7, [])
-    with pytest.raises(ScopeError, match="limited to 6"):
+    with pytest.raises(ScopeError, match=r"^brute force limited to 6 vertices, got 7$"):
         brute_force_orders(g)
     assert brute_force_orders(g, bound=7) is not None
+
+
+def _pair_seqs(found):
+    return None if found is None else (found[0].seq, found[1].seq)
+
+
+def test_brute_force_matches_the_completion_reference():
+    """The mask scan returns the same first pair as the per-permutation
+    completion search, or None with it: on n = 0-2, every enumerated
+    instance up to n=5, seeded instances of every n=6 and n=7 block shape,
+    random graphs up to n=7 (40 of them at n=6 with a vertex adjacent to
+    all others, which makes NO cases common) and three n=8 instances."""
+    graphs = [build_graph(0, []), build_graph(1, []), build_graph(2, []), build_graph(2, [(0, 1)])]
+    for n in range(2, 6):
+        graphs.extend(g for g, _ in enumerate_bab_instances(n))
+    for n in (6, 7):
+        for i, shape in enumerate(bab_shapes(n)):
+            graphs.append(generate_bab(shape, 0.2 + 0.6 * (i % 7) / 6, i)[0])
+    rng = random.Random(7)
+    for hub in [False] * 60 + [True] * 40:
+        n = 6 if hub else rng.randint(3, 7)
+        density = rng.random() * (0.3 if hub else 1)
+        graphs.append(build_graph(n, [
+            (u, v) for u, v in itertools.combinations(range(n), 2)
+            if (hub and u == 0) or rng.random() < density
+        ]))
+    for shape, seed in (((1, 2, 2, 3), 2), ((2, 1, 2, 3), 0), ((2, 2, 2, 2), 0)):
+        graphs.append(generate_bab(shape, 0.5, seed)[0])
+    tally = collections.Counter()
+    for g in graphs:
+        found = _pair_seqs(brute_force_orders(g, 8))
+        assert found == _pair_seqs(brute_force_orders_by_completion(g, 8)), g.edges()
+        tally[g.n == 8, found is not None] += 1
+    assert tally[False, False] >= 15 and tally[False, True] >= 1000, tally
+    assert tally[True, False] == 2 and tally[True, True] == 1, tally

@@ -11,7 +11,7 @@ from squaregeo import build_graph, is_unit_interval_order, validate_bab
 from squaregeo.errors import InputError, ScopeError, StructuralError
 from squaregeo.graph import bits, mask_of, ny_mask
 
-from oracles import NestingRelation, nesting, umbrella_ok
+from oracles import NestingRelation, nesting, non_edges, umbrella_ok
 
 
 def test_build_graph_edges_are_sorted_and_symmetric():
@@ -27,8 +27,8 @@ def test_build_graph_edges_are_sorted_and_symmetric():
 def test_non_edges_complement_edges():
     g = build_graph(4, [(0, 1), (2, 3)])
     all_pairs = set(itertools.combinations(range(4), 2))
-    assert set(g.edges()) | set(g.non_edges()) == all_pairs
-    assert not set(g.edges()) & set(g.non_edges())
+    assert set(g.edges()) | set(non_edges(g)) == all_pairs
+    assert not set(g.edges()) & set(non_edges(g))
 
 
 def test_build_graph_rejects_bad_input():
