@@ -152,16 +152,14 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
     """
     nodes: list[tuple[int, int]] = []
     by_x = [0] * g.n
-    for x in bits(p.x_mask):
+    for x in bits(p.x_all):
         start = len(nodes)
-        nodes.extend((x, y) for y in bits(p.y_mask & ~g.adj[x]))
+        nodes.extend((x, y) for y in bits(p.y & ~g.adj[x]))
         by_x[x] = (1 << len(nodes)) - (1 << start)
     by_y = y_end_masks(nodes, g.n)
-    near_y = {x: union_of(by_y, g.adj[x] & p.y_mask) for x in bits(p.x_mask)}
-    adj = tuple(union_of(by_x, g.adj[x] & g.adj[y] & p.x_mask) & near_y[x] for x, y in nodes)
-    return ChordGraph(
-        tuple(nodes), adj, union_of(by_x, p.a_only_mask), union_of(by_x, p.b_only_mask)
-    )
+    near_y = {x: union_of(by_y, g.adj[x] & p.y) for x in bits(p.x_all)}
+    adj = tuple(union_of(by_x, g.adj[x] & g.adj[y] & p.x_all) & near_y[x] for x, y in nodes)
+    return ChordGraph(tuple(nodes), adj, union_of(by_x, p.a_only), union_of(by_x, p.b_only))
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ class AbVertexSets:
     script_b_mask: int
 
 
-def compute_ab_sets(cg: ChordGraph, p: BabPartition) -> AbVertexSets:
+def compute_ab_sets(cg: ChordGraph) -> AbVertexSets:
     def forced(side: int) -> int:
         return mask_of(i for i in bits(side) if cg.adj[i] & ~side)
 
@@ -206,15 +204,15 @@ def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> AssumptionRe
     if len(components) > 1:
         failures.append(f"chord graph splits into {len(components)} non-isolated components")
 
-    y_size = len(p.y)
-    for v in sorted(p.a_only | p.b_only):
+    y_size = p.y.bit_count()
+    for v in bits(p.a_only | p.b_only):
         d = ny_mask(g, p, v).bit_count()
         if not 0 < d < y_size:
             failures.append(f"private vertex {v} has {d} Y-neighbors out of {y_size}")
 
-    for b in sorted(p.b_only):
+    for b in bits(p.b_only):
         nyb = ny_mask(g, p, b)
-        if all(nyb & ~ny_mask(g, p, u) == 0 for u in sorted(p.x_all) if u != b):
+        if all(nyb & ~ny_mask(g, p, u) == 0 for u in bits(p.x_all & ~(1 << b))):
             failures.append(f"N_Y({b}) nests inside every other X vertex's Y-neighborhood")
 
     ab_mask = cg.a_vertex_mask | cg.b_vertex_mask

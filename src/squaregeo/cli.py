@@ -55,7 +55,7 @@ def cmd_validate(args) -> int:
     g, p = _load_instance(args.instance)
     print(
         f"valid: n={g.n} edges={g.edge_count()} "
-        f"|xa|={len(p.x_a)} |xb|={len(p.x_b)} |y|={len(p.y)}"
+        f"|xa|={p.x_a.bit_count()} |xb|={p.x_b.bit_count()} |y|={p.y.bit_count()}"
     )
     return EXIT_YES
 

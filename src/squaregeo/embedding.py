@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, ScopeError, StructuralError
-from .graph import BabPartition, Graph, bits, is_unit_interval_order, prefix_masks
+from .graph import Graph, bits, is_unit_interval_order, prefix_masks
 from .orders import LinearOrder
 
 Pair = tuple[int, int]

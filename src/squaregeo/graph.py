@@ -1,8 +1,10 @@
 """Immutable graphs, the three-clique partition, and unit interval order checks.
 
-Vertices are integers 0..n-1. Adjacency is kept as one bitmask per vertex, so
-all set algebra on neighborhoods is integer arithmetic. Every object here is
-frozen; functions return new values instead of mutating.
+Vertices are integers 0..n-1. Adjacency is kept as one bitmask per vertex,
+and the partition's sets are vertex masks too, so all set algebra on
+neighborhoods and parts is integer arithmetic; ``bits`` lists a mask's
+members. Every object here is frozen; functions return new values instead
+of mutating.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def lowest(mask: int) -> int:
+    """The least set bit position of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -118,57 +125,35 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 class BabPartition:
     """A validated partition of V(G) into cliques X_a, X_b (overlapping) and Y.
 
+    ``x_a``, ``x_b`` and ``y`` are vertex masks, as are the derived parts.
     ``a_seq``/``b_seq`` list the private vertices of each side sorted so that
     Y-neighborhoods form an ascending inclusion chain; they are empty with the
     corresponding flag set to False when the side is not totally nested.
-    ``parts_connected`` records whether both partition sides are nonempty
-    connected graphs (the clique structure makes them connected whenever
-    nonempty, so this is simply |Y| > 0 given that the shared part exists).
     """
 
-    x_a: frozenset[int]
-    x_b: frozenset[int]
-    y: frozenset[int]
+    x_a: int
+    x_b: int
+    y: int
     a_seq: tuple[int, ...]
     b_seq: tuple[int, ...]
     a_nested: bool
     b_nested: bool
-    parts_connected: bool
-    xa_mask: int
-    xb_mask: int
-    y_mask: int
 
     @property
-    def shared(self) -> frozenset[int]:
-        return self.x_a & self.x_b
-
-    @property
-    def a_only(self) -> frozenset[int]:
-        return self.x_a - self.x_b
-
-    @property
-    def b_only(self) -> frozenset[int]:
-        return self.x_b - self.x_a
-
-    @property
-    def x_all(self) -> frozenset[int]:
+    def x_all(self) -> int:
         return self.x_a | self.x_b
 
     @property
-    def x_mask(self) -> int:
-        return self.xa_mask | self.xb_mask
+    def shared(self) -> int:
+        return self.x_a & self.x_b
 
     @property
-    def shared_mask(self) -> int:
-        return self.xa_mask & self.xb_mask
+    def a_only(self) -> int:
+        return self.x_a & ~self.x_b
 
     @property
-    def a_only_mask(self) -> int:
-        return self.xa_mask & ~self.xb_mask
-
-    @property
-    def b_only_mask(self) -> int:
-        return self.xb_mask & ~self.xa_mask
+    def b_only(self) -> int:
+        return self.x_b & ~self.x_a
 
     def mirrored(self) -> "BabPartition":
         """The same partition with the roles of X_a and X_b exchanged."""
@@ -180,27 +165,24 @@ class BabPartition:
             b_seq=self.a_seq,
             a_nested=self.b_nested,
             b_nested=self.a_nested,
-            parts_connected=self.parts_connected,
-            xa_mask=self.xb_mask,
-            xb_mask=self.xa_mask,
-            y_mask=self.y_mask,
         )
 
 
 def ny_mask(g: Graph, p: BabPartition, v: int) -> int:
     """Bitmask of v's neighbors inside Y."""
-    return g.adj[v] & p.y_mask
+    return g.adj[v] & p.y
 
 
 def nx_mask(g: Graph, p: BabPartition, v: int) -> int:
     """Bitmask of v's neighbors inside X_a union X_b."""
-    return g.adj[v] & p.x_mask
+    return g.adj[v] & p.x_all
 
 
-def _nested_sequence(g: Graph, members: Iterable[int], scope_mask: int):
-    """Sort members by scoped neighborhood size (ties by id) and test that the
-    neighborhoods form an inclusion chain. Returns (sequence, nested_flag)."""
-    seq = sorted(members, key=lambda v: ((g.adj[v] & scope_mask).bit_count(), v))
+def _nested_sequence(g: Graph, members: int, scope_mask: int):
+    """Sort the vertices of mask ``members`` by scoped neighborhood size (ties
+    by id) and test that the neighborhoods form an inclusion chain. Returns
+    (sequence, nested_flag)."""
+    seq = sorted(bits(members), key=lambda v: ((g.adj[v] & scope_mask).bit_count(), v))
     for prev, cur in zip(seq, seq[1:]):
         if (g.adj[prev] & scope_mask) & ~(g.adj[cur] & scope_mask):
             return (), False
@@ -238,43 +220,31 @@ def validate_bab(g: Graph, x_a: Iterable[int], x_b: Iterable[int], y: Iterable[i
     disjoint. An edge between a private X_a vertex and a private X_b vertex
     is out of scope and raises ScopeError. Each clique and the private sides
     are checked with one mask test per vertex.
+
+    The id sets are checked by ``check_cover`` before any mask is built
+    from them, so an id outside 0..n-1 never reaches a shift.
     """
-    xa = frozenset(x_a)
-    xb = frozenset(x_b)
-    ys = frozenset(y)
-    check_cover(g.n, xa, xb, ys)
+    sets = tuple(map(frozenset, (x_a, x_b, y)))
+    check_cover(g.n, *sets)
+    xa, xb, ys = map(mask_of, sets)
     if not xa & xb:
         raise StructuralError("X_a and X_b must intersect")
 
-    xa_mask, xb_mask, y_mask = mask_of(xa), mask_of(xb), mask_of(ys)
-    for name, members in (("X_a", xa_mask), ("X_b", xb_mask), ("Y", y_mask)):
+    for name, members in (("X_a", xa), ("X_b", xb), ("Y", ys)):
         for u in bits(members):
             lack = (members & ~g.adj[u]) >> (u + 1)
             if lack:
                 v = u + (lack & -lack).bit_length()
                 raise StructuralError(f"{name} is not a clique: missing edge ({u},{v})")
 
-    for a in bits(xa_mask & ~xb_mask):
-        hit = g.adj[a] & xb_mask & ~xa_mask
+    for a in bits(xa & ~xb):
+        hit = g.adj[a] & xb & ~xa
         if hit:
-            b = (hit & -hit).bit_length() - 1
-            raise ScopeError(f"edge ({a},{b}) joins the private sides of X_a and X_b")
+            raise ScopeError(f"edge ({a},{lowest(hit)}) joins the private sides of X_a and X_b")
 
-    a_seq, a_nested = _nested_sequence(g, xa - xb, y_mask)
-    b_seq, b_nested = _nested_sequence(g, xb - xa, y_mask)
-    return BabPartition(
-        x_a=xa,
-        x_b=xb,
-        y=ys,
-        a_seq=a_seq,
-        b_seq=b_seq,
-        a_nested=a_nested,
-        b_nested=b_nested,
-        parts_connected=len(ys) > 0,
-        xa_mask=xa_mask,
-        xb_mask=xb_mask,
-        y_mask=y_mask,
-    )
+    a_seq, a_nested = _nested_sequence(g, xa & ~xb, ys)
+    b_seq, b_nested = _nested_sequence(g, xb & ~xa, ys)
+    return BabPartition(xa, xb, ys, a_seq, b_seq, a_nested, b_nested)
 
 
 def is_unit_interval_order(g: Graph, order: Sequence[int]) -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .chords import build_chord_graph
 from .embedding import Embedding
 from .errors import GenerationError, ParseError
-from .graph import BabPartition, Graph, build_graph, check_cover, validate_bab
+from .graph import BabPartition, Graph, bits, build_graph, check_cover, validate_bab
 from .necessary import NecessaryStatus, check_necessary
 from .orders import LinearOrder, check_sufficient
 from .pipeline import NO, UNDECIDED, YES, Certificate
@@ -82,9 +82,8 @@ def parse_instance(text: str) -> tuple[Graph, BabPartition]:
 
 def emit_instance(g: Graph, p: BabPartition) -> str:
     out = [INSTANCE_HEADER, f"n {g.n}"]
-    out.append("xa " + " ".join(map(str, sorted(p.x_a))))
-    out.append("xb " + " ".join(map(str, sorted(p.x_b))))
-    out.append("y " + " ".join(map(str, sorted(p.y))))
+    for key, part in (("xa", p.x_a), ("xb", p.x_b), ("y", p.y)):
+        out.append(key + " " + " ".join(map(str, bits(part))))
     for u, v in g.edges():
         out.append(f"edge {u} {v}")
     return "\n".join(out) + "\n"

@@ -25,7 +25,7 @@ from .chords import (
     y_end_masks,
 )
 from .errors import ScopeError
-from .graph import BabPartition, Graph, bits, mask_of, ny_mask, union_of
+from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask, union_of
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,24 @@ def _layer_masks(order: list[int], depth: list[int]) -> list[int]:
     return layers
 
 
-def _bfs_coloring(cg: ChordGraph) -> tuple[list[int | None], bool]:
+def _bfs_coloring(cg: ChordGraph) -> tuple[int, bool]:
     """Color the non-isolated nodes by BFS depth parity from the least one;
-    returns the colors and whether some edge joins two nodes of one color,
-    that is, some node's neighbor mask meets its own BFS layer.
+    returns the mask of the even-depth nodes and whether some edge joins two
+    nodes of one class, that is, some node's neighbor mask meets its own BFS
+    layer.
 
     A non-isolated node the BFS leaves unreached raises ScopeError, so the
     scope check takes precedence over any refutation.
     """
     live = cg.non_isolated_mask
     if not live:
-        return [None] * len(cg.nodes), False
-    order, depth, _ = cg.bfs(next(bits(live)))
+        return 0, False
+    order, depth, _ = cg.bfs(lowest(live))
     if len(order) < live.bit_count():
         raise ScopeError("chord graph has several non-isolated components")
     layers = _layer_masks(order, depth)
     conflict = any(cg.adj[v] & layers[depth[v]] for v in order)
-    return [d % 2 if d >= 0 else None for d in depth], conflict
+    return sum(layers[::2]), conflict  # the layers are disjoint
 
 
 def _shortest_odd_cycle(cg: ChordGraph) -> tuple[int, ...]:
@@ -117,9 +118,10 @@ def color_constrained(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | Colorin
     Requires the non-isolated part to be connected (audit upstream); a
     disconnected chord graph raises ScopeError. The coloring is canonical:
     BFS from the lexicographically least node, then a global swap so the
-    constraint holds (root red when no constraint applies).
+    constraint holds (root red when no constraint applies). A conflict
+    names the least node of each class or forced set involved.
     """
-    color, conflict = _bfs_coloring(cg)
+    even, conflict = _bfs_coloring(cg)
     if conflict:
         cyc = _shortest_odd_cycle(cg)
         return ColoringRefutation(
@@ -128,35 +130,27 @@ def color_constrained(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | Colorin
             detail=f"odd cycle of length {len(cyc)}",
         )
 
-    sa = list(bits(ab.script_a_mask))
-    sb = list(bits(ab.script_b_mask))
+    odd = cg.non_isolated_mask & ~even
+    sa, sb = ab.script_a_mask, ab.script_b_mask
     for group, name in ((sa, "forced-red"), (sb, "forced-blue")):
-        hues = {color[i] for i in group}
-        if len(hues) > 1:
-            lo = min(i for i in group if color[i] == 0)
-            hi = min(i for i in group if color[i] == 1)
+        if group & even and group & odd:
             return ColoringRefutation(
                 kind="forced-conflict",
-                conflict=(cg.nodes[lo], cg.nodes[hi]),
+                conflict=(cg.nodes[lowest(group & even)], cg.nodes[lowest(group & odd)]),
                 detail=f"{name} nodes fall in both color classes",
             )
-    if sa and sb and color[sa[0]] == color[sb[0]]:
+    # each forced set now lies inside one class
+    if (sa & even and sb & even) or (sa & odd and sb & odd):
         return ColoringRefutation(
             kind="forced-conflict",
-            conflict=(cg.nodes[sa[0]], cg.nodes[sb[0]]),
+            conflict=(cg.nodes[lowest(sa)], cg.nodes[lowest(sb)]),
             detail="a forced-red and a forced-blue node share a color class",
         )
-
-    red_value = 0
-    if sa:
-        red_value = color[sa[0]]
-    elif sb:
-        red_value = 1 - color[sb[0]]
-    red = mask_of(i for i, c in enumerate(color) if c == red_value)
+    red = odd if sa & odd or sb & even else even
     return TwoColoring(red=red, blue=cg.non_isolated_mask & ~red)
 
 
-def rigid_region_sets(cg: ChordGraph, p: BabPartition) -> tuple[int, int]:
+def rigid_region_sets(cg: ChordGraph) -> tuple[int, int]:
     """R(X_a), R(X_b) as vertex masks: y's appearing in a non-isolated node
     whose x-end lies in X_a (resp. X_b); shared x-ends contribute to both."""
     live = cg.non_isolated_mask
@@ -206,7 +200,7 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
     v is trapped when a chord edge inside ``near`` has a shared x-end; the
     witness is the first such edge (i ascending, then the lowest j > i).
     """
-    r_xa, r_xb = rigid_region_sets(cg, p)
+    r_xa, r_xb = rigid_region_sets(cg)
     by_y = y_end_masks(cg.nodes, g.n)
     shared = ((1 << len(cg.nodes)) - 1) & ~(cg.a_vertex_mask | cg.b_vertex_mask)
 
@@ -228,8 +222,8 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
         return tuple(out)
 
     return RigidFreeReport(
-        trapped(p.a_only_mask, cg.a_vertex_mask, r_xb),
-        trapped(p.b_only_mask, cg.b_vertex_mask, r_xa),
+        trapped(p.a_only, cg.a_vertex_mask, r_xb),
+        trapped(p.b_only, cg.b_vertex_mask, r_xa),
     )
 
 
@@ -262,7 +256,7 @@ def check_necessary(g: Graph, p: BabPartition, cg: ChordGraph | None = None) -> 
             status=NecessaryStatus.OUT_OF_SCOPE,
             reason="; ".join(report.failures),
         )
-    ab = compute_ab_sets(cg, p)
+    ab = compute_ab_sets(cg)
     colored = color_constrained(cg, ab)
     if isinstance(colored, ColoringRefutation):
         return NecessaryVerdict(

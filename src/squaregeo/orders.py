@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .chords import ChordGraph
 from .errors import OrderConstructionError, ScopeError
-from .graph import BabPartition, Graph, bits, mask_of, nx_mask, ny_mask
+from .graph import BabPartition, Graph, bits, lowest, mask_of, nx_mask, ny_mask
 from .necessary import NecessaryStatus, NecessaryVerdict, TwoColoring
 
 
@@ -43,7 +43,7 @@ def derive_relations(cg: ChordGraph, f: TwoColoring, p: BabPartition) -> tuple[D
     Each edge is read once, from its red end: f is proper and isolated
     nodes have no edges, so every edge has exactly one red end.
     """
-    n = (p.x_mask | p.y_mask).bit_length()  # the partition covers 0..n-1
+    n = (p.x_all | p.y).bit_length()  # the partition covers 0..n-1
     x_succ = [0] * n
     y_succ = [0] * n
     for i in bits(f.red):
@@ -62,10 +62,6 @@ class PartialOrderCheck:
     transitivity_violation: tuple[int, int, int] | None = None
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def validate_partial_order(rel: DerivedRelation) -> PartialOrderCheck:
     """Antisymmetry, then transitivity through successor-mask containment;
     each reports its least violation."""
@@ -78,7 +74,7 @@ def validate_partial_order(rel: DerivedRelation) -> PartialOrderCheck:
         for u in bits(s):
             extra = succ[u] & ~s
             if extra:
-                return PartialOrderCheck(ok=False, transitivity_violation=(v, u, _lowest(extra)))
+                return PartialOrderCheck(ok=False, transitivity_violation=(v, u, lowest(extra)))
     return PartialOrderCheck(ok=True)
 
 
@@ -171,9 +167,9 @@ class _ConstraintSet:
         least vertex until one repeats."""
         while dead := mask_of(v for v in bits(left) if not self.succ[v] & left):
             left &= ~dead
-        path = [_lowest(left)]
+        path = [lowest(left)]
         while True:
-            v = _lowest(self.succ[path[-1]] & left)
+            v = lowest(self.succ[path[-1]] & left)
             if v in path:
                 return tuple(path[path.index(v):])
             path.append(v)
@@ -197,9 +193,9 @@ def _y_rule_pairs(g, p, rel_y, reverse_rel: bool, swap_sides: bool, cons: _Const
     the difference-pattern rule applies only to pairs neither related nor
     nested, where its two clauses cannot clash with the nesting clause.
     """
-    left_target = p.b_only_mask if swap_sides else p.a_only_mask
-    right_target = p.a_only_mask if swap_sides else p.b_only_mask
-    ys = [(y, nx_mask(g, p, y)) for y in bits(p.y_mask)]
+    left_target = p.b_only if swap_sides else p.a_only
+    right_target = p.a_only if swap_sides else p.b_only
+    ys = [(y, nx_mask(g, p, y)) for y in bits(p.y)]
     for i, (y, my) in enumerate(ys):
         for yp, myp in ys[i + 1:]:
             if cons.add_oriented(rel_y, y, yp, reverse_rel):
@@ -225,22 +221,22 @@ def build_order1(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
     topological tie-break.
     """
     cons = _ConstraintSet(g.n)
-    _x_rule_pairs(g, p, rel_x, p.shared_mask, reverse_rel=False, cons=cons)
+    _x_rule_pairs(g, p, rel_x, p.shared, reverse_rel=False, cons=cons)
     for seq in (p.a_seq, p.b_seq):
         for prev, cur in zip(seq, seq[1:]):
             cons.add(prev, cur)
     if p.a_seq:
-        cons.add_all(1 << p.a_seq[-1], p.shared_mask)
+        cons.add_all(1 << p.a_seq[-1], p.shared)
     if p.b_seq:
-        cons.add_all(p.shared_mask, 1 << p.b_seq[0])
+        cons.add_all(p.shared, 1 << p.b_seq[0])
 
     _y_rule_pairs(g, p, rel_y, reverse_rel=False, swap_sides=False, cons=cons)
 
     if p.a_seq and p.b_seq:
         nya = ny_mask(g, p, p.a_seq[-1])
         cons.add_all(nya, 1 << p.b_seq[0])
-        cons.add_all(1 << p.b_seq[-1], p.y_mask & ~nya)
-    cons.add_all(p.xa_mask, p.y_mask)
+        cons.add_all(1 << p.b_seq[-1], p.y & ~nya)
+    cons.add_all(p.x_a, p.y)
     return LinearOrder.from_seq(cons.toposort())
 
 
@@ -249,17 +245,17 @@ def build_order2(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
     kept; mutually non-nested private pairs put the b before the a), then Y
     with the oriented relation reversed and the difference pattern mirrored."""
     cons = _ConstraintSet(g.n)
-    _x_rule_pairs(g, p, rel_x, p.x_mask, reverse_rel=True, cons=cons)
-    for a in bits(p.a_only_mask):
+    _x_rule_pairs(g, p, rel_x, p.x_all, reverse_rel=True, cons=cons)
+    for a in bits(p.a_only):
         nya = ny_mask(g, p, a)
-        for b in bits(p.b_only_mask):
+        for b in bits(p.b_only):
             nyb = ny_mask(g, p, b)
             if nya & ~nyb and nyb & ~nya:
                 cons.add(b, a)
 
     _y_rule_pairs(g, p, rel_y, reverse_rel=True, swap_sides=True, cons=cons)
 
-    cons.add_all(p.x_mask, p.y_mask)
+    cons.add_all(p.x_all, p.y)
     return LinearOrder.from_seq(cons.toposort())
 
 

@@ -17,10 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from squaregeo.chords import ChordGraph, RigidPair
+from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
 from squaregeo.embedding import Embedding, EmbeddingCheck, completion
 from squaregeo.errors import InputError, OrderConstructionError, ScopeError
-from squaregeo.graph import BabPartition, Graph, bits, ny_mask
+from squaregeo.graph import BabPartition, Graph, bits, mask_of, ny_mask
+from squaregeo.necessary import ColoringRefutation, TwoColoring, _layer_masks, _shortest_odd_cycle
 from squaregeo.orders import DerivedRelation, LinearOrder, PartialOrderCheck
 
 
@@ -52,8 +53,8 @@ def rigid_pairs_by_definition(g: Graph, p: BabPartition):
     """Induced 4-cycles x1-y1-y2-x2 with both diagonals missing, scanned
     over every vertex 4-tuple. Returned as ((x1, y1), (x2, y2)) with x1 < x2."""
     found = set()
-    xs = sorted(p.x_all)
-    ys = sorted(p.y)
+    xs = list(bits(p.x_all))
+    ys = list(bits(p.y))
     for x1, x2 in combinations(xs, 2):
         if not g.adjacent(x1, x2):
             continue
@@ -71,8 +72,8 @@ def rigid_pairs_by_definition(g: Graph, p: BabPartition):
 def chord_nodes_by_definition(g: Graph, p: BabPartition):
     return sorted(
         (x, y)
-        for x in sorted(p.x_all)
-        for y in sorted(p.y)
+        for x in bits(p.x_all)
+        for y in bits(p.y)
         if not g.adjacent(x, y)
     )
 
@@ -244,15 +245,15 @@ def completion_closure_violations(g, seq, comp, p=None):
                 if pos[u] < pos[t] and minnp[t] < pos[u]:
                     out.append(f"pair {(u, t)} unflagged with far left neighbor")
     if p is not None:
-        ys = sorted(p.y)
+        ys = list(bits(p.y))
         ymin = min(pos[y] for y in ys)
         ymax = max(pos[y] for y in ys)
-        for x in sorted(p.x_all):
+        for x in bits(p.x_all):
             if ymin < pos[x] < ymax:
                 for y in ys:
                     if not g.adjacent(x, y) and forced(x, y) not in comp:
                         out.append(f"blocked x {x} not forced against y {y}")
-        shared = sorted(p.shared)
+        shared = list(bits(p.shared))
         if len(shared) >= 2:
             smin = min(pos[x] for x in shared)
             smax = max(pos[x] for x in shared)
@@ -355,9 +356,9 @@ def _region_sets_by_scan(cg: ChordGraph, p: BabPartition):
     live = cg.non_isolated_mask
     for i in bits(live):
         x, y = cg.nodes[i]
-        if (p.xa_mask >> x) & 1:
+        if (p.x_a >> x) & 1:
             ra.add(y)
-        if (p.xb_mask >> x) & 1:
+        if (p.x_b >> x) & 1:
             rb.add(y)
     return frozenset(ra), frozenset(rb)
 
@@ -375,17 +376,17 @@ def rigid_free_by_pair_scan(g: Graph, p: BabPartition, cg: ChordGraph):
     pairs = [cg.witness(i, j) for i, j in cg.edges()]
 
     def permitted(other_mask: int) -> list[RigidPair]:
-        allowed = p.shared_mask | other_mask
+        allowed = p.shared | other_mask
         keep = []
         for rp in pairs:
             xm = (1 << rp.x1) | (1 << rp.x2)
-            if not (xm & ~allowed) and (xm & p.shared_mask):
+            if not (xm & ~allowed) and (xm & p.shared):
                 keep.append(rp)
         return keep
 
-    def trapped(members, candidates, region_mask):
+    def trapped(side, candidates, region_mask):
         out = []
-        for v in sorted(members):
+        for v in bits(side):
             ny = ny_mask(g, p, v)
             if (ny & region_mask).bit_count() <= 1:
                 continue
@@ -395,12 +396,12 @@ def rigid_free_by_pair_scan(g: Graph, p: BabPartition, cg: ChordGraph):
                     break
         return tuple(out)
 
-    cand_a = permitted(p.b_only_mask)
-    cand_b = permitted(p.a_only_mask)
+    cand_a = permitted(p.b_only)
+    cand_b = permitted(p.a_only)
     a_wide = trapped(p.x_a, cand_a, rb_mask)
     b_wide = trapped(p.x_b, cand_b, ra_mask)
-    a_viol = tuple(t for t in a_wide if t[0] in p.a_only)
-    b_viol = tuple(t for t in b_wide if t[0] in p.b_only)
+    a_viol = tuple(t for t in a_wide if (p.a_only >> t[0]) & 1)
+    b_viol = tuple(t for t in b_wide if (p.b_only >> t[0]) & 1)
     return a_viol, b_viol
 
 
@@ -506,8 +507,8 @@ def derive_relations_by_pairs(cg: ChordGraph, f: NodeColoring, p: BabPartition) 
         x_pairs.add((x, xp))
         y_pairs.add((y, yp))
     return (
-        PairRelation(domain=frozenset(p.x_all), pairs=frozenset(x_pairs)),
-        PairRelation(domain=frozenset(p.y), pairs=frozenset(y_pairs)),
+        PairRelation(domain=members(p.x_all), pairs=frozenset(x_pairs)),
+        PairRelation(domain=members(p.y), pairs=frozenset(y_pairs)),
     )
 
 
@@ -626,6 +627,76 @@ def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[LinearOr
     return None
 
 
+# The constrained coloring before class masks: BFS depth parity as a color
+# list with one entry per chord node, turned back into masks at the end.
+# Copied verbatim apart from the names, as the reference for
+# ``necessary.color_constrained``.
+
+
+def _bfs_coloring_by_list(cg: ChordGraph) -> tuple[list[int | None], bool]:
+    """Color the non-isolated nodes by BFS depth parity from the least one;
+    returns the colors and whether some edge joins two nodes of one color,
+    that is, some node's neighbor mask meets its own BFS layer.
+
+    A non-isolated node the BFS leaves unreached raises ScopeError, so the
+    scope check takes precedence over any refutation.
+    """
+    live = cg.non_isolated_mask
+    if not live:
+        return [None] * len(cg.nodes), False
+    order, depth, _ = cg.bfs(next(bits(live)))
+    if len(order) < live.bit_count():
+        raise ScopeError("chord graph has several non-isolated components")
+    layers = _layer_masks(order, depth)
+    conflict = any(cg.adj[v] & layers[depth[v]] for v in order)
+    return [d % 2 if d >= 0 else None for d in depth], conflict
+
+
+def color_constrained_by_list(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | ColoringRefutation:
+    """2-color the chord graph with script-A red and script-B blue.
+
+    Requires the non-isolated part to be connected (audit upstream); a
+    disconnected chord graph raises ScopeError. The coloring is canonical:
+    BFS from the lexicographically least node, then a global swap so the
+    constraint holds (root red when no constraint applies).
+    """
+    color, conflict = _bfs_coloring_by_list(cg)
+    if conflict:
+        cyc = _shortest_odd_cycle(cg)
+        return ColoringRefutation(
+            kind="odd-cycle",
+            cycle=tuple(cg.nodes[i] for i in cyc),
+            detail=f"odd cycle of length {len(cyc)}",
+        )
+
+    sa = list(bits(ab.script_a_mask))
+    sb = list(bits(ab.script_b_mask))
+    for group, name in ((sa, "forced-red"), (sb, "forced-blue")):
+        hues = {color[i] for i in group}
+        if len(hues) > 1:
+            lo = min(i for i in group if color[i] == 0)
+            hi = min(i for i in group if color[i] == 1)
+            return ColoringRefutation(
+                kind="forced-conflict",
+                conflict=(cg.nodes[lo], cg.nodes[hi]),
+                detail=f"{name} nodes fall in both color classes",
+            )
+    if sa and sb and color[sa[0]] == color[sb[0]]:
+        return ColoringRefutation(
+            kind="forced-conflict",
+            conflict=(cg.nodes[sa[0]], cg.nodes[sb[0]]),
+            detail="a forced-red and a forced-blue node share a color class",
+        )
+
+    red_value = 0
+    if sa:
+        red_value = color[sa[0]]
+    elif sb:
+        red_value = 1 - color[sb[0]]
+    red = mask_of(i for i, c in enumerate(color) if c == red_value)
+    return TwoColoring(red=red, blue=cg.non_isolated_mask & ~red)
+
+
 class NestingRelation(Enum):
     """Outcome of comparing two scoped neighborhoods under inclusion."""
 
@@ -665,7 +736,7 @@ class NonEdgeClasses:
 def classify_nonedges(g: Graph, p: BabPartition, cg: ChordGraph) -> NonEdgeClasses:
     isolated = frozenset(node for node, a in zip(cg.nodes, cg.adj) if not a)
     linked = frozenset(node for node, a in zip(cg.nodes, cg.adj) if a)
-    cross = frozenset((a, b) for a in p.a_only for b in p.b_only)
+    cross = frozenset((a, b) for a in bits(p.a_only) for b in bits(p.b_only))
     return NonEdgeClasses(isolated=isolated, linked=linked, cross=cross)
 
 

@@ -11,7 +11,7 @@ from squaregeo import build_graph, is_unit_interval_order, validate_bab
 from squaregeo.errors import InputError, ScopeError, StructuralError
 from squaregeo.graph import bits, mask_of, ny_mask
 
-from oracles import NestingRelation, nesting, non_edges, umbrella_ok
+from oracles import NestingRelation, members, nesting, non_edges, umbrella_ok
 
 
 def test_build_graph_edges_are_sorted_and_symmetric():
@@ -68,25 +68,24 @@ def test_nesting_reports_all_four_outcomes():
 
 def test_validate_bab_worked_example_fields(g8):
     g, p = g8
-    assert p.shared == {1, 2}
-    assert p.a_only == {0}
-    assert p.b_only == {3}
-    assert p.x_all == {0, 1, 2, 3}
-    assert p.y == {4, 5, 6, 7}
+    assert members(p.shared) == {1, 2}
+    assert members(p.a_only) == {0}
+    assert members(p.b_only) == {3}
+    assert members(p.x_all) == {0, 1, 2, 3}
+    assert members(p.y) == {4, 5, 6, 7}
     assert p.a_seq == (0,)
     assert p.b_seq == (3,)
     assert p.a_nested and p.b_nested
-    assert p.parts_connected
-    assert p.xa_mask == 0b0111
-    assert p.xb_mask == 0b1110
-    assert p.shared_mask == 0b0110
-    assert p.y_mask == 0b11110000
+    assert p.x_a == 0b0111
+    assert p.x_b == 0b1110
+    assert p.shared == 0b0110
+    assert p.y == 0b11110000
     assert ny_mask(g, p, 0) == 1 << 4
 
 
 def test_validate_bab_equal_cliques(c4):
     g, p = c4
-    assert p.shared == {0, 1}
+    assert members(p.shared) == {0, 1}
     assert not p.a_only and not p.b_only
     assert p.a_seq == () and p.a_nested
     assert p.b_seq == () and p.b_nested
@@ -117,6 +116,11 @@ def test_validate_bab_rejects_broken_partitions():
         validate_bab(g, [0], [1], [2])
     with pytest.raises(StructuralError, match="intersect"):
         validate_bab(g, [0], [1], [2, 3])
+    # an id outside 0..n-1 is refused by the cover check, before any mask
+    # is built from it
+    for bad in (-1, 10**20):
+        with pytest.raises(StructuralError, match="cover"):
+            validate_bab(g, [0, 1], [1, 2], [3, bad])
 
 
 def test_validate_bab_caps_the_listed_vertices():

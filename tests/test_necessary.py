@@ -1,5 +1,8 @@
 """Constrained coloring and the rigid-free emptiness test."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from squaregeo import (
@@ -14,6 +17,7 @@ from squaregeo import (
 )
 from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
 from squaregeo.errors import ScopeError
+from squaregeo.graph import bits
 from squaregeo.necessary import (
     ColoringRefutation,
     TwoColoring,
@@ -25,6 +29,7 @@ from squaregeo.instances import generate_bab
 
 from conftest import enumerate_bab_instances
 from oracles import (
+    color_constrained_by_list,
     members,
     nodes_of,
     rigid_free_by_pair_scan,
@@ -64,7 +69,7 @@ def _instance(n, edges, xa, xb, y):
 def test_g8_coloring_frozen(g8):
     g, p = g8
     cg = build_chord_graph(g, p)
-    col = color_constrained(cg, compute_ab_sets(cg, p))
+    col = color_constrained(cg, compute_ab_sets(cg))
     assert isinstance(col, TwoColoring)
     assert sorted(nodes_of(cg, col.red)) == [(0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
     assert sorted(nodes_of(cg, col.blue)) == [(2, 4), (3, 4), (3, 5)]
@@ -76,7 +81,7 @@ def test_g8_coloring_frozen(g8):
 def test_c4_coloring_canonical(c4):
     g, p = c4
     cg = build_chord_graph(g, p)
-    col = color_constrained(cg, compute_ab_sets(cg, p))
+    col = color_constrained(cg, compute_ab_sets(cg))
     assert nodes_of(cg, col.red) == frozenset({(0, 3)})
     assert nodes_of(cg, col.blue) == frozenset({(1, 2)})
 
@@ -84,7 +89,7 @@ def test_c4_coloring_canonical(c4):
 def test_forced_nodes_land_in_their_classes(g8):
     g, p = g8
     cg = build_chord_graph(g, p)
-    ab = compute_ab_sets(cg, p)
+    ab = compute_ab_sets(cg)
     col = color_constrained(cg, ab)
     assert ab.script_a_mask & ~col.red == 0
     assert ab.script_b_mask & ~col.blue == 0
@@ -93,7 +98,7 @@ def test_forced_nodes_land_in_their_classes(g8):
 def test_triangle6_odd_cycle(triangle6):
     g, p = triangle6
     cg = build_chord_graph(g, p)
-    ref = color_constrained(cg, compute_ab_sets(cg, p))
+    ref = color_constrained(cg, compute_ab_sets(cg))
     assert isinstance(ref, ColoringRefutation)
     assert ref.kind == "odd-cycle"
     assert ref.cycle == ((1, 3), (0, 5), (2, 4))
@@ -107,7 +112,7 @@ def test_triangle6_odd_cycle(triangle6):
 def test_odd_cycle_is_really_a_cycle(triangle6):
     g, p = triangle6
     cg = build_chord_graph(g, p)
-    ref = color_constrained(cg, compute_ab_sets(cg, p))
+    ref = color_constrained(cg, compute_ab_sets(cg))
     k = len(ref.cycle)
     assert k % 2 == 1
     for i, node in enumerate(ref.cycle):
@@ -137,7 +142,7 @@ def test_odd_cycle_matches_the_reference_search():
 
 def test_forced_conflict_refutation():
     g, p, cg = _instance(6, FORCED_CONFLICT_EDGES, [0, 1, 2], [1, 2, 3], [4, 5])
-    ref = color_constrained(cg, compute_ab_sets(cg, p))
+    ref = color_constrained(cg, compute_ab_sets(cg))
     assert isinstance(ref, ColoringRefutation)
     assert ref.kind == "forced-conflict"
     assert ref.conflict == ((0, 5), (3, 5))
@@ -151,10 +156,55 @@ def test_disconnected_chord_graph_is_out_of_scope(disconnected7):
     g, p = disconnected7
     cg = build_chord_graph(g, p)
     with pytest.raises(ScopeError):
-        color_constrained(cg, compute_ab_sets(cg, p))
+        color_constrained(cg, compute_ab_sets(cg))
     nec = check_necessary(g, p, cg)
     assert nec.status is NecessaryStatus.OUT_OF_SCOPE
     assert "components" in nec.reason
+
+
+def test_coloring_matches_the_list_reference():
+    """The class masks give the same coloring or refutation as the per-node
+    color list they replaced, on seeded instances and their mirrors. The
+    corpus reaches every refutation, both witness orders of a split forced
+    set, and each way of choosing red: the class of script-A, the class
+    opposite script-B, and the root's class when neither is set."""
+    seen = Counter()
+    for a, s, b, y in itertools.product(range(3), range(1, 4), range(3), range(2, 6)):
+        for seed in range(10):
+            g, p = generate_bab((a, s, b, y), (0.3, 0.5, 0.7)[seed % 3], seed)
+            for q in (p, p.mirrored()):
+                cg = build_chord_graph(g, q)
+                ab = compute_ab_sets(cg)
+                try:
+                    want = color_constrained_by_list(cg, ab)
+                except ScopeError:
+                    with pytest.raises(ScopeError):
+                        color_constrained(cg, ab)
+                    continue
+                got = color_constrained(cg, ab)
+                assert got == want, ((a, s, b, y), seed, q is p)
+                if isinstance(got, ColoringRefutation):
+                    seen[got.detail if got.kind == "forced-conflict" else got.kind] += 1
+                    if got.detail.endswith("both color classes"):
+                        lo, hi = map(cg.node_index, got.conflict)
+                        seen["witness ascending" if lo < hi else "witness descending"] += 1
+                elif ab.script_a_mask:
+                    seen["red holds script-A"] += 1
+                elif ab.script_b_mask:
+                    seen["red opposite script-B"] += 1
+                else:
+                    seen["red at the root"] += 1
+    assert set(seen) == {
+        "odd-cycle",
+        "forced-red nodes fall in both color classes",
+        "forced-blue nodes fall in both color classes",
+        "a forced-red and a forced-blue node share a color class",
+        "witness ascending",
+        "witness descending",
+        "red holds script-A",
+        "red opposite script-B",
+        "red at the root",
+    }, seen
 
 
 def test_scope_error_takes_precedence_over_odd_cycle():
@@ -171,10 +221,10 @@ def test_scope_error_takes_precedence_over_odd_cycle():
 def test_region_sets_frozen(g8, c4):
     g, p = g8
     cg = build_chord_graph(g, p)
-    assert tuple(map(members, rigid_region_sets(cg, p))) == (frozenset({4, 5, 6, 7}), frozenset({4, 5, 6, 7}))
+    assert tuple(map(members, rigid_region_sets(cg))) == (frozenset({4, 5, 6, 7}), frozenset({4, 5, 6, 7}))
     g, p = c4
     cg = build_chord_graph(g, p)
-    assert tuple(map(members, rigid_region_sets(cg, p))) == (frozenset({2, 3}), frozenset({2, 3}))
+    assert tuple(map(members, rigid_region_sets(cg))) == (frozenset({2, 3}), frozenset({2, 3}))
 
 
 def test_region_sets_skip_isolated_nodes(g8):
@@ -183,10 +233,10 @@ def test_region_sets_skip_isolated_nodes(g8):
     region sets collect y's only from nodes with a chord-graph neighbor."""
     g, p = g8
     cg = build_chord_graph(g, p)
-    ra, rb = map(members, rigid_region_sets(cg, p))
+    ra, rb = map(members, rigid_region_sets(cg))
     live = {cg.nodes[i] for i in range(len(cg.nodes)) if cg.adj[i]}
-    assert ra == frozenset(y for x, y in live if x in p.x_a)
-    assert rb == frozenset(y for x, y in live if x in p.x_b)
+    assert ra == frozenset(y for x, y in live if x in members(p.x_a))
+    assert rb == frozenset(y for x, y in live if x in members(p.x_b))
 
 
 def test_g8_rigid_free(g8):
@@ -217,8 +267,8 @@ def test_rigid_free_failure_carries_witnesses():
 
 def test_region_overshoot_alone_is_not_a_violation():
     g, p, cg = _instance(7, REGION_OVERSHOOT_EDGES, [0, 1, 2], [1, 2, 3], [4, 5, 6])
-    ra, rb = map(members, rigid_region_sets(cg, p))
-    ny0 = {y for y in p.y if g.adjacent(0, y)}
+    ra, rb = map(members, rigid_region_sets(cg))
+    ny0 = {y for y in bits(p.y) if g.adjacent(0, y)}
     assert len(ny0 & rb) == 2
     rfr = check_rigid_free(g, p, cg)
     assert rfr.side_a_ok
@@ -231,10 +281,10 @@ def test_region_overshoot_alone_is_not_a_violation():
 def _sides_by_scan(g, p):
     """Quantifier-by-quantifier restatement of the rigid-free conditions."""
     pairs = rigid_pairs_by_definition(g, p)
-    shared = set(p.shared)
+    shared = members(p.shared)
 
     def trapped(v, other_private):
-        nyv = {y for y in p.y if g.adjacent(v, y)}
+        nyv = {y for y in bits(p.y) if g.adjacent(v, y)}
         for (x1, y1), (x2, y2) in pairs:
             ends = {x1, x2}
             permitted = ends <= shared or (
@@ -244,12 +294,12 @@ def _sides_by_scan(g, p):
                 return True
         return False
 
-    a_priv, b_priv = set(p.a_only), set(p.b_only)
+    a_priv, b_priv = members(p.a_only), members(p.b_only)
     return (
         not any(trapped(v, b_priv) for v in a_priv),
         not any(trapped(v, a_priv) for v in b_priv),
-        not any(trapped(v, b_priv) for v in p.x_a),
-        not any(trapped(v, a_priv) for v in p.x_b),
+        not any(trapped(v, b_priv) for v in bits(p.x_a)),
+        not any(trapped(v, a_priv) for v in bits(p.x_b)),
     )
 
 
@@ -262,7 +312,7 @@ def test_rigid_free_matches_direct_scan_small():
             cg = build_chord_graph(g, p)
             rfr = check_rigid_free(g, p, cg)
             scan = _sides_by_scan(g, p)
-            assert (rfr.side_a_ok, rfr.side_b_ok) == scan[:2], (g.edges(), sorted(p.x_a), sorted(p.x_b))
+            assert (rfr.side_a_ok, rfr.side_b_ok) == scan[:2], (g.edges(), list(bits(p.x_a)), list(bits(p.x_b)))
             wide_differs += scan[:2] != scan[2:]
     assert wide_differs > 0
 
@@ -281,7 +331,7 @@ def test_rigid_free_matches_direct_scan_generated():
         cg = build_chord_graph(g, p)
         rfr = check_rigid_free(g, p, cg)
         scan = _sides_by_scan(g, p)
-        assert (rfr.side_a_ok, rfr.side_b_ok) == scan[:2], (g.edges(), sorted(p.x_a), sorted(p.x_b))
+        assert (rfr.side_a_ok, rfr.side_b_ok) == scan[:2], (g.edges(), list(bits(p.x_a)), list(bits(p.x_b)))
         wide_differs += scan[:2] != scan[2:]
     assert wide_differs > 0
 
@@ -299,7 +349,7 @@ def test_rigid_free_witnesses_match_the_pair_scan():
         cg = build_chord_graph(g, p)
         rfr = check_rigid_free(g, p, cg)
         ref = rigid_free_by_pair_scan(g, p, cg)
-        assert (rfr.a_violations, rfr.b_violations) == ref, (g.edges(), sorted(p.x_a), sorted(p.x_b))
+        assert (rfr.a_violations, rfr.b_violations) == ref, (g.edges(), list(bits(p.x_a)), list(bits(p.x_b)))
         seen_a += len(ref[0])
         seen_b += len(ref[1])
     assert seen_a > 0 and seen_b > 0

@@ -46,7 +46,7 @@ from test_pipeline import NON_NESTED_EDGES
 
 def _prepared(g, p):
     cg = build_chord_graph(g, p)
-    ab = compute_ab_sets(cg, p)
+    ab = compute_ab_sets(cg)
     col = color_constrained(cg, ab)
     return cg, ab, col
 
@@ -122,7 +122,7 @@ def test_relations_match_the_pair_reference():
                 g, p = generate_bab(shape, density, seed)
                 cg = build_chord_graph(g, p)
                 try:
-                    col = color_constrained(cg, compute_ab_sets(cg, p))
+                    col = color_constrained(cg, compute_ab_sets(cg))
                 except ScopeError:
                     continue
                 if not isinstance(col, TwoColoring):
