@@ -4,6 +4,12 @@ Both formats are line oriented and byte stable: emitting a parsed file
 reproduces the file after normalization (sorted sets, single spaces, one
 trailing newline). Coordinates are written as exact fractions, never
 decimals.
+
+``parse_instance`` reads canonical edge lines in bulk: ``edge u v`` with
+single spaces, ids of at most 18 digits and a newline end, as
+``emit_instance`` writes them. Every other spelling the parser accepts
+(extra blanks, CRLF ends, longer ids, ...) is read line by line, parses
+to the same graph and raises the same errors.
 """
 
 from __future__ import annotations
@@ -25,9 +31,25 @@ CERTIFICATE_HEADER = "bab-certificate v1"
 _COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _content_lines(text: str):
-    """Pairs (line number, stripped line), skipping blanks and # comments."""
-    for i, raw in enumerate(text.splitlines(), start=1):
+# Whole lines "edge <digits> <digits>\n", as emit_instance writes them. The
+# repetition cap keeps the backtracking stack of one match small; the digit
+# cap keeps every id below any int_max_str_digits limit Python allows.
+_EDGE_RUN = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n){1,1024}", re.M)
+_ECHO_LIMIT = 40
+
+
+def _echo(field: str) -> str:
+    """The repr of an input field for an error message: at most its first
+    ``_ECHO_LIMIT`` characters, then a count of the rest."""
+    if len(field) <= _ECHO_LIMIT:
+        return repr(field)
+    return f"{field[:_ECHO_LIMIT]!r} … ({len(field) - _ECHO_LIMIT} more characters)"
+
+
+def _content_lines(text: str, start: int = 1):
+    """Pairs (line number, stripped line), skipping blanks and # comments;
+    the first line of ``text`` is numbered ``start``."""
+    for i, raw in enumerate(text.splitlines(), start=start):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield i, line
@@ -37,18 +59,45 @@ def _int_fields(i: int, rest: str, what: str) -> list[int]:
     try:
         return [int(tok) for tok in rest.split()]
     except ValueError:
-        raise ParseError(f"line {i}: {what} wants integers, got {rest!r}") from None
+        raise ParseError(f"line {i}: {what} wants integers, got {_echo(rest)}") from None
+
+
+def _instance_lines(text: str):
+    """The content lines of an instance text in order, as (line number,
+    stripped line, None), except that each run of canonical edge lines
+    comes as one (number of its first line, None, its ids in text order)."""
+    i, pos = 1, 0
+    for run in _EDGE_RUN.finditer(text):
+        piece = text[pos:run.start()]
+        for j, line in _content_lines(piece, i):
+            yield j, line, None
+        # a run starts a line, so the piece before it ends in a line break
+        i += len(piece.splitlines())
+        chunk = run.group()
+        yield i, None, map(int, chunk.replace("edge ", "").split())
+        i += chunk.count("\n")
+        pos = run.end()
+    for j, line in _content_lines(text[pos:], i):
+        yield j, line, None
 
 
 def parse_instance(text: str) -> tuple[Graph, BabPartition]:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != INSTANCE_HEADER:
-        where = lines[0][0] if lines else 1
-        raise ParseError(f"line {where}: expected header {INSTANCE_HEADER!r}")
     n = None
     sets: dict[str, list[int] | None] = {"xa": None, "xb": None, "y": None}
-    edges: list[tuple[int, int]] = []
-    for i, line in lines[1:]:
+    ids: list[int] = []  # edge endpoints, two per edge, in text order
+    last = None  # number of the last content line
+    for i, line, run in _instance_lines(text):
+        if last is None:
+            if line != INSTANCE_HEADER:
+                raise ParseError(f"line {i}: expected header {INSTANCE_HEADER!r}")
+            last = i
+            continue
+        if run is not None:
+            start = len(ids)
+            ids.extend(run)
+            last = i + (len(ids) - start) // 2 - 1
+            continue
+        last = i
         key, _, rest = line.partition(" ")
         if key == "n":
             if n is not None:
@@ -65,17 +114,20 @@ def parse_instance(text: str) -> tuple[Graph, BabPartition]:
             vals = _int_fields(i, rest, "edge")
             if len(vals) != 2:
                 raise ParseError(f"line {i}: edge wants two vertex ids")
-            edges.append((vals[0], vals[1]))
+            ids += vals
         else:
-            raise ParseError(f"line {i}: unknown keyword {key!r}")
+            raise ParseError(f"line {i}: unknown keyword {_echo(key)}")
+    if last is None:
+        raise ParseError(f"line 1: expected header {INSTANCE_HEADER!r}")
     if n is None:
-        raise ParseError(f"line {lines[-1][0]}: missing n line")
+        raise ParseError(f"line {last}: missing n line")
     for key, val in sets.items():
         if val is None:
-            raise ParseError(f"line {lines[-1][0]}: missing {key} line")
+            raise ParseError(f"line {last}: missing {key} line")
     # the ids are checked against n before anything of size n is allocated
     check_cover(n, *(frozenset(sets[key]) for key in ("xa", "xb", "y")))
-    g = build_graph(n, edges)
+    ends = iter(ids)
+    g = build_graph(n, zip(ends, ends))
     p = validate_bab(g, sets["xa"], sets["xb"], sets["y"])
     return g, p
 
@@ -111,7 +163,7 @@ def _parse_pairs(i: int, rest: str) -> frozenset[tuple[int, int]]:
         try:
             pairs.append((int(left), int(right)))
         except ValueError:
-            raise ParseError(f"line {i}: bad pair {tok!r}") from None
+            raise ParseError(f"line {i}: bad pair {_echo(tok)}") from None
     return frozenset(pairs)
 
 
@@ -156,15 +208,16 @@ def parse_certificate(text: str) -> Certificate:
             try:
                 v, xy = int(toks[0]), (_coordinate(toks[1]), _coordinate(toks[2]))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"line {i}: bad coordinate in {rest!r}") from None
+                raise ParseError(f"line {i}: bad coordinate in {_echo(rest)}") from None
             if v in coords:
                 raise ParseError(f"line {i}: duplicate coord line for vertex {v}")
             coords[v] = xy
         else:
-            raise ParseError(f"line {i}: unknown keyword {key!r}")
+            raise ParseError(f"line {i}: unknown keyword {_echo(key)}")
     verdict = fields.get("verdict")
     if verdict not in (YES, NO, UNDECIDED):
-        raise ParseError(f"line 1: missing or unknown verdict {verdict!r}")
+        shown = "None" if verdict is None else _echo(verdict)
+        raise ParseError(f"line 1: missing or unknown verdict {shown}")
     embedding = None
     if coords:
         if sorted(coords) != list(range(len(coords))):

@@ -19,8 +19,9 @@ from itertools import combinations, permutations, product
 
 from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
 from squaregeo.embedding import Embedding, EmbeddingCheck, completion
-from squaregeo.errors import InputError, OrderConstructionError, ScopeError
-from squaregeo.graph import BabPartition, Graph, bits, mask_of, ny_mask
+from squaregeo.errors import InputError, OrderConstructionError, ParseError, ScopeError
+from squaregeo.graph import BabPartition, Graph, bits, build_graph, check_cover, mask_of, ny_mask, validate_bab
+from squaregeo.instances import INSTANCE_HEADER
 from squaregeo.necessary import ColoringRefutation, TwoColoring, _layer_masks, _shortest_odd_cycle
 from squaregeo.orders import DerivedRelation, LinearOrder, PartialOrderCheck
 
@@ -787,3 +788,63 @@ def chord_distribution(g: Graph, p: BabPartition, pair) -> ChordDistribution:
             )
         )
     return ChordDistribution(splits=tuple(splits))
+
+
+# The instance parser before bulk edge runs: every line through the
+# tokenizer. Copied verbatim apart from the names, as the reference for
+# ``instances.parse_instance``.
+
+
+def _content_lines_by_lines(text: str):
+    """Pairs (line number, stripped line), skipping blanks and # comments."""
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield i, line
+
+
+def _int_fields_by_lines(i: int, rest: str, what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in rest.split()]
+    except ValueError:
+        raise ParseError(f"line {i}: {what} wants integers, got {rest!r}") from None
+
+
+def parse_instance_by_lines(text: str) -> tuple[Graph, BabPartition]:
+    lines = list(_content_lines_by_lines(text))
+    if not lines or lines[0][1] != INSTANCE_HEADER:
+        where = lines[0][0] if lines else 1
+        raise ParseError(f"line {where}: expected header {INSTANCE_HEADER!r}")
+    n = None
+    sets: dict[str, list[int] | None] = {"xa": None, "xb": None, "y": None}
+    edges: list[tuple[int, int]] = []
+    for i, line in lines[1:]:
+        key, _, rest = line.partition(" ")
+        if key == "n":
+            if n is not None:
+                raise ParseError(f"line {i}: duplicate n line")
+            vals = _int_fields_by_lines(i, rest, "n")
+            if len(vals) != 1 or vals[0] < 0:
+                raise ParseError(f"line {i}: n wants one nonnegative integer")
+            n = vals[0]
+        elif key in sets:
+            if sets[key] is not None:
+                raise ParseError(f"line {i}: duplicate {key} line")
+            sets[key] = _int_fields_by_lines(i, rest, key)
+        elif key == "edge":
+            vals = _int_fields_by_lines(i, rest, "edge")
+            if len(vals) != 2:
+                raise ParseError(f"line {i}: edge wants two vertex ids")
+            edges.append((vals[0], vals[1]))
+        else:
+            raise ParseError(f"line {i}: unknown keyword {key!r}")
+    if n is None:
+        raise ParseError(f"line {lines[-1][0]}: missing n line")
+    for key, val in sets.items():
+        if val is None:
+            raise ParseError(f"line {lines[-1][0]}: missing {key} line")
+    # the ids are checked against n before anything of size n is allocated
+    check_cover(n, *(frozenset(sets[key]) for key in ("xa", "xb", "y")))
+    g = build_graph(n, edges)
+    p = validate_bab(g, sets["xa"], sets["xb"], sets["y"])
+    return g, p

@@ -1,5 +1,9 @@
 """Text formats and the random generator."""
 
+import ast
+import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,9 +19,12 @@ from squaregeo import (
     recognize,
     verify_certificate,
 )
-from squaregeo.errors import GenerationError, ParseError, StructuralError
+from squaregeo.errors import GenerationError, InputError, ParseError, ScopeError, StructuralError
 from squaregeo.graph import bits
+from squaregeo.instances import _echo
 from squaregeo.necessary import NecessaryStatus
+
+from oracles import parse_instance_by_lines
 
 
 def test_instance_round_trip(g8):
@@ -70,6 +77,137 @@ def test_instance_text_is_normalized():
 def test_instance_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_instance(text)
+
+
+MEGABYTE = "9" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "parse, text, fragment",
+    [
+        (parse_instance, f"bab-instance v1\nn 4\nxa 0 {MEGABYTE}x\n", "line 3: xa wants integers, got '0 999"),
+        (parse_instance, f"bab-instance v1\nn 4\nk{MEGABYTE} 1\n", "line 3: unknown keyword 'k999"),
+        (parse_certificate, f"bab-certificate v1\nverdict yes\ncompletion1 0,{MEGABYTE}x\n", "line 3: bad pair '0,999"),
+        (parse_certificate, f"bab-certificate v1\nverdict yes\ncoord 0 1 {MEGABYTE}.5\n", "line 3: bad coordinate in '0 1 999"),
+        (parse_certificate, f"bab-certificate v1\nverdict {MEGABYTE}\n", "line 1: missing or unknown verdict '999"),
+    ],
+)
+def test_parse_error_echoes_a_bounded_field(parse, text, fragment):
+    """A one-megabyte field is echoed as a short prefix and a count."""
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    message = str(caught.value)
+    assert message.startswith(fragment)
+    assert len(message) < 200
+    assert "more characters)" in message
+
+
+def _outcome(parse, text):
+    """The graph and partition, or the exception type and message."""
+    try:
+        return parse(text)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _reference_outcome(text):
+    """The reference's outcome, with its echoed input field, the quoted
+    tail of a parse error, bounded as parse_instance bounds it."""
+    outcome = _outcome(parse_instance_by_lines, text)
+    if outcome[0] is ParseError:
+        head, field = re.fullmatch(r"(.*?)('.*'|\".*\")?", outcome[1], re.S).groups()
+        if field:
+            outcome = ParseError, head + _echo(ast.literal_eval(field))
+    return outcome
+
+
+HOSTILE = ["+1", "-1", "\u0663", "1_0", "0x1", "1.0", "", "x", "edge", "\t", "01", "3 3", "0 99", "#"]
+BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One to three random edits of an instance text: hostile tokens,
+    deleted, duplicated or swapped lines, blank, comment and stray lines,
+    odd blanks and line breaks, 19-digit ids."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randrange(len(lines))
+        kind = rng.randrange(11)
+        if kind == 0:
+            toks = lines[j].split(" ")
+            toks[rng.randrange(len(toks))] = rng.choice(HOSTILE)
+            lines[j] = " ".join(toks)
+        elif kind == 1:
+            del lines[j]
+        elif kind == 2:
+            lines.insert(j, lines[j])
+        elif kind == 3:
+            k = rng.randrange(len(lines))
+            lines[j], lines[k] = lines[k], lines[j]
+        elif kind == 4:
+            lines.insert(j, rng.choice(["", "   ", "# note", "#edge 0 1", "edge 0 1", "edge 1 0"]))
+        elif kind == 5:
+            lines[j] = rng.choice(["x", " ", "\t", "#"]) + lines[j]
+        elif kind == 6:
+            lines[j] = lines[j].replace(" ", rng.choice(["  ", "\t", " \t"]), 1) + rng.choice(["", " "])
+        elif kind == 7:
+            lines[j] = lines[j] + rng.choice(BREAKS)
+        elif kind == 8:
+            toks = lines[j].split(" ")
+            toks[rng.randrange(len(toks))] = rng.choice(["1" * 19, "9" * 18, "0" * 18 + "5"])
+            lines[j] = " ".join(toks)
+        elif kind == 9:
+            lines.insert(0, "edge 0 1")
+        else:
+            lines.append(rng.choice(["# trailing comment", "edge 0 1", "n 3"]))
+    out = "\n".join(lines)
+    if rng.random() < 0.1:
+        out = out.replace("\n", "\r\n")
+    if rng.random() < 0.1:
+        out = out.rstrip("\n")
+    return out
+
+
+def test_parse_matches_the_line_reference():
+    """parse_instance agrees with the line-by-line parser it replaced, on
+    seeded instances, random edits of them and over-long ids: equal graph
+    and partition, or an equal exception type and message."""
+    bases = [emit_instance(*generate_bab(shape, 0.5, seed)) for shape in ((1, 2, 1, 3), (3, 3, 3, 6)) for seed in range(4)]
+    bases.append(emit_instance(*generate_bab((20, 20, 20, 40), 0.5, 0)))
+    lines = bases[-1].split("\n")
+    assert len(lines) == 3345  # 3344 lines, several runs of canonical lines
+    # ids too long for a run; 5000 digits is beyond Python's int digit limit
+    long_ids = [
+        "\n".join(lines[:j] + [f"edge {'7' * digits} {j % 100}"] + lines[j + 1:])
+        for j in (30, 1500, 3000)
+        for digits in (19, 5000)
+    ]
+    rng = random.Random(0)
+    kinds = set()
+    for base in bases:
+        texts = [base, base.rstrip("\n")] + [_mutate(base, rng) for _ in range(120)]
+        if base is bases[-1]:
+            texts += long_ids
+        for text in texts:
+            want = _reference_outcome(text)
+            assert _outcome(parse_instance, text) == want, text[:300]
+            kinds.add(want[0] if isinstance(want[0], type) else "ok")
+            if want[0] is ParseError and int(re.match(r"line (\d+)", want[1])[1]) > 2000:
+                kinds.add("late error")
+    assert kinds == {"ok", ParseError, InputError, StructuralError, ScopeError, "late error"}
+
+
+def test_parse_peak_memory():
+    """The largest benchmark instance (n=200, 12,061 lines) parses with a
+    traced peak below 1.5 MB: no token list or tuple is kept per edge line."""
+    text = emit_instance(*generate_bab((60, 20, 60, 60), 0.5, 0))
+    tracemalloc.start()
+    try:
+        parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
 
 
 def test_instance_parse_checks_structure():
