@@ -18,7 +18,6 @@ from .embedding import (
     make_order_pair,
     realize_unit_interval,
     verify_embedding,
-    verify_orders,
 )
 from .errors import (
     GenerationError,
@@ -102,5 +101,4 @@ __all__ = [
     "validate_partial_order",
     "verify_certificate",
     "verify_embedding",
-    "verify_orders",
 ]

@@ -1,10 +1,11 @@
-"""Order completions, disjointness verification and exact plane embeddings.
+"""Order completions, exact axis realizations and plane embeddings.
 
 A linear order on V forces some non-edges to behave like edges on its axis:
-{w, z} is forced whenever an edge straddles it. Two orders whose forced sets
-are disjoint yield an embedding under the max metric, with the x coordinates
-realizing the first augmented graph and the y coordinates the second. All
-coordinates are Fractions and every check is an exact comparison.
+{w, z} is forced whenever an edge straddles it. Any order realizes its
+completion, G plus its forced set, on one axis. Two orders whose forced sets
+are disjoint yield an embedding under the max metric, with the x and y
+coordinates realizing the completions of the first and the second order.
+All coordinates are Fractions and every check is an exact comparison.
 """
 
 from __future__ import annotations
@@ -15,46 +16,46 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, ScopeError, StructuralError
-from .graph import Graph, bits, is_unit_interval_order, prefix_masks
+from .graph import Graph, bits, prefix_masks
 from .orders import LinearOrder
 
 Pair = tuple[int, int]
+
+
+def _reach(g: Graph, seq: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The prefix masks of ``seq`` and ``reach``, where ``reach[i]`` is the
+    last position of a neighbor of any vertex at positions 0..i, or i if
+    later. In the completion of ``seq``, position i is adjacent to exactly
+    the positions i+1..reach[i] after it. One sweep, O(n) mask operations.
+    """
+    n = len(seq)
+    prefix = prefix_masks(seq)
+    reach = []
+    seen = 0  # neighbors of the vertices at positions 0..i
+    r = 0
+    for i, w in enumerate(seq):
+        seen |= g.adj[w]
+        r = max(r, i)
+        while r + 1 < n and seen & ~prefix[r + 1]:
+            r += 1
+        reach.append(r)
+    return prefix, reach
 
 
 def completion(g: Graph, o: LinearOrder) -> frozenset[Pair]:
     """Non-edges {w, z} straddled by some edge u~v with u at or before w and
     z at or before v in o.
 
-    One sweep along o keeps ``reach``, the farthest position of a neighbor
-    of any vertex at or before the current position i; the vertex w at i is
-    forced to every non-neighbor at positions i+1..reach, read off prefix
-    masks. Each pair is emitted once, from its earlier vertex, as
-    (min, max). O(n) mask operations on n-bit integers plus the output.
+    The vertex w at position i is forced to every non-neighbor at positions
+    i+1..reach[i] (``_reach``). Each pair is emitted once, from its earlier
+    vertex, as (min, max). O(n) mask operations plus the output.
     """
-    seq = o.seq
-    n = len(seq)
-    prefix = prefix_masks(seq)
+    prefix, reach = _reach(g, o.seq)
     forced = []
-    seen = 0  # neighbors of the vertices at positions 0..i
-    reach = 0
-    for i, w in enumerate(seq):
-        seen |= g.adj[w]
-        reach = max(reach, i)
-        while reach + 1 < n and seen & ~prefix[reach + 1]:
-            reach += 1
-        for z in bits((prefix[reach + 1] ^ prefix[i + 1]) & ~g.adj[w]):
+    for i, w in enumerate(o.seq):
+        for z in bits((prefix[reach[i] + 1] ^ prefix[i + 1]) & ~g.adj[w]):
             forced.append((w, z) if w < z else (z, w))
     return frozenset(forced)
-
-
-def covering_edge(g: Graph, o: LinearOrder, w: int, z: int) -> Pair | None:
-    """Lexicographically first edge witnessing that {w, z} is forced by o."""
-    pw, pz = sorted((o.rank[w], o.rank[z]))
-    for u, v in g.edges():
-        lo, hi = sorted((o.rank[u], o.rank[v]))
-        if lo <= pw and pz <= hi:
-            return (u, v)
-    return None
 
 
 @dataclass(frozen=True)
@@ -75,63 +76,38 @@ def make_order_pair(g: Graph, o1: LinearOrder, o2: LinearOrder) -> OrderPair:
     return OrderPair(o1=o1, o2=o2, c1=completion(g, o1), c2=completion(g, o2))
 
 
-@dataclass(frozen=True)
-class OrderCheck:
-    ok: bool
-    conflict: Pair | None = None
-    witness1: Pair | None = None
-    witness2: Pair | None = None
+def realize_unit_interval(g: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
+    """Exact positions along one axis realizing the completion of any
+    order o, G plus ``completion(g, o)``: nondecreasing along o, within 1
+    exactly on the completion's edges.
 
-
-def verify_orders(g: Graph, o1: LinearOrder, o2: LinearOrder) -> OrderCheck:
-    """Disjointness of the two forced sets; a failure reports the first
-    shared non-edge and a straddling edge from each order."""
-    overlap = completion(g, o1) & completion(g, o2)
-    if not overlap:
-        return OrderCheck(ok=True)
-    w, z = min(overlap)
-    return OrderCheck(
-        ok=False,
-        conflict=(w, z),
-        witness1=covering_edge(g, o1, w, z),
-        witness2=covering_edge(g, o2, w, z),
-    )
-
-
-def realize_unit_interval(g_aug: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
-    """Exact positions along one axis for an interval-closed graph and order.
-
-    Positions are nondecreasing along o, adjacent vertices sit within 1 and
-    non-adjacent ones strictly further apart. Each vertex needs only two
-    couplings: to its last non-neighbor predecessor (distance at least 1
-    plus a gap unit) and to the vertex right after it (distance at most 1,
-    which bounds all later neighbor predecessors by monotonicity). The
-    resulting difference constraints are solved exactly over values of the
-    form a + b*gap, by Bellman-Ford on integer pairs (a, b), and the gap
-    is fixed afterwards to a rational small enough for every constraint.
-    The couplings come from one sweep of prefix masks along o. The result
-    is not re-checked here: the caller, ``embed``, checks the finished
-    embedding exactly, once.
+    There position k is adjacent to exactly the positions L(k)..k-1 before
+    it, L(k) the first i with ``reach[i] >= k`` (``_reach``), found for
+    every k by one pointer. So k needs two constraints: within 1 of L(k),
+    which by monotonicity bounds its other earlier neighbors, and at least
+    1 plus a gap unit past L(k)-1, its last earlier non-neighbor. They are
+    feasible for every interval-closed order (Corneil et al. 1995) and are
+    solved exactly over values a + b*gap by Bellman-Ford on integer pairs
+    (a, b), relaxing the arcs from the end of o backwards, which takes fewer
+    rounds; the gap is then fixed to a rational small enough for every
+    constraint. ``embed`` checks the finished embedding exactly, once.
     """
-    n = g_aug.n
+    n = g.n
     if n == 0:
         return ()
-    if not is_unit_interval_order(g_aug, o.seq):
-        raise StructuralError(
-            "order does not admit a unit interval realization of the augmented graph"
-        )
+    _, reach = _reach(g, o.seq)
     # constraint x_b - x_a <= (wa + wb*gap) stored as (a, b, wa, wb)
     arcs: list[tuple[int, int, int, int]] = []
-    prefix = prefix_masks(o.seq)
+    first = 0  # L(k)
     for k in range(1, n):
         arcs.append((k, k - 1, 0, 0))
-        # the order passed the test above, so the neighbors before k are
-        # exactly the positions first_near..k-1
-        first_near = k - (g_aug.adj[o.seq[k]] & prefix[k]).bit_count()
-        if first_near <= k - 1:
-            arcs.append((first_near, k, 1, 0))
-        if first_near > 0:
-            arcs.append((k, first_near - 1, -1, -1))
+        while reach[first] < k:
+            first += 1
+        if first <= k - 1:
+            arcs.append((first, k, 1, 0))
+        if first > 0:
+            arcs.append((k, first - 1, -1, -1))
+    arcs.reverse()
 
     # every weight is an integer, so the distances stay integral
     dist = [(0, 0)] * n
@@ -144,8 +120,6 @@ def realize_unit_interval(g_aug: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
                 changed = True
         if not changed:
             break
-    else:
-        raise StructuralError("cyclic separation demands; no realization")
 
     gap = Fraction(1, n + 1)
     for a, b, wa, wb in arcs:
@@ -179,10 +153,8 @@ def embed(g: Graph, pair: OrderPair) -> Embedding:
     x axis on G plus its forced set, the second the y axis likewise."""
     if not pair.valid:
         raise InputError("order pair invalid: forced sets intersect")
-    g1 = g.with_edges(pair.c1)
-    g2 = g.with_edges(pair.c2)
-    xs = realize_unit_interval(g1, pair.o1)
-    ys = realize_unit_interval(g2, pair.o2)
+    xs = realize_unit_interval(g, pair.o1)
+    ys = realize_unit_interval(g, pair.o2)
     emb = Embedding(coords=tuple(zip(xs, ys)))
     check = verify_embedding(g, emb)
     if not check.ok:

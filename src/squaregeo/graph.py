@@ -53,14 +53,29 @@ def prefix_masks(seq: Sequence[int]) -> list[int]:
     return out
 
 
+_ID_LIMIT = 40
+
+
+def _id(value: int) -> str:
+    """An id or a count for an error message, cut past ``_ID_LIMIT`` characters."""
+    text = str(value)
+    cut = len(text) - _ID_LIMIT
+    return text if cut <= 0 else f"{text[:_ID_LIMIT]} … ({cut} more characters)"
+
+
 def _capped(ids: Iterable[int], count: int) -> str:
     """The first ten of ``count`` ascending ids, then a count of the rest,
-    so an error message stays short whatever the input's size. Only the
-    ten shown are drawn from ``ids``."""
-    shown = ", ".join(map(str, itertools.islice(ids, 10)))
-    if count > 10:
-        shown += f", … ({count - 10} more)"
-    return f"[{shown}]"
+    so an error message stays short whatever the input's size; a cut id ends
+    the list. Only the ids shown are drawn from ``ids``."""
+    shown = []
+    for v in itertools.islice(ids, 10):
+        shown.append(_id(v))
+        if len(shown[-1]) > _ID_LIMIT:
+            break
+    text = ", ".join(shown)
+    if count > len(shown):
+        text += f", … ({_id(count - len(shown))} more)"
+    return f"[{text}]"
 
 
 @dataclass(frozen=True)
@@ -109,13 +124,13 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Create a graph from an edge list, validating every endpoint."""
     if n < 0:
-        raise InputError(f"negative vertex count {n}")
+        raise InputError(f"negative vertex count {_id(n)}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u},{v}) out of range for n={n}")
+            raise InputError(f"edge ({_id(u)},{_id(v)}) out of range for n={_id(n)}")
         if u == v:
-            raise InputError(f"self loop at {u}")
+            raise InputError(f"self loop at {_id(u)}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .chords import build_chord_graph
 from .embedding import (
     Embedding,
+    OrderPair,
     brute_force_orders,
     completion,
     embed,
@@ -76,6 +77,12 @@ def _necessary_reason(nec: NecessaryVerdict) -> str:
     return "rigid-free: " + "; ".join(parts)
 
 
+def _yes_certificate(g: Graph, pair: OrderPair, route: str, **fields) -> Certificate:
+    """A YES certificate: the pair's orders, forced sets and embedding."""
+    return Certificate(YES, route, order1=pair.o1, order2=pair.o2, completion1=pair.c1,
+                       completion2=pair.c2, embedding=embed(g, pair), **fields)
+
+
 def _oracle_certificate(g: Graph, bound: int, note: str = "") -> Certificate:
     found = brute_force_orders(g, bound)
     if found is None:
@@ -83,18 +90,7 @@ def _oracle_certificate(g: Graph, bound: int, note: str = "") -> Certificate:
         if note:
             reason = f"{note}; {reason}"
         return Certificate(verdict=NO, route="oracle", reason=reason)
-    o1, o2 = found
-    pair = make_order_pair(g, o1, o2)
-    return Certificate(
-        verdict=YES,
-        route="oracle",
-        reason=note,
-        order1=o1,
-        order2=o2,
-        completion1=pair.c1,
-        completion2=pair.c2,
-        embedding=embed(g, pair),
-    )
+    return _yes_certificate(g, make_order_pair(g, *found), "oracle", reason=note)
 
 
 def recognize(
@@ -117,20 +113,9 @@ def recognize(
 
     suff = check_sufficient(g, p, cg, nec)
     if suff.orders is not None:
-        o1, o2 = suff.orders
-        pair = make_order_pair(g, o1, o2)
+        pair = make_order_pair(g, *suff.orders)
         if pair.valid:
-            return Certificate(
-                verdict=YES,
-                route="sufficient",
-                order1=o1,
-                order2=o2,
-                completion1=pair.c1,
-                completion2=pair.c2,
-                embedding=embed(g, pair),
-                necessary=nec,
-                sufficiency=suff,
-            )
+            return _yes_certificate(g, pair, "sufficient", necessary=nec, sufficiency=suff)
         if p.a_only and p.b_only:
             raise StructuralError(
                 "constructed orders have intersecting forced sets on a two-sided instance"

@@ -19,8 +19,19 @@ from itertools import combinations, permutations, product
 
 from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
 from squaregeo.embedding import Embedding, EmbeddingCheck, completion
-from squaregeo.errors import InputError, OrderConstructionError, ParseError, ScopeError
-from squaregeo.graph import BabPartition, Graph, bits, build_graph, check_cover, mask_of, ny_mask, validate_bab
+from squaregeo.errors import InputError, OrderConstructionError, ParseError, ScopeError, StructuralError
+from squaregeo.graph import (
+    BabPartition,
+    Graph,
+    bits,
+    build_graph,
+    check_cover,
+    is_unit_interval_order,
+    mask_of,
+    ny_mask,
+    prefix_masks,
+    validate_bab,
+)
 from squaregeo.instances import INSTANCE_HEADER
 from squaregeo.necessary import ColoringRefutation, TwoColoring, _layer_masks, _shortest_odd_cycle
 from squaregeo.orders import DerivedRelation, LinearOrder, PartialOrderCheck
@@ -848,3 +859,73 @@ def parse_instance_by_lines(text: str) -> tuple[Graph, BabPartition]:
     g = build_graph(n, edges)
     p = validate_bab(g, sets["xa"], sets["xb"], sets["y"])
     return g, p
+
+
+# The axis realization before it read the completion of the order itself:
+# it took G plus the order's forced set as a graph, re-tested that the order
+# is interval-closed on it, and read each vertex's first neighbor off prefix
+# masks. Copied verbatim apart from the name, as the reference for
+# ``embedding.realize_unit_interval``.
+
+
+def realize_unit_interval_of_augmented_graph(g_aug: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
+    """Exact positions along one axis for an interval-closed graph and order.
+
+    Positions are nondecreasing along o, adjacent vertices sit within 1 and
+    non-adjacent ones strictly further apart. Each vertex needs only two
+    couplings: to its last non-neighbor predecessor (distance at least 1
+    plus a gap unit) and to the vertex right after it (distance at most 1,
+    which bounds all later neighbor predecessors by monotonicity). The
+    resulting difference constraints are solved exactly over values of the
+    form a + b*gap, by Bellman-Ford on integer pairs (a, b), and the gap
+    is fixed afterwards to a rational small enough for every constraint.
+    The couplings come from one sweep of prefix masks along o. The result
+    is not re-checked here: the caller, ``embed``, checks the finished
+    embedding exactly, once.
+    """
+    n = g_aug.n
+    if n == 0:
+        return ()
+    if not is_unit_interval_order(g_aug, o.seq):
+        raise StructuralError(
+            "order does not admit a unit interval realization of the augmented graph"
+        )
+    # constraint x_b - x_a <= (wa + wb*gap) stored as (a, b, wa, wb)
+    arcs: list[tuple[int, int, int, int]] = []
+    prefix = prefix_masks(o.seq)
+    for k in range(1, n):
+        arcs.append((k, k - 1, 0, 0))
+        # the order passed the test above, so the neighbors before k are
+        # exactly the positions first_near..k-1
+        first_near = k - (g_aug.adj[o.seq[k]] & prefix[k]).bit_count()
+        if first_near <= k - 1:
+            arcs.append((first_near, k, 1, 0))
+        if first_near > 0:
+            arcs.append((k, first_near - 1, -1, -1))
+
+    # every weight is an integer, so the distances stay integral
+    dist = [(0, 0)] * n
+    for _ in range(n + 1):
+        changed = False
+        for a, b, wa, wb in arcs:
+            cand = (dist[a][0] + wa, dist[a][1] + wb)
+            if cand < dist[b]:
+                dist[b] = cand
+                changed = True
+        if not changed:
+            break
+    else:
+        raise StructuralError("cyclic separation demands; no realization")
+
+    gap = Fraction(1, n + 1)
+    for a, b, wa, wb in arcs:
+        slack = wa - (dist[b][0] - dist[a][0])
+        over = (dist[b][1] - dist[a][1]) - wb
+        if slack > 0 and over > 0 and Fraction(slack, over) < gap:
+            gap = Fraction(slack, over)
+    base_a, base_b = dist[0]
+    coords = [Fraction(0)] * n
+    for k in range(n):
+        a, b = dist[k]
+        coords[o.seq[k]] = (a - base_a) + (b - base_b) * gap
+    return tuple(coords)

@@ -257,3 +257,24 @@ def test_verify_rejects_an_exponent_coordinate_at_once(tmp_path, g8, g8_file, ca
 def test_missing_file_is_an_error(capsys):
     assert main(["validate", "/nonexistent/path.txt"]) == EXIT_UNDECIDED
     assert capsys.readouterr().err.startswith("error:")
+
+
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("body, start", [
+    (f"n 2\nxa 0\nxb 0\ny 1\nedge 0 {NINES}\n", "error: edge (0,99999"),
+    ("n 2\nxa 0\nxb 0\ny 1 " + " ".join(f"{k}{NINES[2:]}" for k in range(10, 21)) + "\n",
+     "error: sets do not cover V: missing=[] extra=[10999"),
+    (f"n {NINES}\nxa 0\nxb 0\ny 1\n", "error: sets do not cover V: missing=[2, 3, 4,"),
+], ids=["edge", "y", "n"])
+def test_validate_bounds_long_ids_in_errors(tmp_path, capsys, body, start):
+    """4000-digit ids and counts are cut to 40 digits in the message, and a
+    cut id ends the list of extra ids."""
+    path = tmp_path / "long.txt"
+    path.write_text("bab-instance v1\n" + body)
+    assert main(["validate", str(path)]) == EXIT_UNDECIDED
+    err = capsys.readouterr().err
+    assert err.startswith(start), err[:100]
+    assert len(err.encode()) < 300 and err.count("\n") == 1
+    assert "(3960 more characters)" in err

@@ -7,19 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from squaregeo import build_graph, embedding, generate_bab, validate_bab
+from squaregeo import build_graph, embedding, generate_bab, recognize, validate_bab
 from squaregeo.embedding import (
     Embedding,
     brute_force_orders,
     completion,
-    covering_edge,
     embed,
     make_order_pair,
     realize_unit_interval,
     verify_embedding,
-    verify_orders,
 )
-from squaregeo.errors import InputError, ScopeError, StructuralError
+from squaregeo.errors import GenerationError, InputError, ScopeError, StructuralError
 from squaregeo.orders import LinearOrder
 
 from conftest import bab_shapes, enumerate_bab_instances
@@ -27,6 +25,7 @@ from oracles import (
     brute_force_orders_by_completion,
     chord_distribution,
     linf_embedding_report,
+    realize_unit_interval_of_augmented_graph,
     scan_completion,
     verify_embedding_by_pairs,
 )
@@ -85,25 +84,6 @@ def test_completion_matches_edge_scan_on_random_graphs():
         )
         seq = rng.sample(range(n), n)
         assert completion(g, LinearOrder.from_seq(seq)) == scan_completion(g, seq)
-
-
-def test_covering_edge(c4):
-    g, _ = c4
-    o = LinearOrder.from_seq((0, 1, 2, 3))
-    assert covering_edge(g, o, 1, 2) == (0, 2)
-    assert covering_edge(g, o, 2, 1) == (0, 2)
-    assert covering_edge(g, o, 0, 3) is None
-
-
-def test_verify_orders_reports_first_conflict(c4):
-    g, _ = c4
-    o = LinearOrder.from_seq((0, 1, 2, 3))
-    chk = verify_orders(g, o, o)
-    assert not chk.ok
-    assert chk.conflict == (1, 2)
-    assert chk.witness1 == (0, 2) and chk.witness2 == (0, 2)
-    ok = verify_orders(g, o, LinearOrder.from_seq((1, 0, 3, 2)))
-    assert ok.ok and ok.conflict is None
 
 
 def test_order_pair_forced_sets_g8(g8):
@@ -175,10 +155,56 @@ def test_realize_with_plateau():
             assert (abs(got[u] - got[v]) <= 1) == g.adjacent(u, v)
 
 
-def test_realize_rejects_non_interval_order():
+def test_realize_accepts_a_non_interval_order():
+    """Under (1, 0, 2) the edge 1~2 straddles the non-edge {0, 2}, so the
+    path 0-1-2 is realized as its completion, the triangle."""
     g = build_graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(StructuralError, match="unit interval"):
-        realize_unit_interval(g, LinearOrder.from_seq((1, 0, 2)))
+    o = LinearOrder.from_seq((1, 0, 2))
+    assert completion(g, o) == frozenset({(0, 2)})
+    assert realize_unit_interval(g, o) == (Fraction(0), Fraction(0), Fraction(0))
+
+
+def _assert_realizes_the_completion(g, o):
+    got = realize_unit_interval(g, o)
+    want = realize_unit_interval_of_augmented_graph(g.with_edges(completion(g, o)), o)
+    assert got == want, (g.edges(), o.seq)
+
+
+def test_realize_matches_the_augmented_graph_reference():
+    """Random graphs and orders up to n=12, most orders not interval-closed
+    on G itself: the realization equals the earlier one run on G plus the
+    order's forced set."""
+    rng = random.Random(11)
+    closed = 0
+    for i in range(2400):
+        n = rng.randint(0 if i % 10 == 0 else 3, 12)
+        density = 0.15 + 0.7 * rng.random()
+        g = build_graph(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        )
+        o = LinearOrder.from_seq(rng.sample(range(n), n))
+        closed += not completion(g, o)
+        _assert_realizes_the_completion(g, o)
+    assert closed < 480, closed
+
+
+def test_realize_matches_the_reference_on_constructed_orders():
+    """Both orders of 20 filtered instances that recognize as YES."""
+    seen = 0
+    seed = 0
+    while seen < 20:
+        shape = ((1, 2, 1, 3), (2, 2, 2, 4), (2, 3, 2, 4))[seed % 3]
+        seed += 1
+        try:
+            g, p = generate_bab(shape, 0.5, seed, filter="sufficient")
+        except GenerationError:
+            continue
+        cert = recognize(g, p)
+        if cert.verdict != "yes":
+            continue
+        seen += 1
+        for o in (cert.order1, cert.order2):
+            _assert_realizes_the_completion(g, o)
 
 
 def test_embed_c4(c4):

@@ -143,6 +143,19 @@ def test_validate_bab_caps_the_listed_vertices():
     )
 
 
+def test_error_ids_are_cut_past_forty_digits():
+    """Ids and counts of at most 40 digits print whole; a longer one shows
+    its first 40 digits and a count of the rest."""
+    big = [10**39 + k for k in range(12)]
+    with pytest.raises(StructuralError) as whole:
+        validate_bab(build_graph(2, []), [0], [0], [1, *big])
+    listed = ", ".join(map(str, big[:10]))
+    assert str(whole.value) == f"sets do not cover V: missing=[] extra=[{listed}, … (2 more)]"
+    with pytest.raises(InputError) as cut:
+        build_graph(2, [(0, 10**45)])
+    assert str(cut.value) == f"edge (0,{'1' + '0' * 39} … (6 more characters)) out of range for n=2"
+
+
 def test_validate_bab_names_the_missing_clique_edge():
     g = build_graph(4, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(StructuralError, match=r"Y is not a clique: missing edge \(2,3\)"):

@@ -19,9 +19,11 @@ from squaregeo import (
     validate_bab,
     verify_certificate,
 )
+from squaregeo.graph import Graph
 from squaregeo.orders import LinearOrder
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
+from test_acceptance import G8_GOLDEN
 from test_necessary import (
     FORCED_CONFLICT_EDGES,
     REGION_OVERSHOOT_EDGES,
@@ -134,6 +136,20 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
         assert calls == {"build_chord_graph": 1, "color_constrained": 1, "check_rigid_free": 1,
                          "compute_ab_sets": 1}
     assert cert.sufficiency.swapped
+
+
+def test_recognize_builds_no_augmented_graph(g8, disconnected7, monkeypatch):
+    """Both YES routes realize each axis from G itself: with
+    ``Graph.with_edges`` unavailable the certificates keep their bytes."""
+    oracle_yes = emit_certificate(recognize(*disconnected7, allow_oracle=True, oracle_bound=7))
+
+    def refuse(self, pairs):
+        raise AssertionError("augmented graph built")
+
+    monkeypatch.setattr(Graph, "with_edges", refuse)
+    assert emit_certificate(recognize(*g8)) == G8_GOLDEN
+    cert = recognize(*disconnected7, allow_oracle=True, oracle_bound=7)
+    assert cert.route == "oracle" and emit_certificate(cert) == oracle_yes
 
 
 def test_disconnected_chord_graph_undecided(disconnected7):
