@@ -9,16 +9,7 @@ from .chords import (
     compute_ab_sets,
     enumerate_rigid_pairs,
 )
-from .embedding import (
-    Embedding,
-    OrderPair,
-    brute_force_orders,
-    completion,
-    embed,
-    make_order_pair,
-    realize_unit_interval,
-    verify_embedding,
-)
+from .embedding import Embedding, brute_force_orders
 from .errors import (
     GenerationError,
     InputError,
@@ -42,14 +33,7 @@ from .instances import (
     parse_instance,
 )
 from .necessary import NecessaryStatus, check_necessary, check_rigid_free, color_constrained
-from .orders import (
-    LinearOrder,
-    build_order1,
-    build_order2,
-    check_sufficient,
-    derive_relations,
-    validate_partial_order,
-)
+from .orders import LinearOrder, check_sufficient
 from .pipeline import NO, UNDECIDED, YES, Certificate, recognize, verify_certificate
 
 __version__ = "0.1.0"
@@ -66,7 +50,6 @@ __all__ = [
     "NO",
     "NecessaryStatus",
     "OrderConstructionError",
-    "OrderPair",
     "ParseError",
     "RigidPair",
     "ScopeError",
@@ -77,28 +60,19 @@ __all__ = [
     "brute_force_orders",
     "build_chord_graph",
     "build_graph",
-    "build_order1",
-    "build_order2",
     "check_necessary",
     "check_rigid_free",
     "check_sufficient",
     "color_constrained",
-    "completion",
     "compute_ab_sets",
-    "derive_relations",
-    "embed",
     "emit_certificate",
     "emit_instance",
     "enumerate_rigid_pairs",
     "generate_bab",
     "is_unit_interval_order",
-    "make_order_pair",
     "parse_certificate",
     "parse_instance",
-    "realize_unit_interval",
     "recognize",
     "validate_bab",
-    "validate_partial_order",
     "verify_certificate",
-    "verify_embedding",
 ]

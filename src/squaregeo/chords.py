@@ -59,19 +59,8 @@ class ChordGraph:
     a_vertex_mask: int
     b_vertex_mask: int
 
-    def node_index(self, pair: tuple[int, int]) -> int:
-        import bisect
-
-        i = bisect.bisect_left(self.nodes, pair)
-        if i == len(self.nodes) or self.nodes[i] != pair:
-            raise InputError(f"{pair} is not an X-Y non-edge")
-        return i
-
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as index pairs (i, j), i < j, lexicographically."""
@@ -181,23 +170,11 @@ def compute_ab_sets(cg: ChordGraph) -> AbVertexSets:
     return AbVertexSets(forced(cg.a_vertex_mask), forced(cg.b_vertex_mask))
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Audit of the structural preconditions the decision rules need.
-
-    ``failures`` names each failed precondition; non-compliance routes the
-    pipeline to UNDECIDED (or to the brute-force oracle when allowed),
-    never to a hard failure.
-    """
-
-    failures: tuple[str, ...]
-
-    @property
-    def compliant(self) -> bool:
-        return not self.failures
-
-
-def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> AssumptionReport:
+def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> tuple[str, ...]:
+    """Audit of the structural preconditions the decision rules need: the
+    failed clauses, empty when the instance is compliant. Non-compliance
+    routes the pipeline to UNDECIDED (or to the brute-force oracle when
+    allowed), never to a hard failure."""
     failures = []
 
     components = cg.components()
@@ -219,4 +196,4 @@ def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> AssumptionRe
     if not any(cg.adj[i] & ~ab_mask for i in range(len(cg.nodes)) if not (ab_mask >> i) & 1):
         failures.append("no chord-graph edge avoids the forced-color nodes")
 
-    return AssumptionReport(failures=tuple(failures))
+    return tuple(failures)

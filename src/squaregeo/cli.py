@@ -14,7 +14,7 @@ from .errors import GenerationError, ParseError
 from .graph import BabPartition, Graph
 from .instances import emit_certificate, emit_instance, generate_bab, parse_certificate, parse_instance
 from .necessary import NecessaryStatus, check_necessary
-from .pipeline import NO, YES, Certificate, _oracle_certificate, recognize, verify_certificate
+from .pipeline import NO, YES, Certificate, oracle_certificate, recognize, verify_certificate
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -75,7 +75,7 @@ def cmd_chord_graph(args) -> int:
 
 def cmd_necessary(args) -> int:
     g, p = _load_instance(args.instance)
-    nec = check_necessary(g, p)
+    nec = check_necessary(g, p, build_chord_graph(g, p))
     print(f"necessary: {nec.status.value}")
     if nec.reason:
         print(f"reason: {nec.reason}")
@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g, _ = _load_instance(args.instance)
-    cert = _oracle_certificate(g, args.oracle_bound)
+    cert = oracle_certificate(g, args.oracle_bound)
     _print_certificate(cert, args.format)
     return _verdict_exit(cert.verdict)
 

@@ -141,12 +141,6 @@ class Embedding:
 
     coords: tuple[tuple[Fraction, Fraction], ...]
 
-    def x(self, v: int) -> Fraction:
-        return self.coords[v][0]
-
-    def y(self, v: int) -> Fraction:
-        return self.coords[v][1]
-
 
 def embed(g: Graph, pair: OrderPair) -> Embedding:
     """Plane embedding from a valid order pair: the first order realizes the
@@ -241,11 +235,12 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
 
     Reversing an order leaves its forced set unchanged, so only orders no
     larger than their reversal are scanned; for n >= 2 that is
-    ``perm[0] < perm[-1]``. Whether a forced set has a disjoint partner is
-    decided once per distinct set. The returned pair is the first
-    candidate order with a partner and its first partner, in the
-    lexicographic order of the scan. Scope-guarded since the search is
-    factorial.
+    ``perm[0] < perm[-1]``. Only the first order of each distinct forced
+    set is kept, so memory grows with the number of distinct sets, not with
+    n!, and whether a set has a disjoint partner is decided once per
+    distinct set. The returned pair is the first candidate order with a
+    partner and its first partner, in the lexicographic order of the scan.
+    Scope-guarded since the search is factorial.
     """
     n = g.n
     if n > bound:
@@ -257,8 +252,7 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
     vertex_bit = [1 << v for v in range(n)]
     ne = _NonEdgesIn(g)
 
-    perms: list[tuple[int, ...]] = []
-    masks: list[int] = []
+    first: dict[int, tuple[int, ...]] = {}  # each distinct forced set's first order
     for perm in itertools.permutations(range(n)):
         if perm[0] > perm[-1]:
             continue
@@ -273,15 +267,10 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
                     p += 1
                 mask |= ne[placed ^ prefixes[p]]
             prefixes.append(placed)
-        perms.append(perm)
-        masks.append(mask)
+        first.setdefault(mask, perm)
 
-    distinct = set(masks)
-    has_partner: dict[int, bool] = {}
-    for perm, mask in zip(perms, masks):
-        if mask not in has_partner:
-            has_partner[mask] = any(mask & other == 0 for other in distinct)
-        if has_partner[mask]:
-            perm2 = next(p2 for p2, m2 in zip(perms, masks) if mask & m2 == 0)
-            return (LinearOrder.from_seq(perm), LinearOrder.from_seq(perm2))
+    for mask, perm in first.items():
+        for other, perm2 in first.items():
+            if mask & other == 0:
+                return (LinearOrder.from_seq(perm), LinearOrder.from_seq(perm2))
     return None

@@ -92,12 +92,6 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.adj[v]))
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         out = []
@@ -109,16 +103,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
-
-    def with_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """A new graph with the given pairs added as edges."""
-        adj = list(self.adj)
-        for u, v in pairs:
-            if u == v:
-                raise InputError(f"self loop at {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

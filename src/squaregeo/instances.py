@@ -36,6 +36,7 @@ _COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # cap keeps every id below any int_max_str_digits limit Python allows.
 _EDGE_RUN = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n){1,1024}", re.M)
 _ECHO_LIMIT = 40
+_ATTEMPTS = 200  # generate_bab's rejection-sampling cap
 
 
 def _echo(field: str) -> str:
@@ -240,7 +241,6 @@ def generate_bab(
     density: float,
     seed: int,
     filter: str = "none",
-    max_attempts: int = 200,
 ) -> tuple[Graph, BabPartition]:
     """Random instance with the given block sizes (private a, shared,
     private b, y) and X-Y edge density. Deterministic per seed.
@@ -248,7 +248,7 @@ def generate_bab(
     filter "assumption1" keeps only instances passing the structural audit;
     "sufficient" keeps only instances satisfying every order-construction
     condition (the construction outcome itself is not consulted). Rejection
-    sampling, so a generation error is raised once the attempt cap is hit.
+    sampling, so a generation error is raised after 200 attempts.
     """
     a_size, shared_size, b_size, y_size = sizes
     if shared_size < 1 or y_size < 1:
@@ -264,7 +264,7 @@ def generate_bab(
     b_block = range(a_size + shared_size, a_size + shared_size + b_size)
     y_block = range(n - y_size, n)
 
-    for _ in range(max_attempts):
+    for _ in range(_ATTEMPTS):
         edges = []
         xa = list(a_block) + list(shared_block)
         xb = list(shared_block) + list(b_block)
@@ -292,5 +292,5 @@ def generate_bab(
         if suff.reason not in ("partial-orders", "nesting"):
             return g, p
     raise GenerationError(
-        f"no instance with filter {filter!r} within {max_attempts} attempts"
+        f"no instance with filter {filter!r} within {_ATTEMPTS} attempts"
     )

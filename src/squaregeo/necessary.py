@@ -20,7 +20,6 @@ from .chords import (
     ChordGraph,
     RigidPair,
     audit_assumption1,
-    build_chord_graph,
     compute_ab_sets,
     y_end_masks,
 )
@@ -246,16 +245,11 @@ class NecessaryVerdict:
     reason: str = ""
 
 
-def check_necessary(g: Graph, p: BabPartition, cg: ChordGraph | None = None) -> NecessaryVerdict:
+def check_necessary(g: Graph, p: BabPartition, cg: ChordGraph) -> NecessaryVerdict:
     """Evaluate both necessary conditions; out-of-scope when the audit fails."""
-    if cg is None:
-        cg = build_chord_graph(g, p)
-    report = audit_assumption1(g, p, cg)
-    if not report.compliant:
-        return NecessaryVerdict(
-            status=NecessaryStatus.OUT_OF_SCOPE,
-            reason="; ".join(report.failures),
-        )
+    failures = audit_assumption1(g, p, cg)
+    if failures:
+        return NecessaryVerdict(status=NecessaryStatus.OUT_OF_SCOPE, reason="; ".join(failures))
     ab = compute_ab_sets(cg)
     colored = color_constrained(cg, ab)
     if isinstance(colored, ColoringRefutation):

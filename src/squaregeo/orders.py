@@ -80,27 +80,13 @@ def validate_partial_order(rel: DerivedRelation) -> PartialOrderCheck:
 
 @dataclass(frozen=True)
 class LinearOrder:
-    """A total order on V, stored as the vertex sequence plus rank array."""
+    """A total order on V, stored as its vertex sequence."""
 
     seq: tuple[int, ...]
-    rank: tuple[int, ...]
 
     @classmethod
     def from_seq(cls, seq) -> "LinearOrder":
-        seq = tuple(seq)
-        rank = [0] * len(seq)
-        for i, v in enumerate(seq):
-            rank[v] = i
-        return cls(seq=seq, rank=tuple(rank))
-
-    def before(self, u: int, v: int) -> bool:
-        return self.rank[u] < self.rank[v]
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def reversed(self) -> "LinearOrder":
-        return LinearOrder.from_seq(self.seq[::-1])
+        return cls(seq=tuple(seq))
 
 
 class _ConstraintSet:

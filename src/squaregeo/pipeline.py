@@ -30,7 +30,7 @@ from .embedding import (
 from .errors import StructuralError
 from .graph import BabPartition, Graph
 from .necessary import NecessaryStatus, NecessaryVerdict, check_necessary
-from .orders import LinearOrder, SufficiencyVerdict, check_sufficient
+from .orders import LinearOrder, check_sufficient
 
 YES = "yes"
 NO = "no"
@@ -45,7 +45,7 @@ class Certificate:
 
     ``route`` names the deciding step: "sufficient" or "oracle" for YES,
     "necessary" or "oracle" for NO, "assumption" or "sufficiency" for
-    UNDECIDED. The analysis fields are not serialized.
+    UNDECIDED. It holds exactly what ``emit_certificate`` writes.
     """
 
     verdict: str
@@ -56,8 +56,6 @@ class Certificate:
     completion1: frozenset[Pair] | None = None
     completion2: frozenset[Pair] | None = None
     embedding: Embedding | None = None
-    necessary: NecessaryVerdict | None = None
-    sufficiency: SufficiencyVerdict | None = None
 
 
 def _necessary_reason(nec: NecessaryVerdict) -> str:
@@ -77,20 +75,22 @@ def _necessary_reason(nec: NecessaryVerdict) -> str:
     return "rigid-free: " + "; ".join(parts)
 
 
-def _yes_certificate(g: Graph, pair: OrderPair, route: str, **fields) -> Certificate:
+def _yes_certificate(g: Graph, pair: OrderPair, route: str, reason: str = "") -> Certificate:
     """A YES certificate: the pair's orders, forced sets and embedding."""
-    return Certificate(YES, route, order1=pair.o1, order2=pair.o2, completion1=pair.c1,
-                       completion2=pair.c2, embedding=embed(g, pair), **fields)
+    return Certificate(YES, route, reason, order1=pair.o1, order2=pair.o2, completion1=pair.c1,
+                       completion2=pair.c2, embedding=embed(g, pair))
 
 
-def _oracle_certificate(g: Graph, bound: int, note: str = "") -> Certificate:
+def oracle_certificate(g: Graph, bound: int, note: str = "") -> Certificate:
+    """The exhaustive search's verdict on g as a certificate; a non-empty
+    ``note`` leads its reason."""
     found = brute_force_orders(g, bound)
     if found is None:
         reason = "no order pair with disjoint forced sets"
         if note:
             reason = f"{note}; {reason}"
         return Certificate(verdict=NO, route="oracle", reason=reason)
-    return _yes_certificate(g, make_order_pair(g, *found), "oracle", reason=note)
+    return _yes_certificate(g, make_order_pair(g, *found), "oracle", note)
 
 
 def recognize(
@@ -104,18 +104,16 @@ def recognize(
     nec = check_necessary(g, p, cg)
     if nec.status is NecessaryStatus.OUT_OF_SCOPE:
         if allow_oracle and g.n <= oracle_bound:
-            return _oracle_certificate(g, oracle_bound, note=f"audit: {nec.reason}")
-        return Certificate(verdict=UNDECIDED, route="assumption", reason=nec.reason, necessary=nec)
+            return oracle_certificate(g, oracle_bound, note=f"audit: {nec.reason}")
+        return Certificate(verdict=UNDECIDED, route="assumption", reason=nec.reason)
     if nec.status is NecessaryStatus.FAIL:
-        return Certificate(
-            verdict=NO, route="necessary", reason=_necessary_reason(nec), necessary=nec
-        )
+        return Certificate(verdict=NO, route="necessary", reason=_necessary_reason(nec))
 
     suff = check_sufficient(g, p, cg, nec)
     if suff.orders is not None:
         pair = make_order_pair(g, *suff.orders)
         if pair.valid:
-            return _yes_certificate(g, pair, "sufficient", necessary=nec, sufficiency=suff)
+            return _yes_certificate(g, pair, "sufficient")
         if p.a_only and p.b_only:
             raise StructuralError(
                 "constructed orders have intersecting forced sets on a two-sided instance"
@@ -125,10 +123,8 @@ def recognize(
         note = f"sufficiency: {suff.reason}"
 
     if allow_oracle and g.n <= oracle_bound:
-        return _oracle_certificate(g, oracle_bound, note=note)
-    return Certificate(
-        verdict=UNDECIDED, route="sufficiency", reason=note, necessary=nec, sufficiency=suff
-    )
+        return oracle_certificate(g, oracle_bound, note=note)
+    return Certificate(verdict=UNDECIDED, route="sufficiency", reason=note)
 
 
 @dataclass(frozen=True)

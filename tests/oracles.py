@@ -233,8 +233,8 @@ def completion_closure_violations(g, seq, comp, p=None):
     for k in range(n):
         best = max(best, cover[k])
         cover[k] = best
-    minnp = [min((pos[w] for w in g.neighbors(v)), default=n) for v in range(n)]
-    maxnp = [max((pos[w] for w in g.neighbors(v)), default=-1) for v in range(n)]
+    minnp = [min((pos[w] for w in bits(g.adj[v])), default=n) for v in range(n)]
+    maxnp = [max((pos[w] for w in bits(g.adj[v])), default=-1) for v in range(n)]
 
     out = []
     for w, z in non_edges(g):

@@ -67,7 +67,7 @@ def decided_corpus():
     for g, p in instances:
         truth = brute_force_orders_by_completion(g, 6) is not None
         cert = recognize(g, p, allow_oracle=True, oracle_bound=6)
-        nec = check_necessary(g, p)
+        nec = check_necessary(g, p, build_chord_graph(g, p))
         records.append((g, p, truth, cert, nec))
     return records
 

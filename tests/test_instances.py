@@ -241,6 +241,23 @@ def test_negative_certificate_round_trip(triangle6):
     assert back.order1 is None and back.embedding is None
 
 
+def test_every_certificate_field_round_trips(c4, g8, disconnected7, triangle6):
+    """A certificate holds exactly what its text holds: parsing the emitted
+    text gives back an equal certificate, on YES by construction, YES by the
+    oracle and NO."""
+    certs = [
+        recognize(*c4),
+        recognize(*g8),
+        recognize(*disconnected7, allow_oracle=True, oracle_bound=7),
+        recognize(*triangle6),
+    ]
+    assert [(c.verdict, c.route) for c in certs] == [
+        ("yes", "sufficient"), ("yes", "sufficient"), ("yes", "oracle"), ("no", "necessary"),
+    ]
+    for cert in certs:
+        assert parse_certificate(emit_certificate(cert)) == cert
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -315,5 +332,5 @@ def test_generator_rejects_bad_requests():
 def test_generator_gives_up_at_cap():
     """A single shared vertex cannot carry the order construction, so the
     sufficient filter exhausts its attempts."""
-    with pytest.raises(GenerationError, match="within 50 attempts"):
-        generate_bab((2, 1, 2, 3), 0.5, 1, filter="sufficient", max_attempts=50)
+    with pytest.raises(GenerationError, match="within 200 attempts"):
+        generate_bab((2, 1, 2, 3), 0.5, 1, filter="sufficient")

@@ -73,8 +73,8 @@ def test_g8_coloring_frozen(g8):
     assert isinstance(col, TwoColoring)
     assert sorted(nodes_of(cg, col.red)) == [(0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
     assert sorted(nodes_of(cg, col.blue)) == [(2, 4), (3, 4), (3, 5)]
-    assert (col.red >> cg.node_index((0, 5))) & 1
-    assert (col.blue >> cg.node_index((3, 4))) & 1
+    assert (col.red >> cg.nodes.index((0, 5))) & 1
+    assert (col.blue >> cg.nodes.index((3, 4))) & 1
     assert (0, 3) not in nodes_of(cg, col.red | col.blue)  # not an X-Y node
 
 
@@ -117,7 +117,7 @@ def test_odd_cycle_is_really_a_cycle(triangle6):
     assert k % 2 == 1
     for i, node in enumerate(ref.cycle):
         nxt = ref.cycle[(i + 1) % k]
-        assert (cg.adj[cg.node_index(node)] >> cg.node_index(nxt)) & 1
+        assert (cg.adj[cg.nodes.index(node)] >> cg.nodes.index(nxt)) & 1
 
 
 def test_odd_cycle_matches_the_reference_search():
@@ -186,7 +186,7 @@ def test_coloring_matches_the_list_reference():
                 if isinstance(got, ColoringRefutation):
                     seen[got.detail if got.kind == "forced-conflict" else got.kind] += 1
                     if got.detail.endswith("both color classes"):
-                        lo, hi = map(cg.node_index, got.conflict)
+                        lo, hi = map(cg.nodes.index, got.conflict)
                         seen["witness ascending" if lo < hi else "witness descending"] += 1
                 elif ab.script_a_mask:
                     seen["red holds script-A"] += 1
@@ -357,7 +357,7 @@ def test_rigid_free_witnesses_match_the_pair_scan():
 
 def test_pass_reports_both_checks(g8):
     g, p = g8
-    nec = check_necessary(g, p)
+    nec = check_necessary(g, p, build_chord_graph(g, p))
     assert nec.status is NecessaryStatus.PASS
     assert nec.reason == ""
     assert isinstance(nec.coloring, TwoColoring)

@@ -7,7 +7,9 @@ from fractions import Fraction
 from squaregeo import (
     build_chord_graph,
     build_graph,
+    check_necessary,
     check_rigid_free,
+    check_sufficient,
     chords,
     color_constrained,
     compute_ab_sets,
@@ -19,7 +21,6 @@ from squaregeo import (
     validate_bab,
     verify_certificate,
 )
-from squaregeo.graph import Graph
 from squaregeo.orders import LinearOrder
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
@@ -28,6 +29,25 @@ from test_necessary import (
     FORCED_CONFLICT_EDGES,
     REGION_OVERSHOOT_EDGES,
     RIGID_FAIL_EDGES,
+)
+
+# recognize(*disconnected7, allow_oracle=True, oracle_bound=7), emitted
+D7_ORACLE_YES = (
+    "bab-certificate v1\n"
+    "verdict yes\n"
+    "route oracle\n"
+    "reason audit: chord graph splits into 3 non-isolated components\n"
+    "order1 0 1 2 3 4 5 6\n"
+    "order2 2 1 0 5 4 3 6\n"
+    "completion1 1,3 2,3 2,4\n"
+    "completion2 0,4 0,5 1,5\n"
+    "coord 0 0 1/4\n"
+    "coord 1 1/8 1/8\n"
+    "coord 2 1/4 0\n"
+    "coord 3 1 5/4\n"
+    "coord 4 9/8 9/8\n"
+    "coord 5 5/4 1\n"
+    "coord 6 11/8 11/8\n"
 )
 
 # 8 vertices, two private a's with crossing Y-neighborhoods; every other
@@ -135,21 +155,18 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
         assert cert.verdict == YES
         assert calls == {"build_chord_graph": 1, "color_constrained": 1, "check_rigid_free": 1,
                          "compute_ab_sets": 1}
-    assert cert.sufficiency.swapped
+    g, p = swap
+    cg = build_chord_graph(g, p)
+    assert check_sufficient(g, p, cg, check_necessary(g, p, cg)).swapped
 
 
-def test_recognize_builds_no_augmented_graph(g8, disconnected7, monkeypatch):
-    """Both YES routes realize each axis from G itself: with
-    ``Graph.with_edges`` unavailable the certificates keep their bytes."""
-    oracle_yes = emit_certificate(recognize(*disconnected7, allow_oracle=True, oracle_bound=7))
-
-    def refuse(self, pairs):
-        raise AssertionError("augmented graph built")
-
-    monkeypatch.setattr(Graph, "with_edges", refuse)
+def test_recognize_builds_no_augmented_graph(g8, disconnected7):
+    """Both YES routes realize each axis from G itself, and the
+    certificates keep the bytes they had when the axes were realized on G
+    plus each order's forced set."""
     assert emit_certificate(recognize(*g8)) == G8_GOLDEN
     cert = recognize(*disconnected7, allow_oracle=True, oracle_bound=7)
-    assert cert.route == "oracle" and emit_certificate(cert) == oracle_yes
+    assert cert.route == "oracle" and emit_certificate(cert) == D7_ORACLE_YES
 
 
 def test_disconnected_chord_graph_undecided(disconnected7):
@@ -182,7 +199,9 @@ def test_nesting_failure_undecided():
     cert = recognize(g, p)
     assert cert.verdict == UNDECIDED and cert.route == "sufficiency"
     assert cert.reason == "sufficiency: nesting"
-    assert cert.sufficiency.reason == "nesting" and cert.sufficiency.orders is None
+    cg = build_chord_graph(g, p)
+    suff = check_sufficient(g, p, cg, check_necessary(g, p, cg))
+    assert suff.reason == "nesting" and suff.orders is None
     cert = recognize(g, p, allow_oracle=True, oracle_bound=8)
     assert cert.verdict == YES and cert.route == "oracle"
     assert verify_certificate(g, cert).ok

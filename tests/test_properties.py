@@ -85,8 +85,8 @@ def test_accepted_orders_realize_their_augmented_graphs(shape, density, seed):
         assume(False)
     cert = recognize(g, p)
     assume(cert.verdict == "yes")
-    aug1 = g.with_edges(cert.completion1)
-    aug2 = g.with_edges(cert.completion2)
+    aug1 = build_graph(g.n, g.edges() + list(cert.completion1))
+    aug2 = build_graph(g.n, g.edges() + list(cert.completion2))
     assert umbrella_ok(aug1, cert.order1.seq)
     assert umbrella_ok(aug2, cert.order2.seq)
     mismatches, _ = linf_embedding_report(g, cert.embedding.coords)
