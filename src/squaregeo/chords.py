@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .graph import BabPartition, Graph, bits, mask_of, ny_mask, union_of
+from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask, union_of
 from .errors import InputError
 
 
@@ -51,13 +51,17 @@ class ChordGraph:
 
     ``nodes`` is lexicographically sorted; ``adj[i]`` is a bitmask over node
     indices. ``a_vertex_mask``/``b_vertex_mask`` mark nodes whose x-end is a
-    private X_a (resp. X_b) vertex.
+    private X_a (resp. X_b) vertex. ``by_y`` is the y-end table:
+    ``by_y[v]`` is the mask of the nodes with y-end v, for every vertex v.
+    ``root_bfs`` is the one BFS from the least non-isolated node, shared by
+    the audit's component count, the coloring and the odd-cycle search.
     """
 
     nodes: tuple[tuple[int, int], ...]
     adj: tuple[int, ...]
     a_vertex_mask: int
     b_vertex_mask: int
+    by_y: tuple[int, ...]
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -78,6 +82,13 @@ class ChordGraph:
             if a:
                 m |= 1 << i
         return m
+
+    @cached_property
+    def root_bfs(self) -> tuple[list[int], list[int], list[int]]:
+        """``bfs`` from the least non-isolated node, run once per chord graph;
+        its readers must not mutate it. Only read when some node has a
+        neighbor."""
+        return self.bfs(lowest(self.non_isolated_mask))
 
     def witness(self, i: int, j: int) -> RigidPair:
         """The unique rigid pair whose chords are nodes i and j."""
@@ -108,24 +119,24 @@ class ChordGraph:
         return order, depth, parent
 
     def components(self) -> list[tuple[int, ...]]:
-        """Connected components over non-isolated nodes, as sorted tuples."""
-        seen = 0
+        """Connected components over non-isolated nodes, as sorted tuples;
+        the first is the one ``root_bfs`` reaches."""
         comps = []
-        for s in bits(self.non_isolated_mask):
-            if not (seen >> s) & 1:
-                comp = sorted(self.bfs(s)[0])
-                seen |= mask_of(comp)
-                comps.append(tuple(comp))
+        left = self.non_isolated_mask
+        while left:
+            order = self.bfs(lowest(left))[0] if comps else self.root_bfs[0]
+            left &= ~mask_of(order)
+            comps.append(tuple(sorted(order)))
         return comps
 
 
-def y_end_masks(nodes: Sequence[tuple[int, int]], n: int) -> list[int]:
+def y_end_masks(nodes: Sequence[tuple[int, int]], n: int) -> tuple[int, ...]:
     """``out[y]`` is the mask of the indices of the nodes (x, y) with that
     y-end, for y in 0..n-1."""
     out = [0] * n
     for i, (_, y) in enumerate(nodes):
         out[y] |= 1 << i
-    return out
+    return tuple(out)
 
 
 def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
@@ -135,9 +146,15 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
     (x', y') with x' adjacent to both x and y, and y' a Y-neighbor of x (the
     node property already gives x' !~ y'). One pass over sorted X lays the
     nodes out and keeps a node mask per x-end, ``by_x`` (a contiguous
-    range); ``by_y`` has one per y-end. The neighbor mask of (x, y) is then
-    the union of ``by_x[x']`` over x' in N(x) & N(y) & X, cut to
-    ``near_y[x]``, the union of ``by_y[y']`` over y' in N_Y(x).
+    range); ``by_y`` has one per y-end and is kept as the y-end table.
+
+    Each mask is built once per vertex, none per node: ``near_x[v]`` is the
+    union of ``by_x[x']`` over x' in N(v) & X, and ``near[x]`` is
+    ``near_x[x]`` cut to the union of ``by_y[y']`` over y' in N_Y(x). The
+    neighbor mask of (x, y) is ``near[x] & near_x[y]``. This is exact
+    because the ``by_x`` blocks are disjoint: the union of ``by_x`` over
+    N(x) & N(y) & X is the intersection of the unions over N(x) & X and
+    over N(y) & X.
     """
     nodes: list[tuple[int, int]] = []
     by_x = [0] * g.n
@@ -146,9 +163,10 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
         nodes.extend((x, y) for y in bits(p.y & ~g.adj[x]))
         by_x[x] = (1 << len(nodes)) - (1 << start)
     by_y = y_end_masks(nodes, g.n)
-    near_y = {x: union_of(by_y, g.adj[x] & p.y) for x in bits(p.x_all)}
-    adj = tuple(union_of(by_x, g.adj[x] & g.adj[y] & p.x_all) & near_y[x] for x, y in nodes)
-    return ChordGraph(tuple(nodes), adj, union_of(by_x, p.a_only), union_of(by_x, p.b_only))
+    near_x = [union_of(by_x, a & p.x_all) for a in g.adj]
+    near = {x: near_x[x] & union_of(by_y, g.adj[x] & p.y) for x in bits(p.x_all)}
+    adj = tuple(near[x] & near_x[y] for x, y in nodes)
+    return ChordGraph(tuple(nodes), adj, union_of(by_x, p.a_only), union_of(by_x, p.b_only), by_y)
 
 
 @dataclass(frozen=True)

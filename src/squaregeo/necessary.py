@@ -21,7 +21,6 @@ from .chords import (
     RigidPair,
     audit_assumption1,
     compute_ab_sets,
-    y_end_masks,
 )
 from .errors import ScopeError
 from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask, union_of
@@ -62,7 +61,7 @@ def _layer_masks(order: list[int], depth: list[int]) -> list[int]:
 
 
 def _bfs_coloring(cg: ChordGraph) -> tuple[int, bool]:
-    """Color the non-isolated nodes by BFS depth parity from the least one;
+    """Color the non-isolated nodes by depth parity in ``cg.root_bfs``;
     returns the mask of the even-depth nodes and whether some edge joins two
     nodes of one class, that is, some node's neighbor mask meets its own BFS
     layer.
@@ -73,7 +72,7 @@ def _bfs_coloring(cg: ChordGraph) -> tuple[int, bool]:
     live = cg.non_isolated_mask
     if not live:
         return 0, False
-    order, depth, _ = cg.bfs(lowest(live))
+    order, depth, _ = cg.root_bfs
     if len(order) < live.bit_count():
         raise ScopeError("chord graph has several non-isolated components")
     layers = _layer_masks(order, depth)
@@ -82,7 +81,8 @@ def _bfs_coloring(cg: ChordGraph) -> tuple[int, bool]:
 
 
 def _shortest_odd_cycle(cg: ChordGraph) -> tuple[int, ...]:
-    """Shortest odd cycle, from a BFS rooted at every non-isolated node.
+    """Shortest odd cycle, from a BFS rooted at every non-isolated node; the
+    least root reads ``cg.root_bfs``.
 
     An edge u < v inside a BFS layer closes the cycle from u up the parent
     chain to the nearest common ancestor and down to v. Roots go ascending,
@@ -90,8 +90,9 @@ def _shortest_odd_cycle(cg: ChordGraph) -> tuple[int, ...]:
     cycle is kept, and a triangle ends the search at once.
     """
     best: tuple[int, ...] | None = None
-    for root in bits(cg.non_isolated_mask):
-        order, depth, parent = cg.bfs(root)
+    live = cg.non_isolated_mask
+    for root in bits(live):
+        order, depth, parent = cg.root_bfs if root == lowest(live) else cg.bfs(root)
         layers = _layer_masks(order, depth)
         for u in order:
             for v in bits(cg.adj[u] & layers[depth[u]] >> (u + 1) << (u + 1)):
@@ -151,11 +152,12 @@ def color_constrained(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | Colorin
 
 def rigid_region_sets(cg: ChordGraph) -> tuple[int, int]:
     """R(X_a), R(X_b) as vertex masks: y's appearing in a non-isolated node
-    whose x-end lies in X_a (resp. X_b); shared x-ends contribute to both."""
+    whose x-end lies in X_a (resp. X_b); shared x-ends contribute to both.
+    Read off the y-end table, one mask test per vertex."""
     live = cg.non_isolated_mask
 
     def y_ends(nodes: int) -> int:
-        return mask_of(cg.nodes[i][1] for i in bits(nodes))
+        return mask_of(y for y, at_y in enumerate(cg.by_y) if at_y & nodes)
 
     return y_ends(live & ~cg.b_vertex_mask), y_ends(live & ~cg.a_vertex_mask)
 
@@ -200,7 +202,6 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
     witness is the first such edge (i ascending, then the lowest j > i).
     """
     r_xa, r_xb = rigid_region_sets(cg)
-    by_y = y_end_masks(cg.nodes, g.n)
     shared = ((1 << len(cg.nodes)) - 1) & ~(cg.a_vertex_mask | cg.b_vertex_mask)
 
     def trapped(private: int, own_nodes: int, region: int):
@@ -209,7 +210,7 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
             ny = ny_mask(g, p, v)
             if (ny & region).bit_count() <= 1:
                 continue
-            near = union_of(by_y, ny) & ~own_nodes
+            near = union_of(cg.by_y, ny) & ~own_nodes
             for i in bits(near):
                 js = cg.adj[i] & near
                 if not (shared >> i) & 1:

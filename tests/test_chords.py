@@ -12,6 +12,8 @@ from squaregeo import (
 )
 from squaregeo.chords import RigidPair, make_rigid_pair
 from squaregeo.errors import InputError
+from squaregeo.graph import mask_of
+from squaregeo.instances import generate_bab
 
 from conftest import enumerate_bab_instances
 from oracles import (
@@ -75,6 +77,42 @@ def test_chord_graph_matches_definition_on_all_small_instances():
                     g, cg.nodes[i], cg.nodes[j]
                 ) or chord_adjacent_by_definition(g, cg.nodes[j], cg.nodes[i])
                 assert bool((cg.adj[i] >> j) & 1) == want
+
+
+def _real_size_instances():
+    """Seeded instances with n from 8 to 40, three densities per shape. The
+    shapes include one-sided ones (no private a, or no private b) and one
+    with a single Y vertex, which admits no rigid pair and so no chord edge."""
+    shapes = ((2, 3, 2, 1), (0, 4, 3, 5), (3, 4, 0, 6), (2, 2, 2, 8), (4, 5, 3, 10),
+              (0, 8, 6, 12), (6, 6, 0, 14), (5, 8, 5, 14), (8, 10, 8, 14))
+    for k, shape in enumerate(shapes):
+        for seed in range(3):
+            g, p = generate_bab(shape, (0.3, 0.5, 0.7)[seed], 100 * k + seed)
+            yield shape, seed, g, p, build_chord_graph(g, p)
+
+
+def test_chord_graph_matches_definition_at_real_sizes():
+    """Every node's neighbor mask is the set of nodes linked to it by the
+    pointwise definition, in one orientation or the other."""
+    edges = []
+    for shape, seed, g, p, cg in _real_size_instances():
+        assert list(cg.nodes) == chord_nodes_by_definition(g, p)
+        for i, u in enumerate(cg.nodes):
+            want = mask_of(
+                j for j, v in enumerate(cg.nodes)
+                if chord_adjacent_by_definition(g, u, v) or chord_adjacent_by_definition(g, v, u)
+            )
+            assert cg.adj[i] == want, (shape, seed, u)
+        edges.append(len(cg.edges()))
+    assert edges[:3] == [0, 0, 0]
+    assert min(edges[3:]) > 0 and sum(edges) > 10_000, edges
+
+
+def test_y_end_table_holds_each_node_under_its_y():
+    for _, _, g, _, cg in _real_size_instances():
+        assert cg.by_y == tuple(
+            mask_of(i for i, (_, y) in enumerate(cg.nodes) if y == v) for v in range(g.n)
+        )
 
 
 def test_worked_example_chord_edges(g8):

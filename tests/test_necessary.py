@@ -7,6 +7,7 @@ import pytest
 
 from squaregeo import (
     NecessaryStatus,
+    audit_assumption1,
     build_chord_graph,
     build_graph,
     check_necessary,
@@ -15,7 +16,7 @@ from squaregeo import (
     compute_ab_sets,
     validate_bab,
 )
-from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
+from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair, y_end_masks
 from squaregeo.errors import ScopeError
 from squaregeo.graph import bits
 from squaregeo.necessary import (
@@ -215,7 +216,42 @@ def test_scope_error_takes_precedence_over_odd_cycle():
     for adj in ((0b00110, 0b00101, 0b00011, 0b10000, 0b01000),
                 (0b00010, 0b00001, 0b11000, 0b10100, 0b01100)):
         with pytest.raises(ScopeError):
-            color_constrained(ChordGraph(nodes, adj, 0, 0), no_forced)
+            color_constrained(ChordGraph(nodes, adj, 0, 0, y_end_masks(nodes, 5)), no_forced)
+
+
+def test_edgeless_chord_graphs_need_no_bfs(monkeypatch):
+    """Chord graphs without an edge, with nodes (one Y vertex, so no rigid
+    pair) or without any (every X-Y pair an edge): the empty coloring, no
+    trapped vertex and the audit's clauses, with no BFS run at all
+    (``lowest(0)`` would be -1)."""
+    monkeypatch.setattr(ChordGraph, "bfs", lambda self, root: pytest.fail(f"bfs({root})"))
+    nested = "N_Y({}) nests inside every other X vertex's Y-neighborhood"
+    no_core = "no chord-graph edge avoids the forced-color nodes"
+    cases = (
+        ((2, 3, 2, 1), 0.5, 4, (
+            "private vertex 0 has 0 Y-neighbors out of 1",
+            "private vertex 1 has 0 Y-neighbors out of 1",
+            "private vertex 5 has 1 Y-neighbors out of 1",
+            "private vertex 6 has 0 Y-neighbors out of 1",
+            nested.format(6), no_core)),
+        ((0, 3, 2, 1), 0.5, 3, (
+            "private vertex 3 has 1 Y-neighbors out of 1",
+            "private vertex 4 has 0 Y-neighbors out of 1",
+            nested.format(4), no_core)),
+        ((2, 3, 2, 4), 1.0, 0, tuple(
+            f"private vertex {v} has 4 Y-neighbors out of 4" for v in (0, 1, 5, 6)
+        ) + (nested.format(5), nested.format(6), no_core)),
+    )
+    for shape, density, node_count, failures in cases:
+        g, p = generate_bab(shape, density, 0)
+        cg = build_chord_graph(g, p)
+        assert cg.node_count() == node_count and not any(cg.adj)
+        assert cg.components() == []
+        assert color_constrained(cg, compute_ab_sets(cg)) == TwoColoring(0, 0)
+        rfr = check_rigid_free(g, p, cg)
+        assert rfr.side_a_ok and rfr.side_b_ok
+        assert audit_assumption1(g, p, cg) == failures
+        assert check_necessary(g, p, cg).status is NecessaryStatus.OUT_OF_SCOPE
 
 
 def test_region_sets_frozen(g8, c4):

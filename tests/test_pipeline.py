@@ -21,6 +21,7 @@ from squaregeo import (
     validate_bab,
     verify_certificate,
 )
+from squaregeo.chords import ChordGraph, y_end_masks
 from squaregeo.orders import LinearOrder
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
@@ -135,11 +136,18 @@ def test_region_overshoot_recognized_yes():
 
 
 def test_recognize_runs_each_analysis_once(g8, monkeypatch):
-    """The chord graph, the forced sets, the coloring and the rigid-free
-    report are computed once per instance, also when construction swaps the
-    two sides."""
+    """The chord graph, its y-end table, its BFS, the forced sets, the
+    coloring and the rigid-free report are computed once per instance, also
+    when construction swaps the two sides."""
     calls = Counter()
-    for fn in (build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets):
+    bfs = ChordGraph.bfs
+
+    def counted_bfs(self, root):
+        calls["bfs"] += 1
+        return bfs(self, root)
+
+    monkeypatch.setattr(ChordGraph, "bfs", counted_bfs)
+    for fn in (build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets, y_end_masks):
         def counted(*args, _fn=fn):
             calls[_fn.__name__] += 1
             return _fn(*args)
@@ -154,7 +162,7 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
         cert = recognize(g, p)
         assert cert.verdict == YES
         assert calls == {"build_chord_graph": 1, "color_constrained": 1, "check_rigid_free": 1,
-                         "compute_ab_sets": 1}
+                         "compute_ab_sets": 1, "y_end_masks": 1, "bfs": 1}
     g, p = swap
     cg = build_chord_graph(g, p)
     assert check_sufficient(g, p, cg, check_necessary(g, p, cg)).swapped
