@@ -2,11 +2,12 @@
 
 From an admissible chord-graph coloring, each rigid pair orients one
 X-relation pair and one Y-relation pair. When both relations are partial
-orders and the nesting and rigid-free requirements hold, two total orders are
-assembled from pairwise placement rules; their interval completions are
-disjoint for every instance in scope, which the caller re-verifies. The
-coloring and the rigid-free report come from the passing necessary verdict
-and are not recomputed here.
+orders and both private sides are totally nested, two total orders are laid
+out as blocks in sequence: the a's, the shared block, then the b's within Y;
+and X, then Y. Pairwise placement rules order each block. Their interval
+completions are disjoint for every instance in scope, which the caller
+re-verifies. The coloring and the rigid-free report come from the passing
+necessary verdict and are not recomputed here.
 
 The coloring arrives as two node-index masks. A relation, like the set of
 placement constraints, is one successor mask per vertex: bit v of
@@ -126,24 +127,25 @@ class _ConstraintSet:
         elif mv & ~mu == 0:
             self.add(v, u)
 
-    def toposort(self) -> tuple[int, ...]:
-        """The topological order that always places the least ready vertex."""
+    def toposort(self, members: int) -> tuple[int, ...]:
+        """The vertices of mask ``members`` in the topological order that
+        always places the least ready vertex, reading only the constraints
+        between members: a builder adds none across its blocks."""
         indeg = [0] * len(self.succ)
-        for s in self.succ:
-            for w in bits(s):
+        for v in bits(members):
+            for w in bits(self.succ[v] & members):
                 indeg[w] += 1
-        heap = [v for v, d in enumerate(indeg) if d == 0]
-        heapq.heapify(heap)
+        heap = [v for v in bits(members) if not indeg[v]]  # ascending, so a heap
         seq = []
         while heap:
             v = heapq.heappop(heap)
             seq.append(v)
-            for w in bits(self.succ[v]):
+            for w in bits(self.succ[v] & members):
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(heap, w)
-        if len(seq) < len(self.succ):
-            raise OrderConstructionError(self._find_cycle(mask_of(v for v, d in enumerate(indeg) if d)))
+        if len(seq) < members.bit_count():
+            raise OrderConstructionError(self._find_cycle(members & ~mask_of(seq)))
         return tuple(seq)
 
     def _find_cycle(self, left: int) -> tuple[int, ...]:
@@ -196,25 +198,24 @@ def _y_rule_pairs(g, p, rel_y, reverse_rel: bool, swap_sides: bool, cons: _Const
 
 
 def build_order1(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: DerivedRelation) -> LinearOrder:
-    """First total order: private a's, then the shared block, then private
-    b's interleaved into Y around the Y-neighborhood of the last a.
+    """First total order: the private a's in their nesting sequence, the
+    shared block, then the private b's interleaved into Y around the
+    Y-neighborhood of the last a. Raises ScopeError unless both sides are
+    totally nested, since ``a_seq`` or ``b_seq`` is empty otherwise.
 
-    Pairwise rules: shared x's by oriented relation or Y-neighborhood
-    inclusion; Y by oriented relation, X-neighborhood inclusion (bigger
-    first), or the private-difference pattern; all of X_a before Y; the
-    Y-neighbors of the nesting-maximal private a before the first b, the
-    rest of Y after the last b. Unconstrained pairs fall to the ascending-id
-    topological tie-break.
+    Pairwise rules, each inside the shared block or inside the b's plus Y:
+    shared x's by oriented relation or Y-neighborhood inclusion; Y by
+    oriented relation, X-neighborhood inclusion (bigger first), or the
+    private-difference pattern; the b's in sequence, the Y-neighbors of the
+    last a before the first b, the rest of Y after the last b. Unconstrained
+    pairs fall to the ascending-id topological tie-break.
     """
+    if not (p.a_nested and p.b_nested):
+        raise ScopeError("the first order needs both private sides totally nested")
     cons = _ConstraintSet(g.n)
     _x_rule_pairs(g, p, rel_x, p.shared, reverse_rel=False, cons=cons)
-    for seq in (p.a_seq, p.b_seq):
-        for prev, cur in zip(seq, seq[1:]):
-            cons.add(prev, cur)
-    if p.a_seq:
-        cons.add_all(1 << p.a_seq[-1], p.shared)
-    if p.b_seq:
-        cons.add_all(p.shared, 1 << p.b_seq[0])
+    for prev, cur in zip(p.b_seq, p.b_seq[1:]):
+        cons.add(prev, cur)
 
     _y_rule_pairs(g, p, rel_y, reverse_rel=False, swap_sides=False, cons=cons)
 
@@ -222,14 +223,14 @@ def build_order1(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
         nya = ny_mask(g, p, p.a_seq[-1])
         cons.add_all(nya, 1 << p.b_seq[0])
         cons.add_all(1 << p.b_seq[-1], p.y & ~nya)
-    cons.add_all(p.x_a, p.y)
-    return LinearOrder.from_seq(cons.toposort())
+    return LinearOrder.from_seq(p.a_seq + cons.toposort(p.shared) + cons.toposort(p.b_only | p.y))
 
 
 def build_order2(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: DerivedRelation) -> LinearOrder:
     """Second total order: all of X (oriented relation reversed, inclusion
     kept; mutually non-nested private pairs put the b before the a), then Y
-    with the oriented relation reversed and the difference pattern mirrored."""
+    with the oriented relation reversed and the difference pattern mirrored;
+    every rule stays inside X or inside Y."""
     cons = _ConstraintSet(g.n)
     _x_rule_pairs(g, p, rel_x, p.x_all, reverse_rel=True, cons=cons)
     for a in bits(p.a_only):
@@ -240,9 +241,7 @@ def build_order2(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
                 cons.add(b, a)
 
     _y_rule_pairs(g, p, rel_y, reverse_rel=True, swap_sides=True, cons=cons)
-
-    cons.add_all(p.x_all, p.y)
-    return LinearOrder.from_seq(cons.toposort())
+    return LinearOrder.from_seq(cons.toposort(p.x_all) + cons.toposort(p.y))
 
 
 @dataclass(frozen=True)

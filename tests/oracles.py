@@ -27,7 +27,9 @@ from squaregeo.graph import (
     build_graph,
     check_cover,
     is_unit_interval_order,
+    lowest,
     mask_of,
+    nx_mask,
     ny_mask,
     prefix_masks,
     validate_bab,
@@ -929,3 +931,167 @@ def realize_unit_interval_of_augmented_graph(g_aug: Graph, o: LinearOrder) -> tu
         a, b = dist[k]
         coords[o.seq[k]] = (a - base_a) + (b - base_b) * gap
     return tuple(coords)
+
+
+# The two order builders before each order was laid out as its blocks in
+# sequence: one toposort over the whole vertex set, with the block layout
+# (the a-chain, the shared-block fences, X_a before Y in the first order, X
+# before Y in the second) added as constraints. Copied verbatim apart from
+# the names, as the reference for ``orders.build_order1`` and
+# ``orders.build_order2``.
+
+
+class WholeSetConstraintSet:
+    """'u before v' constraints as one successor mask per vertex, with tie
+    handling for equal neighborhoods."""
+
+    def __init__(self, n: int):
+        self.succ = [0] * n
+
+    def add(self, u: int, v: int):
+        if u != v:
+            self.succ[u] |= 1 << v
+
+    def add_all(self, us: int, vs: int):
+        """Every vertex of mask ``us`` before every other vertex of ``vs``."""
+        for u in bits(us):
+            self.succ[u] |= vs & ~(1 << u)
+
+    def add_oriented(self, rel: DerivedRelation, u: int, v: int, reverse_rel: bool) -> bool:
+        """Order a related pair as ``rel`` does, or reversed; False when
+        neither is related to the other."""
+        if not (rel.related(u, v) or rel.related(v, u)):
+            return False
+        if rel.related(u, v) != reverse_rel:
+            self.add(u, v)
+        else:
+            self.add(v, u)
+        return True
+
+    def add_inclusion(self, u: int, v: int, mu: int, mv: int):
+        """Order by inclusion of neighborhood masks: strictly smaller first,
+        equal masks broken by ascending id."""
+        if mu == mv:
+            self.add(min(u, v), max(u, v))
+        elif mu & ~mv == 0:
+            self.add(u, v)
+        elif mv & ~mu == 0:
+            self.add(v, u)
+
+    def toposort(self) -> tuple[int, ...]:
+        """The topological order that always places the least ready vertex."""
+        indeg = [0] * len(self.succ)
+        for s in self.succ:
+            for w in bits(s):
+                indeg[w] += 1
+        heap = [v for v, d in enumerate(indeg) if d == 0]
+        heapq.heapify(heap)
+        seq = []
+        while heap:
+            v = heapq.heappop(heap)
+            seq.append(v)
+            for w in bits(self.succ[v]):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(heap, w)
+        if len(seq) < len(self.succ):
+            raise OrderConstructionError(self._find_cycle(mask_of(v for v, d in enumerate(indeg) if d)))
+        return tuple(seq)
+
+    def _find_cycle(self, left: int) -> tuple[int, ...]:
+        """A cycle among the unplaced vertices ``left``. Vertices with no
+        successor left are dropped until none remain, so every vertex left
+        leads to a cycle; the walk then follows least successors from the
+        least vertex until one repeats."""
+        while dead := mask_of(v for v in bits(left) if not self.succ[v] & left):
+            left &= ~dead
+        path = [lowest(left)]
+        while True:
+            v = lowest(self.succ[path[-1]] & left)
+            if v in path:
+                return tuple(path[path.index(v):])
+            path.append(v)
+
+
+def _x_rule_pairs_whole_set(g, p, rel_x, members: int, reverse_rel: bool, cons: WholeSetConstraintSet):
+    """Shared skeleton of rules 1.1 and 2.1 over the X vertices ``members``:
+    the oriented relation (reversed in the second order), else Y-neighborhood
+    inclusion."""
+    xs = [(x, ny_mask(g, p, x)) for x in bits(members)]
+    for i, (x, mx) in enumerate(xs):
+        for xp, mxp in xs[i + 1:]:
+            if not cons.add_oriented(rel_x, x, xp, reverse_rel):
+                cons.add_inclusion(x, xp, mx, mxp)
+
+
+def _y_rule_pairs_whole_set(g, p, rel_y, reverse_rel: bool, swap_sides: bool, cons: WholeSetConstraintSet):
+    """Shared skeleton of rules 1.3/1.4 and 2.3/2.4.
+
+    Nesting (same direction in both orders) and the oriented relation pairs;
+    the difference-pattern rule applies only to pairs neither related nor
+    nested, where its two clauses cannot clash with the nesting clause.
+    """
+    left_target = p.b_only if swap_sides else p.a_only
+    right_target = p.a_only if swap_sides else p.b_only
+    ys = [(y, nx_mask(g, p, y)) for y in bits(p.y)]
+    for i, (y, my) in enumerate(ys):
+        for yp, myp in ys[i + 1:]:
+            if cons.add_oriented(rel_y, y, yp, reverse_rel):
+                continue
+            if my & ~myp == 0 or myp & ~my == 0:
+                # bigger X-neighborhood first in both orders
+                cons.add_inclusion(y, yp, ~my, ~myp)
+            elif my & ~myp & ~left_target == 0 and myp & ~my & ~right_target == 0:
+                cons.add(y, yp)
+            elif myp & ~my & ~left_target == 0 and my & ~myp & ~right_target == 0:
+                cons.add(yp, y)
+
+
+def build_order1_by_whole_set(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: DerivedRelation) -> LinearOrder:
+    """First total order: private a's, then the shared block, then private
+    b's interleaved into Y around the Y-neighborhood of the last a.
+
+    Pairwise rules: shared x's by oriented relation or Y-neighborhood
+    inclusion; Y by oriented relation, X-neighborhood inclusion (bigger
+    first), or the private-difference pattern; all of X_a before Y; the
+    Y-neighbors of the nesting-maximal private a before the first b, the
+    rest of Y after the last b. Unconstrained pairs fall to the ascending-id
+    topological tie-break.
+    """
+    cons = WholeSetConstraintSet(g.n)
+    _x_rule_pairs_whole_set(g, p, rel_x, p.shared, reverse_rel=False, cons=cons)
+    for seq in (p.a_seq, p.b_seq):
+        for prev, cur in zip(seq, seq[1:]):
+            cons.add(prev, cur)
+    if p.a_seq:
+        cons.add_all(1 << p.a_seq[-1], p.shared)
+    if p.b_seq:
+        cons.add_all(p.shared, 1 << p.b_seq[0])
+
+    _y_rule_pairs_whole_set(g, p, rel_y, reverse_rel=False, swap_sides=False, cons=cons)
+
+    if p.a_seq and p.b_seq:
+        nya = ny_mask(g, p, p.a_seq[-1])
+        cons.add_all(nya, 1 << p.b_seq[0])
+        cons.add_all(1 << p.b_seq[-1], p.y & ~nya)
+    cons.add_all(p.x_a, p.y)
+    return LinearOrder.from_seq(cons.toposort())
+
+
+def build_order2_by_whole_set(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: DerivedRelation) -> LinearOrder:
+    """Second total order: all of X (oriented relation reversed, inclusion
+    kept; mutually non-nested private pairs put the b before the a), then Y
+    with the oriented relation reversed and the difference pattern mirrored."""
+    cons = WholeSetConstraintSet(g.n)
+    _x_rule_pairs_whole_set(g, p, rel_x, p.x_all, reverse_rel=True, cons=cons)
+    for a in bits(p.a_only):
+        nya = ny_mask(g, p, a)
+        for b in bits(p.b_only):
+            nyb = ny_mask(g, p, b)
+            if nya & ~nyb and nyb & ~nya:
+                cons.add(b, a)
+
+    _y_rule_pairs_whole_set(g, p, rel_y, reverse_rel=True, swap_sides=True, cons=cons)
+
+    cons.add_all(p.x_all, p.y)
+    return LinearOrder.from_seq(cons.toposort())

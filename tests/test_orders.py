@@ -1,5 +1,6 @@
 """Derived relations and the two-order construction."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -17,7 +18,7 @@ from squaregeo import (
 )
 from squaregeo.embedding import make_order_pair
 from squaregeo.errors import OrderConstructionError, ScopeError
-from squaregeo.graph import bits
+from squaregeo.graph import bits, mask_of
 from squaregeo.instances import generate_bab
 from squaregeo.necessary import TwoColoring
 from squaregeo.orders import (
@@ -29,9 +30,13 @@ from squaregeo.orders import (
     validate_partial_order,
 )
 
+import oracles
 from oracles import (
     ArcConstraintSet,
     PairRelation,
+    WholeSetConstraintSet,
+    build_order1_by_whole_set,
+    build_order2_by_whole_set,
     constraint_arcs,
     derive_relations_by_pairs,
     node_coloring,
@@ -151,8 +156,10 @@ def test_relations_match_the_pair_reference():
 def test_toposort_matches_the_arc_reference():
     """The same arcs, order and reported cycle as the original arc-set
     version, on random constraint sets built by add, add_inclusion and
-    add_all. Where the original walk hit an unplaced vertex with no unplaced
-    successor and failed, a real cycle is reported instead."""
+    add_all, sorted over all vertices and over a random vertex mask. Over a
+    mask, the reference sorts the arcs between members and its order drops
+    the other vertices. Where the original walk hit an unplaced vertex with
+    no unplaced successor and failed, a real cycle is reported instead."""
     rng = random.Random(0)
     outcomes = Counter()
     for _ in range(3000):
@@ -175,23 +182,96 @@ def test_toposort_matches_the_arc_reference():
                     for b in bits(vs):
                         ref.add(a, b)
         assert constraint_arcs(cons) == ref.arcs
+        members = rng.getrandbits(n)
+        induced = ArcConstraintSet(n)
+        for a, b in ref.arcs:
+            if (members >> a) & (members >> b) & 1:
+                induced.add(a, b)
+        for scope, mask, arcs in (("all", (1 << n) - 1, ref), ("mask", members, induced)):
+            try:
+                got = ("order", cons.toposort(mask))
+            except OrderConstructionError as exc:
+                got = ("cycle", exc.cycle)
+            try:
+                want = ("order", tuple(v for v in arcs.toposort() if (mask >> v) & 1))
+            except OrderConstructionError as exc:
+                want = ("cycle", exc.cycle)
+            except ValueError:
+                cycle = got[1]
+                assert got[0] == "cycle" and len(set(cycle)) == len(cycle)
+                assert all((a, b) in arcs.arcs for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                want = got
+                outcomes[scope, "dead end"] += 1
+            assert got == want
+            outcomes[scope, got[0]] += 1
+    assert all(outcomes[scope, kind] for scope in ("all", "mask") for kind in ("order", "cycle", "dead end"))
+
+
+def test_builders_match_the_whole_set_reference(monkeypatch):
+    """Both orders equal the ones the earlier builders gave by sorting the
+    whole vertex set with the block layout as constraints. The corpus is
+    every seeded instance with n <= 12 that reaches construction, in both
+    orientations, under its coloring and under the swapped one. Each order
+    starts with its blocks: all of X in the second, the a's in their nesting
+    sequence and then the shared block in the first.
+
+    The swapped coloring can make two blocks cycle; the reported cycle is
+    then the first block's, where the reference may walk into the other
+    one, so only its arcs are checked against the reference's constraints."""
+    sorted_sets = []
+
+    class Recorded(WholeSetConstraintSet):
+        def toposort(self):
+            sorted_sets.append(self)
+            return super().toposort()
+
+    monkeypatch.setattr(oracles, "WholeSetConstraintSet", Recorded)
+
+    def outcome(build, g, p, rel_x, rel_y):
         try:
-            got = ("order", cons.toposort())
+            return build(g, p, rel_x, rel_y).seq
         except OrderConstructionError as exc:
-            got = ("cycle", exc.cycle)
-        try:
-            want = ("order", ref.toposort())
-        except OrderConstructionError as exc:
-            want = ("cycle", exc.cycle)
-        except ValueError:
-            cycle = got[1]
-            assert got[0] == "cycle" and len(set(cycle)) == len(cycle)
-            assert all((a, b) in ref.arcs for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-            want = got
-            outcomes["dead end"] += 1
-        assert got == want
-        outcomes[got[0]] += 1
-    assert outcomes["order"] and outcomes["cycle"] and outcomes["dead end"]
+            return exc
+
+    cases = Counter()
+    for shape in itertools.product(range(4), range(1, 4), range(4), range(1, 6)):
+        if sum(shape) > 12:
+            continue
+        for density, seed in itertools.product((0.3, 0.5, 0.7), range(10)):
+            g, p0 = generate_bab(shape, density, seed)
+            for p in (p0, p0.mirrored()):
+                cg = build_chord_graph(g, p)
+                nec = check_necessary(g, p, cg)
+                if nec.status is not NecessaryStatus.PASS or not (p.a_nested and p.b_nested):
+                    continue
+                f = nec.coloring
+                for col in (f, TwoColoring(red=f.blue, blue=f.red)):
+                    rel_x, rel_y = derive_relations(cg, col, p)
+                    if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
+                        continue
+                    if col is f:
+                        cases[bool(p.a_seq), bool(p.b_seq)] += 1
+                    o1, o2 = (outcome(build, g, p, rel_x, rel_y) for build in (build_order1, build_order2))
+                    for got, ref_build in ((o1, build_order1_by_whole_set), (o2, build_order2_by_whole_set)):
+                        want = outcome(ref_build, g, p, rel_x, rel_y)
+                        where = (shape, density, seed, p == p0, col is f, ref_build.__name__)
+                        if isinstance(want, tuple):
+                            assert got == want, where
+                            continue
+                        assert isinstance(got, OrderConstructionError), where
+                        cycle, succ = got.cycle, sorted_sets[-1].succ
+                        assert len(set(cycle)) == len(cycle), where
+                        assert all((succ[a] >> b) & 1 for a, b in zip(cycle, cycle[1:] + cycle[:1])), where
+                        cases["cycle", col is f] += 1
+                    if isinstance(o1, tuple):
+                        a, s = len(p.a_seq), p.shared.bit_count()
+                        assert o1[:a] == p.a_seq and mask_of(o1[a:a + s]) == p.shared
+                    if isinstance(o2, tuple):
+                        assert mask_of(o2[:p.x_all.bit_count()]) == p.x_all
+    # (a_seq non-empty, b_seq non-empty): every case is reached
+    assert cases[False, False] == 190 and cases[False, True] == 136
+    assert cases[True, False] == 146 and cases[True, True] == 60
+    assert not cases["cycle", True] and cases["cycle", False]
 
 
 def test_linear_order_helpers():
@@ -292,6 +372,12 @@ def test_crossing_private_neighborhoods_fail_nesting():
     s = _sufficient(g, p)
     assert s.reason == "nesting"
     assert s.orders is None and not s.swapped
+    # the first order starts with a_seq, which is empty on an unnested side
+    cg = build_chord_graph(g, p)
+    rel_x, rel_y = derive_relations(cg, check_necessary(g, p, cg).coloring, p)
+    for q in (p, p.mirrored()):
+        with pytest.raises(ScopeError, match="totally nested"):
+            build_order1(g, q, rel_x, rel_y)
 
 
 def test_rigid_free_blocks_construction():
@@ -306,7 +392,7 @@ def test_constraint_cycle_raises():
     cons.add(1, 2)
     cons.add(2, 0)
     with pytest.raises(OrderConstructionError) as exc:
-        cons.toposort()
+        cons.toposort((1 << 3) - 1)
     assert exc.value.cycle == (0, 1, 2)
     # the least unplaced vertex, 0, leads to no cycle; the cycle is 1 -> 2
     cons = _ConstraintSet(3)
@@ -314,7 +400,7 @@ def test_constraint_cycle_raises():
     cons.add(2, 1)
     cons.add(1, 0)
     with pytest.raises(OrderConstructionError) as exc:
-        cons.toposort()
+        cons.toposort((1 << 3) - 1)
     assert exc.value.cycle == (1, 2)
 
 
@@ -326,4 +412,4 @@ def test_constraint_tie_break_and_inclusion():
     assert (3, 0) in constraint_arcs(cons)
     cons.add_inclusion(0, 1, 0b0101, 0b0011)  # incomparable: no arc
     assert not {(0, 1), (1, 0)} & constraint_arcs(cons)
-    assert cons.toposort() == (1, 2, 3, 0)
+    assert cons.toposort((1 << 4) - 1) == (1, 2, 3, 0)
