@@ -5,7 +5,7 @@ A linear order on V forces some non-edges to behave like edges on its axis:
 completion, G plus its forced set, on one axis. Two orders whose forced sets
 are disjoint yield an embedding under the max metric, with the x and y
 coordinates realizing the completions of the first and the second order.
-All coordinates are Fractions and every check is an exact comparison.
+Coordinates are Fractions, multiples of 1/(n+1), and every check is exact.
 """
 
 from __future__ import annotations
@@ -79,59 +79,57 @@ def make_order_pair(g: Graph, o1: LinearOrder, o2: LinearOrder) -> OrderPair:
 def realize_unit_interval(g: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
     """Exact positions along one axis realizing the completion of any
     order o, G plus ``completion(g, o)``: nondecreasing along o, within 1
-    exactly on the completion's edges.
+    exactly on the completion's edges, each a multiple of 1/(n+1).
 
     There position k is adjacent to exactly the positions L(k)..k-1 before
     it, L(k) the first i with ``reach[i] >= k`` (``_reach``), found for
     every k by one pointer. So k needs two constraints: within 1 of L(k),
     which by monotonicity bounds its other earlier neighbors, and at least
-    1 plus a gap unit past L(k)-1, its last earlier non-neighbor. They are
-    feasible for every interval-closed order (Corneil et al. 1995) and are
-    solved exactly over values a + b*gap by Bellman-Ford on integer pairs
-    (a, b), relaxing the arcs from the end of o backwards, which takes fewer
-    rounds; the gap is then fixed to a rational small enough for every
-    constraint. ``embed`` checks the finished embedding exactly, once.
+    1 + 1/(n+1) past L(k)-1, its last earlier non-neighbor. They are
+    feasible for every interval-closed order (Corneil et al. 1995). In
+    units of 1/(n+1) the arcs weigh ints, 0 for monotonicity, n+1 for a
+    neighbor and -(n+2) for a separation, and Bellman-Ford solves them,
+    relaxing the arcs from the end of o backwards, which takes fewer rounds.
+
+    Exactness: write a weight as a*(n+1) + b, -b the number of separation
+    arcs. A simple path among n positions has at most n-1 of them, so two
+    paths' b differ by less than n+1, and comparing a*(n+1) + b agrees with
+    comparing the pairs (a, b) lexicographically, i.e. with an infinitesimal
+    gap in place of 1/(n+1). Both problems pick the same paths and neither
+    has a negative cycle. The int solution meets every constraint, so none
+    asks for a gap below 1/(n+1). ``embed`` checks the embedding, once.
     """
     n = g.n
     if n == 0:
         return ()
     _, reach = _reach(g, o.seq)
-    # constraint x_b - x_a <= (wa + wb*gap) stored as (a, b, wa, wb)
-    arcs: list[tuple[int, int, int, int]] = []
+    unit = n + 1  # length 1 in steps of 1/(n+1)
+    # constraint x_b - x_a <= w stored as (a, b, w)
+    arcs: list[tuple[int, int, int]] = []
     first = 0  # L(k)
     for k in range(1, n):
-        arcs.append((k, k - 1, 0, 0))
+        arcs.append((k, k - 1, 0))
         while reach[first] < k:
             first += 1
         if first <= k - 1:
-            arcs.append((first, k, 1, 0))
+            arcs.append((first, k, unit))
         if first > 0:
-            arcs.append((k, first - 1, -1, -1))
+            arcs.append((k, first - 1, -unit - 1))
     arcs.reverse()
 
-    # every weight is an integer, so the distances stay integral
-    dist = [(0, 0)] * n
+    dist = [0] * n
     for _ in range(n + 1):
         changed = False
-        for a, b, wa, wb in arcs:
-            cand = (dist[a][0] + wa, dist[a][1] + wb)
-            if cand < dist[b]:
-                dist[b] = cand
+        for a, b, w in arcs:
+            if dist[a] + w < dist[b]:
+                dist[b] = dist[a] + w
                 changed = True
         if not changed:
             break
 
-    gap = Fraction(1, n + 1)
-    for a, b, wa, wb in arcs:
-        slack = wa - (dist[b][0] - dist[a][0])
-        over = (dist[b][1] - dist[a][1]) - wb
-        if slack > 0 and over > 0 and Fraction(slack, over) < gap:
-            gap = Fraction(slack, over)
-    base_a, base_b = dist[0]
     coords = [Fraction(0)] * n
-    for k in range(n):
-        a, b = dist[k]
-        coords[o.seq[k]] = (a - base_a) + (b - base_b) * gap
+    for k, v in enumerate(o.seq):
+        coords[v] = Fraction(dist[k] - dist[0], unit)
     return tuple(coords)
 
 

@@ -166,20 +166,24 @@ def test_realize_accepts_a_non_interval_order():
 
 
 def _assert_realizes_the_completion(g, o):
+    """The realization equals the pair-and-gap reference run on G plus the
+    order's forced set, and every coordinate's denominator divides n+1."""
     got = realize_unit_interval(g, o)
     augmented = build_graph(g.n, g.edges() + list(completion(g, o)))
     want = realize_unit_interval_of_augmented_graph(augmented, o)
     assert got == want, (g.edges(), o.seq)
+    assert all((g.n + 1) % x.denominator == 0 for x in got), (g.edges(), o.seq)
 
 
 def test_realize_matches_the_augmented_graph_reference():
     """Random graphs and orders up to n=12, most orders not interval-closed
-    on G itself: the realization equals the earlier one run on G plus the
-    order's forced set."""
+    on G itself, then 300 up to n=60, and band graphs (i adjacent to
+    i+1..i+k) in natural order at n=100 and 200: the realization equals
+    the earlier one run on G plus the order's forced set."""
     rng = random.Random(11)
     closed = 0
-    for i in range(2400):
-        n = rng.randint(0 if i % 10 == 0 else 3, 12)
+    for i in range(2700):
+        n = rng.randint(0 if i % 10 == 0 else 3, 12) if i < 2400 else rng.randint(13, 60)
         density = 0.15 + 0.7 * rng.random()
         g = build_graph(
             n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
@@ -188,10 +192,17 @@ def test_realize_matches_the_augmented_graph_reference():
         closed += not completion(g, o)
         _assert_realizes_the_completion(g, o)
     assert closed < 480, closed
+    for n in (100, 200):
+        for k in (1, 3, 9):
+            g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + k + 1))])
+            o = LinearOrder.from_seq(range(n))
+            assert not completion(g, o)
+            _assert_realizes_the_completion(g, o)
 
 
 def test_realize_matches_the_reference_on_constructed_orders():
-    """Both orders of 20 filtered instances that recognize as YES."""
+    """Both orders of 20 filtered instances that recognize as YES, with
+    the reference's coordinates and denominators dividing n+1."""
     seen = 0
     seed = 0
     while seen < 20:
