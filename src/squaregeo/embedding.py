@@ -5,7 +5,9 @@ A linear order on V forces some non-edges to behave like edges on its axis:
 completion, G plus its forced set, on one axis. Two orders whose forced sets
 are disjoint yield an embedding under the max metric, with the x and y
 coordinates realizing the completions of the first and the second order.
-Coordinates are Fractions, multiples of 1/(n+1), and every check is exact.
+Coordinates are Fractions, multiples of 1/(n+1), and every check is exact:
+the embedding check compares ints over each axis's common denominator, or
+the Fractions themselves where that denominator would grow too large.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InputError, ScopeError, StructuralError
@@ -160,10 +163,12 @@ class EmbeddingCheck:
     violation: Pair | None = None
 
 
-def _within_one(vals: Sequence[Fraction]) -> list[int]:
-    """``out[v]`` is the mask of vertices whose value is within 1 of
+def _within_unit(vals: Sequence, unit: int) -> list[int]:
+    """``out[v]`` is the mask of vertices whose value is within ``unit`` of
     ``vals[v]``, v included: a two-pointer sweep over the vertices sorted
-    by value, reading each window off prefix masks."""
+    by value, reading each window off prefix masks. The values are the
+    axis's ints over its common denominator with ``unit`` that denominator,
+    or its Fractions themselves with ``unit`` 1 (``verify_embedding``)."""
     n = len(vals)
     by_val = sorted(range(n), key=vals.__getitem__)
     prefix = prefix_masks(by_val)
@@ -171,30 +176,52 @@ def _within_one(vals: Sequence[Fraction]) -> list[int]:
     lo = hi = 0
     for v in by_val:
         x = vals[v]
-        while x - vals[by_val[lo]] > 1:
+        while x - vals[by_val[lo]] > unit:
             lo += 1
-        while hi < n and vals[by_val[hi]] - x <= 1:
+        while hi < n and vals[by_val[hi]] - x <= unit:
             hi += 1
         out[v] = prefix[hi] ^ prefix[lo]
     return out
+
+
+def _near_on_axis(vals: Sequence[Fraction]) -> list[int]:
+    """``_within_unit`` on one axis: over its common denominator D, unless
+    D passes (n+1) times the largest denominator, then on the Fractions."""
+    dens = {x.denominator for x in vals}
+    limit = (len(vals) + 1) * max(dens, default=1)
+    d = 1
+    for den in dens:
+        d = lcm(d, den)
+        if d > limit:
+            return _within_unit(vals, 1)
+    return _within_unit([x.numerator * (d // x.denominator) for x in vals], d)
 
 
 def verify_embedding(g: Graph, e: Embedding) -> EmbeddingCheck:
     """Adjacency iff max-metric distance at most 1, exact comparisons; a
     non-adjacent pair at distance exactly 1 fails.
 
-    Each axis is one sorted sweep (``_within_one``) that compares the
-    coordinates themselves, exactly, without scaling them to a common
-    denominator: no number grows beyond the input's own coordinates, and
-    the sweep keeps n masks of n bits, the size of the adjacency. u's near
-    set is the meet of its two axis masks; the reported violation is the
-    lexicographically first pair (u, v), u < v, where it differs from
-    ``adj[u]``. O(n log n) comparisons plus O(n) mask operations.
+    Each axis is one sorted sweep (``_within_unit``), on ints where that is
+    cheap: with D the lcm of the axis's denominators, x is within 1 of y
+    exactly when x*D is within D of y*D, and the sort order is the same.
+    D is built one denominator at a time and the build stops once D passes
+    (n+1)*m, m the largest denominator on the axis. So every lcm step
+    stays at most (n+1)*m^2, and a scaled coordinate x*D has at most
+    log2((n+1)*m) more bits than x's numerator: no number grows much
+    beyond the input's own. Every coordinate ``embed`` writes is a multiple
+    of 1/(n+1), so D divides n+1 and a YES always takes the int path. An
+    axis whose D would pass the bound (say, many coprime huge denominators)
+    is swept on its Fractions with unit 1, whose comparisons cross-multiply
+    only the input's own numbers. Either sweep keeps n masks of n bits, the
+    size of the adjacency. u's near set is the meet of its two axis masks;
+    the reported violation is the lexicographically first pair (u, v),
+    u < v, where it differs from ``adj[u]``. O(n log n) comparisons plus
+    O(n) mask operations.
     """
     if len(e.coords) != g.n:
         raise InputError("coordinate count differs from vertex count")
-    near_x = _within_one([x for x, _ in e.coords])
-    near_y = _within_one([y for _, y in e.coords])
+    near_x = _near_on_axis([x for x, _ in e.coords])
+    near_y = _near_on_axis([y for _, y in e.coords])
     for u in range(g.n):
         wrong = (near_x[u] & near_y[u] ^ g.adj[u]) >> (u + 1)
         if wrong:

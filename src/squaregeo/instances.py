@@ -9,7 +9,9 @@ decimals.
 single spaces, ids of at most 18 digits and a newline end, as
 ``emit_instance`` writes them. Every other spelling the parser accepts
 (extra blanks, CRLF ends, longer ids, ...) is read line by line, parses
-to the same graph and raises the same errors.
+to the same graph and raises the same errors. ``parse_certificate`` reads
+canonical completion lines (``u,v`` tokens, single spaces, ids of at most
+18 digits) in bulk the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from .pipeline import NO, UNDECIDED, YES, Certificate
 
 INSTANCE_HEADER = "bab-instance v1"
 CERTIFICATE_HEADER = "bab-certificate v1"
-_COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_COORDINATE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# A whole completion body "u,v u,v ...", as emit_certificate writes it, of
+# at most 8192 pairs. The cap keeps the match's backtracking stack and the
+# bulk split at about a megabyte; a longer body is read token by token.
+_PAIR_LINE = re.compile(r"[0-9]{1,18},[0-9]{1,18}(?: [0-9]{1,18},[0-9]{1,18}){0,8191}")
 
 
 # Whole lines "edge <digits> <digits>\n", as emit_instance writes them. The
@@ -147,9 +153,10 @@ def _coordinate(tok: str) -> Fraction:
     fraction; anything else raises ValueError. Fraction() alone would also
     take exponents, and "1e10000000" would build a ten-million-digit
     integer."""
-    if not _COORDINATE.fullmatch(tok):
+    m = _COORDINATE.fullmatch(tok)
+    if not m:
         raise ValueError(f"bad coordinate {tok!r}")
-    return Fraction(tok)
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def _emit_pairs(key: str, pairs) -> str:
@@ -158,6 +165,11 @@ def _emit_pairs(key: str, pairs) -> str:
 
 
 def _parse_pairs(i: int, rest: str) -> frozenset[tuple[int, int]]:
+    """The pairs of a completion line; a canonical body is read in bulk,
+    any other token by token, with the same pairs and errors."""
+    if _PAIR_LINE.fullmatch(rest):
+        ends = map(int, rest.replace(",", " ").split())
+        return frozenset(zip(ends, ends))
     pairs = []
     for tok in rest.split():
         left, _, right = tok.partition(",")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +35,7 @@ from squaregeo.graph import (
     prefix_masks,
     validate_bab,
 )
-from squaregeo.instances import INSTANCE_HEADER
+from squaregeo.instances import INSTANCE_HEADER, _echo
 from squaregeo.necessary import ColoringRefutation, TwoColoring, _layer_masks, _shortest_odd_cycle
 from squaregeo.orders import DerivedRelation, LinearOrder, PartialOrderCheck
 
@@ -861,6 +862,32 @@ def parse_instance_by_lines(text: str) -> tuple[Graph, BabPartition]:
     g = build_graph(n, edges)
     p = validate_bab(g, sets["xa"], sets["xb"], sets["y"])
     return g, p
+
+
+# The completion-pair and coordinate readers before bulk completion lines
+# and int coordinate parsing: every pair token through the loop, every
+# coordinate through Fraction's own string parser. Copied verbatim apart
+# from the names, as the references for ``instances._parse_pairs`` and
+# ``instances._coordinate``.
+
+_COORDINATE_BY_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_pairs_by_tokens(i: int, rest: str) -> frozenset[tuple[int, int]]:
+    pairs = []
+    for tok in rest.split():
+        left, _, right = tok.partition(",")
+        try:
+            pairs.append((int(left), int(right)))
+        except ValueError:
+            raise ParseError(f"line {i}: bad pair {_echo(tok)}") from None
+    return frozenset(pairs)
+
+
+def coordinate_by_fraction_string(tok: str) -> Fraction:
+    if not _COORDINATE_BY_STRING.fullmatch(tok):
+        raise ValueError(f"bad coordinate {tok!r}")
+    return Fraction(tok)
 
 
 # The axis realization before it read the completion of the order itself:

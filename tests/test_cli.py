@@ -7,7 +7,7 @@ from squaregeo.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, main
 from squaregeo.pipeline import NO
 
 from test_necessary import RIGID_FAIL_EDGES
-from test_pipeline import NO_CORE_EDGE_EDGES
+from test_pipeline import NO_CORE_EDGE_EDGES, coprime_denominator_certificate
 from squaregeo import build_graph, validate_bab
 
 
@@ -252,6 +252,26 @@ def test_verify_rejects_an_exponent_coordinate_at_once(tmp_path, g8, g8_file, ca
     err = capsys.readouterr().err
     assert err.startswith("parse error: line ") and "bad coordinate" in err
     assert err.count("\n") == 1
+
+
+def test_verify_coprime_denominator_certificate(tmp_path, capsys):
+    """A YES certificate at n=130 whose coordinates have pairwise-coprime
+    ~1000-digit denominators: verify exits 0, and exits 1 once a
+    coordinate line is moved."""
+    g, p, cert = coprime_denominator_certificate()
+    inst = tmp_path / "inst.txt"
+    inst.write_text(emit_instance(g, p))
+    text = emit_certificate(cert)
+    good = tmp_path / "cert.txt"
+    good.write_text(text)
+    assert main(["verify", str(inst), str(good)]) == EXIT_YES
+    assert capsys.readouterr().out == "certificate ok\n"
+
+    line = next(s for s in text.splitlines() if s.startswith("coord 17 "))
+    moved = tmp_path / "moved.txt"
+    moved.write_text(text.replace(line, "coord 17 3 3"))
+    assert main(["verify", str(inst), str(moved)]) == EXIT_NO
+    assert capsys.readouterr().out.startswith("problem: embedding fails on pair ")
 
 
 def test_missing_file_is_an_error(capsys):

@@ -310,6 +310,61 @@ def test_verify_embedding_matches_the_pair_loop():
     assert verdicts == {True, False}
 
 
+def test_verify_embedding_on_both_paths_matches_the_pair_loop(monkeypatch):
+    """Coordinates in steps of 1/3, 1/7, 1/1000 and 1/(n+1), negative ones,
+    and pairs at distance exactly 1 and exactly 1 + 1/(n+1) on an axis. An
+    axis mixing 1/3 and 1/7 with a larger step has a common denominator
+    above n+1 times its largest one and is swept on its Fractions; every
+    other axis on ints. Both give the pair loop's verdict and first
+    violation, and each axis the near masks of the plain Fraction sweep."""
+    kernel = embedding._within_unit
+    paths = collections.Counter()  # kernel calls on ints and on Fractions
+
+    def counted(vals, unit):
+        if all(type(x) is int for x in vals):
+            paths["int"] += 1
+        else:
+            assert unit == 1 and all(type(x) is Fraction for x in vals)
+            paths["fraction"] += 1
+        return kernel(vals, unit)
+
+    monkeypatch.setattr(embedding, "_within_unit", counted)
+    rng = random.Random(11)
+    steps = (Fraction(1, 3), Fraction(1, 7), Fraction(1, 1000))
+    verdicts, gap_pairs = collections.Counter(), collections.Counter()
+    for case in range(1500):
+        n = case if case < 2 else rng.randint(2, 12)
+        pool = rng.sample(steps + (Fraction(1, n + 1),), rng.randint(1, 4))
+        gaps = (Fraction(1), 1 + Fraction(1, n + 1))
+        xs, ys = [], []
+        for _ in range(n):
+            for axis in (xs, ys):
+                if axis and rng.random() < 0.4:
+                    axis.append(rng.choice(axis) + rng.choice((-1, 1)) * rng.choice(gaps))
+                else:
+                    axis.append(rng.randint(-12, 12) * rng.choice(pool))
+        coords = tuple(zip(xs, ys))
+        near = [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if abs(xs[u] - xs[v]) <= 1 and abs(ys[u] - ys[v]) <= 1
+        ]
+        pairs = list(itertools.combinations(range(n), 2))
+        flips = set(rng.sample(pairs, min(len(pairs), rng.choice((0, 0, 1, 3)))))
+        g = build_graph(n, set(near) ^ flips)
+        e = Embedding(coords=coords)
+        got = verify_embedding(g, e)
+        assert got == verify_embedding_by_pairs(g, e)
+        for axis in (xs, ys):
+            assert embedding._near_on_axis(axis) == kernel(axis, 1)
+        verdicts[got.ok] += 1
+        for axis in (xs, ys):
+            gap_pairs.update(abs(a - b) == 1 for a, b in itertools.combinations(axis, 2) if abs(a - b) in gaps)
+    assert verdicts[True] > 300 and verdicts[False] > 300
+    assert gap_pairs[True] > 1000 and gap_pairs[False] > 1000
+    assert paths["int"] > 1000 and paths["fraction"] > 300
+
+
 def test_verify_embedding_count_mismatch():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(InputError):

@@ -1,8 +1,10 @@
 """Text formats and the random generator."""
 
 import ast
+import collections
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -21,10 +23,10 @@ from squaregeo import (
 )
 from squaregeo.errors import GenerationError, InputError, ParseError, ScopeError, StructuralError
 from squaregeo.graph import bits
-from squaregeo.instances import _echo
+from squaregeo.instances import _PAIR_LINE, _coordinate, _echo, _parse_pairs
 from squaregeo.necessary import NecessaryStatus
 
-from oracles import parse_instance_by_lines
+from oracles import coordinate_by_fraction_string, parse_instance_by_lines, parse_pairs_by_tokens
 
 
 def test_instance_round_trip(g8):
@@ -284,6 +286,85 @@ def test_every_certificate_field_round_trips(c4, g8, disconnected7, triangle6):
 def test_certificate_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_certificate(text)
+
+
+def _read_coordinate(read, tok):
+    """The coordinate, or the type of the exception reading it raised."""
+    try:
+        return read(tok)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+def _token_id(tok: str) -> str:
+    return ascii(tok) if len(tok) <= 12 else f"{len(tok)}-chars"
+
+
+@pytest.mark.parametrize(
+    "tok", ["2/4", "-0", "-7/3", "0", "17", "-12", "007", "3/1", "-0/5", "9" * 4000], ids=_token_id
+)
+def test_coordinate_equals_the_fraction_string(tok):
+    got = _coordinate(tok)
+    assert type(got) is Fraction and got == Fraction(tok) == coordinate_by_fraction_string(tok)
+
+
+# a 5000-digit numerator passes the regex; the int conversion limit, on by
+# default since Python 3.10.7 / 3.11, refuses it
+HUGE_NUMERATOR = "7" * 5000 + "/3"
+INT_DIGITS_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+
+
+@pytest.mark.parametrize(
+    "tok",
+    ["0/0", "5/0", "1e5", "+1", "1_0", "0.5", "\u0663", "\u0661/\u0662", "1/-2", "1/2/3", "/2", HUGE_NUMERATOR],
+    ids=_token_id,
+)
+def test_coordinate_rejects_what_the_fraction_string_reader_rejected(tok):
+    """Same exception type as the reader that handed the whole token to
+    ``Fraction(tok)``, and the same ParseError inside a certificate."""
+    want = _read_coordinate(coordinate_by_fraction_string, tok)
+    assert _read_coordinate(_coordinate, tok) == want
+    rest = f"0 {tok} 1"
+    text = f"bab-certificate v1\nverdict yes\ncoord {rest}\n"
+    if tok == HUGE_NUMERATOR and not INT_DIGITS_LIMITED:
+        assert parse_certificate(text).embedding.coords[0][0] == want
+        return
+    assert want in (ValueError, ZeroDivisionError)
+    with pytest.raises(ParseError) as caught:
+        parse_certificate(text)
+    assert str(caught.value) == f"line 3: bad coordinate in {_echo(rest)}"
+
+
+def _pair_body(rng: random.Random) -> str:
+    """A completion body: canonical, or canonical with one hostile edit."""
+    pairs = sorted({(rng.randint(0, 60), rng.randint(0, 60)) for _ in range(rng.randint(0, 40))})
+    toks = [f"{u},{v}" for u, v in pairs]
+    if toks and rng.random() < 0.6:
+        k = rng.randrange(len(toks))
+        toks[k] = rng.choice([
+            "0," + "9" * 18, "0," + "9" * 19, "1" * 19 + ",0", "007,08", "1,2,3", "1,", ",1", "1",
+            "-1,2", "+1,2", "1, 2", "1,\u0663", "1_0,2", "1;2", toks[k] + "x", "0x1,2",
+        ])
+    sep = "  " if toks and rng.random() < 0.1 else " "
+    return sep.join(toks)
+
+
+def test_parse_pairs_matches_the_token_loop():
+    """Canonical bodies take the bulk path, every other body the loop; both
+    give the token loop's pairs or its exact ParseError. Bodies past the
+    bulk cap of 8192 pairs go token by token."""
+    rng = random.Random(5)
+    bodies = [_pair_body(rng) for _ in range(3000)]
+    bodies.append(" ".join(f"{i},{i + 1}" for i in range(8192)))
+    bodies.append(" ".join(f"{i},{i + 1}" for i in range(8193)))
+    bodies.append(" ".join(f"{i},{i + 1}" for i in range(9000)) + " 5,x")
+    kinds = collections.Counter()
+    for rest in bodies:
+        want = _outcome(lambda r: parse_pairs_by_tokens(7, r), rest)
+        assert _outcome(lambda r: _parse_pairs(7, r), rest) == want
+        kinds[type(want), bool(_PAIR_LINE.fullmatch(rest))] += 1
+    assert set(kinds) == {(frozenset, True), (frozenset, False), (tuple, False)}
+    assert kinds[frozenset, True] > 1000
 
 
 def test_generator_is_deterministic():

@@ -1,10 +1,13 @@
 """End-to-end recognition: verdicts, routes, reasons and certificates."""
 
+import math
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 from squaregeo import (
+    Embedding,
     build_chord_graph,
     build_graph,
     check_necessary,
@@ -13,6 +16,7 @@ from squaregeo import (
     chords,
     color_constrained,
     compute_ab_sets,
+    embedding,
     emit_certificate,
     necessary,
     orders,
@@ -22,9 +26,11 @@ from squaregeo import (
     verify_certificate,
 )
 from squaregeo.chords import ChordGraph, y_end_masks
+from squaregeo.embedding import embed, make_order_pair
 from squaregeo.orders import LinearOrder
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
+from oracles import verify_embedding_by_pairs
 from test_acceptance import G8_GOLDEN
 from test_necessary import (
     FORCED_CONFLICT_EDGES,
@@ -245,3 +251,78 @@ def test_verify_catches_tampering(g8):
 
     short = replace(cert, order1=LinearOrder.from_seq(cert.order1.seq[:-1]))
     assert not verify_certificate(g, short).ok
+
+
+def coprime_denominator_certificate():
+    """(g, p, cert): a valid three-clique instance from integer points
+    (unit 1000) and a YES certificate for it whose coordinates have
+    pairwise-coprime denominators of about 1000 digits.
+
+    Private a points lie on the chain (t, t), t in [0, 300]; shared points
+    in [600, 1000] x [0, 1000]; private b points in [1301, 1600] x [0, 600];
+    Y points in [700, 1700]^2, as the benchmark plants them. Sorting the
+    points by x and by y gives two orders with disjoint forced sets, and
+    ``embed`` realizes them in multiples of 1/(n+1). Every coordinate is
+    then shrunk by the factor 1 - 1/(4(n+1)), which keeps neighbors within
+    1 - 1/(4(n+1)) and non-neighbors at least 1 + 1/(2(n+1)) apart, and
+    moved up to the next multiple of 1/q_v, q_v = (v+1)*N + 1 with
+    N = 10**800 * (n+1)!. Two such q share no prime: it would divide
+    (v-u)*N, hence N, hence 1.
+    """
+    rng = random.Random(0)
+    a_size, shared_size, b_size, y_size = 30, 30, 30, 40
+    pts = [(t, t) for t in sorted(rng.sample(range(301), a_size))]
+    pts += [(rng.randint(600, 1000), rng.randint(0, 1000)) for _ in range(shared_size)]
+    pts += [(rng.randint(1301, 1600), rng.randint(0, 600)) for _ in range(b_size)]
+    pts += [(rng.randint(700, 1700), rng.randint(700, 1700)) for _ in range(y_size)]
+    n = len(pts)
+    g = build_graph(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if abs(pts[u][0] - pts[v][0]) <= 1000 and abs(pts[u][1] - pts[v][1]) <= 1000
+    ])
+    shared_end, x_end = a_size + shared_size, a_size + shared_size + b_size
+    p = validate_bab(g, range(shared_end), range(a_size, x_end), range(x_end, n))
+    pair = make_order_pair(g, *(LinearOrder.from_seq(sorted(range(n), key=lambda v: pts[v][k])) for k in (0, 1)))
+    grid = embed(g, pair)
+    shrink = 1 - Fraction(1, 4 * (n + 1))
+    big = 10**800 * math.factorial(n + 1)
+    coords = []
+    for v, xy in enumerate(grid.coords):
+        q = (v + 1) * big + 1
+        coords.append(tuple(Fraction(math.floor(c * shrink * q) + 1, q) for c in xy))
+    cert = pipeline.Certificate(YES, "sufficient", order1=pair.o1, order2=pair.o2, completion1=pair.c1,
+                                completion2=pair.c2, embedding=Embedding(coords=tuple(coords)))
+    return g, p, cert
+
+
+def test_coprime_denominator_certificate_takes_the_fraction_path(monkeypatch):
+    """n = 130, every coordinate with its own ~1000-digit denominator: the
+    common denominator of an axis would have about 400,000 bits. Its lcm
+    stops after two steps per axis, once it passes (n+1) times the largest
+    denominator, and both axes are swept on their Fractions. The verdicts
+    are the pair loop's: the certificate verifies, and moving a coordinate
+    fails on the pair loop's first violation."""
+    g, _, cert = coprime_denominator_certificate()
+    assert g.n == 130
+    coords = cert.embedding.coords
+    dens = [c.denominator for xy in coords for c in xy]
+    assert min(dens).bit_length() > 3300 and math.gcd(coords[0][0].denominator, coords[1][0].denominator) == 1
+
+    lcm_calls, sweeps = [], []
+    lcm, kernel = embedding.lcm, embedding._within_unit
+    monkeypatch.setattr(embedding, "lcm", lambda a, b: lcm_calls.append(1) or lcm(a, b))
+    monkeypatch.setattr(
+        embedding, "_within_unit", lambda vals, unit: sweeps.append((type(vals[0]), unit)) or kernel(vals, unit)
+    )
+
+    assert verify_embedding_by_pairs(g, cert.embedding).ok
+    assert verify_certificate(g, cert) == pipeline.CertificateCheck(ok=True)
+    assert len(lcm_calls) == 4 and sweeps == [(Fraction, 1)] * 2
+
+    moved = list(coords)
+    moved[17] = (coords[17][0] + 3, coords[17][1])
+    bad = replace(cert, embedding=Embedding(coords=tuple(moved)))
+    want = verify_embedding_by_pairs(g, bad.embedding)
+    assert not want.ok
+    assert verify_certificate(g, bad).problems == (f"embedding fails on pair {want.violation}",)
+    assert len(lcm_calls) == 8 and sweeps == [(Fraction, 1)] * 4
