@@ -1,10 +1,13 @@
 """Order completions, exact axis realizations and plane embeddings.
 
 A linear order on V forces some non-edges to behave like edges on its axis:
-{w, z} is forced whenever an edge straddles it. Any order realizes its
-completion, G plus its forced set, on one axis. Two orders whose forced sets
-are disjoint yield an embedding under the max metric, with the x and y
-coordinates realizing the completions of the first and the second order.
+{w, z} is forced whenever an edge straddles it. A forced set is one int, a
+pair mask with bit u*n + v set for each forced {u, v}, u < v; ``pairs_of``
+reads it back as pairs and ``pair_mask`` builds it from checked pairs.
+Any order realizes its completion, G plus its forced set, on one axis. Two
+orders whose forced sets are disjoint yield an embedding under the max
+metric, with the x and y coordinates realizing the completions of the
+first and the second order.
 Coordinates are Fractions, multiples of 1/(n+1), and every check is exact:
 the embedding check compares ints over each axis's common denominator, or
 the Fractions themselves where that denominator would grow too large.
@@ -25,11 +28,13 @@ from .orders import LinearOrder
 Pair = tuple[int, int]
 
 
-def _reach(g: Graph, seq: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The prefix masks of ``seq`` and ``reach``, where ``reach[i]`` is the
-    last position of a neighbor of any vertex at positions 0..i, or i if
-    later. In the completion of ``seq``, position i is adjacent to exactly
-    the positions i+1..reach[i] after it. One sweep, O(n) mask operations.
+def _reach(g: Graph, seq: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The prefix masks of ``seq``, ``first`` and ``reach``. ``reach[i]`` is
+    the last position of a neighbor of any vertex at positions 0..i, or i
+    if later, and ``first[k]`` is L(k), the first position i with
+    ``reach[i] >= k``. In the completion of ``seq``, position k is adjacent
+    to exactly the other positions of its block L(k)..reach[k]. Two
+    pointer sweeps, O(n) mask operations.
     """
     n = len(seq)
     prefix = prefix_masks(seq)
@@ -42,37 +47,72 @@ def _reach(g: Graph, seq: Sequence[int]) -> tuple[list[int], list[int]]:
         while r + 1 < n and seen & ~prefix[r + 1]:
             r += 1
         reach.append(r)
-    return prefix, reach
+    first = []
+    lo = 0
+    for k in range(n):
+        while reach[lo] < k:
+            lo += 1
+        first.append(lo)
+    return prefix, first, reach
 
 
-def completion(g: Graph, o: LinearOrder) -> frozenset[Pair]:
+def completion(g: Graph, o: LinearOrder) -> int:
     """Non-edges {w, z} straddled by some edge u~v with u at or before w and
-    z at or before v in o.
+    z at or before v in o, as a pair mask: bit w*n + z for w < z.
 
-    The vertex w at position i is forced to every non-neighbor at positions
-    i+1..reach[i] (``_reach``). Each pair is emitted once, from its earlier
-    vertex, as (min, max). O(n) mask operations plus the output.
+    The vertex w at position k is forced to every non-neighbor in its
+    block L(k)..reach[k] (``_reach``). That row of vertices, cut to the
+    partners above w and shifted to bits w*n + z, is folded in once per
+    vertex, so each pair is set from its lesser end. O(n) mask operations.
     """
-    prefix, reach = _reach(g, o.seq)
-    forced = []
-    for i, w in enumerate(o.seq):
-        for z in bits((prefix[reach[i] + 1] ^ prefix[i + 1]) & ~g.adj[w]):
-            forced.append((w, z) if w < z else (z, w))
-    return frozenset(forced)
+    n, adj = g.n, g.adj
+    prefix, first, reach = _reach(g, o.seq)
+    forced = 0
+    for k, w in enumerate(o.seq):
+        row = (prefix[reach[k] + 1] ^ prefix[first[k]]) & ~adj[w]
+        forced |= row >> (w + 1) << (w * n + w + 1)
+    return forced
+
+
+def pairs_of(mask: int, n: int) -> frozenset[Pair]:
+    """The pairs (u, v) of a pair mask over n vertices, bit u*n + v."""
+    full = (1 << n) - 1
+    pairs = []
+    for u in range(n):
+        pairs += [(u, v) for v in bits(mask & full)]
+        mask >>= n
+    return frozenset(pairs)
+
+
+def pair_mask(pairs: frozenset[Pair], n: int) -> int | None:
+    """The pair mask of a set of pairs, or None when some pair is not
+    0 <= u < v < n, which no forced set holds. Each id is checked before it
+    is shifted, so a hostile id never builds a huge int. One row per u,
+    then one shift per row."""
+    rows = [0] * n
+    for u, v in pairs:
+        if not 0 <= u < v < n:
+            return None
+        rows[u] |= 1 << v
+    mask = 0
+    for row in reversed(rows):
+        mask = mask << n | row
+    return mask
 
 
 @dataclass(frozen=True)
 class OrderPair:
-    """Two linear orders with their forced non-edge sets."""
+    """Two linear orders with their forced non-edge sets as pair masks
+    (``completion``); the pair is valid when the masks are disjoint."""
 
     o1: LinearOrder
     o2: LinearOrder
-    c1: frozenset[Pair]
-    c2: frozenset[Pair]
+    c1: int
+    c2: int
 
     @property
     def valid(self) -> bool:
-        return not (self.c1 & self.c2)
+        return not self.c1 & self.c2
 
 
 def make_order_pair(g: Graph, o1: LinearOrder, o2: LinearOrder) -> OrderPair:
@@ -85,14 +125,14 @@ def realize_unit_interval(g: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
     exactly on the completion's edges, each a multiple of 1/(n+1).
 
     There position k is adjacent to exactly the positions L(k)..k-1 before
-    it, L(k) the first i with ``reach[i] >= k`` (``_reach``), found for
-    every k by one pointer. So k needs two constraints: within 1 of L(k),
-    which by monotonicity bounds its other earlier neighbors, and at least
-    1 + 1/(n+1) past L(k)-1, its last earlier non-neighbor. They are
-    feasible for every interval-closed order (Corneil et al. 1995). In
-    units of 1/(n+1) the arcs weigh ints, 0 for monotonicity, n+1 for a
-    neighbor and -(n+2) for a separation, and Bellman-Ford solves them,
-    relaxing the arcs from the end of o backwards, which takes fewer rounds.
+    it, L(k) the first i with ``reach[i] >= k`` (``_reach``). So k needs
+    two constraints: within 1 of L(k), which by monotonicity bounds its
+    other earlier neighbors, and at least 1 + 1/(n+1) past L(k)-1, its
+    last earlier non-neighbor. They are feasible for every interval-closed
+    order (Corneil et al. 1995). In units of 1/(n+1) the arcs weigh ints,
+    0 for monotonicity, n+1 for a neighbor and -(n+2) for a separation,
+    and Bellman-Ford solves them, relaxing the arcs from the end of o
+    backwards, which takes fewer rounds.
 
     Exactness: write a weight as a*(n+1) + b, -b the number of separation
     arcs. A simple path among n positions has at most n-1 of them, so two
@@ -105,19 +145,16 @@ def realize_unit_interval(g: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
     n = g.n
     if n == 0:
         return ()
-    _, reach = _reach(g, o.seq)
+    _, first, _ = _reach(g, o.seq)
     unit = n + 1  # length 1 in steps of 1/(n+1)
     # constraint x_b - x_a <= w stored as (a, b, w)
     arcs: list[tuple[int, int, int]] = []
-    first = 0  # L(k)
     for k in range(1, n):
         arcs.append((k, k - 1, 0))
-        while reach[first] < k:
-            first += 1
-        if first <= k - 1:
-            arcs.append((first, k, unit))
-        if first > 0:
-            arcs.append((k, first - 1, -unit - 1))
+        if first[k] <= k - 1:
+            arcs.append((first[k], k, unit))
+        if first[k] > 0:
+            arcs.append((k, first[k] - 1, -unit - 1))
     arcs.reverse()
 
     dist = [0] * n
@@ -249,13 +286,14 @@ class _NonEdgesIn(dict):
 def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrder] | None:
     """Exhaustive search for two orders with disjoint forced sets.
 
-    Each order's forced set is one int over pair bits, {u, v} (u < v) at
-    bit u*n + v. A non-edge is forced exactly when some edge spans it, and
-    among the edges whose later end is v, the one to v's earliest neighbor
-    spans all the others. So placing v at position k forces exactly the
-    non-edges inside positions p..k, p the position of v's earliest placed
-    neighbor, and the OR over those windows of ``ne[S]``, the non-edges
-    inside vertex set S, equals ``completion``. ``ne`` is filled on demand,
+    Each order's forced set is one pair mask, {u, v} (u < v) at bit
+    u*n + v: the very int ``completion`` returns for that order. A non-edge
+    is forced exactly when some edge spans it, and among the edges whose
+    later end is v, the one to v's earliest neighbor spans all the others.
+    So placing v at position k forces exactly the non-edges inside
+    positions p..k, p the position of v's earliest placed neighbor, and
+    the OR over those windows of ``ne[S]``, the non-edges inside vertex
+    set S, is ``completion``'s mask. ``ne`` is filled on demand,
     so nothing of size 2^n is built up front.
 
     Reversing an order leaves its forced set unchanged, so only orders no

@@ -11,7 +11,8 @@ single spaces, ids of at most 18 digits and a newline end, as
 (extra blanks, CRLF ends, longer ids, ...) is read line by line, parses
 to the same graph and raises the same errors. ``parse_certificate`` reads
 canonical completion lines (``u,v`` tokens, single spaces, ids of at most
-18 digits) in bulk the same way.
+18 digits) in bulk the same way. Each parse call reads its ids through
+one fresh ``_IntMemo``, so a repeated id token is converted once.
 """
 
 from __future__ import annotations
@@ -62,14 +63,23 @@ def _content_lines(text: str, start: int = 1):
             yield i, line
 
 
-def _int_fields(i: int, rest: str, what: str) -> list[int]:
+class _IntMemo(dict):
+    """``ints[tok]`` is ``int(tok)``, converted on first use of each token;
+    ``int``'s ValueError passes through. One per parse call."""
+
+    def __missing__(self, tok: str) -> int:
+        self[tok] = value = int(tok)
+        return value
+
+
+def _int_fields(i: int, rest: str, what: str, ints: _IntMemo) -> list[int]:
     try:
-        return [int(tok) for tok in rest.split()]
+        return [ints[tok] for tok in rest.split()]
     except ValueError:
         raise ParseError(f"line {i}: {what} wants integers, got {_echo(rest)}") from None
 
 
-def _instance_lines(text: str):
+def _instance_lines(text: str, ints: _IntMemo):
     """The content lines of an instance text in order, as (line number,
     stripped line, None), except that each run of canonical edge lines
     comes as one (number of its first line, None, its ids in text order)."""
@@ -81,7 +91,7 @@ def _instance_lines(text: str):
         # a run starts a line, so the piece before it ends in a line break
         i += len(piece.splitlines())
         chunk = run.group()
-        yield i, None, map(int, chunk.replace("edge ", "").split())
+        yield i, None, map(ints.__getitem__, chunk.replace("edge ", "").split())
         i += chunk.count("\n")
         pos = run.end()
     for j, line in _content_lines(text[pos:], i):
@@ -93,7 +103,8 @@ def parse_instance(text: str) -> tuple[Graph, BabPartition]:
     sets: dict[str, list[int] | None] = {"xa": None, "xb": None, "y": None}
     ids: list[int] = []  # edge endpoints, two per edge, in text order
     last = None  # number of the last content line
-    for i, line, run in _instance_lines(text):
+    ints = _IntMemo()
+    for i, line, run in _instance_lines(text, ints):
         if last is None:
             if line != INSTANCE_HEADER:
                 raise ParseError(f"line {i}: expected header {INSTANCE_HEADER!r}")
@@ -109,16 +120,16 @@ def parse_instance(text: str) -> tuple[Graph, BabPartition]:
         if key == "n":
             if n is not None:
                 raise ParseError(f"line {i}: duplicate n line")
-            vals = _int_fields(i, rest, "n")
+            vals = _int_fields(i, rest, "n", ints)
             if len(vals) != 1 or vals[0] < 0:
                 raise ParseError(f"line {i}: n wants one nonnegative integer")
             n = vals[0]
         elif key in sets:
             if sets[key] is not None:
                 raise ParseError(f"line {i}: duplicate {key} line")
-            sets[key] = _int_fields(i, rest, key)
+            sets[key] = _int_fields(i, rest, key, ints)
         elif key == "edge":
-            vals = _int_fields(i, rest, "edge")
+            vals = _int_fields(i, rest, "edge", ints)
             if len(vals) != 2:
                 raise ParseError(f"line {i}: edge wants two vertex ids")
             ids += vals
@@ -164,11 +175,12 @@ def _emit_pairs(key: str, pairs) -> str:
     return f"{key} {body}" if body else key
 
 
-def _parse_pairs(i: int, rest: str) -> frozenset[tuple[int, int]]:
-    """The pairs of a completion line; a canonical body is read in bulk,
-    any other token by token, with the same pairs and errors."""
+def _parse_pairs(i: int, rest: str, ints: _IntMemo) -> frozenset[tuple[int, int]]:
+    """The pairs of a completion line; a canonical body is read in bulk
+    through ``ints``, any other token by token, with the same pairs and
+    errors."""
     if _PAIR_LINE.fullmatch(rest):
-        ends = map(int, rest.replace(",", " ").split())
+        ends = map(ints.__getitem__, rest.replace(",", " ").split())
         return frozenset(zip(ends, ends))
     pairs = []
     for tok in rest.split():
@@ -201,6 +213,7 @@ def parse_certificate(text: str) -> Certificate:
         raise ParseError(f"line {where}: expected header {CERTIFICATE_HEADER!r}")
     fields: dict[str, object] = {}
     coords: dict[int, tuple[Fraction, Fraction]] = {}
+    ints = _IntMemo()
     for i, line in lines[1:]:
         key, _, rest = line.partition(" ")
         if key in fields:
@@ -208,12 +221,12 @@ def parse_certificate(text: str) -> Certificate:
         if key in ("verdict", "route", "reason"):
             fields[key] = rest
         elif key in ("order1", "order2"):
-            seq = _int_fields(i, rest, key)
+            seq = _int_fields(i, rest, key, ints)
             if sorted(seq) != list(range(len(seq))):
                 raise ParseError(f"line {i}: {key} is not a permutation of 0..{len(seq) - 1}")
             fields[key] = LinearOrder.from_seq(seq)
         elif key in ("completion1", "completion2"):
-            fields[key] = _parse_pairs(i, rest)
+            fields[key] = _parse_pairs(i, rest, ints)
         elif key == "coord":
             toks = rest.split()
             if len(toks) != 3:

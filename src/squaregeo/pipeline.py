@@ -25,6 +25,8 @@ from .embedding import (
     completion,
     embed,
     make_order_pair,
+    pair_mask,
+    pairs_of,
     verify_embedding,
 )
 from .errors import StructuralError
@@ -77,8 +79,9 @@ def _necessary_reason(nec: NecessaryVerdict) -> str:
 
 def _yes_certificate(g: Graph, pair: OrderPair, route: str, reason: str = "") -> Certificate:
     """A YES certificate: the pair's orders, forced sets and embedding."""
-    return Certificate(YES, route, reason, order1=pair.o1, order2=pair.o2, completion1=pair.c1,
-                       completion2=pair.c2, embedding=embed(g, pair))
+    return Certificate(YES, route, reason, order1=pair.o1, order2=pair.o2,
+                       completion1=pairs_of(pair.c1, g.n), completion2=pairs_of(pair.c2, g.n),
+                       embedding=embed(g, pair))
 
 
 def oracle_certificate(g: Graph, bound: int, note: str = "") -> Certificate:
@@ -139,8 +142,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     For YES: both orders are permutations of V, there is one coordinate
     pair per vertex, the stored forced sets match the ones the orders
     induce, they are disjoint, and the coordinates pass the exact adjacency
-    test. A malformed field is reported as a problem. NO and UNDECIDED
-    certificates only need a consistent shape.
+    test. Each stored forced set is compared with its order's as a pair
+    mask; one with a pair outside 0 <= u < v < n has no mask and differs.
+    A malformed field is reported as a problem.
+    NO and UNDECIDED certificates only need a consistent shape.
     """
     problems = []
     if cert.verdict not in (YES, NO, UNDECIDED):
@@ -165,10 +170,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     if problems:
         return CertificateCheck(ok=False, problems=tuple(problems))
 
-    if completion(g, cert.order1) != cert.completion1:
-        problems.append("stored first forced set differs from the order's")
-    if completion(g, cert.order2) != cert.completion2:
-        problems.append("stored second forced set differs from the order's")
+    for name, o, stored in (("first", cert.order1, cert.completion1),
+                            ("second", cert.order2, cert.completion2)):
+        if pair_mask(stored, g.n) != completion(g, o):
+            problems.append(f"stored {name} forced set differs from the order's")
     if cert.completion1 & cert.completion2:
         problems.append("forced sets intersect")
     check = verify_embedding(g, cert.embedding)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
-from squaregeo.embedding import Embedding, EmbeddingCheck, completion
+from squaregeo.embedding import Embedding, EmbeddingCheck, completion, verify_embedding
 from squaregeo.errors import InputError, OrderConstructionError, ParseError, ScopeError, StructuralError
 from squaregeo.graph import (
     BabPartition,
@@ -38,6 +38,7 @@ from squaregeo.graph import (
 from squaregeo.instances import INSTANCE_HEADER, _echo
 from squaregeo.necessary import ColoringRefutation, TwoColoring, _layer_masks, _shortest_odd_cycle
 from squaregeo.orders import DerivedRelation, LinearOrder, PartialOrderCheck
+from squaregeo.pipeline import NO, UNDECIDED, YES, Certificate, CertificateCheck
 
 
 def non_edges(g: Graph) -> list[tuple[int, int]]:
@@ -48,6 +49,16 @@ def non_edges(g: Graph) -> list[tuple[int, int]]:
             if not g.adjacent(u, v):
                 out.append((u, v))
     return out
+
+
+def pairs_of(mask: int, n: int) -> frozenset[tuple[int, int]]:
+    """The pairs (u, v) of a pair mask, bit u*n + v, read bit by bit."""
+    return frozenset(divmod(b, n) for b in range(n * n) if mask >> b & 1)
+
+
+def mask_of_pairs(pairs, n: int) -> int:
+    """The pair mask of pairs (u, v), one bit u*n + v each."""
+    return sum(1 << (u * n + v) for u, v in set(pairs))
 
 
 def scan_completion(g: Graph, seq) -> frozenset[tuple[int, int]]:
@@ -602,9 +613,9 @@ class ArcConstraintSet:
 
 # The exhaustive order search before forced-pair masks: one LinearOrder, one
 # ``completion`` frozenset and one index lookup per permutation. Copied
-# verbatim apart from the name and one call of the ``non_edges`` helper
-# above, which was a ``Graph`` method, as the reference for
-# ``brute_force_orders``.
+# verbatim apart from the name, one call of the ``non_edges`` helper above,
+# which was a ``Graph`` method, and ``completion``'s mask read back as pairs
+# by ``pairs_of``, as the reference for ``brute_force_orders``.
 
 
 def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrder] | None:
@@ -628,7 +639,7 @@ def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[LinearOr
             continue
         o = LinearOrder.from_seq(perm)
         mask = 0
-        for pair in completion(g, o):
+        for pair in pairs_of(completion(g, o), g.n):
             mask |= 1 << index[pair]
         reps.append((perm, mask))
 
@@ -788,12 +799,13 @@ def chord_distribution(g: Graph, p: BabPartition, pair) -> ChordDistribution:
     """
     if not pair.valid:
         raise InputError("order pair invalid: forced sets intersect")
+    first_set, second_set = pairs_of(pair.c1, g.n), pairs_of(pair.c2, g.n)
     splits = []
     for (x1, y1), (x2, y2) in sorted(rigid_pairs_by_definition(g, p)):
         rp = RigidPair(x1, y1, x2, y2)
         chords = [tuple(sorted(ch)) for ch in rp.chords]
-        first = [ch for ch in chords if ch in pair.c1]
-        second = [ch for ch in chords if ch in pair.c2]
+        first = [ch for ch in chords if ch in first_set]
+        second = [ch for ch in chords if ch in second_set]
         splits.append(
             ChordSplit(
                 rigid=rp,
@@ -1122,3 +1134,53 @@ def build_order2_by_whole_set(g: Graph, p: BabPartition, rel_x: DerivedRelation,
 
     cons.add_all(p.x_all, p.y)
     return LinearOrder.from_seq(cons.toposort())
+
+
+# The certificate check before forced sets were compared as pair masks: the
+# stored sets against ``completion``'s as frozensets of pairs. Copied
+# verbatim apart from the name and ``completion``'s mask read back as pairs
+# by ``pairs_of``, as the reference for ``pipeline.verify_certificate``.
+
+
+def verify_certificate_by_sets(g: Graph, cert: Certificate) -> CertificateCheck:
+    """Re-check a certificate from its own fields.
+
+    For YES: both orders are permutations of V, there is one coordinate
+    pair per vertex, the stored forced sets match the ones the orders
+    induce, they are disjoint, and the coordinates pass the exact adjacency
+    test. A malformed field is reported as a problem. NO and UNDECIDED
+    certificates only need a consistent shape.
+    """
+    problems = []
+    if cert.verdict not in (YES, NO, UNDECIDED):
+        problems.append(f"unknown verdict {cert.verdict!r}")
+    if cert.verdict != YES:
+        if cert.verdict == NO and not cert.reason:
+            problems.append("refutation without a reason")
+        return CertificateCheck(ok=not problems, problems=tuple(problems))
+
+    want = frozenset(range(g.n))
+    for name, o in (("order1", cert.order1), ("order2", cert.order2)):
+        if o is None:
+            problems.append(f"{name} missing")
+        elif frozenset(o.seq) != want or len(o.seq) != g.n:
+            problems.append(f"{name} is not a permutation of the vertices")
+    if cert.completion1 is None or cert.completion2 is None:
+        problems.append("forced sets missing")
+    if cert.embedding is None:
+        problems.append("embedding missing")
+    elif len(cert.embedding.coords) != g.n:
+        problems.append(f"embedding has {len(cert.embedding.coords)} coordinates for {g.n} vertices")
+    if problems:
+        return CertificateCheck(ok=False, problems=tuple(problems))
+
+    if pairs_of(completion(g, cert.order1), g.n) != cert.completion1:
+        problems.append("stored first forced set differs from the order's")
+    if pairs_of(completion(g, cert.order2), g.n) != cert.completion2:
+        problems.append("stored second forced set differs from the order's")
+    if cert.completion1 & cert.completion2:
+        problems.append("forced sets intersect")
+    check = verify_embedding(g, cert.embedding)
+    if not check.ok:
+        problems.append(f"embedding fails on pair {check.violation}")
+    return CertificateCheck(ok=not problems, problems=tuple(problems))

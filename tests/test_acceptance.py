@@ -29,6 +29,7 @@ from oracles import (
     chord_distribution,
     completion_closure_violations,
     linf_embedding_report,
+    pairs_of,
 )
 
 ENUMERATED_COUNTS = {2: 2, 3: 16, 4: 104, 5: 752}
@@ -179,7 +180,7 @@ def test_criterion_5_closure_facts(decided_corpus, sufficient_certs):
     def audit(g, p, seq):
         nonlocal audited
         audited += 1
-        comp = completion(g, LinearOrder.from_seq(seq))
+        comp = pairs_of(completion(g, LinearOrder.from_seq(seq)), g.n)
         notes = completion_closure_violations(g, seq, comp, p)
         if notes:
             violations.append((g.edges(), seq, notes[:2]))

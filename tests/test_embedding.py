@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,8 @@ from oracles import (
     brute_force_orders_by_completion,
     chord_distribution,
     linf_embedding_report,
+    mask_of_pairs,
+    pairs_of,
     realize_unit_interval_of_augmented_graph,
     scan_completion,
     verify_embedding_by_pairs,
@@ -54,10 +57,12 @@ C4_COORDS = (
 
 
 def test_completion_c4(c4):
+    """Bit u*n + v stands for the pair (u, v): (1, 2) is bit 6, (0, 3) bit 3."""
     g, _ = c4
     o = LinearOrder.from_seq((0, 1, 2, 3))
-    assert completion(g, o) == frozenset({(1, 2)})
-    assert completion(g, LinearOrder.from_seq((1, 0, 3, 2))) == frozenset({(0, 3)})
+    assert completion(g, o) == 1 << 6
+    assert completion(g, LinearOrder.from_seq((1, 0, 3, 2))) == 1 << 3
+    assert pairs_of(completion(g, o), 4) == frozenset({(1, 2)})
 
 
 def test_completion_reversal_invariant(g8):
@@ -72,10 +77,12 @@ def test_completion_matches_edge_scan_exhaustively():
     for picks in itertools.product([0, 1], repeat=6):
         g = build_graph(4, [e for e, keep in zip(vertex_pairs, picks) if keep])
         for seq in itertools.permutations(range(4)):
-            assert completion(g, LinearOrder.from_seq(seq)) == scan_completion(g, seq)
+            assert completion(g, LinearOrder.from_seq(seq)) == mask_of_pairs(scan_completion(g, seq), 4)
 
 
 def test_completion_matches_edge_scan_on_random_graphs():
+    """The mask equals the scan's, bit for bit: no pair is missing and no
+    bit is set outside the pairs u < v. ``pairs_of`` reads it back."""
     rng = random.Random(4)
     for _ in range(3000):
         n = rng.randint(0, 12)
@@ -84,7 +91,55 @@ def test_completion_matches_edge_scan_on_random_graphs():
             n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
         )
         seq = rng.sample(range(n), n)
-        assert completion(g, LinearOrder.from_seq(seq)) == scan_completion(g, seq)
+        want = scan_completion(g, seq)
+        forced = completion(g, LinearOrder.from_seq(seq))
+        assert forced == mask_of_pairs(want, n)
+        assert embedding.pairs_of(forced, n) == want
+
+
+def test_completion_is_the_brute_force_mask(monkeypatch):
+    """On every permutation of random graphs with n <= 6, ``completion``
+    equals the scan's mask and the OR of the ``_NonEdgesIn`` windows that
+    ``brute_force_orders`` reads for that permutation. The windows are
+    recorded from the search itself, one list per permutation it draws;
+    it skips the orders larger than their reversal, which read none."""
+    drawn = []  # (permutation, the windows read for it)
+    permutations, NonEdgesIn = itertools.permutations, embedding._NonEdgesIn
+
+    def recorded_permutations(vertices):
+        for perm in permutations(vertices):
+            drawn.append((perm, []))
+            yield perm
+
+    class RecordedNonEdgesIn(NonEdgesIn):
+        def __getitem__(self, s):
+            drawn[-1][1].append(s)
+            return super().__getitem__(s)
+
+    monkeypatch.setattr(embedding, "itertools", SimpleNamespace(permutations=recorded_permutations))
+    monkeypatch.setattr(embedding, "_NonEdgesIn", RecordedNonEdgesIn)
+    rng = random.Random(16)
+    scanned = 0
+    for i in range(60):
+        n = 1 + i % 6
+        density = rng.random()
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+        ne = NonEdgesIn(g)
+        drawn.clear()
+        brute_force_orders(g)
+        assert [perm for perm, _ in drawn] == list(permutations(range(n)))
+        for perm, windows in drawn:
+            want = completion(g, LinearOrder.from_seq(perm))
+            assert want == mask_of_pairs(scan_completion(g, perm), n)
+            if perm[0] > perm[-1]:
+                assert not windows
+                continue
+            scanned += 1
+            got = 0
+            for s in windows:
+                got |= ne[s]
+            assert got == want, (g.edges(), perm)
+    assert scanned == 10 * (1 + 1 + 3 + 12 + 60 + 360)  # one order at n = 1, n!/2 above
 
 
 def test_order_pair_forced_sets_g8(g8):
@@ -92,8 +147,8 @@ def test_order_pair_forced_sets_g8(g8):
     pair = make_order_pair(
         g, LinearOrder.from_seq(G8_ORDER1), LinearOrder.from_seq(G8_ORDER2)
     )
-    assert sorted(pair.c1) == [(2, 4), (3, 4), (3, 5)]
-    assert sorted(pair.c2) == [(0, 3), (0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
+    assert sorted(pairs_of(pair.c1, 8)) == [(2, 4), (3, 4), (3, 5)]
+    assert sorted(pairs_of(pair.c2, 8)) == [(0, 3), (0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
     assert pair.valid
     same = make_order_pair(g, LinearOrder.from_seq(G8_ORDER1), LinearOrder.from_seq(G8_ORDER1))
     assert not same.valid
@@ -121,8 +176,8 @@ def test_chord_distribution_g8(g8):
     assert dist.ok
     assert len(dist.splits) == 9
     for split in dist.splits:
-        assert split.in_first in pair.c1
-        assert split.in_second in pair.c2
+        assert split.in_first in pairs_of(pair.c1, 8)
+        assert split.in_second in pairs_of(pair.c2, 8)
         assert {split.in_first, split.in_second} == {
             tuple(sorted(ch)) for ch in split.rigid.chords
         }
@@ -161,7 +216,7 @@ def test_realize_accepts_a_non_interval_order():
     path 0-1-2 is realized as its completion, the triangle."""
     g = build_graph(3, [(0, 1), (1, 2)])
     o = LinearOrder.from_seq((1, 0, 2))
-    assert completion(g, o) == frozenset({(0, 2)})
+    assert pairs_of(completion(g, o), 3) == frozenset({(0, 2)})
     assert realize_unit_interval(g, o) == (Fraction(0), Fraction(0), Fraction(0))
 
 
@@ -169,7 +224,7 @@ def _assert_realizes_the_completion(g, o):
     """The realization equals the pair-and-gap reference run on G plus the
     order's forced set, and every coordinate's denominator divides n+1."""
     got = realize_unit_interval(g, o)
-    augmented = build_graph(g.n, g.edges() + list(completion(g, o)))
+    augmented = build_graph(g.n, g.edges() + sorted(pairs_of(completion(g, o), g.n)))
     want = realize_unit_interval_of_augmented_graph(augmented, o)
     assert got == want, (g.edges(), o.seq)
     assert all((g.n + 1) % x.denominator == 0 for x in got), (g.edges(), o.seq)

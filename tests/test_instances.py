@@ -16,6 +16,7 @@ from squaregeo import (
     emit_certificate,
     emit_instance,
     generate_bab,
+    instances,
     parse_certificate,
     parse_instance,
     recognize,
@@ -199,6 +200,73 @@ def test_parse_matches_the_line_reference():
     assert kinds == {"ok", ParseError, InputError, StructuralError, ScopeError, "late error"}
 
 
+class IntPerToken(dict):
+    """A stand-in for the parse calls' id memo that stores nothing: every
+    lookup is ``int(tok)``, as each id was read before the memo."""
+
+    __missing__ = int
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def _edit_ids(text: str, rng: random.Random) -> str:
+    """One to three ids of a text, past its header, replaced by another id
+    of the text, the same id with leading zeros (007, or 19 digits) or in
+    Arabic-Indic digits, a 19-digit id or a 5000-digit id."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        spots = [(j, m) for j, line in enumerate(lines[1:], 1) for m in re.finditer(r"[0-9]+", line)]
+        if not spots:
+            break
+        j, m = rng.choice(spots)
+        tok = m[0]
+        new = rng.choice([
+            rng.choice(spots)[1][0], rng.choice(spots)[1][0], "00" + tok, tok.zfill(19),
+            tok.translate(ARABIC_INDIC), "1" * 19, "7" * 5000,
+        ])
+        lines[j] = lines[j][:m.start()] + new + lines[j][m.end():]
+    return "\n".join(lines)
+
+
+def test_id_memo_reads_what_int_reads(monkeypatch, c4, g8, disconnected7, triangle6):
+    """Each parse call reads its ids through one memo. On 1,200 instance
+    and certificate texts with ids repeated, zero-padded, in Arabic-Indic
+    digits (read line by line), of 19 digits or of 5000, both parsers give
+    what they give when every id token goes through ``int`` anew: the same
+    values or the same ParseError text. Instances also agree with the line
+    parser."""
+    rng = random.Random(16)
+    instance_texts = [emit_instance(*generate_bab(shape, 0.5, seed))
+                      for shape in ((1, 2, 1, 3), (2, 2, 2, 4)) for seed in range(3)]
+    certs = [recognize(*c4), recognize(*g8), recognize(*triangle6),
+             recognize(*disconnected7, allow_oracle=True, oracle_bound=7)]
+    certs += [recognize(*generate_bab((1, 2, 1, 3), 0.5, seed), allow_oracle=True, oracle_bound=7)
+              for seed in range(4)]
+    cert_texts = [emit_certificate(cert) for cert in certs]
+    assert {cert.verdict for cert in certs} == {"yes", "no"}
+
+    def both(parse, text):
+        got = _outcome(parse, text)
+        with monkeypatch.context() as m:
+            m.setattr(instances, "_IntMemo", IntPerToken)
+            assert _outcome(parse, text) == got, text[:300]
+        return got
+
+    kinds = collections.Counter()
+    for k in range(600):
+        text = _edit_ids(instance_texts[k % len(instance_texts)], rng)
+        got = both(parse_instance, text)
+        assert got == _reference_outcome(text), text[:300]
+        kinds["instance", got[0] if isinstance(got[0], type) else "ok"] += 1
+    for k in range(600):
+        text = _edit_ids(cert_texts[k % len(cert_texts)], rng)
+        got = both(parse_certificate, text)
+        kinds["certificate", got[0] if isinstance(got, tuple) else "ok"] += 1
+    assert kinds["instance", ParseError] > 50 and kinds["certificate", ParseError] > 50, kinds
+    assert kinds["instance", "ok"] > 50 and kinds["certificate", "ok"] > 50, kinds
+
+
 def test_parse_peak_memory():
     """The largest benchmark instance (n=200, 12,061 lines) parses with a
     traced peak below 1.5 MB: no token list or tuple is kept per edge line."""
@@ -343,7 +411,8 @@ def _pair_body(rng: random.Random) -> str:
         k = rng.randrange(len(toks))
         toks[k] = rng.choice([
             "0," + "9" * 18, "0," + "9" * 19, "1" * 19 + ",0", "007,08", "1,2,3", "1,", ",1", "1",
-            "-1,2", "+1,2", "1, 2", "1,\u0663", "1_0,2", "1;2", toks[k] + "x", "0x1,2",
+            "-1,2", "+1,2", "1, 2", "1,\u0663", "\u0663,1", "1_0,2", "1;2", toks[k] + "x", "0x1,2",
+            "0," + "7" * 5000, "0" * 17 + "5,6", toks[k - 1],
         ])
     sep = "  " if toks and rng.random() < 0.1 else " "
     return sep.join(toks)
@@ -352,16 +421,19 @@ def _pair_body(rng: random.Random) -> str:
 def test_parse_pairs_matches_the_token_loop():
     """Canonical bodies take the bulk path, every other body the loop; both
     give the token loop's pairs or its exact ParseError. Bodies past the
-    bulk cap of 8192 pairs go token by token."""
+    bulk cap of 8192 pairs go token by token. All bodies share one id
+    memo, as the lines of one certificate do, so later bodies read ids
+    an earlier one converted; a 5000-digit id reads as ``int`` reads it."""
     rng = random.Random(5)
     bodies = [_pair_body(rng) for _ in range(3000)]
     bodies.append(" ".join(f"{i},{i + 1}" for i in range(8192)))
     bodies.append(" ".join(f"{i},{i + 1}" for i in range(8193)))
     bodies.append(" ".join(f"{i},{i + 1}" for i in range(9000)) + " 5,x")
     kinds = collections.Counter()
+    ints = instances._IntMemo()
     for rest in bodies:
         want = _outcome(lambda r: parse_pairs_by_tokens(7, r), rest)
-        assert _outcome(lambda r: _parse_pairs(7, r), rest) == want
+        assert _outcome(lambda r: _parse_pairs(7, r, ints), rest) == want
         kinds[type(want), bool(_PAIR_LINE.fullmatch(rest))] += 1
     assert set(kinds) == {(frozenset, True), (frozenset, False), (tuple, False)}
     assert kinds[frozenset, True] > 1000

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 from squaregeo import (
     Embedding,
@@ -20,6 +21,7 @@ from squaregeo import (
     emit_certificate,
     necessary,
     orders,
+    parse_certificate,
     pipeline,
     recognize,
     validate_bab,
@@ -27,10 +29,11 @@ from squaregeo import (
 )
 from squaregeo.chords import ChordGraph, y_end_masks
 from squaregeo.embedding import embed, make_order_pair
+from squaregeo.instances import _PAIR_LINE
 from squaregeo.orders import LinearOrder
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
-from oracles import verify_embedding_by_pairs
+from oracles import pairs_of, verify_certificate_by_sets, verify_embedding_by_pairs
 from test_acceptance import G8_GOLDEN
 from test_necessary import (
     FORCED_CONFLICT_EDGES,
@@ -253,6 +256,59 @@ def test_verify_catches_tampering(g8):
     assert not verify_certificate(g, short).ok
 
 
+def test_forged_forced_sets_match_the_set_reference(g8, disconnected7):
+    """Forged forced sets on two YES certificates give the exact check of
+    the reference that compared frozensets. Set level: a reversed pair, a
+    pair (2, 2), an id equal to n, a dropped pair, an extra non-edge, one
+    pair in both sets, and one reversed pair in both. Text level: a
+    duplicate pair, then -1,2 and a 4000-digit id on the token loop and an
+    18-digit id on the bulk path. A pair outside 0 <= u < v < n is never
+    shifted into a mask: a shift by 10**18 or by a 4000-digit id would raise."""
+    for (g, p), kw in ((g8, {}), (disconnected7, {"allow_oracle": True, "oracle_bound": 7})):
+        cert = recognize(g, p, **kw)
+        assert cert.verdict == YES and verify_certificate(g, cert).ok
+        n, c1, c2 = g.n, set(cert.completion1), set(cert.completion2)
+        u, v = min(c1)
+        extra = min(e for e in combinations(range(n), 2) if not g.adjacent(*e) and e not in c1)
+        forged = [
+            replace(cert, completion1=frozenset(a), completion2=frozenset(b))
+            for a, b in (
+                (c1 - {(u, v)} | {(v, u)}, c2),
+                (c1 | {(2, 2)}, c2),
+                (c1 | {(0, n)}, c2),
+                (c1 - {(u, v)}, c2),
+                (c1 | {extra}, c2),
+                (c1, c2 | {(u, v)}),
+                (c1 | {(v, u)}, c2 | {(v, u)}),
+            )
+        ]
+        text = emit_certificate(cert)
+        line = next(x for x in text.splitlines() if x.startswith("completion1 "))
+        bodies = [
+            (f"{u},{v} " + line[12:], True),
+            (line[12:] + " -1,2", False),
+            (line[12:] + " 0," + "9" * 4000, False),
+            (line[12:] + " 0," + "9" * 18, True),
+        ]
+        for body, bulk in bodies:
+            assert bool(_PAIR_LINE.fullmatch(body)) == bulk
+            forged.append(parse_certificate(text.replace(line, "completion1 " + body)))
+        for i, bad in enumerate(forged):
+            want = verify_certificate_by_sets(g, bad)
+            assert verify_certificate(g, bad) == want, (i, want)
+            if i == len(forged) - 4:  # the duplicate pair leaves the set as it was
+                assert want.ok
+                continue
+            assert not want.ok and want.problems[0].startswith("stored ")
+            assert all("forced set" in x for x in want.problems)
+        assert verify_certificate(g, forged[5]).problems[-1] == "forced sets intersect"
+        assert verify_certificate(g, forged[6]).problems == (
+            "stored first forced set differs from the order's",
+            "stored second forced set differs from the order's",
+            "forced sets intersect",
+        )
+
+
 def coprime_denominator_certificate():
     """(g, p, cert): a valid three-clique instance from integer points
     (unit 1000) and a YES certificate for it whose coordinates have
@@ -290,8 +346,9 @@ def coprime_denominator_certificate():
     for v, xy in enumerate(grid.coords):
         q = (v + 1) * big + 1
         coords.append(tuple(Fraction(math.floor(c * shrink * q) + 1, q) for c in xy))
-    cert = pipeline.Certificate(YES, "sufficient", order1=pair.o1, order2=pair.o2, completion1=pair.c1,
-                                completion2=pair.c2, embedding=Embedding(coords=tuple(coords)))
+    cert = pipeline.Certificate(YES, "sufficient", order1=pair.o1, order2=pair.o2,
+                                completion1=pairs_of(pair.c1, n), completion2=pairs_of(pair.c2, n),
+                                embedding=Embedding(coords=tuple(coords)))
     return g, p, cert
 
 

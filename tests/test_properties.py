@@ -14,6 +14,7 @@ from squaregeo.orders import LinearOrder
 from oracles import (
     completion_closure_violations,
     linf_embedding_report,
+    pairs_of,
     scan_completion,
     square_geometric_by_grid,
     square_geometric_by_order_search,
@@ -54,13 +55,13 @@ def bab_and_order(draw):
 @given(graph_and_order())
 def test_completion_matches_covering_scan(go):
     g, order = go
-    assert completion(g, order) == scan_completion(g, order.seq)
+    assert pairs_of(completion(g, order), g.n) == scan_completion(g, order.seq)
 
 
 @given(graph_and_order())
 def test_completion_satisfies_closure_facts(go):
     g, order = go
-    comp = completion(g, order)
+    comp = pairs_of(completion(g, order), g.n)
     assert completion_closure_violations(g, order.seq, comp) == []
 
 
@@ -68,7 +69,7 @@ def test_completion_satisfies_closure_facts(go):
 @settings(deadline=None)
 def test_block_closure_facts_hold(gpo):
     g, p, order = gpo
-    comp = completion(g, order)
+    comp = pairs_of(completion(g, order), g.n)
     assert completion_closure_violations(g, order.seq, comp, p) == []
 
 
