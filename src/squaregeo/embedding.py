@@ -283,6 +283,30 @@ class _NonEdgesIn(dict):
         return m
 
 
+def unavoidable_sets(g: Graph) -> list[int]:
+    """Pair masks that every order's forced set meets: the two chords of
+    each induced 4-cycle and the three leaf pairs of each induced claw
+    (``brute_force_orders`` proves both). Both shapes are the obstructions
+    of a unit interval graph, which is chordal and claw-free (Roberts 1969).
+    Each 4-cycle is found from both of its chords; the set keeps it once.
+    """
+    n, adj = g.n, g.adj
+    found = set()
+    for a in range(n):
+        for c in bits(~adj[a] & ((1 << n) - 1) >> (a + 1) << (a + 1)):
+            common = adj[a] & adj[c]
+            for b in bits(common):
+                for d in bits(common & ~adj[b] >> (b + 1) << (b + 1)):
+                    found.add(1 << (a * n + c) | 1 << (b * n + d))
+    for u in range(n):
+        for x in bits(adj[u]):
+            rest = adj[u] & ~adj[x] >> (x + 1) << (x + 1)
+            for y in bits(rest):
+                for z in bits(rest & ~adj[y] >> (y + 1) << (y + 1)):
+                    found.add(1 << (x * n + y) | 1 << (x * n + z) | 1 << (y * n + z))
+    return list(found)
+
+
 def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrder] | None:
     """Exhaustive search for two orders with disjoint forced sets.
 
@@ -300,10 +324,34 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
     larger than their reversal are scanned; for n >= 2 that is
     ``perm[0] < perm[-1]``. Only the first order of each distinct forced
     set is kept, so memory grows with the number of distinct sets, not with
-    n!, and whether a set has a disjoint partner is decided once per
-    distinct set. The returned pair is the first candidate order with a
-    partner and its first partner, in the lexicographic order of the scan.
+    n!. The answer is the first distinct set, in the lexicographic order of
+    the scan, that has a disjoint partner, with that set's first partner.
     Scope-guarded since the search is factorial.
+
+    Stop rule. The *candidate* is the earliest distinct set not yet shown
+    to have no partner; every earlier set holds a whole unavoidable set
+    (``unavoidable_sets``). Each order's forced set meets every unavoidable
+    set, so a set that holds one meets every forced set and has no partner.
+    A new set m that misses the candidate c is c's first partner: each set
+    seen between them met c on arrival, and c met itself, so the search
+    returns (c, m). With no candidate, m meets every earlier set, so it is
+    its own partner only when it is empty, and otherwise it is ruled out
+    or becomes the candidate. If the scan ends with a candidate, it has no
+    partner; the sets after it are paired as before, each only against
+    later sets: a disjoint earlier set would have been the answer, and
+    none is empty, as an empty set misses the candidate. The unavoidable
+    sets are built at the first non-empty set.
+
+    Why every order forces one pair of each unavoidable set:
+    - Induced 4-cycle a-b-c-d, chords {a, c} and {b, d}. Take the first
+      and the last of its four vertices in the order. If they are
+      opposite, say a first and c last, then b and d lie between them,
+      both adjacent to a, and the edge from a to the later of b and d
+      spans the other chord. If they are adjacent, the edge between them
+      spans the two middle vertices and so both chords.
+    - Induced claw, center u, leaves at positions l1 < l2 < l3. If u comes
+      before l2, the edge u-l3 spans {l2, l3}; otherwise u comes after l2
+      and the edge l1-u spans {l1, l2}.
     """
     n = g.n
     if n > bound:
@@ -316,6 +364,8 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
     ne = _NonEdgesIn(g)
 
     first: dict[int, tuple[int, ...]] = {}  # each distinct forced set's first order
+    candidate = None  # its mask; None while every set so far is ruled out
+    unavoidable = None
     for perm in itertools.permutations(range(n)):
         if perm[0] > perm[-1]:
             continue
@@ -330,10 +380,26 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
                     p += 1
                 mask |= ne[placed ^ prefixes[p]]
             prefixes.append(placed)
-        first.setdefault(mask, perm)
+        if mask in first:
+            continue
+        first[mask] = perm
+        if candidate is not None:
+            if not mask & candidate:
+                return (LinearOrder.from_seq(first[candidate]), LinearOrder.from_seq(perm))
+        elif not mask:
+            return (LinearOrder.from_seq(perm), LinearOrder.from_seq(perm))
+        else:
+            if unavoidable is None:
+                unavoidable = unavoidable_sets(g)
+            if not any(u & mask == u for u in unavoidable):
+                candidate = mask
 
-    for mask, perm in first.items():
-        for other, perm2 in first.items():
+    if candidate is None:
+        return None
+    masks = list(first)
+    rest = masks[masks.index(candidate) + 1:]
+    for i, mask in enumerate(rest):
+        for other in rest[i + 1:]:
             if mask & other == 0:
-                return (LinearOrder.from_seq(perm), LinearOrder.from_seq(perm2))
+                return (LinearOrder.from_seq(first[mask]), LinearOrder.from_seq(first[other]))
     return None

@@ -75,6 +75,25 @@ def scan_completion(g: Graph, seq) -> frozenset[tuple[int, int]]:
     return frozenset(forced)
 
 
+def unavoidable_sets_by_definition(g: Graph) -> frozenset[int]:
+    """The chord pair of every induced 4-cycle and the leaf pairs of every
+    induced claw, as pair masks. 4-cycles come from every vertex 4-tuple
+    a-b-c-d with its four edges present and both chords missing; claws from
+    every center and every 3-subset of its neighbors with no edge inside."""
+    out = set()
+    for a, b, c, d in permutations(range(g.n), 4):
+        sides = (a, b), (b, c), (c, d), (d, a)
+        if all(g.adjacent(*e) for e in sides) and not g.adjacent(a, c) and not g.adjacent(b, d):
+            out.add(mask_of_pairs([tuple(sorted((a, c))), tuple(sorted((b, d)))], g.n))
+    for u in range(g.n):
+        nbrs = [v for v in range(g.n) if g.adjacent(u, v)]
+        for leaves in combinations(nbrs, 3):
+            leaf_pairs = list(combinations(leaves, 2))
+            if not any(g.adjacent(*e) for e in leaf_pairs):
+                out.add(mask_of_pairs(leaf_pairs, g.n))
+    return frozenset(out)
+
+
 def rigid_pairs_by_definition(g: Graph, p: BabPartition):
     """Induced 4-cycles x1-y1-y2-x2 with both diagonals missing, scanned
     over every vertex 4-tuple. Returned as ((x1, y1), (x2, y2)) with x1 < x2."""

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,7 +23,7 @@ from squaregeo.embedding import (
 from squaregeo.errors import GenerationError, InputError, ScopeError, StructuralError
 from squaregeo.orders import LinearOrder
 
-from conftest import bab_shapes, enumerate_bab_instances
+from conftest import bab_shapes
 from oracles import (
     brute_force_orders_by_completion,
     chord_distribution,
@@ -31,6 +32,7 @@ from oracles import (
     pairs_of,
     realize_unit_interval_of_augmented_graph,
     scan_completion,
+    unavoidable_sets_by_definition,
     verify_embedding_by_pairs,
 )
 
@@ -73,9 +75,7 @@ def test_completion_reversal_invariant(g8):
 
 
 def test_completion_matches_edge_scan_exhaustively():
-    vertex_pairs = list(itertools.combinations(range(4), 2))
-    for picks in itertools.product([0, 1], repeat=6):
-        g = build_graph(4, [e for e, keep in zip(vertex_pairs, picks) if keep])
+    for g in _labeled_graphs(4):
         for seq in itertools.permutations(range(4)):
             assert completion(g, LinearOrder.from_seq(seq)) == mask_of_pairs(scan_completion(g, seq), 4)
 
@@ -98,11 +98,12 @@ def test_completion_matches_edge_scan_on_random_graphs():
 
 
 def test_completion_is_the_brute_force_mask(monkeypatch):
-    """On every permutation of random graphs with n <= 6, ``completion``
+    """On random graphs with n <= 6, the search draws a prefix of the
+    permutations, all of them when it finds no pair, and ``completion``
     equals the scan's mask and the OR of the ``_NonEdgesIn`` windows that
-    ``brute_force_orders`` reads for that permutation. The windows are
-    recorded from the search itself, one list per permutation it draws;
-    it skips the orders larger than their reversal, which read none."""
+    ``brute_force_orders`` reads for each permutation it draws. The windows
+    are recorded from the search itself, one list per permutation; it
+    skips the orders larger than their reversal, which read none."""
     drawn = []  # (permutation, the windows read for it)
     permutations, NonEdgesIn = itertools.permutations, embedding._NonEdgesIn
 
@@ -120,14 +121,22 @@ def test_completion_is_the_brute_force_mask(monkeypatch):
     monkeypatch.setattr(embedding, "_NonEdgesIn", RecordedNonEdgesIn)
     rng = random.Random(16)
     scanned = 0
-    for i in range(60):
-        n = 1 + i % 6
-        density = rng.random()
-        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+    tally = collections.Counter()
+    for i in range(70):
+        n = 1 + i % 6 if i < 60 else 6
+        density = rng.random() * (1 if i < 60 else 0.3)
+        g = build_graph(n, [
+            (u, v) for u, v in itertools.combinations(range(n), 2)
+            if (i >= 60 and u == 0) or rng.random() < density
+        ])
         ne = NonEdgesIn(g)
         drawn.clear()
-        brute_force_orders(g)
-        assert [perm for perm, _ in drawn] == list(permutations(range(n)))
+        found = brute_force_orders(g)
+        every = list(permutations(range(n)))
+        assert [perm for perm, _ in drawn] == every[:len(drawn)]
+        if found is None:
+            assert len(drawn) == len(every)
+        tally[found is None, len(drawn) == len(every)] += 1
         for perm, windows in drawn:
             want = completion(g, LinearOrder.from_seq(perm))
             assert want == mask_of_pairs(scan_completion(g, perm), n)
@@ -139,7 +148,8 @@ def test_completion_is_the_brute_force_mask(monkeypatch):
             for s in windows:
                 got |= ne[s]
             assert got == want, (g.edges(), perm)
-    assert scanned == 10 * (1 + 1 + 3 + 12 + 60 + 360)  # one order at n = 1, n!/2 above
+    assert tally[False, False] >= 40 and tally[True, True] >= 3, tally
+    assert scanned >= 2500
 
 
 def test_order_pair_forced_sets_g8(g8):
@@ -465,15 +475,37 @@ def _pair_seqs(found):
     return None if found is None else (found[0].seq, found[1].seq)
 
 
-def test_brute_force_matches_the_completion_reference():
+def _labeled_graphs(n: int):
+    """Every graph on vertices 0..n-1, one per edge subset."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for picks in itertools.product([0, 1], repeat=len(pairs)):
+        yield build_graph(n, [e for e, keep in zip(pairs, picks) if keep])
+
+
+def _counting_permutations(monkeypatch) -> list[int]:
+    """Patch the search's permutation source to count what it draws; the
+    returned list gets one count per call of ``permutations``."""
+    counts = []
+
+    def counted(vertices):
+        counts.append(0)
+        for perm in itertools.permutations(vertices):
+            counts[-1] += 1
+            yield perm
+
+    monkeypatch.setattr(embedding, "itertools", SimpleNamespace(permutations=counted))
+    return counts
+
+
+def test_brute_force_matches_the_completion_reference(monkeypatch):
     """The mask scan returns the same first pair as the per-permutation
-    completion search, or None with it: on n = 0-2, every enumerated
-    instance up to n=5, seeded instances of every n=6 and n=7 block shape,
-    random graphs up to n=7 (40 of them at n=6 with a vertex adjacent to
-    all others, which makes NO cases common) and three n=8 instances."""
-    graphs = [build_graph(0, []), build_graph(1, []), build_graph(2, []), build_graph(2, [(0, 1)])]
-    for n in range(2, 6):
-        graphs.extend(g for g, _ in enumerate_bab_instances(n))
+    completion search, or None with it: on every labeled graph up to n=5,
+    seeded instances of every n=6 and n=7 block shape, random graphs up to
+    n=7 (40 of them at n=6 with a vertex adjacent to all others, which
+    makes NO cases common) and three n=8 instances. Both paths are taken:
+    the search stops early on some graphs and draws every permutation on
+    others."""
+    graphs = [g for n in range(6) for g in _labeled_graphs(n)]
     for n in (6, 7):
         for i, shape in enumerate(bab_shapes(n)):
             graphs.append(generate_bab(shape, 0.2 + 0.6 * (i % 7) / 6, i)[0])
@@ -487,10 +519,71 @@ def test_brute_force_matches_the_completion_reference():
         ]))
     for shape, seed in (((1, 2, 2, 3), 2), ((2, 1, 2, 3), 0), ((2, 2, 2, 2), 0)):
         graphs.append(generate_bab(shape, 0.5, seed)[0])
+    counts = _counting_permutations(monkeypatch)
     tally = collections.Counter()
+    drawn = collections.Counter()
     for g in graphs:
+        counts.clear()
         found = _pair_seqs(brute_force_orders(g, 8))
         assert found == _pair_seqs(brute_force_orders_by_completion(g, 8)), g.edges()
         tally[g.n == 8, found is not None] += 1
+        if g.n >= 2:
+            drawn["full" if counts == [math.factorial(g.n)] else "early"] += 1
     assert tally[False, False] >= 15 and tally[False, True] >= 1000, tally
     assert tally[True, False] == 2 and tally[True, True] == 1, tally
+    assert drawn["early"] >= 100 and drawn["full"] >= 15, drawn
+
+
+def test_brute_force_stops_early_on_most_block_shapes(monkeypatch):
+    """On one seeded n=7 instance of each of the 56 block shapes the search
+    draws fewer than half of the 56 * 5040 permutations in total."""
+    shapes = bab_shapes(7)
+    assert len(shapes) == 56
+    counts = _counting_permutations(monkeypatch)
+    for i, shape in enumerate(shapes):
+        brute_force_orders(generate_bab(shape, 0.2 + 0.6 * (i % 7) / 6, i)[0], 7)
+    print("permutations drawn:", sum(counts))
+    assert len(counts) == 56 and sum(counts) < 56 * 5040 // 2, sum(counts)
+
+
+def test_unavoidable_sets_match_the_definition():
+    """The package lists exactly the induced 4-cycles' chord pairs and the
+    induced claws' leaf pairs, each once: on every labeled graph up to n=5
+    and on random graphs up to n=8."""
+    graphs = [g for n in range(6) for g in _labeled_graphs(n)]
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        density = rng.random()
+        graphs.append(build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]))
+    listed = 0
+    for g in graphs:
+        got = embedding.unavoidable_sets(g)
+        assert len(got) == len(set(got))
+        assert set(got) == unavoidable_sets_by_definition(g), g.edges()
+        listed += len(got)
+    assert listed > 700
+
+
+def test_every_order_meets_every_unavoidable_set():
+    """Every order forces a pair of each listed set: on every permutation
+    of random graphs up to n=6, and on 240 random orders of seeded n=7
+    instances."""
+    rng = random.Random(18)
+    cases = []
+    for i in range(40):
+        n = 4 + i % 3
+        density = 0.3 + 0.5 * rng.random()
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+        cases.append((g, list(itertools.permutations(range(n)))))
+    for i, shape in enumerate(bab_shapes(7)[::7]):
+        g = generate_bab(shape, 0.2 + 0.6 * (i % 7) / 6, i)[0]
+        cases.append((g, [rng.sample(range(7), 7) for _ in range(30)]))
+    met = 0
+    for g, seqs in cases:
+        sets = unavoidable_sets_by_definition(g)
+        for seq in seqs:
+            forced = completion(g, LinearOrder.from_seq(seq))
+            assert all(forced & u for u in sets), (g.edges(), seq)
+            met += len(sets)
+    assert met > 15000
