@@ -9,7 +9,7 @@ from .chords import (
     compute_ab_sets,
     enumerate_rigid_pairs,
 )
-from .embedding import Embedding, brute_force_orders
+from .embedding import brute_force_orders
 from .errors import (
     GenerationError,
     InputError,
@@ -33,7 +33,7 @@ from .instances import (
     parse_instance,
 )
 from .necessary import NecessaryStatus, check_necessary, check_rigid_free, color_constrained
-from .orders import LinearOrder, check_sufficient
+from .orders import check_sufficient
 from .pipeline import NO, UNDECIDED, YES, Certificate, recognize, verify_certificate
 
 __version__ = "0.1.0"
@@ -42,11 +42,9 @@ __all__ = [
     "BabPartition",
     "Certificate",
     "ChordGraph",
-    "Embedding",
     "GenerationError",
     "Graph",
     "InputError",
-    "LinearOrder",
     "NO",
     "NecessaryStatus",
     "OrderConstructionError",

@@ -63,9 +63,6 @@ class ChordGraph:
     b_vertex_mask: int
     by_y: tuple[int, ...]
 
-    def node_count(self) -> int:
-        return len(self.nodes)
-
     def edges(self) -> list[tuple[int, int]]:
         """Edges as index pairs (i, j), i < j, lexicographically."""
         out = []

@@ -41,9 +41,9 @@ def _print_certificate(cert: Certificate, fmt: str):
     if cert.reason:
         print(f"reason: {cert.reason}")
     if cert.verdict == YES:
-        print("order1:", " ".join(map(str, cert.order1.seq)))
-        print("order2:", " ".join(map(str, cert.order2.seq)))
-        for v, (x, y) in enumerate(cert.embedding.coords):
+        print("order1:", " ".join(map(str, cert.order1)))
+        print("order2:", " ".join(map(str, cert.order2)))
+        for v, (x, y) in enumerate(cert.embedding):
             print(f"vertex {v}: ({x}, {y})")
 
 
@@ -63,7 +63,7 @@ def cmd_validate(args) -> int:
 def cmd_chord_graph(args) -> int:
     g, p = _load_instance(args.instance)
     cg = build_chord_graph(g, p)
-    print(f"nodes {cg.node_count()}")
+    print(f"nodes {len(cg.nodes)}")
     for x, y in cg.nodes:
         print(f"node {x},{y}")
     for i, j in cg.edges():

@@ -8,9 +8,11 @@ Any order realizes its completion, G plus its forced set, on one axis. Two
 orders whose forced sets are disjoint yield an embedding under the max
 metric, with the x and y coordinates realizing the completions of the
 first and the second order.
-Coordinates are Fractions, multiples of 1/(n+1), and every check is exact:
-the embedding check compares ints over each axis's common denominator, or
-the Fractions themselves where that denominator would grow too large.
+An order is a tuple of vertices and an embedding a tuple of (x, y) pairs,
+indexed by vertex. Coordinates are Fractions, multiples of 1/(n+1), and
+every check is exact: the embedding check compares ints over each axis's
+common denominator, or the Fractions themselves where that denominator
+would grow too large.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Sequence
 
 from .errors import InputError, ScopeError, StructuralError
 from .graph import Graph, bits, prefix_masks
-from .orders import LinearOrder
 
 Pair = tuple[int, int]
 
@@ -56,7 +57,7 @@ def _reach(g: Graph, seq: Sequence[int]) -> tuple[list[int], list[int], list[int
     return prefix, first, reach
 
 
-def completion(g: Graph, o: LinearOrder) -> int:
+def completion(g: Graph, o: tuple[int, ...]) -> int:
     """Non-edges {w, z} straddled by some edge u~v with u at or before w and
     z at or before v in o, as a pair mask: bit w*n + z for w < z.
 
@@ -66,9 +67,9 @@ def completion(g: Graph, o: LinearOrder) -> int:
     vertex, so each pair is set from its lesser end. O(n) mask operations.
     """
     n, adj = g.n, g.adj
-    prefix, first, reach = _reach(g, o.seq)
+    prefix, first, reach = _reach(g, o)
     forced = 0
-    for k, w in enumerate(o.seq):
+    for k, w in enumerate(o):
         row = (prefix[reach[k] + 1] ^ prefix[first[k]]) & ~adj[w]
         forced |= row >> (w + 1) << (w * n + w + 1)
     return forced
@@ -105,8 +106,8 @@ class OrderPair:
     """Two linear orders with their forced non-edge sets as pair masks
     (``completion``); the pair is valid when the masks are disjoint."""
 
-    o1: LinearOrder
-    o2: LinearOrder
+    o1: tuple[int, ...]
+    o2: tuple[int, ...]
     c1: int
     c2: int
 
@@ -115,11 +116,11 @@ class OrderPair:
         return not self.c1 & self.c2
 
 
-def make_order_pair(g: Graph, o1: LinearOrder, o2: LinearOrder) -> OrderPair:
+def make_order_pair(g: Graph, o1: tuple[int, ...], o2: tuple[int, ...]) -> OrderPair:
     return OrderPair(o1=o1, o2=o2, c1=completion(g, o1), c2=completion(g, o2))
 
 
-def realize_unit_interval(g: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
+def realize_unit_interval(g: Graph, o: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Exact positions along one axis realizing the completion of any
     order o, G plus ``completion(g, o)``: nondecreasing along o, within 1
     exactly on the completion's edges, each a multiple of 1/(n+1).
@@ -145,7 +146,7 @@ def realize_unit_interval(g: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
     n = g.n
     if n == 0:
         return ()
-    _, first, _ = _reach(g, o.seq)
+    _, first, _ = _reach(g, o)
     unit = n + 1  # length 1 in steps of 1/(n+1)
     # constraint x_b - x_a <= w stored as (a, b, w)
     arcs: list[tuple[int, int, int]] = []
@@ -168,26 +169,19 @@ def realize_unit_interval(g: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
             break
 
     coords = [Fraction(0)] * n
-    for k, v in enumerate(o.seq):
+    for k, v in enumerate(o):
         coords[v] = Fraction(dist[k] - dist[0], unit)
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Exact plane coordinates indexed by vertex."""
-
-    coords: tuple[tuple[Fraction, Fraction], ...]
-
-
-def embed(g: Graph, pair: OrderPair) -> Embedding:
+def embed(g: Graph, pair: OrderPair) -> tuple[tuple[Fraction, Fraction], ...]:
     """Plane embedding from a valid order pair: the first order realizes the
     x axis on G plus its forced set, the second the y axis likewise."""
     if not pair.valid:
         raise InputError("order pair invalid: forced sets intersect")
     xs = realize_unit_interval(g, pair.o1)
     ys = realize_unit_interval(g, pair.o2)
-    emb = Embedding(coords=tuple(zip(xs, ys)))
+    emb = tuple(zip(xs, ys))
     check = verify_embedding(g, emb)
     if not check.ok:
         raise StructuralError(f"embedding check failed on pair {check.violation}")
@@ -234,7 +228,7 @@ def _near_on_axis(vals: Sequence[Fraction]) -> list[int]:
     return _within_unit([x.numerator * (d // x.denominator) for x in vals], d)
 
 
-def verify_embedding(g: Graph, e: Embedding) -> EmbeddingCheck:
+def verify_embedding(g: Graph, coords: tuple[tuple[Fraction, Fraction], ...]) -> EmbeddingCheck:
     """Adjacency iff max-metric distance at most 1, exact comparisons; a
     non-adjacent pair at distance exactly 1 fails.
 
@@ -255,10 +249,10 @@ def verify_embedding(g: Graph, e: Embedding) -> EmbeddingCheck:
     u < v, where it differs from ``adj[u]``. O(n log n) comparisons plus
     O(n) mask operations.
     """
-    if len(e.coords) != g.n:
+    if len(coords) != g.n:
         raise InputError("coordinate count differs from vertex count")
-    near_x = _near_on_axis([x for x, _ in e.coords])
-    near_y = _near_on_axis([y for _, y in e.coords])
+    near_x = _near_on_axis([x for x, _ in coords])
+    near_y = _near_on_axis([y for _, y in coords])
     for u in range(g.n):
         wrong = (near_x[u] & near_y[u] ^ g.adj[u]) >> (u + 1)
         if wrong:
@@ -307,7 +301,7 @@ def unavoidable_sets(g: Graph) -> list[int]:
     return list(found)
 
 
-def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrder] | None:
+def brute_force_orders(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Exhaustive search for two orders with disjoint forced sets.
 
     Each order's forced set is one pair mask, {u, v} (u < v) at bit
@@ -357,8 +351,7 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
     if n > bound:
         raise ScopeError(f"brute force limited to {bound} vertices, got {n}")
     if n == 0:
-        empty = LinearOrder.from_seq(())
-        return (empty, empty)
+        return ((), ())
     adj = g.adj
     vertex_bit = [1 << v for v in range(n)]
     ne = _NonEdgesIn(g)
@@ -385,9 +378,9 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
         first[mask] = perm
         if candidate is not None:
             if not mask & candidate:
-                return (LinearOrder.from_seq(first[candidate]), LinearOrder.from_seq(perm))
+                return (first[candidate], perm)
         elif not mask:
-            return (LinearOrder.from_seq(perm), LinearOrder.from_seq(perm))
+            return (perm, perm)
         else:
             if unavoidable is None:
                 unavoidable = unavoidable_sets(g)
@@ -401,5 +394,5 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrd
     for i, mask in enumerate(rest):
         for other in rest[i + 1:]:
             if mask & other == 0:
-                return (LinearOrder.from_seq(first[mask]), LinearOrder.from_seq(first[other]))
+                return (first[mask], first[other])
     return None

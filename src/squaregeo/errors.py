@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+echo input."""
+
+_ECHO_LIMIT = 40
+
+
+def _echo(value, show=repr) -> str:
+    """``show`` of ``str(value)`` for an error message: at most its first
+    ``_ECHO_LIMIT`` characters, then a count of the rest. Input fields are
+    quoted with ``repr``, ids and counts shown bare with ``str``."""
+    text = str(value)
+    cut = len(text) - _ECHO_LIMIT
+    return show(text) if cut <= 0 else f"{show(text[:_ECHO_LIMIT])} … ({cut} more characters)"
 
 
 class InputError(ValueError):

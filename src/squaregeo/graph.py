@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InputError, ScopeError, StructuralError
+from .errors import _ECHO_LIMIT, InputError, ScopeError, StructuralError, _echo
 
 
 def bits(mask: int):
@@ -53,28 +53,18 @@ def prefix_masks(seq: Sequence[int]) -> list[int]:
     return out
 
 
-_ID_LIMIT = 40
-
-
-def _id(value: int) -> str:
-    """An id or a count for an error message, cut past ``_ID_LIMIT`` characters."""
-    text = str(value)
-    cut = len(text) - _ID_LIMIT
-    return text if cut <= 0 else f"{text[:_ID_LIMIT]} … ({cut} more characters)"
-
-
 def _capped(ids: Iterable[int], count: int) -> str:
     """The first ten of ``count`` ascending ids, then a count of the rest,
     so an error message stays short whatever the input's size; a cut id ends
     the list. Only the ids shown are drawn from ``ids``."""
     shown = []
     for v in itertools.islice(ids, 10):
-        shown.append(_id(v))
-        if len(shown[-1]) > _ID_LIMIT:
+        shown.append(_echo(v, str))
+        if len(shown[-1]) > _ECHO_LIMIT:
             break
     text = ", ".join(shown)
     if count > len(shown):
-        text += f", … ({_id(count - len(shown))} more)"
+        text += f", … ({_echo(count - len(shown), str)} more)"
     return f"[{text}]"
 
 
@@ -108,13 +98,15 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Create a graph from an edge list, validating every endpoint."""
     if n < 0:
-        raise InputError(f"negative vertex count {_id(n)}")
+        raise InputError(f"negative vertex count {_echo(n, str)}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({_id(u)},{_id(v)}) out of range for n={_id(n)}")
+            raise InputError(
+                f"edge ({_echo(u, str)},{_echo(v, str)}) out of range for n={_echo(n, str)}"
+            )
         if u == v:
-            raise InputError(f"self loop at {_id(u)}")
+            raise InputError(f"self loop at {_echo(u, str)}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))

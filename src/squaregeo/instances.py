@@ -22,11 +22,10 @@ import re
 from fractions import Fraction
 
 from .chords import build_chord_graph
-from .embedding import Embedding
-from .errors import GenerationError, ParseError
+from .errors import GenerationError, ParseError, _echo
 from .graph import BabPartition, Graph, bits, build_graph, check_cover, validate_bab
 from .necessary import NecessaryStatus, check_necessary
-from .orders import LinearOrder, check_sufficient
+from .orders import check_sufficient
 from .pipeline import NO, UNDECIDED, YES, Certificate
 
 INSTANCE_HEADER = "bab-instance v1"
@@ -42,16 +41,7 @@ _PAIR_LINE = re.compile(r"[0-9]{1,18},[0-9]{1,18}(?: [0-9]{1,18},[0-9]{1,18}){0,
 # repetition cap keeps the backtracking stack of one match small; the digit
 # cap keeps every id below any int_max_str_digits limit Python allows.
 _EDGE_RUN = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n){1,1024}", re.M)
-_ECHO_LIMIT = 40
 _ATTEMPTS = 200  # generate_bab's rejection-sampling cap
-
-
-def _echo(field: str) -> str:
-    """The repr of an input field for an error message: at most its first
-    ``_ECHO_LIMIT`` characters, then a count of the rest."""
-    if len(field) <= _ECHO_LIMIT:
-        return repr(field)
-    return f"{field[:_ECHO_LIMIT]!r} … ({len(field) - _ECHO_LIMIT} more characters)"
 
 
 def _content_lines(text: str, start: int = 1):
@@ -197,11 +187,11 @@ def emit_certificate(cert: Certificate) -> str:
     if cert.reason:
         out.append(f"reason {cert.reason}")
     if cert.verdict == YES:
-        out.append("order1 " + " ".join(map(str, cert.order1.seq)))
-        out.append("order2 " + " ".join(map(str, cert.order2.seq)))
+        out.append("order1 " + " ".join(map(str, cert.order1)))
+        out.append("order2 " + " ".join(map(str, cert.order2)))
         out.append(_emit_pairs("completion1", cert.completion1))
         out.append(_emit_pairs("completion2", cert.completion2))
-        for v, (x, y) in enumerate(cert.embedding.coords):
+        for v, (x, y) in enumerate(cert.embedding):
             out.append(f"coord {v} {x} {y}")
     return "\n".join(out) + "\n"
 
@@ -224,7 +214,7 @@ def parse_certificate(text: str) -> Certificate:
             seq = _int_fields(i, rest, key, ints)
             if sorted(seq) != list(range(len(seq))):
                 raise ParseError(f"line {i}: {key} is not a permutation of 0..{len(seq) - 1}")
-            fields[key] = LinearOrder.from_seq(seq)
+            fields[key] = tuple(seq)
         elif key in ("completion1", "completion2"):
             fields[key] = _parse_pairs(i, rest, ints)
         elif key == "coord":
@@ -248,7 +238,7 @@ def parse_certificate(text: str) -> Certificate:
     if coords:
         if sorted(coords) != list(range(len(coords))):
             raise ParseError("line 1: coord lines do not cover 0..n-1")
-        embedding = Embedding(coords=tuple(coords[v] for v in range(len(coords))))
+        embedding = tuple(coords[v] for v in range(len(coords)))
     return Certificate(
         verdict=verdict,
         route=fields.get("route", ""),
@@ -268,7 +258,7 @@ def generate_bab(
     filter: str = "none",
 ) -> tuple[Graph, BabPartition]:
     """Random instance with the given block sizes (private a, shared,
-    private b, y) and X-Y edge density. Deterministic per seed.
+    private b, y) and X-Y edge density in [0, 1]. Deterministic per seed.
 
     filter "assumption1" keeps only instances passing the structural audit;
     "sufficient" keeps only instances satisfying every order-construction
@@ -282,6 +272,8 @@ def generate_bab(
         raise GenerationError("negative block size")
     if filter not in ("none", "assumption1", "sufficient"):
         raise GenerationError(f"unknown filter {filter!r}")
+    if not 0 <= density <= 1:  # also rejects NaN, which fails every comparison
+        raise GenerationError(f"density wants a number in [0, 1], got {density!r}")
     rng = random.Random(seed)
     n = a_size + shared_size + b_size + y_size
     a_block = range(a_size)

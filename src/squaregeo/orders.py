@@ -10,8 +10,9 @@ re-verifies. The coloring and the rigid-free report come from the passing
 necessary verdict and are not recomputed here.
 
 The coloring arrives as two node-index masks. A relation, like the set of
-placement constraints, is one successor mask per vertex: bit v of
-``succ[u]`` says u comes before v.
+placement constraints, is a tuple of successor masks, one per vertex: bit
+v of ``succ[u]`` says u comes before v. An order is its vertex sequence,
+a tuple.
 """
 
 from __future__ import annotations
@@ -25,18 +26,7 @@ from .graph import BabPartition, Graph, bits, lowest, mask_of, nx_mask, ny_mask
 from .necessary import NecessaryStatus, NecessaryVerdict, TwoColoring
 
 
-@dataclass(frozen=True)
-class DerivedRelation:
-    """A strict binary relation on the vertices: ``succ[u]`` is the mask of
-    the v with u before v."""
-
-    succ: tuple[int, ...]
-
-    def related(self, u: int, v: int) -> bool:
-        return bool((self.succ[u] >> v) & 1)
-
-
-def derive_relations(cg: ChordGraph, f: TwoColoring, p: BabPartition) -> tuple[DerivedRelation, DerivedRelation]:
+def derive_relations(cg: ChordGraph, f: TwoColoring, p: BabPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orient X and Y pairs from every chord-graph edge under coloring f.
 
     An edge joins the chords (x, y') and (x', y) of the rigid pair
@@ -53,7 +43,7 @@ def derive_relations(cg: ChordGraph, f: TwoColoring, p: BabPartition) -> tuple[D
             xp, y = cg.nodes[j]
             x_succ[x] |= 1 << xp
             y_succ[y] |= 1 << yp
-    return DerivedRelation(tuple(x_succ)), DerivedRelation(tuple(y_succ))
+    return tuple(x_succ), tuple(y_succ)
 
 
 @dataclass(frozen=True)
@@ -63,10 +53,9 @@ class PartialOrderCheck:
     transitivity_violation: tuple[int, int, int] | None = None
 
 
-def validate_partial_order(rel: DerivedRelation) -> PartialOrderCheck:
+def validate_partial_order(succ: tuple[int, ...]) -> PartialOrderCheck:
     """Antisymmetry, then transitivity through successor-mask containment;
     each reports its least violation."""
-    succ = rel.succ
     for u, s in enumerate(succ):
         for v in bits(s & ~(1 << u)):
             if (succ[v] >> u) & 1:
@@ -77,17 +66,6 @@ def validate_partial_order(rel: DerivedRelation) -> PartialOrderCheck:
             if extra:
                 return PartialOrderCheck(ok=False, transitivity_violation=(v, u, lowest(extra)))
     return PartialOrderCheck(ok=True)
-
-
-@dataclass(frozen=True)
-class LinearOrder:
-    """A total order on V, stored as its vertex sequence."""
-
-    seq: tuple[int, ...]
-
-    @classmethod
-    def from_seq(cls, seq) -> "LinearOrder":
-        return cls(seq=tuple(seq))
 
 
 class _ConstraintSet:
@@ -106,12 +84,13 @@ class _ConstraintSet:
         for u in bits(us):
             self.succ[u] |= vs & ~(1 << u)
 
-    def add_oriented(self, rel: DerivedRelation, u: int, v: int, reverse_rel: bool) -> bool:
-        """Order a related pair as ``rel`` does, or reversed; False when
-        neither is related to the other."""
-        if not (rel.related(u, v) or rel.related(v, u)):
+    def add_oriented(self, rel: tuple[int, ...], u: int, v: int, reverse_rel: bool) -> bool:
+        """Order a related pair as the successor masks ``rel`` do, or
+        reversed; False when neither is related to the other."""
+        before = rel[u] >> v & 1
+        if not (before or rel[v] >> u & 1):
             return False
-        if rel.related(u, v) != reverse_rel:
+        if before != reverse_rel:
             self.add(u, v)
         else:
             self.add(v, u)
@@ -174,15 +153,16 @@ def _x_rule_pairs(g, p, rel_x, members: int, reverse_rel: bool, cons: _Constrain
                 cons.add_inclusion(x, xp, mx, mxp)
 
 
-def _y_rule_pairs(g, p, rel_y, reverse_rel: bool, swap_sides: bool, cons: _ConstraintSet):
+def _y_rule_pairs(g, p, rel_y, reverse_rel: bool, cons: _ConstraintSet):
     """Shared skeleton of rules 1.3/1.4 and 2.3/2.4.
 
     Nesting (same direction in both orders) and the oriented relation pairs;
     the difference-pattern rule applies only to pairs neither related nor
-    nested, where its two clauses cannot clash with the nesting clause.
+    nested, where its two clauses cannot clash with the nesting clause. The
+    second order reverses the relation and mirrors the pattern's sides.
     """
-    left_target = p.b_only if swap_sides else p.a_only
-    right_target = p.a_only if swap_sides else p.b_only
+    left_target = p.b_only if reverse_rel else p.a_only
+    right_target = p.a_only if reverse_rel else p.b_only
     ys = [(y, nx_mask(g, p, y)) for y in bits(p.y)]
     for i, (y, my) in enumerate(ys):
         for yp, myp in ys[i + 1:]:
@@ -197,7 +177,7 @@ def _y_rule_pairs(g, p, rel_y, reverse_rel: bool, swap_sides: bool, cons: _Const
                 cons.add(yp, y)
 
 
-def build_order1(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: DerivedRelation) -> LinearOrder:
+def build_order1(g: Graph, p: BabPartition, rel_x: tuple[int, ...], rel_y: tuple[int, ...]) -> tuple[int, ...]:
     """First total order: the private a's in their nesting sequence, the
     shared block, then the private b's interleaved into Y around the
     Y-neighborhood of the last a. Raises ScopeError unless both sides are
@@ -217,16 +197,16 @@ def build_order1(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
     for prev, cur in zip(p.b_seq, p.b_seq[1:]):
         cons.add(prev, cur)
 
-    _y_rule_pairs(g, p, rel_y, reverse_rel=False, swap_sides=False, cons=cons)
+    _y_rule_pairs(g, p, rel_y, reverse_rel=False, cons=cons)
 
     if p.a_seq and p.b_seq:
         nya = ny_mask(g, p, p.a_seq[-1])
         cons.add_all(nya, 1 << p.b_seq[0])
         cons.add_all(1 << p.b_seq[-1], p.y & ~nya)
-    return LinearOrder.from_seq(p.a_seq + cons.toposort(p.shared) + cons.toposort(p.b_only | p.y))
+    return p.a_seq + cons.toposort(p.shared) + cons.toposort(p.b_only | p.y)
 
 
-def build_order2(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: DerivedRelation) -> LinearOrder:
+def build_order2(g: Graph, p: BabPartition, rel_x: tuple[int, ...], rel_y: tuple[int, ...]) -> tuple[int, ...]:
     """Second total order: all of X (oriented relation reversed, inclusion
     kept; mutually non-nested private pairs put the b before the a), then Y
     with the oriented relation reversed and the difference pattern mirrored;
@@ -240,8 +220,8 @@ def build_order2(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: Deriv
             if nya & ~nyb and nyb & ~nya:
                 cons.add(b, a)
 
-    _y_rule_pairs(g, p, rel_y, reverse_rel=True, swap_sides=True, cons=cons)
-    return LinearOrder.from_seq(cons.toposort(p.x_all) + cons.toposort(p.y))
+    _y_rule_pairs(g, p, rel_y, reverse_rel=True, cons=cons)
+    return cons.toposort(p.x_all) + cons.toposort(p.y)
 
 
 @dataclass(frozen=True)
@@ -253,7 +233,7 @@ class SufficiencyVerdict:
     ``swapped`` records that X_a and X_b traded roles before construction.
     """
 
-    orders: tuple[LinearOrder, LinearOrder] | None
+    orders: tuple[tuple[int, ...], tuple[int, ...]] | None
     swapped: bool = False
     reason: str = ""
 

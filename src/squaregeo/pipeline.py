@@ -16,10 +16,10 @@ Every YES certificate re-verifies from its own fields alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .chords import build_chord_graph
 from .embedding import (
-    Embedding,
     OrderPair,
     brute_force_orders,
     completion,
@@ -32,7 +32,7 @@ from .embedding import (
 from .errors import StructuralError
 from .graph import BabPartition, Graph
 from .necessary import NecessaryStatus, NecessaryVerdict, check_necessary
-from .orders import LinearOrder, check_sufficient
+from .orders import check_sufficient
 
 YES = "yes"
 NO = "no"
@@ -53,11 +53,11 @@ class Certificate:
     verdict: str
     route: str
     reason: str = ""
-    order1: LinearOrder | None = None
-    order2: LinearOrder | None = None
+    order1: tuple[int, ...] | None = None
+    order2: tuple[int, ...] | None = None
     completion1: frozenset[Pair] | None = None
     completion2: frozenset[Pair] | None = None
-    embedding: Embedding | None = None
+    embedding: tuple[tuple[Fraction, Fraction], ...] | None = None
 
 
 def _necessary_reason(nec: NecessaryVerdict) -> str:
@@ -159,14 +159,14 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     for name, o in (("order1", cert.order1), ("order2", cert.order2)):
         if o is None:
             problems.append(f"{name} missing")
-        elif frozenset(o.seq) != want or len(o.seq) != g.n:
+        elif frozenset(o) != want or len(o) != g.n:
             problems.append(f"{name} is not a permutation of the vertices")
     if cert.completion1 is None or cert.completion2 is None:
         problems.append("forced sets missing")
     if cert.embedding is None:
         problems.append("embedding missing")
-    elif len(cert.embedding.coords) != g.n:
-        problems.append(f"embedding has {len(cert.embedding.coords)} coordinates for {g.n} vertices")
+    elif len(cert.embedding) != g.n:
+        problems.append(f"embedding has {len(cert.embedding)} coordinates for {g.n} vertices")
     if problems:
         return CertificateCheck(ok=False, problems=tuple(problems))
 

@@ -19,8 +19,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
-from squaregeo.embedding import Embedding, EmbeddingCheck, completion, verify_embedding
-from squaregeo.errors import InputError, OrderConstructionError, ParseError, ScopeError, StructuralError
+from squaregeo.embedding import EmbeddingCheck, completion, verify_embedding
+from squaregeo.errors import InputError, OrderConstructionError, ParseError, ScopeError, StructuralError, _echo
 from squaregeo.graph import (
     BabPartition,
     Graph,
@@ -35,9 +35,9 @@ from squaregeo.graph import (
     prefix_masks,
     validate_bab,
 )
-from squaregeo.instances import INSTANCE_HEADER, _echo
+from squaregeo.instances import INSTANCE_HEADER
 from squaregeo.necessary import ColoringRefutation, TwoColoring, _layer_masks, _shortest_odd_cycle
-from squaregeo.orders import DerivedRelation, LinearOrder, PartialOrderCheck
+from squaregeo.orders import PartialOrderCheck
 from squaregeo.pipeline import NO, UNDECIDED, YES, Certificate, CertificateCheck
 
 
@@ -332,19 +332,19 @@ def linf_embedding_report(g, coords):
     return mismatches, boundary
 
 
-def verify_embedding_by_pairs(g: Graph, e: Embedding) -> EmbeddingCheck:
+def verify_embedding_by_pairs(g: Graph, coords: tuple[tuple[Fraction, Fraction], ...]) -> EmbeddingCheck:
     """Adjacency iff max-metric distance at most 1, exact comparisons; a
     non-adjacent pair at distance exactly 1 fails.
 
     The original pair loop, kept as the reference for the ``ok`` flag and
     the first violation ``embedding.verify_embedding`` must reproduce.
     """
-    if len(e.coords) != g.n:
+    if len(coords) != g.n:
         raise InputError("coordinate count differs from vertex count")
     for u in range(g.n):
-        xu, yu = e.coords[u]
+        xu, yu = coords[u]
         for v in range(u + 1, g.n):
-            xv, yv = e.coords[v]
+            xv, yv = coords[v]
             near = abs(xu - xv) <= 1 and abs(yu - yv) <= 1
             if near != g.adjacent(u, v):
                 return EmbeddingCheck(ok=False, violation=(u, v))
@@ -466,27 +466,28 @@ def nodes_of(cg: ChordGraph, mask: int) -> frozenset[tuple[int, int]]:
 
 
 def relation_pairs(rel) -> list[tuple[int, int]]:
-    """The pairs (u, v) of a derived relation, sorted."""
-    return [(u, v) for u, s in enumerate(rel.succ) for v in bits(s)]
+    """The pairs (u, v) of a derived relation's successor masks, sorted."""
+    return [(u, v) for u, s in enumerate(rel) for v in bits(s)]
 
 
-def relation_of(n: int, pairs) -> DerivedRelation:
-    """The derived relation on n vertices holding exactly ``pairs``."""
+def relation_of(n: int, pairs) -> tuple[int, ...]:
+    """The successor masks of the relation on n vertices holding exactly
+    ``pairs``."""
     succ = [0] * n
     for u, v in pairs:
         succ[u] |= 1 << v
-    return DerivedRelation(tuple(succ))
+    return tuple(succ)
 
 
-def out_set(rel: DerivedRelation, v: int) -> frozenset[int]:
+def out_set(rel: tuple[int, ...], v: int) -> frozenset[int]:
     """Everything a derived relation puts after ``v``."""
-    return members(rel.succ[v])
+    return members(rel[v])
 
 
 def constraint_arcs(cons) -> set[tuple[int, int]]:
     """The 'u before v' arcs held by a constraint set, which keeps
     successor masks as a relation does."""
-    return set(relation_pairs(cons))
+    return set(relation_pairs(cons.succ))
 
 
 # The relation and constraint formats before successor masks: colorings and
@@ -630,14 +631,15 @@ class ArcConstraintSet:
             seen.add(v)
 
 
-# The exhaustive order search before forced-pair masks: one LinearOrder, one
-# ``completion`` frozenset and one index lookup per permutation. Copied
-# verbatim apart from the name, one call of the ``non_edges`` helper above,
-# which was a ``Graph`` method, and ``completion``'s mask read back as pairs
-# by ``pairs_of``, as the reference for ``brute_force_orders``.
+# The exhaustive order search before forced-pair masks: one ``completion``
+# frozenset and one index lookup per permutation. Copied verbatim apart from
+# the name, one call of the ``non_edges`` helper above, which was a
+# ``Graph`` method, ``completion``'s mask read back as pairs by
+# ``pairs_of``, and orders as plain tuples, as the reference for
+# ``brute_force_orders``.
 
 
-def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[LinearOrder, LinearOrder] | None:
+def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Exhaustive search for two orders with disjoint forced sets.
 
     Reversing an order leaves its forced set unchanged, so only orders that
@@ -648,27 +650,24 @@ def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[LinearOr
     if g.n > bound:
         raise ScopeError(f"brute force limited to {bound} vertices, got {g.n}")
     if g.n == 0:
-        empty = LinearOrder.from_seq(())
-        return (empty, empty)
+        return ((), ())
     index = {pair: i for i, pair in enumerate(non_edges(g))}
 
     reps: list[tuple[tuple[int, ...], int]] = []
     for perm in itertools.permutations(range(g.n)):
         if perm > perm[::-1]:
             continue
-        o = LinearOrder.from_seq(perm)
         mask = 0
-        for pair in pairs_of(completion(g, o), g.n):
+        for pair in pairs_of(completion(g, perm), g.n):
             mask |= 1 << index[pair]
         reps.append((perm, mask))
 
     all_masks = {mask for _, mask in reps}
     for perm, mask in reps:
         if any(mask & other == 0 for other in all_masks):
-            o1 = LinearOrder.from_seq(perm)
             for perm2, mask2 in reps:
                 if mask & mask2 == 0:
-                    return (o1, LinearOrder.from_seq(perm2))
+                    return (perm, perm2)
     return None
 
 
@@ -924,11 +923,11 @@ def coordinate_by_fraction_string(tok: str) -> Fraction:
 # The axis realization before it read the completion of the order itself:
 # it took G plus the order's forced set as a graph, re-tested that the order
 # is interval-closed on it, and read each vertex's first neighbor off prefix
-# masks. Copied verbatim apart from the name, as the reference for
-# ``embedding.realize_unit_interval``.
+# masks. Copied verbatim apart from the name and the order as a plain
+# tuple, as the reference for ``embedding.realize_unit_interval``.
 
 
-def realize_unit_interval_of_augmented_graph(g_aug: Graph, o: LinearOrder) -> tuple[Fraction, ...]:
+def realize_unit_interval_of_augmented_graph(g_aug: Graph, o: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Exact positions along one axis for an interval-closed graph and order.
 
     Positions are nondecreasing along o, adjacent vertices sit within 1 and
@@ -946,18 +945,18 @@ def realize_unit_interval_of_augmented_graph(g_aug: Graph, o: LinearOrder) -> tu
     n = g_aug.n
     if n == 0:
         return ()
-    if not is_unit_interval_order(g_aug, o.seq):
+    if not is_unit_interval_order(g_aug, o):
         raise StructuralError(
             "order does not admit a unit interval realization of the augmented graph"
         )
     # constraint x_b - x_a <= (wa + wb*gap) stored as (a, b, wa, wb)
     arcs: list[tuple[int, int, int, int]] = []
-    prefix = prefix_masks(o.seq)
+    prefix = prefix_masks(o)
     for k in range(1, n):
         arcs.append((k, k - 1, 0, 0))
         # the order passed the test above, so the neighbors before k are
         # exactly the positions first_near..k-1
-        first_near = k - (g_aug.adj[o.seq[k]] & prefix[k]).bit_count()
+        first_near = k - (g_aug.adj[o[k]] & prefix[k]).bit_count()
         if first_near <= k - 1:
             arcs.append((first_near, k, 1, 0))
         if first_near > 0:
@@ -987,7 +986,7 @@ def realize_unit_interval_of_augmented_graph(g_aug: Graph, o: LinearOrder) -> tu
     coords = [Fraction(0)] * n
     for k in range(n):
         a, b = dist[k]
-        coords[o.seq[k]] = (a - base_a) + (b - base_b) * gap
+        coords[o[k]] = (a - base_a) + (b - base_b) * gap
     return tuple(coords)
 
 
@@ -995,8 +994,8 @@ def realize_unit_interval_of_augmented_graph(g_aug: Graph, o: LinearOrder) -> tu
 # sequence: one toposort over the whole vertex set, with the block layout
 # (the a-chain, the shared-block fences, X_a before Y in the first order, X
 # before Y in the second) added as constraints. Copied verbatim apart from
-# the names, as the reference for ``orders.build_order1`` and
-# ``orders.build_order2``.
+# the names and relations and orders as plain tuples, as the reference for
+# ``orders.build_order1`` and ``orders.build_order2``.
 
 
 class WholeSetConstraintSet:
@@ -1015,12 +1014,13 @@ class WholeSetConstraintSet:
         for u in bits(us):
             self.succ[u] |= vs & ~(1 << u)
 
-    def add_oriented(self, rel: DerivedRelation, u: int, v: int, reverse_rel: bool) -> bool:
-        """Order a related pair as ``rel`` does, or reversed; False when
-        neither is related to the other."""
-        if not (rel.related(u, v) or rel.related(v, u)):
+    def add_oriented(self, rel: tuple[int, ...], u: int, v: int, reverse_rel: bool) -> bool:
+        """Order a related pair as the successor masks ``rel`` do, or
+        reversed; False when neither is related to the other."""
+        uv, vu = bool(rel[u] >> v & 1), bool(rel[v] >> u & 1)
+        if not (uv or vu):
             return False
-        if rel.related(u, v) != reverse_rel:
+        if uv != reverse_rel:
             self.add(u, v)
         else:
             self.add(v, u)
@@ -1105,7 +1105,7 @@ def _y_rule_pairs_whole_set(g, p, rel_y, reverse_rel: bool, swap_sides: bool, co
                 cons.add(yp, y)
 
 
-def build_order1_by_whole_set(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: DerivedRelation) -> LinearOrder:
+def build_order1_by_whole_set(g: Graph, p: BabPartition, rel_x: tuple[int, ...], rel_y: tuple[int, ...]) -> tuple[int, ...]:
     """First total order: private a's, then the shared block, then private
     b's interleaved into Y around the Y-neighborhood of the last a.
 
@@ -1133,10 +1133,10 @@ def build_order1_by_whole_set(g: Graph, p: BabPartition, rel_x: DerivedRelation,
         cons.add_all(nya, 1 << p.b_seq[0])
         cons.add_all(1 << p.b_seq[-1], p.y & ~nya)
     cons.add_all(p.x_a, p.y)
-    return LinearOrder.from_seq(cons.toposort())
+    return cons.toposort()
 
 
-def build_order2_by_whole_set(g: Graph, p: BabPartition, rel_x: DerivedRelation, rel_y: DerivedRelation) -> LinearOrder:
+def build_order2_by_whole_set(g: Graph, p: BabPartition, rel_x: tuple[int, ...], rel_y: tuple[int, ...]) -> tuple[int, ...]:
     """Second total order: all of X (oriented relation reversed, inclusion
     kept; mutually non-nested private pairs put the b before the a), then Y
     with the oriented relation reversed and the difference pattern mirrored."""
@@ -1152,13 +1152,14 @@ def build_order2_by_whole_set(g: Graph, p: BabPartition, rel_x: DerivedRelation,
     _y_rule_pairs_whole_set(g, p, rel_y, reverse_rel=True, swap_sides=True, cons=cons)
 
     cons.add_all(p.x_all, p.y)
-    return LinearOrder.from_seq(cons.toposort())
+    return cons.toposort()
 
 
 # The certificate check before forced sets were compared as pair masks: the
 # stored sets against ``completion``'s as frozensets of pairs. Copied
-# verbatim apart from the name and ``completion``'s mask read back as pairs
-# by ``pairs_of``, as the reference for ``pipeline.verify_certificate``.
+# verbatim apart from the name, ``completion``'s mask read back as pairs by
+# ``pairs_of``, and orders and coordinates as plain tuples, as the reference
+# for ``pipeline.verify_certificate``.
 
 
 def verify_certificate_by_sets(g: Graph, cert: Certificate) -> CertificateCheck:
@@ -1182,14 +1183,14 @@ def verify_certificate_by_sets(g: Graph, cert: Certificate) -> CertificateCheck:
     for name, o in (("order1", cert.order1), ("order2", cert.order2)):
         if o is None:
             problems.append(f"{name} missing")
-        elif frozenset(o.seq) != want or len(o.seq) != g.n:
+        elif frozenset(o) != want or len(o) != g.n:
             problems.append(f"{name} is not a permutation of the vertices")
     if cert.completion1 is None or cert.completion2 is None:
         problems.append("forced sets missing")
     if cert.embedding is None:
         problems.append("embedding missing")
-    elif len(cert.embedding.coords) != g.n:
-        problems.append(f"embedding has {len(cert.embedding.coords)} coordinates for {g.n} vertices")
+    elif len(cert.embedding) != g.n:
+        problems.append(f"embedding has {len(cert.embedding)} coordinates for {g.n} vertices")
     if problems:
         return CertificateCheck(ok=False, problems=tuple(problems))
 

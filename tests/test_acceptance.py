@@ -20,7 +20,6 @@ from squaregeo import (
 from squaregeo.embedding import completion, make_order_pair
 from squaregeo.errors import GenerationError
 from squaregeo.necessary import NecessaryStatus
-from squaregeo.orders import LinearOrder
 
 from conftest import enumerate_bab_instances
 from oracles import (
@@ -155,7 +154,7 @@ def test_criterion_4_chords_split_and_bipartite(decided_corpus, sufficient_certs
         if not pair.valid or not chord_distribution(g, p, pair).ok:
             bad.append(("split", g.edges()))
         cg = build_chord_graph(g, p)
-        masks = [0] * cg.node_count()
+        masks = [0] * len(cg.nodes)
         for i, j in cg.edges():
             masks[i] |= 1 << j
             masks[j] |= 1 << i
@@ -180,22 +179,22 @@ def test_criterion_5_closure_facts(decided_corpus, sufficient_certs):
     def audit(g, p, seq):
         nonlocal audited
         audited += 1
-        comp = pairs_of(completion(g, LinearOrder.from_seq(seq)), g.n)
+        comp = pairs_of(completion(g, seq), g.n)
         notes = completion_closure_violations(g, seq, comp, p)
         if notes:
             violations.append((g.edges(), seq, notes[:2]))
 
     for idx, (g, p, _, cert, _) in enumerate(decided_corpus):
         if cert.verdict == "yes":
-            audit(g, p, cert.order1.seq)
-            audit(g, p, cert.order2.seq)
+            audit(g, p, cert.order1)
+            audit(g, p, cert.order2)
         shuffled = list(range(g.n))
         random.Random(idx).shuffle(shuffled)
         audit(g, p, tuple(shuffled))
     for g, p, cert, exc in sufficient_certs:
         if exc is None and cert.verdict == "yes":
-            audit(g, p, cert.order1.seq)
-            audit(g, p, cert.order2.seq)
+            audit(g, p, cert.order1)
+            audit(g, p, cert.order2)
     line = f"{audited} completions audited, {len(violations)} closure violations"
     print(f"CRITERION 5: {'PASS' if not violations else 'FAIL'} {line}")
     assert not violations, violations[:3]
@@ -211,7 +210,7 @@ def test_criterion_6_exact_distance_audit(decided_corpus, sufficient_certs):
         if cert is None or cert.verdict != "yes":
             continue
         audited += 1
-        bad, near = linf_embedding_report(g, cert.embedding.coords)
+        bad, near = linf_embedding_report(g, cert.embedding)
         boundary += near
         if bad:
             mismatched.append((g.edges(), bad[:2]))

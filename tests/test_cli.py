@@ -124,6 +124,17 @@ def test_gen_validate_recognize_pipe(tmp_path, capsys):
     assert "verdict: yes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("density", ["nan", "1.5", "-0.1", "0.0", "1.0"])
+def test_gen_takes_a_density_in_the_unit_interval_only(capsys, density):
+    ok = 0 <= float(density) <= 1
+    assert main(["gen", "--sizes", "1,2,1,3", "--density", density]) == (EXIT_YES if ok else EXIT_UNDECIDED)
+    out, err = capsys.readouterr()
+    if ok:
+        assert out.startswith("bab-instance v1\n") and err == ""
+    else:
+        assert out == "" and err == f"error: density wants a number in [0, 1], got {float(density)!r}\n"
+
+
 def test_gen_rejects_bad_sizes(capsys):
     assert main(["gen", "--sizes", "1,2,3"]) == EXIT_UNDECIDED
     assert "error: sizes wants exactly four" in capsys.readouterr().err

@@ -12,7 +12,6 @@ import pytest
 
 from squaregeo import build_graph, embedding, generate_bab, recognize, validate_bab
 from squaregeo.embedding import (
-    Embedding,
     brute_force_orders,
     completion,
     embed,
@@ -21,7 +20,6 @@ from squaregeo.embedding import (
     verify_embedding,
 )
 from squaregeo.errors import GenerationError, InputError, ScopeError, StructuralError
-from squaregeo.orders import LinearOrder
 
 from conftest import bab_shapes
 from oracles import (
@@ -61,23 +59,22 @@ C4_COORDS = (
 def test_completion_c4(c4):
     """Bit u*n + v stands for the pair (u, v): (1, 2) is bit 6, (0, 3) bit 3."""
     g, _ = c4
-    o = LinearOrder.from_seq((0, 1, 2, 3))
+    o = (0, 1, 2, 3)
     assert completion(g, o) == 1 << 6
-    assert completion(g, LinearOrder.from_seq((1, 0, 3, 2))) == 1 << 3
+    assert completion(g, (1, 0, 3, 2)) == 1 << 3
     assert pairs_of(completion(g, o), 4) == frozenset({(1, 2)})
 
 
 def test_completion_reversal_invariant(g8):
     g, _ = g8
     for seq in (G8_ORDER1, G8_ORDER2):
-        o = LinearOrder.from_seq(seq)
-        assert completion(g, o) == completion(g, LinearOrder.from_seq(o.seq[::-1]))
+        assert completion(g, seq) == completion(g, seq[::-1])
 
 
 def test_completion_matches_edge_scan_exhaustively():
     for g in _labeled_graphs(4):
         for seq in itertools.permutations(range(4)):
-            assert completion(g, LinearOrder.from_seq(seq)) == mask_of_pairs(scan_completion(g, seq), 4)
+            assert completion(g, seq) == mask_of_pairs(scan_completion(g, seq), 4)
 
 
 def test_completion_matches_edge_scan_on_random_graphs():
@@ -92,7 +89,7 @@ def test_completion_matches_edge_scan_on_random_graphs():
         )
         seq = rng.sample(range(n), n)
         want = scan_completion(g, seq)
-        forced = completion(g, LinearOrder.from_seq(seq))
+        forced = completion(g, tuple(seq))
         assert forced == mask_of_pairs(want, n)
         assert embedding.pairs_of(forced, n) == want
 
@@ -138,7 +135,7 @@ def test_completion_is_the_brute_force_mask(monkeypatch):
             assert len(drawn) == len(every)
         tally[found is None, len(drawn) == len(every)] += 1
         for perm, windows in drawn:
-            want = completion(g, LinearOrder.from_seq(perm))
+            want = completion(g, perm)
             assert want == mask_of_pairs(scan_completion(g, perm), n)
             if perm[0] > perm[-1]:
                 assert not windows
@@ -155,19 +152,19 @@ def test_completion_is_the_brute_force_mask(monkeypatch):
 def test_order_pair_forced_sets_g8(g8):
     g, _ = g8
     pair = make_order_pair(
-        g, LinearOrder.from_seq(G8_ORDER1), LinearOrder.from_seq(G8_ORDER2)
+        g, G8_ORDER1, G8_ORDER2
     )
     assert sorted(pairs_of(pair.c1, 8)) == [(2, 4), (3, 4), (3, 5)]
     assert sorted(pairs_of(pair.c2, 8)) == [(0, 3), (0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
     assert pair.valid
-    same = make_order_pair(g, LinearOrder.from_seq(G8_ORDER1), LinearOrder.from_seq(G8_ORDER1))
+    same = make_order_pair(g, G8_ORDER1, G8_ORDER1)
     assert not same.valid
 
 
 def test_chord_distribution_c4(c4):
     g, p = c4
     pair = make_order_pair(
-        g, LinearOrder.from_seq((0, 1, 2, 3)), LinearOrder.from_seq((1, 0, 3, 2))
+        g, (0, 1, 2, 3), (1, 0, 3, 2)
     )
     dist = chord_distribution(g, p, pair)
     assert dist.ok
@@ -180,7 +177,7 @@ def test_chord_distribution_c4(c4):
 def test_chord_distribution_g8(g8):
     g, p = g8
     pair = make_order_pair(
-        g, LinearOrder.from_seq(G8_ORDER1), LinearOrder.from_seq(G8_ORDER2)
+        g, G8_ORDER1, G8_ORDER2
     )
     dist = chord_distribution(g, p, pair)
     assert dist.ok
@@ -195,20 +192,20 @@ def test_chord_distribution_g8(g8):
 
 def test_chord_distribution_rejects_invalid_pair(c4):
     g, p = c4
-    o = LinearOrder.from_seq((0, 1, 2, 3))
+    o = (0, 1, 2, 3)
     with pytest.raises(InputError, match="forced sets intersect"):
         chord_distribution(g, p, make_order_pair(g, o, o))
 
 
 def test_realize_path():
     g = build_graph(3, [(0, 1), (1, 2)])
-    got = realize_unit_interval(g, LinearOrder.from_seq((0, 1, 2)))
+    got = realize_unit_interval(g, (0, 1, 2))
     assert got == (Fraction(0), Fraction(1), Fraction(5, 4))
 
 
 def test_realize_with_plateau():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (2, 4)])
-    got = realize_unit_interval(g, LinearOrder.from_seq((0, 1, 2, 3, 4)))
+    got = realize_unit_interval(g, (0, 1, 2, 3, 4))
     assert got == (
         Fraction(0),
         Fraction(1, 6),
@@ -225,7 +222,7 @@ def test_realize_accepts_a_non_interval_order():
     """Under (1, 0, 2) the edge 1~2 straddles the non-edge {0, 2}, so the
     path 0-1-2 is realized as its completion, the triangle."""
     g = build_graph(3, [(0, 1), (1, 2)])
-    o = LinearOrder.from_seq((1, 0, 2))
+    o = (1, 0, 2)
     assert pairs_of(completion(g, o), 3) == frozenset({(0, 2)})
     assert realize_unit_interval(g, o) == (Fraction(0), Fraction(0), Fraction(0))
 
@@ -236,8 +233,8 @@ def _assert_realizes_the_completion(g, o):
     got = realize_unit_interval(g, o)
     augmented = build_graph(g.n, g.edges() + sorted(pairs_of(completion(g, o), g.n)))
     want = realize_unit_interval_of_augmented_graph(augmented, o)
-    assert got == want, (g.edges(), o.seq)
-    assert all((g.n + 1) % x.denominator == 0 for x in got), (g.edges(), o.seq)
+    assert got == want, (g.edges(), o)
+    assert all((g.n + 1) % x.denominator == 0 for x in got), (g.edges(), o)
 
 
 def test_realize_matches_the_augmented_graph_reference():
@@ -253,14 +250,14 @@ def test_realize_matches_the_augmented_graph_reference():
         g = build_graph(
             n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
         )
-        o = LinearOrder.from_seq(rng.sample(range(n), n))
+        o = tuple(rng.sample(range(n), n))
         closed += not completion(g, o)
         _assert_realizes_the_completion(g, o)
     assert closed < 480, closed
     for n in (100, 200):
         for k in (1, 3, 9):
             g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + k + 1))])
-            o = LinearOrder.from_seq(range(n))
+            o = tuple(range(n))
             assert not completion(g, o)
             _assert_realizes_the_completion(g, o)
 
@@ -288,23 +285,23 @@ def test_realize_matches_the_reference_on_constructed_orders():
 def test_embed_c4(c4):
     g, _ = c4
     pair = make_order_pair(
-        g, LinearOrder.from_seq((0, 1, 2, 3)), LinearOrder.from_seq((1, 0, 3, 2))
+        g, (0, 1, 2, 3), (1, 0, 3, 2)
     )
     emb = embed(g, pair)
-    assert emb.coords == C4_COORDS
-    assert emb.coords[3] == (Fraction(6, 5), Fraction(1))
-    mism, boundary = linf_embedding_report(g, emb.coords)
+    assert emb == C4_COORDS
+    assert emb[3] == (Fraction(6, 5), Fraction(1))
+    mism, boundary = linf_embedding_report(g, emb)
     assert mism == []
 
 
 def test_embed_g8(g8):
     g, _ = g8
     pair = make_order_pair(
-        g, LinearOrder.from_seq(G8_ORDER1), LinearOrder.from_seq(G8_ORDER2)
+        g, G8_ORDER1, G8_ORDER2
     )
     emb = embed(g, pair)
-    assert emb.coords == G8_COORDS
-    mism, boundary = linf_embedding_report(g, emb.coords)
+    assert emb == G8_COORDS
+    mism, boundary = linf_embedding_report(g, emb)
     assert mism == []
     assert boundary >= 1  # e.g. vertices 0 and 2 sit exactly one apart in x
 
@@ -314,7 +311,7 @@ def test_embed_checks_the_realized_axes(g8, monkeypatch):
     realization still ends in StructuralError."""
     g, _ = g8
     pair = make_order_pair(
-        g, LinearOrder.from_seq(G8_ORDER1), LinearOrder.from_seq(G8_ORDER2)
+        g, G8_ORDER1, G8_ORDER2
     )
     real = embedding.realize_unit_interval
 
@@ -330,21 +327,21 @@ def test_embed_checks_the_realized_axes(g8, monkeypatch):
 
 def test_embed_rejects_invalid_pair(c4):
     g, _ = c4
-    o = LinearOrder.from_seq((0, 1, 2, 3))
+    o = (0, 1, 2, 3)
     with pytest.raises(InputError):
         embed(g, make_order_pair(g, o, o))
 
 
 def test_verify_embedding_boundary_semantics():
     edge = build_graph(2, [(0, 1)])
-    on_boundary = Embedding(coords=((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+    on_boundary = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     assert verify_embedding(edge, on_boundary).ok
 
     hole = build_graph(2, [])
     chk = verify_embedding(hole, on_boundary)
     assert not chk.ok and chk.violation == (0, 1)
 
-    nudged = Embedding(coords=((Fraction(0), Fraction(0)), (Fraction(1001, 1000), Fraction(1))))
+    nudged = ((Fraction(0), Fraction(0)), (Fraction(1001, 1000), Fraction(1)))
     assert verify_embedding(hole, nudged).ok
 
 
@@ -368,9 +365,8 @@ def test_verify_embedding_matches_the_pair_loop():
         for flip in rng.sample(pairs, min(len(pairs), rng.choice((0, 0, 1, 3)))):
             edges ^= {flip}
         g = build_graph(n, edges)
-        e = Embedding(coords=coords)
-        got = verify_embedding(g, e)
-        assert got == verify_embedding_by_pairs(g, e)
+        got = verify_embedding(g, coords)
+        assert got == verify_embedding_by_pairs(g, coords)
         verdicts.add(got.ok)
     assert verdicts == {True, False}
 
@@ -417,9 +413,8 @@ def test_verify_embedding_on_both_paths_matches_the_pair_loop(monkeypatch):
         pairs = list(itertools.combinations(range(n), 2))
         flips = set(rng.sample(pairs, min(len(pairs), rng.choice((0, 0, 1, 3)))))
         g = build_graph(n, set(near) ^ flips)
-        e = Embedding(coords=coords)
-        got = verify_embedding(g, e)
-        assert got == verify_embedding_by_pairs(g, e)
+        got = verify_embedding(g, coords)
+        assert got == verify_embedding_by_pairs(g, coords)
         for axis in (xs, ys):
             assert embedding._near_on_axis(axis) == kernel(axis, 1)
         verdicts[got.ok] += 1
@@ -433,7 +428,7 @@ def test_verify_embedding_on_both_paths_matches_the_pair_loop(monkeypatch):
 def test_verify_embedding_count_mismatch():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(InputError):
-        verify_embedding(g, Embedding(coords=((Fraction(0), Fraction(0)),)))
+        verify_embedding(g, ((Fraction(0), Fraction(0)),))
 
 
 def test_brute_force_c4(c4):
@@ -441,8 +436,8 @@ def test_brute_force_c4(c4):
     found = brute_force_orders(g)
     assert found is not None
     o1, o2 = found
-    assert o1.seq == (0, 1, 2, 3)
-    assert o2.seq == (1, 0, 3, 2)
+    assert o1 == (0, 1, 2, 3)
+    assert o2 == (1, 0, 3, 2)
     assert make_order_pair(g, o1, o2).valid
 
 
@@ -469,10 +464,6 @@ def test_brute_force_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def _pair_seqs(found):
-    return None if found is None else (found[0].seq, found[1].seq)
 
 
 def _labeled_graphs(n: int):
@@ -524,8 +515,8 @@ def test_brute_force_matches_the_completion_reference(monkeypatch):
     drawn = collections.Counter()
     for g in graphs:
         counts.clear()
-        found = _pair_seqs(brute_force_orders(g, 8))
-        assert found == _pair_seqs(brute_force_orders_by_completion(g, 8)), g.edges()
+        found = brute_force_orders(g, 8)
+        assert found == brute_force_orders_by_completion(g, 8), g.edges()
         tally[g.n == 8, found is not None] += 1
         if g.n >= 2:
             drawn["full" if counts == [math.factorial(g.n)] else "early"] += 1
@@ -583,7 +574,7 @@ def test_every_order_meets_every_unavoidable_set():
     for g, seqs in cases:
         sets = unavoidable_sets_by_definition(g)
         for seq in seqs:
-            forced = completion(g, LinearOrder.from_seq(seq))
+            forced = completion(g, tuple(seq))
             assert all(forced & u for u in sets), (g.edges(), seq)
             met += len(sets)
     assert met > 15000

@@ -8,7 +8,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from squaregeo import (
-    Embedding,
     build_chord_graph,
     build_graph,
     check_necessary,
@@ -30,7 +29,6 @@ from squaregeo import (
 from squaregeo.chords import ChordGraph, y_end_masks
 from squaregeo.embedding import embed, make_order_pair
 from squaregeo.instances import _PAIR_LINE
-from squaregeo.orders import LinearOrder
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
 from oracles import pairs_of, verify_certificate_by_sets, verify_embedding_by_pairs
@@ -79,11 +77,11 @@ def test_g8_yes_certificate(g8):
     cert = recognize(g, p)
     assert cert.verdict == YES and cert.route == "sufficient"
     assert cert.reason == ""
-    assert cert.order1.seq == (0, 1, 2, 4, 3, 5, 6, 7)
-    assert cert.order2.seq == (3, 2, 0, 1, 6, 7, 5, 4)
+    assert cert.order1 == (0, 1, 2, 4, 3, 5, 6, 7)
+    assert cert.order2 == (3, 2, 0, 1, 6, 7, 5, 4)
     assert sorted(cert.completion1) == [(2, 4), (3, 4), (3, 5)]
     assert sorted(cert.completion2) == [(0, 3), (0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
-    assert cert.embedding.coords[3] == (Fraction(10, 9), Fraction(0))
+    assert cert.embedding[3] == (Fraction(10, 9), Fraction(0))
     assert verify_certificate(g, cert).ok
 
 
@@ -91,8 +89,8 @@ def test_c4_yes_certificate(c4):
     g, p = c4
     cert = recognize(g, p)
     assert cert.verdict == YES and cert.route == "sufficient"
-    assert cert.order1.seq == (0, 1, 2, 3)
-    assert cert.order2.seq == (1, 0, 3, 2)
+    assert cert.order1 == (0, 1, 2, 3)
+    assert cert.order2 == (1, 0, 3, 2)
     assert verify_certificate(g, cert).ok
 
 
@@ -139,8 +137,8 @@ def test_region_overshoot_recognized_yes():
     p = validate_bab(g, [0, 1, 2], [1, 2, 3], [4, 5, 6])
     cert = recognize(g, p)
     assert cert.verdict == YES and cert.route == "sufficient"
-    assert cert.order1.seq == (0, 2, 1, 5, 6, 3, 4)
-    assert cert.order2.seq == (1, 2, 3, 0, 4, 5, 6)
+    assert cert.order1 == (0, 2, 1, 5, 6, 3, 4)
+    assert cert.order2 == (1, 2, 3, 0, 4, 5, 6)
     assert verify_certificate(g, cert).ok
 
 
@@ -199,8 +197,8 @@ def test_disconnected_resolved_by_oracle(disconnected7):
     cert = recognize(g, p, allow_oracle=True, oracle_bound=7)
     assert cert.verdict == YES and cert.route == "oracle"
     assert cert.reason == "audit: chord graph splits into 3 non-isolated components"
-    assert cert.order1.seq == (0, 1, 2, 3, 4, 5, 6)
-    assert cert.order2.seq == (2, 1, 0, 5, 4, 3, 6)
+    assert cert.order1 == (0, 1, 2, 3, 4, 5, 6)
+    assert cert.order2 == (2, 1, 0, 5, 4, 3, 6)
     assert verify_certificate(g, cert).ok
 
 
@@ -240,9 +238,9 @@ def test_verify_catches_tampering(g8):
     g, p = g8
     cert = recognize(g, p)
 
-    bad_coords = list(cert.embedding.coords)
+    bad_coords = list(cert.embedding)
     bad_coords[0] = (Fraction(5), Fraction(5))
-    broken = replace(cert, embedding=replace(cert.embedding, coords=tuple(bad_coords)))
+    broken = replace(cert, embedding=tuple(bad_coords))
     chk = verify_certificate(g, broken)
     assert not chk.ok
     assert any("embedding fails" in s for s in chk.problems)
@@ -252,7 +250,7 @@ def test_verify_catches_tampering(g8):
     assert not chk.ok
     assert any("forced set" in s for s in chk.problems)
 
-    short = replace(cert, order1=LinearOrder.from_seq(cert.order1.seq[:-1]))
+    short = replace(cert, order1=cert.order1[:-1])
     assert not verify_certificate(g, short).ok
 
 
@@ -338,17 +336,17 @@ def coprime_denominator_certificate():
     ])
     shared_end, x_end = a_size + shared_size, a_size + shared_size + b_size
     p = validate_bab(g, range(shared_end), range(a_size, x_end), range(x_end, n))
-    pair = make_order_pair(g, *(LinearOrder.from_seq(sorted(range(n), key=lambda v: pts[v][k])) for k in (0, 1)))
+    pair = make_order_pair(g, *(tuple(sorted(range(n), key=lambda v: pts[v][k])) for k in (0, 1)))
     grid = embed(g, pair)
     shrink = 1 - Fraction(1, 4 * (n + 1))
     big = 10**800 * math.factorial(n + 1)
     coords = []
-    for v, xy in enumerate(grid.coords):
+    for v, xy in enumerate(grid):
         q = (v + 1) * big + 1
         coords.append(tuple(Fraction(math.floor(c * shrink * q) + 1, q) for c in xy))
     cert = pipeline.Certificate(YES, "sufficient", order1=pair.o1, order2=pair.o2,
                                 completion1=pairs_of(pair.c1, n), completion2=pairs_of(pair.c2, n),
-                                embedding=Embedding(coords=tuple(coords)))
+                                embedding=tuple(coords))
     return g, p, cert
 
 
@@ -361,7 +359,7 @@ def test_coprime_denominator_certificate_takes_the_fraction_path(monkeypatch):
     fails on the pair loop's first violation."""
     g, _, cert = coprime_denominator_certificate()
     assert g.n == 130
-    coords = cert.embedding.coords
+    coords = cert.embedding
     dens = [c.denominator for xy in coords for c in xy]
     assert min(dens).bit_length() > 3300 and math.gcd(coords[0][0].denominator, coords[1][0].denominator) == 1
 
@@ -378,7 +376,7 @@ def test_coprime_denominator_certificate_takes_the_fraction_path(monkeypatch):
 
     moved = list(coords)
     moved[17] = (coords[17][0] + 3, coords[17][1])
-    bad = replace(cert, embedding=Embedding(coords=tuple(moved)))
+    bad = replace(cert, embedding=tuple(moved))
     want = verify_embedding_by_pairs(g, bad.embedding)
     assert not want.ok
     assert verify_certificate(g, bad).problems == (f"embedding fails on pair {want.violation}",)

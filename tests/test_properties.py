@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from squaregeo import build_graph, generate_bab, recognize
 from squaregeo.embedding import brute_force_orders, completion
 from squaregeo.errors import GenerationError
-from squaregeo.orders import LinearOrder
 
 from oracles import (
     completion_closure_violations,
@@ -39,7 +38,7 @@ def graph_and_order(draw, max_n=7):
     pairs = list(combinations(range(n), 2))
     edges = [e for e in pairs if draw(st.booleans())]
     seq = draw(st.permutations(list(range(n))))
-    return build_graph(n, edges), LinearOrder.from_seq(seq)
+    return build_graph(n, edges), tuple(seq)
 
 
 @st.composite
@@ -49,20 +48,20 @@ def bab_and_order(draw):
     seed = draw(st.integers(min_value=0, max_value=10**6))
     g, p = generate_bab(shape, density, seed)
     seq = draw(st.permutations(list(range(g.n))))
-    return g, p, LinearOrder.from_seq(seq)
+    return g, p, tuple(seq)
 
 
 @given(graph_and_order())
 def test_completion_matches_covering_scan(go):
     g, order = go
-    assert pairs_of(completion(g, order), g.n) == scan_completion(g, order.seq)
+    assert pairs_of(completion(g, order), g.n) == scan_completion(g, order)
 
 
 @given(graph_and_order())
 def test_completion_satisfies_closure_facts(go):
     g, order = go
     comp = pairs_of(completion(g, order), g.n)
-    assert completion_closure_violations(g, order.seq, comp) == []
+    assert completion_closure_violations(g, order, comp) == []
 
 
 @given(bab_and_order())
@@ -70,7 +69,7 @@ def test_completion_satisfies_closure_facts(go):
 def test_block_closure_facts_hold(gpo):
     g, p, order = gpo
     comp = pairs_of(completion(g, order), g.n)
-    assert completion_closure_violations(g, order.seq, comp, p) == []
+    assert completion_closure_violations(g, order, comp, p) == []
 
 
 @given(
@@ -88,9 +87,9 @@ def test_accepted_orders_realize_their_augmented_graphs(shape, density, seed):
     assume(cert.verdict == "yes")
     aug1 = build_graph(g.n, g.edges() + list(cert.completion1))
     aug2 = build_graph(g.n, g.edges() + list(cert.completion2))
-    assert umbrella_ok(aug1, cert.order1.seq)
-    assert umbrella_ok(aug2, cert.order2.seq)
-    mismatches, _ = linf_embedding_report(g, cert.embedding.coords)
+    assert umbrella_ok(aug1, cert.order1)
+    assert umbrella_ok(aug2, cert.order2)
+    mismatches, _ = linf_embedding_report(g, cert.embedding)
     assert mismatches == []
 
 
