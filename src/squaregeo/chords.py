@@ -162,7 +162,11 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
     by_y = y_end_masks(nodes, g.n)
     near_x = [union_of(by_x, a & p.x_all) for a in g.adj]
     near = {x: near_x[x] & union_of(by_y, g.adj[x] & p.y) for x in bits(p.x_all)}
-    adj = tuple(near[x] & near_x[y] for x, y in nodes)
+    # From a list, not a generator: CPython resizes a tuple built from a
+    # generator, and once freed it stays on the free list of its length (up
+    # to 2,000 per length below 20), so a long run's heap would grow by one
+    # tuple per instance.
+    adj = tuple([near[x] & near_x[y] for x, y in nodes])
     return ChordGraph(tuple(nodes), adj, union_of(by_x, p.a_only), union_of(by_x, p.b_only), by_y)
 
 

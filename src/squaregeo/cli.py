@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .chords import build_chord_graph
-from .errors import GenerationError, ParseError
+from .errors import GenerationError, ParseError, _echo
 from .graph import BabPartition, Graph
 from .instances import emit_certificate, emit_instance, generate_bab, parse_certificate, parse_instance
 from .necessary import NecessaryStatus, check_necessary
@@ -126,12 +126,20 @@ def cmd_gen(args) -> int:
     try:
         sizes = tuple(int(tok) for tok in args.sizes.split(","))
     except ValueError:
-        raise GenerationError(f"sizes wants four integers, got {args.sizes!r}") from None
+        raise GenerationError(f"sizes wants four integers, got {_echo(args.sizes)}") from None
     if len(sizes) != 4:
         raise GenerationError("sizes wants exactly four comma-separated integers")
     g, p = generate_bab(sizes, args.density, args.seed, filter=args.filter)
     sys.stdout.write(emit_instance(g, p))
     return EXIT_YES
+
+
+def _int_arg(text: str) -> int:
+    """``int`` for argparse, with the rejected text cut as in every error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -158,11 +166,11 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         sp = instance_cmd(name, func, help_)
         sp.add_argument("--oracle", action="store_true", help="fall back to exhaustive search")
-        sp.add_argument("--oracle-bound", type=int, default=6, metavar="N")
+        sp.add_argument("--oracle-bound", type=_int_arg, default=6, metavar="N")
         sp.add_argument("--format", choices=("text", "structured"), default="text")
 
     sp = instance_cmd("oracle", cmd_oracle, "exhaustive order search only")
-    sp.add_argument("--oracle-bound", type=int, default=6, metavar="N")
+    sp.add_argument("--oracle-bound", type=_int_arg, default=6, metavar="N")
     sp.add_argument("--format", choices=("text", "structured"), default="text")
 
     sp = sub.add_parser("verify", help="re-check a certificate against an instance")
@@ -174,7 +182,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", required=True, metavar="A,S,B,Y",
                     help="private-a, shared, private-b and y block sizes")
     sp.add_argument("--density", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_arg, default=0)
     sp.add_argument("--filter", choices=("none", "assumption1", "sufficient"), default="none")
     sp.set_defaults(func=cmd_gen)
     return parser

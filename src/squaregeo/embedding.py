@@ -17,13 +17,12 @@ would grow too large.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import InputError, ScopeError, StructuralError
+from .errors import InputError, ScopeError, StructuralError, _echo
 from .graph import Graph, bits, prefix_masks
 
 Pair = tuple[int, int]
@@ -260,21 +259,23 @@ def verify_embedding(g: Graph, coords: tuple[tuple[Fraction, Fraction], ...]) ->
     return EmbeddingCheck(ok=True)
 
 
-class _NonEdgesIn(dict):
-    """``ne[S]``: the non-edges {u, v} (u < v) inside vertex mask S, as bits
-    u*n + v; each entry is computed on first use."""
+class _Windows(dict):
+    """``win[S]``: the non-edges {u, v} (u < v) inside vertex mask S, as bits
+    u*n + v, and the listed sets that meet them; each entry is computed on
+    first use."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, sets: list[int]):
         super().__init__()
         self.g = g
+        self.sets = sets
 
-    def __missing__(self, s: int) -> int:
+    def __missing__(self, s: int) -> tuple[int, list[int]]:
         adj, n = self.g.adj, self.g.n
         m = 0
         for u in bits(s):
             m |= (s & ~adj[u]) >> (u + 1) << (u * n + u + 1)
-        self[s] = m
-        return m
+        self[s] = entry = (m, [u for u in self.sets if u & m])
+        return entry
 
 
 def unavoidable_sets(g: Graph) -> list[int]:
@@ -301,6 +302,90 @@ def unavoidable_sets(g: Graph) -> list[int]:
     return list(found)
 
 
+def _clean_orders(g: Graph, win: _Windows):
+    """The orders of ``brute_force_orders``'s scan whose forced set holds no
+    set of ``win.sets``, as (order, pair mask), by a depth-first search over
+    order prefixes in lexicographic order: one frame, no call per prefix.
+
+    Only orders with ``perm[0] < perm[-1]`` (n >= 2) are reached: a prefix
+    whose unplaced vertices all lie below its first is cut. Placing v
+    ORs one window into the prefix's mask (``win[S]``, S the vertices
+    from v's earliest placed neighbor to v). Rule (a) cuts a prefix whose
+    mask holds a whole listed set; only the sets that meet the window can
+    have become whole. A mask c sent in turns on rule (b): from there on, a
+    prefix whose mask meets c is cut, the prefixes of the current order
+    among them. When that search ends, it yields None once and goes back to
+    the order where c came in, then runs on with rule (a) only.
+    """
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    seq = [0] * n
+    prefixes = [0] * (n + 1)  # prefixes[i]: the vertices at positions 0..i-1
+    masks = [0] * (n + 1)     # masks[i]: the forced set of positions 0..i-1
+    todo = [0] * (n + 1)      # todo[i]: the vertices still to try at position i
+    todo[0] = full >> 1 if n > 1 else full  # no order starts with its largest vertex
+    later = 0  # the vertices above seq[0]: one of them must come last
+    avoid = 0  # rule (b)'s mask; 0 while it is off
+    saved = None  # the search's state where rule (b) came on
+    k = 0
+    while True:
+        t = todo[k]
+        if not t:
+            if k:
+                k -= 1
+                continue
+            if saved is None:
+                return
+            yield None
+            todo[:], prefixes[:], masks[:], seq[:], later = saved
+            avoid, saved, k = 0, None, n - 1
+            continue
+        low = t & -t
+        todo[k] = t ^ low
+        v = low.bit_length() - 1
+        placed = prefixes[k]
+        now = placed | low
+        rest = full ^ now
+        if not k:
+            later = rest >> v << v
+        elif rest and not rest & later:
+            continue
+        mask = masks[k]
+        nb = adj[v] & placed
+        if nb:
+            p = 0  # the position of v's earliest placed neighbor
+            while not prefixes[p + 1] & nb:
+                p += 1
+            window, sets = win[now ^ prefixes[p]]
+            new = window & ~mask
+            if new:
+                if new & avoid:  # rule (b)
+                    continue
+                mask |= new
+                for u in sets:  # a loop, not any(): this is the hot path
+                    if u & mask == u:
+                        break
+                else:
+                    u = 0
+                if u:  # rule (a): the mask holds u
+                    continue
+        seq[k] = v
+        k += 1
+        prefixes[k] = now
+        masks[k] = mask
+        if k < n:
+            todo[k] = rest
+            continue
+        k -= 1
+        sent = yield tuple(seq), mask
+        if sent is not None:
+            avoid = sent
+            saved = (todo[:], prefixes[:], masks[:], seq[:], later)
+            for i in range(n):  # rule (b) on the prefixes of c's own order
+                if masks[i] & avoid:
+                    todo[i] = 0
+
+
 def brute_force_orders(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Exhaustive search for two orders with disjoint forced sets.
 
@@ -310,31 +395,44 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple
     later end is v, the one to v's earliest neighbor spans all the others.
     So placing v at position k forces exactly the non-edges inside
     positions p..k, p the position of v's earliest placed neighbor, and
-    the OR over those windows of ``ne[S]``, the non-edges inside vertex
-    set S, is ``completion``'s mask. ``ne`` is filled on demand,
-    so nothing of size 2^n is built up front.
+    the OR over those windows of the non-edges inside each (``_Windows``,
+    filled on demand, so nothing of size 2^n is built up front) is
+    ``completion``'s mask. The OR grows along an order, so each prefix has
+    a mask, and every order below the prefix forces at least that mask.
 
-    Reversing an order leaves its forced set unchanged, so only orders no
-    larger than their reversal are scanned; for n >= 2 that is
-    ``perm[0] < perm[-1]``. Only the first order of each distinct forced
-    set is kept, so memory grows with the number of distinct sets, not with
-    n!. The answer is the first distinct set, in the lexicographic order of
-    the scan, that has a disjoint partner, with that set's first partner.
-    Scope-guarded since the search is factorial.
+    Reversing an order leaves its forced set unchanged, so only orders with
+    ``perm[0] < perm[-1]`` (for n >= 2) are scanned. The answer is defined
+    by a flat scan of those orders in lexicographic order: the first
+    distinct forced set that has a disjoint partner, with the first order
+    of that set and of its first partner. Scope-guarded since the search
+    is factorial. The search below returns the same pair, visiting order
+    prefixes depth first in the same order (``_clean_orders``), and keeps
+    one order per distinct forced set.
 
-    Stop rule. The *candidate* is the earliest distinct set not yet shown
-    to have no partner; every earlier set holds a whole unavoidable set
-    (``unavoidable_sets``). Each order's forced set meets every unavoidable
-    set, so a set that holds one meets every forced set and has no partner.
-    A new set m that misses the candidate c is c's first partner: each set
-    seen between them met c on arrival, and c met itself, so the search
-    returns (c, m). With no candidate, m meets every earlier set, so it is
-    its own partner only when it is empty, and otherwise it is ruled out
-    or becomes the candidate. If the scan ends with a candidate, it has no
-    partner; the sets after it are paired as before, each only against
-    later sets: a disjoint earlier set would have been the answer, and
-    none is empty, as an empty set misses the candidate. The unavoidable
-    sets are built at the first non-empty set.
+    The flat scan. Every order's forced set meets every unavoidable set
+    (``unavoidable_sets``), so a set that holds one meets every forced set
+    and has no partner; it is *ruled out*. The *candidate* c is the
+    earliest set not ruled out. An empty c is its own partner. Otherwise a
+    later set m that misses c is c's first partner, since each set seen
+    between them met c or was ruled out. If no set misses c, c has no
+    partner; the sets after it are paired, each only against later sets:
+    a disjoint earlier set would have been the answer.
+
+    (a) Ruled-out prefix. A prefix whose mask holds an unavoidable set
+    leads only to ruled-out sets, so its subtree is skipped. Such a set is
+    never the candidate, never a partner of any set (a partner misses a
+    forced set, and this set meets them all) and so never in the pairing
+    after the scan. The first order reached is then the candidate's first
+    order: every order before it is ruled out.
+
+    (b) Candidate fixed. Once c is fixed and non-empty, a prefix whose mask
+    meets c leads only to sets that meet c, none of them c's partner, so
+    its subtree is skipped. The first order reached after c then misses c,
+    and it is the first order of its set: every earlier order is ruled
+    out, or met c on arrival, or is c's own. So the flat scan returns
+    exactly that order as c's first partner. If none is reached, the
+    pairing needs every set after c, and rule (b) skipped some of them:
+    the search goes back to c's order and runs on with rule (a) only.
 
     Why every order forces one pair of each unavoidable set:
     - Induced 4-cycle a-b-c-d, chords {a, c} and {b, d}. Take the first
@@ -349,50 +447,25 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple
     """
     n = g.n
     if n > bound:
-        raise ScopeError(f"brute force limited to {bound} vertices, got {n}")
+        raise ScopeError(f"brute force limited to {_echo(bound, str)} vertices, got {n}")
     if n == 0:
         return ((), ())
-    adj = g.adj
-    vertex_bit = [1 << v for v in range(n)]
-    ne = _NonEdgesIn(g)
-
-    first: dict[int, tuple[int, ...]] = {}  # each distinct forced set's first order
-    candidate = None  # its mask; None while every set so far is ruled out
-    unavoidable = None
-    for perm in itertools.permutations(range(n)):
-        if perm[0] > perm[-1]:
-            continue
-        mask = placed = 0
-        prefixes = [0]  # prefixes[i]: the vertices at positions 0..i-1
-        for v in perm:
-            nb = adj[v] & placed
-            placed |= vertex_bit[v]
-            if nb:
-                p = 0  # the position of v's earliest placed neighbor
-                while not prefixes[p + 1] & nb:
-                    p += 1
-                mask |= ne[placed ^ prefixes[p]]
-            prefixes.append(placed)
-        if mask in first:
-            continue
-        first[mask] = perm
-        if candidate is not None:
-            if not mask & candidate:
-                return (first[candidate], perm)
-        elif not mask:
-            return (perm, perm)
-        else:
-            if unavoidable is None:
-                unavoidable = unavoidable_sets(g)
-            if not any(u & mask == u for u in unavoidable):
-                candidate = mask
-
-    if candidate is None:
+    search = _clean_orders(g, _Windows(g, unavoidable_sets(g)))
+    first = next(search, None)
+    if first is None:
         return None
-    masks = list(first)
-    rest = masks[masks.index(candidate) + 1:]
+    perm, candidate = first
+    if not candidate:
+        return (perm, perm)
+    partner = search.send(candidate)
+    if partner is not None:
+        return (perm, partner[0])
+    orders = {candidate: perm}  # each distinct set after c, with its first order
+    for perm, mask in search:
+        orders.setdefault(mask, perm)
+    rest = list(orders)[1:]
     for i, mask in enumerate(rest):
         for other in rest[i + 1:]:
             if mask & other == 0:
-                return (first[mask], first[other])
+                return (orders[mask], orders[other])
     return None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 from .chords import build_chord_graph
@@ -276,6 +277,8 @@ def generate_bab(
         raise GenerationError(f"density wants a number in [0, 1], got {density!r}")
     rng = random.Random(seed)
     n = a_size + shared_size + b_size + y_size
+    if n > sys.maxsize:  # no list that long can be built
+        raise GenerationError(f"block sizes sum to {_echo(n, str)}, more than {sys.maxsize} vertices")
     a_block = range(a_size)
     shared_block = range(a_size, a_size + shared_size)
     b_block = range(a_size + shared_size, a_size + shared_size + b_size)

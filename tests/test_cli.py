@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, output formats, piping files around."""
 
+import sys
+
 import pytest
 
-from squaregeo import emit_certificate, emit_instance, parse_certificate, recognize
+from squaregeo import emit_certificate, emit_instance, generate_bab, parse_certificate, recognize
 from squaregeo.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, main
 from squaregeo.pipeline import NO
 
@@ -140,6 +142,60 @@ def test_gen_rejects_bad_sizes(capsys):
     assert "error: sizes wants exactly four" in capsys.readouterr().err
     assert main(["gen", "--sizes", "a,b,c,d"]) == EXIT_UNDECIDED
     assert "error: sizes wants four integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes, start", [
+    ("1,2,1," + "9" * 30, "error: block sizes sum to 10000"),
+    ("x" * 5000, "error: sizes wants four integers, got 'xxxx"),
+], ids=["sum", "text"])
+def test_gen_bounds_bad_sizes_in_one_line(capsys, sizes, start):
+    """A block size past any list length is refused before a range is
+    built, and a 5,000-character sizes text is cut in the message."""
+    assert main(["gen", "--sizes", sizes]) == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(start), err[:100]
+    assert len(err.encode()) < 300 and err.count("\n") == 1
+
+
+# A 5,000-digit value, which int() refuses where Python limits the digits
+# it converts, and a 5,000-character one that is no number anywhere.
+LONG_INTS = (["9" * 5000] if getattr(sys, "get_int_max_str_digits", lambda: 0)() else []) + ["9" * 4999 + "x"]
+
+
+@pytest.mark.parametrize("value", LONG_INTS)
+@pytest.mark.parametrize("option", [["gen", "--sizes", "1,2,1,3", "--seed"], ["oracle", "--oracle-bound"],
+                                    ["recognize", "--oracle-bound"], ["embed", "--oracle-bound"]],
+                         ids=["gen-seed", "oracle", "recognize", "embed"])
+def test_int_options_bound_a_bad_value_in_their_error(capsys, option, value):
+    argv = option + [value] + ([] if option[0] == "gen" else ["-"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[-1].endswith(f"error: argument {option[-1]}: invalid int value: '{'9' * 40}' … (4960 more characters)")
+    assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
+
+
+def test_int_options_read_valid_values_as_before(tmp_path, capsys):
+    assert main(["gen", "--sizes", "1,2,1,3", "--seed", "-7"]) == EXIT_YES
+    assert capsys.readouterr().out == emit_instance(*generate_bab((1, 2, 1, 3), 0.5, -7))
+    path = tmp_path / "inst.txt"
+    path.write_text(emit_instance(*generate_bab((1, 2, 1, 3), 0.5, 0)))
+    assert main(["oracle", "--oracle-bound", " 7 ", str(path)]) in (EXIT_YES, EXIT_NO)
+    assert capsys.readouterr().out.startswith("verdict: ")
+
+
+def test_oracle_bounds_a_long_negative_bound_in_its_error(tmp_path, capsys):
+    """A 4,001-character bound is taken, and refused by the search's scope
+    check in one bounded line."""
+    path = tmp_path / "inst.txt"
+    path.write_text(emit_instance(*generate_bab((1, 2, 1, 3), 0.5, 0)))
+    assert main(["oracle", "--oracle-bound", "-" + NINES, str(path)]) == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: brute force limited to -{'9' * 39} … (3961 more characters) vertices, got 7\n"
 
 
 def test_verify_round_trip(tmp_path, g8, g8_file, capsys):

@@ -2,11 +2,9 @@
 
 import collections
 import itertools
-import math
 import random
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -94,30 +92,22 @@ def test_completion_matches_edge_scan_on_random_graphs():
         assert embedding.pairs_of(forced, n) == want
 
 
-def test_completion_is_the_brute_force_mask(monkeypatch):
-    """On random graphs with n <= 6, the search draws a prefix of the
-    permutations, all of them when it finds no pair, and ``completion``
-    equals the scan's mask and the OR of the ``_NonEdgesIn`` windows that
-    ``brute_force_orders`` reads for each permutation it draws. The windows
-    are recorded from the search itself, one list per permutation; it
-    skips the orders larger than their reversal, which read none."""
-    drawn = []  # (permutation, the windows read for it)
-    permutations, NonEdgesIn = itertools.permutations, embedding._NonEdgesIn
+def _leaves(g, sets=()):
+    """Every (order, mask) the order search yields on g when rule (b) never
+    comes on; with no listed sets nothing is cut but the orders larger than
+    their reversal."""
+    return list(embedding._clean_orders(g, embedding._Windows(g, list(sets))))
 
-    def recorded_permutations(vertices):
-        for perm in permutations(vertices):
-            drawn.append((perm, []))
-            yield perm
 
-    class RecordedNonEdgesIn(NonEdgesIn):
-        def __getitem__(self, s):
-            drawn[-1][1].append(s)
-            return super().__getitem__(s)
-
-    monkeypatch.setattr(embedding, "itertools", SimpleNamespace(permutations=recorded_permutations))
-    monkeypatch.setattr(embedding, "_NonEdgesIn", RecordedNonEdgesIn)
+def test_completion_is_the_brute_force_mask():
+    """On random graphs with n <= 6, the search with nothing to cut reaches
+    exactly the permutations with ``perm[0] < perm[-1]`` (all of them at
+    n = 1), in lexicographic order, and each one's mask is ``completion``'s
+    and the covering scan's. With the graph's unavoidable sets listed, it
+    reaches exactly those of them whose mask holds none of the sets: rule
+    (a) cuts no order it should reach."""
     rng = random.Random(16)
-    scanned = 0
+    scanned = cut = 0
     tally = collections.Counter()
     for i in range(70):
         n = 1 + i % 6 if i < 60 else 6
@@ -126,27 +116,19 @@ def test_completion_is_the_brute_force_mask(monkeypatch):
             (u, v) for u, v in itertools.combinations(range(n), 2)
             if (i >= 60 and u == 0) or rng.random() < density
         ])
-        ne = NonEdgesIn(g)
-        drawn.clear()
-        found = brute_force_orders(g)
-        every = list(permutations(range(n)))
-        assert [perm for perm, _ in drawn] == every[:len(drawn)]
-        if found is None:
-            assert len(drawn) == len(every)
-        tally[found is None, len(drawn) == len(every)] += 1
-        for perm, windows in drawn:
-            want = completion(g, perm)
-            assert want == mask_of_pairs(scan_completion(g, perm), n)
-            if perm[0] > perm[-1]:
-                assert not windows
-                continue
-            scanned += 1
-            got = 0
-            for s in windows:
-                got |= ne[s]
-            assert got == want, (g.edges(), perm)
-    assert tally[False, False] >= 40 and tally[True, True] >= 3, tally
-    assert scanned >= 2500
+        every = [perm for perm in itertools.permutations(range(n)) if n < 2 or perm[0] < perm[-1]]
+        leaves = _leaves(g)
+        assert [perm for perm, _ in leaves] == every
+        for perm, mask in leaves:
+            assert mask == completion(g, perm) == mask_of_pairs(scan_completion(g, perm), n), (g.edges(), perm)
+        scanned += len(leaves)
+        sets = embedding.unavoidable_sets(g)
+        clean = [(perm, mask) for perm, mask in leaves if not any(u & mask == u for u in sets)]
+        assert _leaves(g, sets) == clean, g.edges()
+        cut += len(leaves) - len(clean)
+        tally[brute_force_orders(g) is None] += 1
+    assert tally[False] >= 40 and tally[True] >= 3, tally
+    assert scanned >= 2500 and cut >= 2000, (scanned, cut)
 
 
 def test_order_pair_forced_sets_g8(g8):
@@ -473,29 +455,50 @@ def _labeled_graphs(n: int):
         yield build_graph(n, [e for e, keep in zip(pairs, picks) if keep])
 
 
-def _counting_permutations(monkeypatch) -> list[int]:
-    """Patch the search's permutation source to count what it draws; the
-    returned list gets one count per call of ``permutations``."""
-    counts = []
+class _CountedWindows(embedding._Windows):
+    """The search's window cache, counting its reads: one per prefix whose
+    last vertex has an earlier neighbor."""
 
-    def counted(vertices):
-        counts.append(0)
-        for perm in itertools.permutations(vertices):
-            counts[-1] += 1
-            yield perm
+    reads = 0
 
-    monkeypatch.setattr(embedding, "itertools", SimpleNamespace(permutations=counted))
-    return counts
+    def __getitem__(self, s):
+        self.reads += 1
+        return super().__getitem__(s)
+
+
+def _recorded_searches(monkeypatch) -> list[dict]:
+    """Patch the order search to record, per call of ``brute_force_orders``,
+    its window cache and whether it ran to its end, as a NO or a pair found
+    after the scan does."""
+    calls = []
+    clean_orders = embedding._clean_orders
+
+    def recorded(g, win):
+        calls.append({"win": win, "ended": False})
+        yield from clean_orders(g, win)
+        calls[-1]["ended"] = True
+
+    monkeypatch.setattr(embedding, "_Windows", _CountedWindows)
+    monkeypatch.setattr(embedding, "_clean_orders", recorded)
+    return calls
+
+
+def _reads_with_nothing_cut(g) -> int:
+    """The windows the search reads on g with no set listed and rule (b)
+    never on: the cost of visiting every prefix."""
+    win = _CountedWindows(g, [])
+    for _ in embedding._clean_orders(g, win):
+        pass
+    return win.reads
 
 
 def test_brute_force_matches_the_completion_reference(monkeypatch):
-    """The mask scan returns the same first pair as the per-permutation
+    """The prefix search returns the same first pair as the per-permutation
     completion search, or None with it: on every labeled graph up to n=5,
     seeded instances of every n=6 and n=7 block shape, random graphs up to
     n=7 (40 of them at n=6 with a vertex adjacent to all others, which
     makes NO cases common) and three n=8 instances. Both paths are taken:
-    the search stops early on some graphs and draws every permutation on
-    others."""
+    the search stops early on some graphs and runs to its end on others."""
     graphs = [g for n in range(6) for g in _labeled_graphs(n)]
     for n in (6, 7):
         for i, shape in enumerate(bab_shapes(n)):
@@ -510,31 +513,70 @@ def test_brute_force_matches_the_completion_reference(monkeypatch):
         ]))
     for shape, seed in (((1, 2, 2, 3), 2), ((2, 1, 2, 3), 0), ((2, 2, 2, 2), 0)):
         graphs.append(generate_bab(shape, 0.5, seed)[0])
-    counts = _counting_permutations(monkeypatch)
+    calls = _recorded_searches(monkeypatch)
     tally = collections.Counter()
-    drawn = collections.Counter()
+    ran = collections.Counter()
     for g in graphs:
-        counts.clear()
+        calls.clear()
         found = brute_force_orders(g, 8)
         assert found == brute_force_orders_by_completion(g, 8), g.edges()
         tally[g.n == 8, found is not None] += 1
         if g.n >= 2:
-            drawn["full" if counts == [math.factorial(g.n)] else "early"] += 1
+            ran["full" if calls[0]["ended"] else "early"] += 1
+    print("search runs:", dict(ran))
     assert tally[False, False] >= 15 and tally[False, True] >= 1000, tally
     assert tally[True, False] == 2 and tally[True, True] == 1, tally
-    assert drawn["early"] >= 100 and drawn["full"] >= 15, drawn
+    assert ran["early"] >= 100 and ran["full"] >= 15, ran
 
 
 def test_brute_force_stops_early_on_most_block_shapes(monkeypatch):
     """On one seeded n=7 instance of each of the 56 block shapes the search
-    draws fewer than half of the 56 * 5040 permutations in total."""
+    reads fewer than a sixth of the windows that visiting every prefix
+    reads, in total."""
     shapes = bab_shapes(7)
     assert len(shapes) == 56
-    counts = _counting_permutations(monkeypatch)
-    for i, shape in enumerate(shapes):
-        brute_force_orders(generate_bab(shape, 0.2 + 0.6 * (i % 7) / 6, i)[0], 7)
-    print("permutations drawn:", sum(counts))
-    assert len(counts) == 56 and sum(counts) < 56 * 5040 // 2, sum(counts)
+    graphs = [generate_bab(shape, 0.2 + 0.6 * (i % 7) / 6, i)[0] for i, shape in enumerate(shapes)]
+    every = sum(_reads_with_nothing_cut(g) for g in graphs)
+    calls = _recorded_searches(monkeypatch)
+    for g in graphs:
+        brute_force_orders(g, 7)
+    read = sum(call["win"].reads for call in calls)
+    print("windows read:", read, "of", every)
+    assert len(calls) == 56 and read < every // 6, (read, every)
+
+
+def _corpus_instance(n: int, i: int):
+    """Instance i of the seeded corpus on n vertices: every block shape with
+    0-3 private a, 1-3 shared, 0-3 private b and 1-5 y vertices in turn,
+    density 0.2 + 0.6*((i*37) % 100)/100 and seed 1000 + i."""
+    shapes = [s for s in itertools.product(range(4), range(1, 4), range(4), range(1, 6)) if sum(s) == n]
+    return generate_bab(shapes[i % len(shapes)], 0.2 + 0.6 * ((i * 37) % 100) / 100, 1000 + i)[0]
+
+
+# The n=7 corpus instances on which the coloring refutation of
+# ``recognize`` answers NO while an order pair exists.
+WRONG_NO_7 = (523, 766, 917, 951, 1304, 1449)
+
+
+def test_pruned_search_matches_the_reference_on_the_corpus():
+    """Rules (a) and (b) change no answer: the prefix search returns what
+    the per-permutation completion search returns on 300 seeded instances
+    of the n=7 corpus, the six wrong NOs of ``recognize`` among them, and
+    on 40 seeded n=8 instances."""
+    rng = random.Random(19)
+    picks7 = list(WRONG_NO_7) + rng.sample(sorted(set(range(1500)) - set(WRONG_NO_7)), 294)
+    picks8 = rng.sample(range(1500), 40)
+    tally = collections.Counter()
+    for n, picks in ((7, picks7), (8, picks8)):
+        for i in picks:
+            g = _corpus_instance(n, i)
+            found = brute_force_orders(g, 8)
+            assert found == brute_force_orders_by_completion(g, 8), (n, i)
+            tally[n, found is not None] += 1
+    assert all(brute_force_orders(_corpus_instance(7, i), 7) is not None for i in WRONG_NO_7)
+    print("answers:", dict(tally))
+    assert tally[7, True] + tally[7, False] == 300 and tally[8, True] + tally[8, False] == 40
+    assert tally[7, False] >= 5 and tally[8, False] >= 5, tally
 
 
 def test_unavoidable_sets_match_the_definition():
