@@ -302,20 +302,19 @@ def unavoidable_sets(g: Graph) -> list[int]:
     return list(found)
 
 
-def _clean_orders(g: Graph, win: _Windows):
-    """The orders of ``brute_force_orders``'s scan whose forced set holds no
-    set of ``win.sets``, as (order, pair mask), by a depth-first search over
-    order prefixes in lexicographic order: one frame, no call per prefix.
+def _clean_orders(g: Graph, win: _Windows, avoid: int = 0, start: int = 0):
+    """The orders of ``brute_force_orders``'s scan that start at vertex
+    ``start`` or later and whose forced set holds no set of ``win.sets``
+    and misses ``avoid``, as (order, pair mask), by a depth-first search
+    over order prefixes in lexicographic order: one frame, no call per
+    prefix.
 
     Only orders with ``perm[0] < perm[-1]`` (n >= 2) are reached: a prefix
     whose unplaced vertices all lie below its first is cut. Placing v
     ORs one window into the prefix's mask (``win[S]``, S the vertices
     from v's earliest placed neighbor to v). Rule (a) cuts a prefix whose
     mask holds a whole listed set; only the sets that meet the window can
-    have become whole. A mask c sent in turns on rule (b): from there on, a
-    prefix whose mask meets c is cut, the prefixes of the current order
-    among them. When that search ends, it yields None once and goes back to
-    the order where c came in, then runs on with rule (a) only.
+    have become whole. Rule (b) cuts a prefix whose mask meets ``avoid``.
     """
     n, adj = g.n, g.adj
     full = (1 << n) - 1
@@ -323,22 +322,16 @@ def _clean_orders(g: Graph, win: _Windows):
     prefixes = [0] * (n + 1)  # prefixes[i]: the vertices at positions 0..i-1
     masks = [0] * (n + 1)     # masks[i]: the forced set of positions 0..i-1
     todo = [0] * (n + 1)      # todo[i]: the vertices still to try at position i
-    todo[0] = full >> 1 if n > 1 else full  # no order starts with its largest vertex
+    # no order starts with its largest vertex, nor below start
+    todo[0] = (full >> 1 if n > 1 else full) >> start << start
     later = 0  # the vertices above seq[0]: one of them must come last
-    avoid = 0  # rule (b)'s mask; 0 while it is off
-    saved = None  # the search's state where rule (b) came on
     k = 0
     while True:
         t = todo[k]
         if not t:
-            if k:
-                k -= 1
-                continue
-            if saved is None:
+            if not k:
                 return
-            yield None
-            todo[:], prefixes[:], masks[:], seq[:], later = saved
-            avoid, saved, k = 0, None, n - 1
+            k -= 1
             continue
         low = t & -t
         todo[k] = t ^ low
@@ -377,13 +370,7 @@ def _clean_orders(g: Graph, win: _Windows):
             todo[k] = rest
             continue
         k -= 1
-        sent = yield tuple(seq), mask
-        if sent is not None:
-            avoid = sent
-            saved = (todo[:], prefixes[:], masks[:], seq[:], later)
-            for i in range(n):  # rule (b) on the prefixes of c's own order
-                if masks[i] & avoid:
-                    todo[i] = 0
+        yield tuple(seq), mask
 
 
 def brute_force_orders(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -425,14 +412,17 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple
     after the scan. The first order reached is then the candidate's first
     order: every order before it is ruled out.
 
-    (b) Candidate fixed. Once c is fixed and non-empty, a prefix whose mask
-    meets c leads only to sets that meet c, none of them c's partner, so
-    its subtree is skipped. The first order reached after c then misses c,
-    and it is the first order of its set: every earlier order is ruled
-    out, or met c on arrival, or is c's own. So the flat scan returns
-    exactly that order as c's first partner. If none is reached, the
-    pairing needs every set after c, and rule (b) skipped some of them:
-    the search goes back to c's order and runs on with rule (a) only.
+    (b) Candidate fixed. Once c is fixed and non-empty, the scan pauses at
+    c's order and a second search looks for c's partner. It also skips
+    every prefix whose mask meets c: such a prefix leads only to sets that
+    meet c, none of them c's partner. Every order before c's holds an
+    unavoidable set, so it meets c, and c's own order meets c. So the first
+    order the partner search reaches is the first order after c's that
+    misses c: the flat scan's first partner, with the first order of its
+    set. The partner search starts at c's first vertex, which skips only
+    orders before c's, and rule (b) would cut those anyway. If it reaches
+    no order, the pairing needs every set after c: the paused scan runs on
+    with rule (a) only.
 
     Why every order forces one pair of each unavoidable set:
     - Induced 4-cycle a-b-c-d, chords {a, c} and {b, d}. Take the first
@@ -450,18 +440,19 @@ def brute_force_orders(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple
         raise ScopeError(f"brute force limited to {_echo(bound, str)} vertices, got {n}")
     if n == 0:
         return ((), ())
-    search = _clean_orders(g, _Windows(g, unavoidable_sets(g)))
-    first = next(search, None)
+    win = _Windows(g, unavoidable_sets(g))
+    scan = _clean_orders(g, win)
+    first = next(scan, None)
     if first is None:
         return None
     perm, candidate = first
     if not candidate:
         return (perm, perm)
-    partner = search.send(candidate)
+    partner = next(_clean_orders(g, win, candidate, perm[0]), None)
     if partner is not None:
         return (perm, partner[0])
     orders = {candidate: perm}  # each distinct set after c, with its first order
-    for perm, mask in search:
+    for perm, mask in scan:
         orders.setdefault(mask, perm)
     rest = list(orders)[1:]
     for i, mask in enumerate(rest):

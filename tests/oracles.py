@@ -632,11 +632,11 @@ class ArcConstraintSet:
 
 
 # The exhaustive order search before forced-pair masks: one ``completion``
-# frozenset and one index lookup per permutation. Copied verbatim apart from
-# the name, one call of the ``non_edges`` helper above, which was a
-# ``Graph`` method, ``completion``'s mask read back as pairs by
-# ``pairs_of``, and orders as plain tuples, as the reference for
-# ``brute_force_orders``.
+# per permutation. Copied verbatim apart from the name, orders as plain
+# tuples, and ``completion``'s pair mask compared directly where each pair
+# was re-indexed to one bit per non-edge. Both numberings map pairs to bits
+# one to one, so equality and disjointness, and with them every answer, are
+# the same. The reference for ``brute_force_orders``.
 
 
 def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -651,16 +651,11 @@ def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[tuple[in
         raise ScopeError(f"brute force limited to {bound} vertices, got {g.n}")
     if g.n == 0:
         return ((), ())
-    index = {pair: i for i, pair in enumerate(non_edges(g))}
-
     reps: list[tuple[tuple[int, ...], int]] = []
     for perm in itertools.permutations(range(g.n)):
         if perm > perm[::-1]:
             continue
-        mask = 0
-        for pair in pairs_of(completion(g, perm), g.n):
-            mask |= 1 << index[pair]
-        reps.append((perm, mask))
+        reps.append((perm, completion(g, perm)))
 
     all_masks = {mask for _, mask in reps}
     for perm, mask in reps:

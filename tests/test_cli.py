@@ -164,18 +164,37 @@ LONG_INTS = (["9" * 5000] if getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 @pytest.mark.parametrize("value", LONG_INTS)
 @pytest.mark.parametrize("option", [["gen", "--sizes", "1,2,1,3", "--seed"], ["oracle", "--oracle-bound"],
-                                    ["recognize", "--oracle-bound"], ["embed", "--oracle-bound"]],
-                         ids=["gen-seed", "oracle", "recognize", "embed"])
+                                    ["recognize", "--oracle-bound"], ["embed", "--oracle-bound"],
+                                    ["gen", "--sizes", "1,2,1,3", "--density"]],
+                         ids=["gen-seed", "oracle", "recognize", "embed", "gen-density"])
 def test_int_options_bound_a_bad_value_in_their_error(capsys, option, value):
+    """The int options and ``--density`` cut a rejected value in argparse's
+    error. ``float`` takes any run of digits, as inf, which ``gen``'s range
+    check refuses in one short line."""
     argv = option + [value] + ([] if option[0] == "gen" else ["-"])
+    kind = "float" if option[-1] == "--density" else "int"
+    if kind == "float" and value.isdigit():
+        assert main(argv) == EXIT_UNDECIDED
+        assert capsys.readouterr() == ("", "error: density wants a number in [0, 1], got inf\n")
+        return
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_UNDECIDED
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
-    assert lines[-1].endswith(f"error: argument {option[-1]}: invalid int value: '{'9' * 40}' … (4960 more characters)")
+    assert lines[-1].endswith(f"error: argument {option[-1]}: invalid {kind} value: '{'9' * 40}' … (4960 more characters)")
     assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("option, kind", [("--seed", "int"), ("--density", "float")])
+def test_number_options_show_a_short_bad_value_as_argparse_does(capsys, option, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--sizes", "1,2,1,3", option, "1/2"])
+    assert exc.value.code == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"squaregeo gen: error: argument {option}: invalid {kind} value: '1/2'"
 
 
 def test_int_options_read_valid_values_as_before(tmp_path, capsys):

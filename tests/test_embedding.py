@@ -105,7 +105,9 @@ def test_completion_is_the_brute_force_mask():
     n = 1), in lexicographic order, and each one's mask is ``completion``'s
     and the covering scan's. With the graph's unavoidable sets listed, it
     reaches exactly those of them whose mask holds none of the sets: rule
-    (a) cuts no order it should reach."""
+    (a) cuts no order it should reach. Given a mask to avoid and a first
+    vertex, it reaches exactly those of them that miss the mask and start
+    at that vertex or later: rule (b) and the start cut no order either."""
     rng = random.Random(16)
     scanned = cut = 0
     tally = collections.Counter()
@@ -126,6 +128,10 @@ def test_completion_is_the_brute_force_mask():
         clean = [(perm, mask) for perm, mask in leaves if not any(u & mask == u for u in sets)]
         assert _leaves(g, sets) == clean, g.edges()
         cut += len(leaves) - len(clean)
+        if clean:  # rule (b) with a middle order's mask, from its first vertex
+            perm, avoid = clean[len(clean) // 2]
+            partners = [(p, m) for p, m in clean if p[0] >= perm[0] and not m & avoid]
+            assert list(embedding._clean_orders(g, embedding._Windows(g, sets), avoid, perm[0])) == partners
         tally[brute_force_orders(g) is None] += 1
     assert tally[False] >= 40 and tally[True] >= 3, tally
     assert scanned >= 2500 and cut >= 2000, (scanned, cut)
@@ -468,15 +474,22 @@ class _CountedWindows(embedding._Windows):
 
 def _recorded_searches(monkeypatch) -> list[dict]:
     """Patch the order search to record, per call of ``brute_force_orders``,
-    its window cache and whether it ran to its end, as a NO or a pair found
-    after the scan does."""
+    the scan's window cache, whether the scan ran to its end (a NO, or the
+    pairing after it), and the partner search: its start and whether it
+    ran to its end, finding no partner. The partner search reads the
+    scan's cache, so each call's reads are counted once."""
     calls = []
     clean_orders = embedding._clean_orders
 
-    def recorded(g, win):
-        calls.append({"win": win, "ended": False})
-        yield from clean_orders(g, win)
-        calls[-1]["ended"] = True
+    def recorded(g, win, *args):
+        if args:  # the partner search: rule (b)'s mask and the first vertex
+            assert win is calls[-1]["win"] and calls[-1]["partner"] is None
+            search = calls[-1]["partner"] = {"start": args[1], "ended": False}
+        else:  # the scan, which opens each call
+            search = {"win": win, "ended": False, "partner": None}
+            calls.append(search)
+        yield from clean_orders(g, win, *args)
+        search["ended"] = True
 
     monkeypatch.setattr(embedding, "_Windows", _CountedWindows)
     monkeypatch.setattr(embedding, "_clean_orders", recorded)
@@ -497,8 +510,11 @@ def test_brute_force_matches_the_completion_reference(monkeypatch):
     completion search, or None with it: on every labeled graph up to n=5,
     seeded instances of every n=6 and n=7 block shape, random graphs up to
     n=7 (40 of them at n=6 with a vertex adjacent to all others, which
-    makes NO cases common) and three n=8 instances. Both paths are taken:
-    the search stops early on some graphs and runs to its end on others."""
+    makes NO cases common), one more n=6 NO and three n=8 instances. Every
+    path is taken: the scan stops early on some graphs and runs to its end
+    on others; the partner search finds a partner, or finds none and the
+    pairing then finds a pair or none; some partner searches start past
+    vertex 0."""
     graphs = [g for n in range(6) for g in _labeled_graphs(n)]
     for n in (6, 7):
         for i, shape in enumerate(bab_shapes(n)):
@@ -513,6 +529,9 @@ def test_brute_force_matches_the_completion_reference(monkeypatch):
         ]))
     for shape, seed in (((1, 2, 2, 3), 2), ((2, 1, 2, 3), 0), ((2, 2, 2, 2), 0)):
         graphs.append(generate_bab(shape, 0.5, seed)[0])
+    # a NO whose first clean set has no partner, nor any pair of later sets:
+    # the 4-cycle 0-4-1-5 and the 5-cycle 0-4-3-2-5 share the path 5-0-4
+    graphs.append(build_graph(6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)]))
     calls = _recorded_searches(monkeypatch)
     tally = collections.Counter()
     ran = collections.Counter()
@@ -522,17 +541,23 @@ def test_brute_force_matches_the_completion_reference(monkeypatch):
         assert found == brute_force_orders_by_completion(g, 8), g.edges()
         tally[g.n == 8, found is not None] += 1
         if g.n >= 2:
-            ran["full" if calls[0]["ended"] else "early"] += 1
+            scan, = calls
+            ran["full" if scan["ended"] else "early"] += 1
+            partner = scan["partner"]
+            if partner:
+                ran["partner found" if not partner["ended"] else "pairing yes" if found else "pairing no"] += 1
+                ran["start past 0"] += partner["start"] > 0
     print("search runs:", dict(ran))
     assert tally[False, False] >= 15 and tally[False, True] >= 1000, tally
     assert tally[True, False] == 2 and tally[True, True] == 1, tally
     assert ran["early"] >= 100 and ran["full"] >= 15, ran
+    assert all(ran[path] >= 1 for path in ("partner found", "pairing yes", "pairing no", "start past 0")), ran
 
 
 def test_brute_force_stops_early_on_most_block_shapes(monkeypatch):
-    """On one seeded n=7 instance of each of the 56 block shapes the search
-    reads fewer than a sixth of the windows that visiting every prefix
-    reads, in total."""
+    """On one seeded n=7 instance of each of the 56 block shapes the scan
+    and the partner search together read fewer than a sixth of the windows
+    that visiting every prefix reads, in total."""
     shapes = bab_shapes(7)
     assert len(shapes) == 56
     graphs = [generate_bab(shape, 0.2 + 0.6 * (i % 7) / 6, i)[0] for i, shape in enumerate(shapes)]
