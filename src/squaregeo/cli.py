@@ -134,21 +134,22 @@ def cmd_gen(args) -> int:
     return EXIT_YES
 
 
-def _number_arg(kind):
-    """``kind``, ``int`` or ``float``, for argparse, with the rejected text
-    cut as in every error."""
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a value that its type or its choices reject
+    cut in the error as in every error."""
 
-    def convert(text: str):
+    def _get_values(self, action, strings):
         try:
-            return kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_echo(text)}") from None
-
-    return convert
+            return super()._get_values(action, strings)
+        except argparse.ArgumentError as exc:
+            message = exc.message
+            for text in strings:
+                message = message.replace(repr(text), _echo(text))
+            raise argparse.ArgumentError(action, message) from None
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="squaregeo",
         description="Recognize and embed graphs made of two overlapping cliques "
         "against a third under the unit max metric.",
@@ -171,11 +172,11 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         sp = instance_cmd(name, func, help_)
         sp.add_argument("--oracle", action="store_true", help="fall back to exhaustive search")
-        sp.add_argument("--oracle-bound", type=_number_arg(int), default=6, metavar="N")
+        sp.add_argument("--oracle-bound", type=int, default=6, metavar="N")
         sp.add_argument("--format", choices=("text", "structured"), default="text")
 
     sp = instance_cmd("oracle", cmd_oracle, "exhaustive order search only")
-    sp.add_argument("--oracle-bound", type=_number_arg(int), default=6, metavar="N")
+    sp.add_argument("--oracle-bound", type=int, default=6, metavar="N")
     sp.add_argument("--format", choices=("text", "structured"), default="text")
 
     sp = sub.add_parser("verify", help="re-check a certificate against an instance")
@@ -186,8 +187,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen", help="generate a random instance")
     sp.add_argument("--sizes", required=True, metavar="A,S,B,Y",
                     help="private-a, shared, private-b and y block sizes")
-    sp.add_argument("--density", type=_number_arg(float), default=0.5)
-    sp.add_argument("--seed", type=_number_arg(int), default=0)
+    sp.add_argument("--density", type=float, default=0.5)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--filter", choices=("none", "assumption1", "sufficient"), default="none")
     sp.set_defaults(func=cmd_gen)
     return parser

@@ -2,8 +2,8 @@
 
 A linear order on V forces some non-edges to behave like edges on its axis:
 {w, z} is forced whenever an edge straddles it. A forced set is one int, a
-pair mask with bit u*n + v set for each forced {u, v}, u < v; ``pairs_of``
-reads it back as pairs and ``pair_mask`` builds it from checked pairs.
+pair mask with bit u*n + v set for each forced {u, v}, u < v. Certificates
+keep it as it is; only their text format spells out the pairs.
 Any order realizes its completion, G plus its forced set, on one axis. Two
 orders whose forced sets are disjoint yield an embedding under the max
 metric, with the x and y coordinates realizing the completions of the
@@ -24,8 +24,6 @@ from typing import Sequence
 
 from .errors import InputError, ScopeError, StructuralError, _echo
 from .graph import Graph, bits, prefix_masks
-
-Pair = tuple[int, int]
 
 
 def _reach(g: Graph, seq: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
@@ -72,32 +70,6 @@ def completion(g: Graph, o: tuple[int, ...]) -> int:
         row = (prefix[reach[k] + 1] ^ prefix[first[k]]) & ~adj[w]
         forced |= row >> (w + 1) << (w * n + w + 1)
     return forced
-
-
-def pairs_of(mask: int, n: int) -> frozenset[Pair]:
-    """The pairs (u, v) of a pair mask over n vertices, bit u*n + v."""
-    full = (1 << n) - 1
-    pairs = []
-    for u in range(n):
-        pairs += [(u, v) for v in bits(mask & full)]
-        mask >>= n
-    return frozenset(pairs)
-
-
-def pair_mask(pairs: frozenset[Pair], n: int) -> int | None:
-    """The pair mask of a set of pairs, or None when some pair is not
-    0 <= u < v < n, which no forced set holds. Each id is checked before it
-    is shifted, so a hostile id never builds a huge int. One row per u,
-    then one shift per row."""
-    rows = [0] * n
-    for u, v in pairs:
-        if not 0 <= u < v < n:
-            return None
-        rows[u] |= 1 << v
-    mask = 0
-    for row in reversed(rows):
-        mask = mask << n | row
-    return mask
 
 
 @dataclass(frozen=True)
@@ -190,7 +162,7 @@ def embed(g: Graph, pair: OrderPair) -> tuple[tuple[Fraction, Fraction], ...]:
 @dataclass(frozen=True)
 class EmbeddingCheck:
     ok: bool
-    violation: Pair | None = None
+    violation: tuple[int, int] | None = None
 
 
 def _within_unit(vals: Sequence, unit: int) -> list[int]:

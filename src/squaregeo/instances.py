@@ -13,6 +13,8 @@ to the same graph and raises the same errors. ``parse_certificate`` reads
 canonical completion lines (``u,v`` tokens, single spaces, ids of at most
 18 digits) in bulk the same way. Each parse call reads its ids through
 one fresh ``_IntMemo``, so a repeated id token is converted once.
+Only the text spells out a forced set's pairs; a ``Certificate`` holds its
+pair mask over the vertices of order1, bit u*n + v, as ``completion`` does.
 """
 
 from __future__ import annotations
@@ -161,9 +163,14 @@ def _coordinate(tok: str) -> Fraction:
     return Fraction(int(m[1]), int(m[2] or 1))
 
 
-def _emit_pairs(key: str, pairs) -> str:
-    body = " ".join(f"{u},{v}" for u, v in sorted(pairs))
-    return f"{key} {body}" if body else key
+def _emit_pairs(key: str, mask: int, n: int) -> str:
+    """A completion line: a pair mask's rows, read in order, are its sorted pairs."""
+    out = [key]
+    full = (1 << n) - 1
+    for u in range(n):
+        out += [f"{u},{v}" for v in bits(mask & full)]
+        mask >>= n
+    return " ".join(out)
 
 
 def _parse_pairs(i: int, rest: str, ints: _IntMemo) -> frozenset[tuple[int, int]]:
@@ -183,6 +190,22 @@ def _parse_pairs(i: int, rest: str, ints: _IntMemo) -> frozenset[tuple[int, int]
     return frozenset(pairs)
 
 
+def _pair_mask(i: int, pairs: frozenset[tuple[int, int]], n: int) -> int:
+    """The pair mask over n vertices of the pairs of line i. A pair not
+    0 <= u < v < n raises ParseError before it is shifted, so a hostile id
+    never builds a huge int. One row per u, then one shift per row."""
+    rows = [0] * n
+    for u, v in pairs:
+        if not 0 <= u < v < n:
+            shown = f"{_echo(u, str)},{_echo(v, str)}"
+            raise ParseError(f"line {i}: pair {shown} is not u < v among the {n} vertices of order1")
+        rows[u] |= 1 << v
+    mask = 0
+    for row in reversed(rows):
+        mask = mask << n | row
+    return mask
+
+
 def emit_certificate(cert: Certificate) -> str:
     out = [CERTIFICATE_HEADER, f"verdict {cert.verdict}", f"route {cert.route}"]
     if cert.reason:
@@ -190,8 +213,8 @@ def emit_certificate(cert: Certificate) -> str:
     if cert.verdict == YES:
         out.append("order1 " + " ".join(map(str, cert.order1)))
         out.append("order2 " + " ".join(map(str, cert.order2)))
-        out.append(_emit_pairs("completion1", cert.completion1))
-        out.append(_emit_pairs("completion2", cert.completion2))
+        out.append(_emit_pairs("completion1", cert.completion1, len(cert.order1)))
+        out.append(_emit_pairs("completion2", cert.completion2, len(cert.order1)))
         for v, (x, y) in enumerate(cert.embedding):
             out.append(f"coord {v} {x} {y}")
     return "\n".join(out) + "\n"
@@ -217,7 +240,7 @@ def parse_certificate(text: str) -> Certificate:
                 raise ParseError(f"line {i}: {key} is not a permutation of 0..{len(seq) - 1}")
             fields[key] = tuple(seq)
         elif key in ("completion1", "completion2"):
-            fields[key] = _parse_pairs(i, rest, ints)
+            fields[key] = (i, _parse_pairs(i, rest, ints))
         elif key == "coord":
             toks = rest.split()
             if len(toks) != 3:
@@ -240,6 +263,10 @@ def parse_certificate(text: str) -> Certificate:
         if sorted(coords) != list(range(len(coords))):
             raise ParseError("line 1: coord lines do not cover 0..n-1")
         embedding = tuple(coords[v] for v in range(len(coords)))
+    n = len(fields.get("order1", ()))
+    for key in ("completion1", "completion2"):
+        if key in fields:
+            fields[key] = _pair_mask(*fields[key], n)
     return Certificate(
         verdict=verdict,
         route=fields.get("route", ""),

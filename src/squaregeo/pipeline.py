@@ -25,8 +25,6 @@ from .embedding import (
     completion,
     embed,
     make_order_pair,
-    pair_mask,
-    pairs_of,
     verify_embedding,
 )
 from .errors import StructuralError
@@ -38,8 +36,6 @@ YES = "yes"
 NO = "no"
 UNDECIDED = "undecided"
 
-Pair = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -47,7 +43,8 @@ class Certificate:
 
     ``route`` names the deciding step: "sufficient" or "oracle" for YES,
     "necessary" or "oracle" for NO, "assumption" or "sufficiency" for
-    UNDECIDED. It holds exactly what ``emit_certificate`` writes.
+    UNDECIDED. It holds exactly what ``emit_certificate`` writes; forced
+    sets are pair masks over the len(order1) vertices, as in ``completion``.
     """
 
     verdict: str
@@ -55,8 +52,8 @@ class Certificate:
     reason: str = ""
     order1: tuple[int, ...] | None = None
     order2: tuple[int, ...] | None = None
-    completion1: frozenset[Pair] | None = None
-    completion2: frozenset[Pair] | None = None
+    completion1: int | None = None
+    completion2: int | None = None
     embedding: tuple[tuple[Fraction, Fraction], ...] | None = None
 
 
@@ -80,7 +77,7 @@ def _necessary_reason(nec: NecessaryVerdict) -> str:
 def _yes_certificate(g: Graph, pair: OrderPair, route: str, reason: str = "") -> Certificate:
     """A YES certificate: the pair's orders, forced sets and embedding."""
     return Certificate(YES, route, reason, order1=pair.o1, order2=pair.o2,
-                       completion1=pairs_of(pair.c1, g.n), completion2=pairs_of(pair.c2, g.n),
+                       completion1=pair.c1, completion2=pair.c2,
                        embedding=embed(g, pair))
 
 
@@ -142,8 +139,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     For YES: both orders are permutations of V, there is one coordinate
     pair per vertex, the stored forced sets match the ones the orders
     induce, they are disjoint, and the coordinates pass the exact adjacency
-    test. Each stored forced set is compared with its order's as a pair
-    mask; one with a pair outside 0 <= u < v < n has no mask and differs.
+    test. Forced sets are pair masks, compared with their orders' masks
+    and tested for disjointness with one AND, as ``OrderPair.valid`` does.
     A malformed field is reported as a problem.
     NO and UNDECIDED certificates only need a consistent shape.
     """
@@ -172,7 +169,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
 
     for name, o, stored in (("first", cert.order1, cert.completion1),
                             ("second", cert.order2, cert.completion2)):
-        if pair_mask(stored, g.n) != completion(g, o):
+        if stored != completion(g, o):
             problems.append(f"stored {name} forced set differs from the order's")
     if cert.completion1 & cert.completion2:
         problems.append("forced sets intersect")

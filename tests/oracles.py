@@ -1152,9 +1152,10 @@ def build_order2_by_whole_set(g: Graph, p: BabPartition, rel_x: tuple[int, ...],
 
 # The certificate check before forced sets were compared as pair masks: the
 # stored sets against ``completion``'s as frozensets of pairs. Copied
-# verbatim apart from the name, ``completion``'s mask read back as pairs by
-# ``pairs_of``, and orders and coordinates as plain tuples, as the reference
-# for ``pipeline.verify_certificate``.
+# verbatim apart from the name, every forced set (``completion``'s and the
+# stored pair masks) read back as pairs by ``pairs_of``, and orders and
+# coordinates as plain tuples, as the reference for
+# ``pipeline.verify_certificate``.
 
 
 def verify_certificate_by_sets(g: Graph, cert: Certificate) -> CertificateCheck:
@@ -1189,11 +1190,12 @@ def verify_certificate_by_sets(g: Graph, cert: Certificate) -> CertificateCheck:
     if problems:
         return CertificateCheck(ok=False, problems=tuple(problems))
 
-    if pairs_of(completion(g, cert.order1), g.n) != cert.completion1:
+    c1, c2 = pairs_of(cert.completion1, g.n), pairs_of(cert.completion2, g.n)
+    if pairs_of(completion(g, cert.order1), g.n) != c1:
         problems.append("stored first forced set differs from the order's")
-    if pairs_of(completion(g, cert.order2), g.n) != cert.completion2:
+    if pairs_of(completion(g, cert.order2), g.n) != c2:
         problems.append("stored second forced set differs from the order's")
-    if cert.completion1 & cert.completion2:
+    if c1 & c2:
         problems.append("forced sets intersect")
     check = verify_embedding(g, cert.embedding)
     if not check.ok:

@@ -1,7 +1,8 @@
 """Acceptance gate: eight checks over enumerated, seeded and generated corpora.
 
-Each test prints one CRITERION line (PASS or FAIL with a short tally)
-before asserting, so the captured output names the criterion that broke.
+Each criterion test prints one CRITERION line (PASS or FAIL with a short
+tally) before asserting, so the captured output names the criterion that
+broke.
 """
 
 import random
@@ -14,6 +15,7 @@ from squaregeo import (
     check_necessary,
     emit_certificate,
     generate_bab,
+    parse_certificate,
     recognize,
     verify_certificate,
 )
@@ -127,6 +129,22 @@ def test_criterion_2_constructions_verify(sufficient_certs):
     print(f"CRITERION 2: {'PASS' if not failures else 'FAIL'} {line}")
     assert len(sufficient_certs) >= 500
     assert not failures, failures[:3]
+
+
+def test_criterion_2_completion_lines_are_the_sorted_pairs(sufficient_certs):
+    """On every YES certificate of criterion 2, ``emit_certificate`` writes
+    the completion lines from the pair masks' rows exactly as formatting
+    their sorted pairs would, and parsing the text gives the certificate
+    back, which emits the same bytes."""
+    yes = [(g, cert) for g, _, cert, _ in sufficient_certs if cert is not None and cert.verdict == "yes"]
+    assert len(yes) >= 500
+    for g, cert in yes:
+        text = emit_certificate(cert)
+        lines = text.splitlines()
+        for key, mask in (("completion1", cert.completion1), ("completion2", cert.completion2)):
+            assert " ".join([key] + [f"{u},{v}" for u, v in sorted(pairs_of(mask, g.n))]) in lines
+        back = parse_certificate(text)
+        assert back == cert and emit_certificate(back) == text
 
 
 def test_criterion_3_refutations_are_sound(decided_corpus):

@@ -187,6 +187,35 @@ def test_int_options_bound_a_bad_value_in_their_error(capsys, option, value):
     assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["recognize", "--format", "x" * 5000, "-"], "--format"),
+    (["gen", "--sizes", "1,1,1,1", "--filter", "x" * 5000], "--filter"),
+    (["x" * 5000], "command"),
+], ids=["format", "filter", "subcommand"])
+def test_choices_bound_a_bad_value_in_their_error(capsys, argv, name):
+    """A rejected choice, an unknown subcommand too, is cut in argparse's
+    error as in every error; the choices are still listed."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert f"error: argument {name}: invalid choice: '{'x' * 40}' … (4960 more characters) (choose from " in lines[-1]
+    assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
+
+
+def test_choices_show_a_short_bad_value_as_argparse_does(capsys):
+    """The value is quoted whole; how the choices are quoted varies with
+    the Python version."""
+    with pytest.raises(SystemExit) as exc:
+        main(["recognize", "--format", "xml", "-"])
+    assert exc.value.code == EXIT_UNDECIDED
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "squaregeo recognize: error: argument --format: invalid choice: 'xml' (choose from "
+    )
+
+
 @pytest.mark.parametrize("option, kind", [("--seed", "int"), ("--density", "float")])
 def test_number_options_show_a_short_bad_value_as_argparse_does(capsys, option, kind):
     with pytest.raises(SystemExit) as exc:

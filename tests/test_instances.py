@@ -349,6 +349,8 @@ def test_every_certificate_field_round_trips(c4, g8, disconnected7, triangle6):
         ("bab-certificate v1\nverdict yes\ncompletion1\ncompletion1 0,1\n", "line 4: duplicate completion1"),
         ("bab-certificate v1\nverdict yes\ncompletion2 0,1\ncompletion2\n", "line 4: duplicate completion2"),
         ("bab-certificate v1\nverdict yes\ncoord 0 0 0\ncoord 0 1 1\n", "line 4: duplicate coord line for vertex 0"),
+        ("bab-certificate v1\nverdict yes\ncompletion1 0,1\n", "line 3: pair 0,1 is not u < v among the 0 vertices"),
+        ("bab-certificate v1\nverdict yes\ncompletion2 0,2\norder1 1 0\n", "line 3: pair 0,2 is not u < v among the 2 "),
     ],
 )
 def test_certificate_parse_errors(text, fragment):

@@ -7,6 +7,8 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from squaregeo import (
     build_chord_graph,
     build_graph,
@@ -28,10 +30,11 @@ from squaregeo import (
 )
 from squaregeo.chords import ChordGraph, y_end_masks
 from squaregeo.embedding import embed, make_order_pair
+from squaregeo.errors import ParseError
 from squaregeo.instances import _PAIR_LINE
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
-from oracles import pairs_of, verify_certificate_by_sets, verify_embedding_by_pairs
+from oracles import mask_of_pairs, pairs_of, verify_certificate_by_sets, verify_embedding_by_pairs
 from test_acceptance import G8_GOLDEN
 from test_necessary import (
     FORCED_CONFLICT_EDGES,
@@ -79,8 +82,8 @@ def test_g8_yes_certificate(g8):
     assert cert.reason == ""
     assert cert.order1 == (0, 1, 2, 4, 3, 5, 6, 7)
     assert cert.order2 == (3, 2, 0, 1, 6, 7, 5, 4)
-    assert sorted(cert.completion1) == [(2, 4), (3, 4), (3, 5)]
-    assert sorted(cert.completion2) == [(0, 3), (0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
+    assert sorted(pairs_of(cert.completion1, g.n)) == [(2, 4), (3, 4), (3, 5)]
+    assert sorted(pairs_of(cert.completion2, g.n)) == [(0, 3), (0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
     assert cert.embedding[3] == (Fraction(10, 9), Fraction(0))
     assert verify_certificate(g, cert).ok
 
@@ -255,56 +258,64 @@ def test_verify_catches_tampering(g8):
 
 
 def test_forged_forced_sets_match_the_set_reference(g8, disconnected7):
-    """Forged forced sets on two YES certificates give the exact check of
-    the reference that compared frozensets. Set level: a reversed pair, a
-    pair (2, 2), an id equal to n, a dropped pair, an extra non-edge, one
-    pair in both sets, and one reversed pair in both. Text level: a
-    duplicate pair, then -1,2 and a 4000-digit id on the token loop and an
-    18-digit id on the bulk path. A pair outside 0 <= u < v < n is never
-    shifted into a mask: a shift by 10**18 or by a 4000-digit id would raise."""
+    """Forged forced sets on two YES certificates. In range (every pair
+    0 <= u < v < n): a dropped pair, an extra non-edge, one pair in both
+    sets, and each set's least pair added to the other give the exact
+    check of the reference that compared frozensets, also after a trip
+    through the text; a duplicate pair in the text parses to the
+    certificate itself.
+    Out of range, as certificate text: a reversed pair, (2, 2), (0, n),
+    -1, an 18-digit id on the bulk path and a 4000-digit id on the token
+    loop each raise one short ParseError naming the line, and a pair is
+    never shifted into a mask before it is checked: a shift by 10**18 or
+    by a 4000-digit id would raise. No forgery is accepted."""
     for (g, p), kw in ((g8, {}), (disconnected7, {"allow_oracle": True, "oracle_bound": 7})):
         cert = recognize(g, p, **kw)
         assert cert.verdict == YES and verify_certificate(g, cert).ok
-        n, c1, c2 = g.n, set(cert.completion1), set(cert.completion2)
+        n, c1, c2 = g.n, pairs_of(cert.completion1, g.n), pairs_of(cert.completion2, g.n)
         u, v = min(c1)
         extra = min(e for e in combinations(range(n), 2) if not g.adjacent(*e) and e not in c1)
         forged = [
-            replace(cert, completion1=frozenset(a), completion2=frozenset(b))
+            replace(cert, completion1=mask_of_pairs(a, n), completion2=mask_of_pairs(b, n))
             for a, b in (
-                (c1 - {(u, v)} | {(v, u)}, c2),
-                (c1 | {(2, 2)}, c2),
-                (c1 | {(0, n)}, c2),
                 (c1 - {(u, v)}, c2),
                 (c1 | {extra}, c2),
                 (c1, c2 | {(u, v)}),
-                (c1 | {(v, u)}, c2 | {(v, u)}),
+                (c1 | {min(c2)}, c2 | {(u, v)}),
             )
         ]
-        text = emit_certificate(cert)
-        line = next(x for x in text.splitlines() if x.startswith("completion1 "))
-        bodies = [
-            (f"{u},{v} " + line[12:], True),
-            (line[12:] + " -1,2", False),
-            (line[12:] + " 0," + "9" * 4000, False),
-            (line[12:] + " 0," + "9" * 18, True),
-        ]
-        for body, bulk in bodies:
-            assert bool(_PAIR_LINE.fullmatch(body)) == bulk
-            forged.append(parse_certificate(text.replace(line, "completion1 " + body)))
-        for i, bad in enumerate(forged):
+        for bad in forged:
             want = verify_certificate_by_sets(g, bad)
-            assert verify_certificate(g, bad) == want, (i, want)
-            if i == len(forged) - 4:  # the duplicate pair leaves the set as it was
-                assert want.ok
-                continue
+            assert verify_certificate(g, bad) == want
+            assert verify_certificate(g, parse_certificate(emit_certificate(bad))) == want
             assert not want.ok and want.problems[0].startswith("stored ")
             assert all("forced set" in x for x in want.problems)
-        assert verify_certificate(g, forged[5]).problems[-1] == "forced sets intersect"
-        assert verify_certificate(g, forged[6]).problems == (
+        assert verify_certificate(g, forged[2]).problems[-1] == "forced sets intersect"
+        assert verify_certificate(g, forged[3]).problems == (
             "stored first forced set differs from the order's",
             "stored second forced set differs from the order's",
             "forced sets intersect",
         )
+
+        text = emit_certificate(cert)
+        lines = text.splitlines()
+        k = next(i for i, x in enumerate(lines) if x.startswith("completion1 "))
+        body = lines[k][12:]
+        assert parse_certificate(text.replace(body, f"{u},{v} " + body)) == cert
+        bodies = [
+            (body.replace(f"{u},{v}", f"{v},{u}", 1), True),
+            (body + " 2,2", True),
+            (body + f" 0,{n}", True),
+            (body + " -1,2", False),
+            (body + " 0," + "9" * 18, True),
+            (body + " 0," + "9" * 4000, False),
+        ]
+        for forged_body, bulk in bodies:
+            assert bool(_PAIR_LINE.fullmatch(forged_body)) == bulk
+            with pytest.raises(ParseError) as caught:
+                parse_certificate(text.replace(body, forged_body))
+            message = str(caught.value)
+            assert message.startswith(f"line {k + 1}: pair ") and len(message.encode()) < 300, message
 
 
 def coprime_denominator_certificate():
@@ -345,7 +356,7 @@ def coprime_denominator_certificate():
         q = (v + 1) * big + 1
         coords.append(tuple(Fraction(math.floor(c * shrink * q) + 1, q) for c in xy))
     cert = pipeline.Certificate(YES, "sufficient", order1=pair.o1, order2=pair.o2,
-                                completion1=pairs_of(pair.c1, n), completion2=pairs_of(pair.c2, n),
+                                completion1=pair.c1, completion2=pair.c2,
                                 embedding=tuple(coords))
     return g, p, cert
 

@@ -85,8 +85,8 @@ def test_accepted_orders_realize_their_augmented_graphs(shape, density, seed):
         assume(False)
     cert = recognize(g, p)
     assume(cert.verdict == "yes")
-    aug1 = build_graph(g.n, g.edges() + list(cert.completion1))
-    aug2 = build_graph(g.n, g.edges() + list(cert.completion2))
+    aug1 = build_graph(g.n, g.edges() + list(pairs_of(cert.completion1, g.n)))
+    aug2 = build_graph(g.n, g.edges() + list(pairs_of(cert.completion2, g.n)))
     assert umbrella_ok(aug1, cert.order1)
     assert umbrella_ok(aug2, cert.order2)
     mismatches, _ = linf_embedding_report(g, cert.embedding)
