@@ -170,23 +170,16 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
     return ChordGraph(tuple(nodes), adj, union_of(by_x, p.a_only), union_of(by_x, p.b_only), by_y)
 
 
-@dataclass(frozen=True)
-class AbVertexSets:
-    """Nodes of the chord graph whose color is forced, as node-index masks.
+def compute_ab_sets(cg: ChordGraph) -> tuple[int, int]:
+    """The chord-graph nodes whose color is forced, as the node-index masks
+    (forced red, forced blue): the a-vertices with a neighbor that is not
+    itself an a-vertex, and the b-vertices with a neighbor that is not
+    itself a b-vertex."""
 
-    ``script_a_mask``: non-isolated a-vertices with at least one neighbor
-    that is not itself an a-vertex; ``script_b_mask`` symmetrically.
-    """
-
-    script_a_mask: int
-    script_b_mask: int
-
-
-def compute_ab_sets(cg: ChordGraph) -> AbVertexSets:
     def forced(side: int) -> int:
         return mask_of(i for i in bits(side) if cg.adj[i] & ~side)
 
-    return AbVertexSets(forced(cg.a_vertex_mask), forced(cg.b_vertex_mask))
+    return forced(cg.a_vertex_mask), forced(cg.b_vertex_mask)
 
 
 def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> tuple[str, ...]:

@@ -5,9 +5,10 @@ proper 2-coloring with every forced-red node red and every forced-blue node
 blue, and at least one private side must be rigid-free. Failures come with
 re-checkable witnesses.
 
-Sets of chord-graph nodes, the coloring's two classes and the forced sets,
-are node-index masks over ``ChordGraph.nodes``; the rigid region sets are
-vertex masks.
+Sets of chord-graph nodes, the coloring's red class and the forced sets,
+are node-index masks over ``ChordGraph.nodes``; the blue class is the rest
+of ``ChordGraph.non_isolated_mask``. The rigid region sets are vertex masks.
+A refutation spells out its own NO reason, the text its certificate carries.
 """
 
 from __future__ import annotations
@@ -15,41 +16,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .chords import (
-    AbVertexSets,
-    ChordGraph,
-    RigidPair,
-    audit_assumption1,
-    compute_ab_sets,
-)
+from .chords import ChordGraph, RigidPair, audit_assumption1, compute_ab_sets
 from .errors import ScopeError
 from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask, union_of
 
 
-@dataclass(frozen=True)
-class TwoColoring:
-    """A proper 2-coloring of the non-isolated chord-graph nodes, as two
-    node-index masks; isolated nodes are in neither."""
-
-    red: int
-    blue: int
+def _spell(nodes: tuple[tuple[int, int], ...]) -> str:
+    return " ".join(f"({x},{y})" for x, y in nodes)
 
 
 @dataclass(frozen=True)
 class ColoringRefutation:
     """Why no admissible coloring exists.
 
-    kind 'odd-cycle' carries a shortest odd cycle (tuple of nodes); kind
-    'forced-conflict' carries the two nodes that cannot both get their
-    forced color: two forced-red (or two forced-blue) nodes the proper
-    coloring puts in different classes, or a forced-red and a forced-blue
-    node it puts in the same class.
+    Either a shortest odd cycle (tuple of nodes), or the two nodes that
+    cannot both get their forced color, with ``detail`` saying why: two
+    forced-red (or two forced-blue) nodes the proper coloring puts in
+    different classes, or a forced-red and a forced-blue node it puts in
+    the same class. ``reason`` is the NO certificate's reason.
     """
 
-    kind: str
     cycle: tuple[tuple[int, int], ...] = ()
     conflict: tuple[tuple[int, int], ...] = ()
     detail: str = ""
+
+    @property
+    def reason(self) -> str:
+        if self.cycle:
+            return f"coloring: odd chord-graph cycle {_spell(self.cycle)}"
+        return f"coloring: {self.detail} ({_spell(self.conflict)})"
 
 
 def _layer_masks(order: list[int], depth: list[int]) -> list[int]:
@@ -112,8 +107,9 @@ def _shortest_odd_cycle(cg: ChordGraph) -> tuple[int, ...]:
     return best
 
 
-def color_constrained(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | ColoringRefutation:
-    """2-color the chord graph with script-A red and script-B blue.
+def color_constrained(cg: ChordGraph, forced: tuple[int, int]) -> int | ColoringRefutation:
+    """2-color the chord graph with the forced-red nodes red and the
+    forced-blue nodes blue; returns the red node mask.
 
     Requires the non-isolated part to be connected (audit upstream); a
     disconnected chord graph raises ScopeError. The coloring is canonical:
@@ -124,30 +120,23 @@ def color_constrained(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | Colorin
     even, conflict = _bfs_coloring(cg)
     if conflict:
         cyc = _shortest_odd_cycle(cg)
-        return ColoringRefutation(
-            kind="odd-cycle",
-            cycle=tuple(cg.nodes[i] for i in cyc),
-            detail=f"odd cycle of length {len(cyc)}",
-        )
+        return ColoringRefutation(cycle=tuple(cg.nodes[i] for i in cyc))
 
     odd = cg.non_isolated_mask & ~even
-    sa, sb = ab.script_a_mask, ab.script_b_mask
+    sa, sb = forced
     for group, name in ((sa, "forced-red"), (sb, "forced-blue")):
         if group & even and group & odd:
             return ColoringRefutation(
-                kind="forced-conflict",
                 conflict=(cg.nodes[lowest(group & even)], cg.nodes[lowest(group & odd)]),
                 detail=f"{name} nodes fall in both color classes",
             )
     # each forced set now lies inside one class
     if (sa & even and sb & even) or (sa & odd and sb & odd):
         return ColoringRefutation(
-            kind="forced-conflict",
             conflict=(cg.nodes[lowest(sa)], cg.nodes[lowest(sb)]),
             detail="a forced-red and a forced-blue node share a color class",
         )
-    red = odd if sa & odd or sb & even else even
-    return TwoColoring(red=red, blue=cg.non_isolated_mask & ~red)
+    return odd if sa & odd or sb & even else even
 
 
 def rigid_region_sets(cg: ChordGraph) -> tuple[int, int]:
@@ -188,6 +177,15 @@ class RigidFreeReport:
     @property
     def holds(self) -> bool:
         return self.side_a_ok or self.side_b_ok
+
+    @property
+    def reason(self) -> str:
+        parts = [
+            f"side {side}: rigid pair ({rp.x1},{rp.y1}),({rp.x2},{rp.y2}) sits inside N_Y({v})"
+            for side, viol in (("a", self.a_violations), ("b", self.b_violations))
+            for v, rp in viol
+        ]
+        return "rigid-free: " + "; ".join(parts)
 
 
 def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeReport:
@@ -235,13 +233,14 @@ class NecessaryStatus(Enum):
 
 @dataclass(frozen=True)
 class NecessaryVerdict:
-    """``forced`` holds the forced-color node masks whenever the audit
-    passed, so construction need not recompute them."""
+    """``forced`` holds the (forced-red, forced-blue) node masks whenever
+    the audit passed, so construction need not recompute them; ``coloring``
+    is the red node mask once a coloring exists. On FAIL, ``reason`` is the
+    NO certificate's reason."""
 
     status: NecessaryStatus
-    forced: AbVertexSets | None = None
-    coloring: TwoColoring | None = None
-    refutation: ColoringRefutation | None = None
+    forced: tuple[int, int] | None = None
+    coloring: int | None = None
     rigid_free: RigidFreeReport | None = None
     reason: str = ""
 
@@ -254,19 +253,10 @@ def check_necessary(g: Graph, p: BabPartition, cg: ChordGraph) -> NecessaryVerdi
     ab = compute_ab_sets(cg)
     colored = color_constrained(cg, ab)
     if isinstance(colored, ColoringRefutation):
-        return NecessaryVerdict(
-            status=NecessaryStatus.FAIL,
-            forced=ab,
-            refutation=colored,
-            reason=colored.kind,
-        )
+        return NecessaryVerdict(status=NecessaryStatus.FAIL, forced=ab, reason=colored.reason)
     rfr = check_rigid_free(g, p, cg)
     if not rfr.holds:
         return NecessaryVerdict(
-            status=NecessaryStatus.FAIL,
-            forced=ab,
-            coloring=colored,
-            rigid_free=rfr,
-            reason="rigid-free",
+            status=NecessaryStatus.FAIL, forced=ab, coloring=colored, rigid_free=rfr, reason=rfr.reason
         )
     return NecessaryVerdict(status=NecessaryStatus.PASS, forced=ab, coloring=colored, rigid_free=rfr)

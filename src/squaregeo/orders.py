@@ -9,10 +9,10 @@ completions are disjoint for every instance in scope, which the caller
 re-verifies. The coloring and the rigid-free report come from the passing
 necessary verdict and are not recomputed here.
 
-The coloring arrives as two node-index masks. A relation, like the set of
-placement constraints, is a tuple of successor masks, one per vertex: bit
-v of ``succ[u]`` says u comes before v. An order is its vertex sequence,
-a tuple.
+The coloring arrives as its red node-index mask; blue is the rest of the
+non-isolated nodes. A relation, like the set of placement constraints, is
+a tuple of successor masks, one per vertex: bit v of ``succ[u]`` says u
+comes before v. An order is its vertex sequence, a tuple.
 """
 
 from __future__ import annotations
@@ -23,21 +23,22 @@ from dataclasses import dataclass
 from .chords import ChordGraph
 from .errors import OrderConstructionError, ScopeError
 from .graph import BabPartition, Graph, bits, lowest, mask_of, nx_mask, ny_mask
-from .necessary import NecessaryStatus, NecessaryVerdict, TwoColoring
+from .necessary import NecessaryStatus, NecessaryVerdict
 
 
-def derive_relations(cg: ChordGraph, f: TwoColoring, p: BabPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orient X and Y pairs from every chord-graph edge under coloring f.
+def derive_relations(cg: ChordGraph, red: int, p: BabPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orient X and Y pairs from every chord-graph edge under the coloring
+    whose red node mask is ``red``.
 
     An edge joins the chords (x, y') and (x', y) of the rigid pair
     {xy, x'y'}; red on the (x, y') side puts x before x' and y before y'.
-    Each edge is read once, from its red end: f is proper and isolated
-    nodes have no edges, so every edge has exactly one red end.
+    Each edge is read once, from its red end: the coloring is proper and
+    isolated nodes have no edges, so every edge has exactly one red end.
     """
     n = (p.x_all | p.y).bit_length()  # the partition covers 0..n-1
     x_succ = [0] * n
     y_succ = [0] * n
-    for i in bits(f.red):
+    for i in bits(red):
         x, yp = cg.nodes[i]
         for j in bits(cg.adj[i]):
             xp, y = cg.nodes[j]
@@ -255,8 +256,8 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
     """
     if nec.status is not NecessaryStatus.PASS:
         raise ScopeError(f"sufficiency needs a passing necessary verdict, got {nec.status.value}")
-    f = nec.coloring
-    rel_x, rel_y = derive_relations(cg, f, p)
+    red = nec.coloring
+    rel_x, rel_y = derive_relations(cg, red, p)
     if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
         return SufficiencyVerdict(orders=None, reason="partial-orders")
     if not (p.a_nested and p.b_nested):
@@ -265,9 +266,8 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
     swapped = not nec.rigid_free.side_a_ok
     if swapped:
         p = p.mirrored()
-        if nec.forced.script_a_mask or nec.forced.script_b_mask:
-            f = TwoColoring(red=f.blue, blue=f.red)
-            rel_x, rel_y = derive_relations(cg, f, p)
+        if any(nec.forced):
+            rel_x, rel_y = derive_relations(cg, cg.non_isolated_mask & ~red, p)
     try:
         orders = (build_order1(g, p, rel_x, rel_y), build_order2(g, p, rel_x, rel_y))
     except OrderConstructionError as exc:

@@ -29,7 +29,7 @@ from .embedding import (
 )
 from .errors import StructuralError
 from .graph import BabPartition, Graph
-from .necessary import NecessaryStatus, NecessaryVerdict, check_necessary
+from .necessary import NecessaryStatus, check_necessary
 from .orders import check_sufficient
 
 YES = "yes"
@@ -55,23 +55,6 @@ class Certificate:
     completion1: int | None = None
     completion2: int | None = None
     embedding: tuple[tuple[Fraction, Fraction], ...] | None = None
-
-
-def _necessary_reason(nec: NecessaryVerdict) -> str:
-    if nec.refutation is not None:
-        r = nec.refutation
-        if r.kind == "odd-cycle":
-            nodes = " ".join(f"({x},{y})" for x, y in r.cycle)
-            return f"coloring: odd chord-graph cycle {nodes}"
-        nodes = " ".join(f"({x},{y})" for x, y in r.conflict)
-        return f"coloring: {r.detail} ({nodes})"
-    rfr = nec.rigid_free
-    parts = []
-    for side, viol in (("a", rfr.a_violations), ("b", rfr.b_violations)):
-        for v, rp in viol:
-            pair = f"({rp.x1},{rp.y1}),({rp.x2},{rp.y2})"
-            parts.append(f"side {side}: rigid pair {pair} sits inside N_Y({v})")
-    return "rigid-free: " + "; ".join(parts)
 
 
 def _yes_certificate(g: Graph, pair: OrderPair, route: str, reason: str = "") -> Certificate:
@@ -107,7 +90,7 @@ def recognize(
             return oracle_certificate(g, oracle_bound, note=f"audit: {nec.reason}")
         return Certificate(verdict=UNDECIDED, route="assumption", reason=nec.reason)
     if nec.status is NecessaryStatus.FAIL:
-        return Certificate(verdict=NO, route="necessary", reason=_necessary_reason(nec))
+        return Certificate(verdict=NO, route="necessary", reason=nec.reason)
 
     suff = check_sufficient(g, p, cg, nec)
     if suff.orders is not None:

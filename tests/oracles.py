@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair
+from squaregeo.chords import ChordGraph, RigidPair
 from squaregeo.embedding import EmbeddingCheck, completion, verify_embedding
 from squaregeo.errors import InputError, OrderConstructionError, ParseError, ScopeError, StructuralError, _echo
 from squaregeo.graph import (
@@ -36,7 +36,7 @@ from squaregeo.graph import (
     validate_bab,
 )
 from squaregeo.instances import INSTANCE_HEADER
-from squaregeo.necessary import ColoringRefutation, TwoColoring, _layer_masks, _shortest_odd_cycle
+from squaregeo.necessary import ColoringRefutation, _layer_masks, _shortest_odd_cycle
 from squaregeo.orders import PartialOrderCheck
 from squaregeo.pipeline import NO, UNDECIDED, YES, Certificate, CertificateCheck
 
@@ -514,9 +514,9 @@ class NodeColoring:
         return None
 
 
-def node_coloring(cg: ChordGraph, f) -> NodeColoring:
-    """A mask coloring as sets of nodes."""
-    return NodeColoring(red=nodes_of(cg, f.red), blue=nodes_of(cg, f.blue))
+def node_coloring(cg: ChordGraph, red: int) -> NodeColoring:
+    """The coloring with red node mask ``red`` as sets of nodes."""
+    return NodeColoring(red=nodes_of(cg, red), blue=nodes_of(cg, cg.non_isolated_mask & ~red))
 
 
 @dataclass(frozen=True)
@@ -691,7 +691,7 @@ def _bfs_coloring_by_list(cg: ChordGraph) -> tuple[list[int | None], bool]:
     return [d % 2 if d >= 0 else None for d in depth], conflict
 
 
-def color_constrained_by_list(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring | ColoringRefutation:
+def color_constrained_by_list(cg: ChordGraph, ab: tuple[int, int]) -> int | ColoringRefutation:
     """2-color the chord graph with script-A red and script-B blue.
 
     Requires the non-isolated part to be connected (audit upstream); a
@@ -702,27 +702,20 @@ def color_constrained_by_list(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring |
     color, conflict = _bfs_coloring_by_list(cg)
     if conflict:
         cyc = _shortest_odd_cycle(cg)
-        return ColoringRefutation(
-            kind="odd-cycle",
-            cycle=tuple(cg.nodes[i] for i in cyc),
-            detail=f"odd cycle of length {len(cyc)}",
-        )
+        return ColoringRefutation(cycle=tuple(cg.nodes[i] for i in cyc))
 
-    sa = list(bits(ab.script_a_mask))
-    sb = list(bits(ab.script_b_mask))
+    sa, sb = (list(bits(m)) for m in ab)
     for group, name in ((sa, "forced-red"), (sb, "forced-blue")):
         hues = {color[i] for i in group}
         if len(hues) > 1:
             lo = min(i for i in group if color[i] == 0)
             hi = min(i for i in group if color[i] == 1)
             return ColoringRefutation(
-                kind="forced-conflict",
                 conflict=(cg.nodes[lo], cg.nodes[hi]),
                 detail=f"{name} nodes fall in both color classes",
             )
     if sa and sb and color[sa[0]] == color[sb[0]]:
         return ColoringRefutation(
-            kind="forced-conflict",
             conflict=(cg.nodes[sa[0]], cg.nodes[sb[0]]),
             detail="a forced-red and a forced-blue node share a color class",
         )
@@ -732,8 +725,7 @@ def color_constrained_by_list(cg: ChordGraph, ab: AbVertexSets) -> TwoColoring |
         red_value = color[sa[0]]
     elif sb:
         red_value = 1 - color[sb[0]]
-    red = mask_of(i for i, c in enumerate(color) if c == red_value)
-    return TwoColoring(red=red, blue=cg.non_isolated_mask & ~red)
+    return mask_of(i for i, c in enumerate(color) if c == red_value)
 
 
 class NestingRelation(Enum):

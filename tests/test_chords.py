@@ -183,12 +183,11 @@ def test_bfs_stays_in_the_root_component(disconnected7):
 def test_forced_color_node_sets(g8, c4):
     g, p = g8
     cg = build_chord_graph(g, p)
-    ab = compute_ab_sets(cg)
-    assert sorted(nodes_of(cg, ab.script_a_mask)) == [(0, 5), (0, 6), (0, 7)]
-    assert sorted(nodes_of(cg, ab.script_b_mask)) == [(3, 4), (3, 5)]
+    forced_red, forced_blue = compute_ab_sets(cg)
+    assert sorted(nodes_of(cg, forced_red)) == [(0, 5), (0, 6), (0, 7)]
+    assert sorted(nodes_of(cg, forced_blue)) == [(3, 4), (3, 5)]
     g, p = c4
-    ab = compute_ab_sets(build_chord_graph(g, p))
-    assert not ab.script_a_mask and not ab.script_b_mask
+    assert compute_ab_sets(build_chord_graph(g, p)) == (0, 0)
 
 
 def test_audit_accepts_the_worked_example(g8):

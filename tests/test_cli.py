@@ -1,14 +1,17 @@
 """Command line behavior: exit codes, output formats, piping files around."""
 
 import sys
+from collections import Counter
 
 import pytest
 
 from squaregeo import emit_certificate, emit_instance, generate_bab, parse_certificate, recognize
+from squaregeo import build_chord_graph, check_necessary
 from squaregeo.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, main
 from squaregeo.pipeline import NO
 
-from test_necessary import RIGID_FAIL_EDGES
+from conftest import enumerate_bab_instances
+from test_necessary import RIGID_FAIL_EDGES, RIGID_FAIL_TWICE
 from test_pipeline import NO_CORE_EDGE_EDGES, coprime_denominator_certificate
 from squaregeo import build_graph, validate_bab
 
@@ -68,6 +71,25 @@ def test_necessary_pass_and_fail(g8_file, rigid_fail_file, capsys):
     assert main(["necessary", rigid_fail_file]) == EXIT_NO
     out = capsys.readouterr().out
     assert "necessary: fail" in out and "rigid" in out
+
+
+def test_necessary_prints_the_certificate_reason(tmp_path, capsys):
+    """One text per refutation: on every NO of the n=6 census and both
+    rigid-free fixtures, ``check_necessary``, ``recognize`` and the
+    ``necessary`` command give the same reason."""
+    cases = [(g, p) for g, p in enumerate_bab_instances(6) if recognize(g, p).verdict == NO]
+    g = build_graph(7, RIGID_FAIL_EDGES)
+    cases += [(g, validate_bab(g, [0, 1, 2], [1, 2, 3], [4, 5, 6])), generate_bab(*RIGID_FAIL_TWICE)]
+    path = tmp_path / "no.txt"
+    kinds = Counter()
+    for g, p in cases:
+        reason = recognize(g, p).reason
+        assert check_necessary(g, p, build_chord_graph(g, p)).reason == reason
+        path.write_text(emit_instance(g, p))
+        assert main(["necessary", str(path)]) == EXIT_NO
+        assert capsys.readouterr().out.splitlines() == ["necessary: fail", f"reason: {reason}"]
+        kinds[reason.split(":")[0], "odd chord-graph cycle" in reason] += 1
+    assert kinds == {("coloring", True): 18, ("coloring", False): 12, ("rigid-free", False): 2}
 
 
 def test_necessary_out_of_scope(d7_file, capsys):

@@ -16,12 +16,11 @@ from squaregeo import (
     compute_ab_sets,
     validate_bab,
 )
-from squaregeo.chords import AbVertexSets, ChordGraph, RigidPair, y_end_masks
+from squaregeo.chords import ChordGraph, RigidPair, y_end_masks
 from squaregeo.errors import ScopeError
 from squaregeo.graph import bits
 from squaregeo.necessary import (
     ColoringRefutation,
-    TwoColoring,
     _bfs_coloring,
     _shortest_odd_cycle,
     rigid_region_sets,
@@ -55,6 +54,10 @@ REGION_OVERSHOOT_EDGES = [
     (2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6),
 ]
 
+# generate_bab arguments of a rigid-free NO with two trapped vertices on
+# side a, so its reason joins three violations.
+RIGID_FAIL_TWICE = ((2, 2, 2, 4), 0.5, 169)
+
 FORCED_CONFLICT_EDGES = [
     (0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4),
     (2, 3), (2, 5), (3, 4), (4, 5),
@@ -70,30 +73,30 @@ def _instance(n, edges, xa, xb, y):
 def test_g8_coloring_frozen(g8):
     g, p = g8
     cg = build_chord_graph(g, p)
-    col = color_constrained(cg, compute_ab_sets(cg))
-    assert isinstance(col, TwoColoring)
-    assert sorted(nodes_of(cg, col.red)) == [(0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
-    assert sorted(nodes_of(cg, col.blue)) == [(2, 4), (3, 4), (3, 5)]
-    assert (col.red >> cg.nodes.index((0, 5))) & 1
-    assert (col.blue >> cg.nodes.index((3, 4))) & 1
-    assert (0, 3) not in nodes_of(cg, col.red | col.blue)  # not an X-Y node
+    red = color_constrained(cg, compute_ab_sets(cg))
+    blue = cg.non_isolated_mask & ~red
+    assert sorted(nodes_of(cg, red)) == [(0, 5), (0, 6), (0, 7), (1, 6), (1, 7)]
+    assert sorted(nodes_of(cg, blue)) == [(2, 4), (3, 4), (3, 5)]
+    assert (red >> cg.nodes.index((0, 5))) & 1
+    assert (blue >> cg.nodes.index((3, 4))) & 1
+    assert (0, 3) not in nodes_of(cg, red | blue)  # not an X-Y node
 
 
 def test_c4_coloring_canonical(c4):
     g, p = c4
     cg = build_chord_graph(g, p)
-    col = color_constrained(cg, compute_ab_sets(cg))
-    assert nodes_of(cg, col.red) == frozenset({(0, 3)})
-    assert nodes_of(cg, col.blue) == frozenset({(1, 2)})
+    red = color_constrained(cg, compute_ab_sets(cg))
+    assert nodes_of(cg, red) == frozenset({(0, 3)})
+    assert nodes_of(cg, cg.non_isolated_mask & ~red) == frozenset({(1, 2)})
 
 
 def test_forced_nodes_land_in_their_classes(g8):
     g, p = g8
     cg = build_chord_graph(g, p)
-    ab = compute_ab_sets(cg)
-    col = color_constrained(cg, ab)
-    assert ab.script_a_mask & ~col.red == 0
-    assert ab.script_b_mask & ~col.blue == 0
+    forced_red, forced_blue = compute_ab_sets(cg)
+    red = color_constrained(cg, (forced_red, forced_blue))
+    assert forced_red & ~red == 0
+    assert forced_blue & ~(cg.non_isolated_mask & ~red) == 0
 
 
 def test_triangle6_odd_cycle(triangle6):
@@ -101,13 +104,11 @@ def test_triangle6_odd_cycle(triangle6):
     cg = build_chord_graph(g, p)
     ref = color_constrained(cg, compute_ab_sets(cg))
     assert isinstance(ref, ColoringRefutation)
-    assert ref.kind == "odd-cycle"
     assert ref.cycle == ((1, 3), (0, 5), (2, 4))
-    assert ref.detail == "odd cycle of length 3"
+    assert len(ref.cycle) == 3
     nec = check_necessary(g, p, cg)
     assert nec.status is NecessaryStatus.FAIL
-    assert nec.reason == "odd-cycle"
-    assert nec.refutation == ref
+    assert nec.reason == ref.reason == "coloring: odd chord-graph cycle (1,3) (0,5) (2,4)"
 
 
 def test_odd_cycle_is_really_a_cycle(triangle6):
@@ -145,12 +146,14 @@ def test_forced_conflict_refutation():
     g, p, cg = _instance(6, FORCED_CONFLICT_EDGES, [0, 1, 2], [1, 2, 3], [4, 5])
     ref = color_constrained(cg, compute_ab_sets(cg))
     assert isinstance(ref, ColoringRefutation)
-    assert ref.kind == "forced-conflict"
+    assert not ref.cycle
     assert ref.conflict == ((0, 5), (3, 5))
     assert ref.detail == "a forced-red and a forced-blue node share a color class"
     nec = check_necessary(g, p, cg)
     assert nec.status is NecessaryStatus.FAIL
-    assert nec.reason == "forced-conflict"
+    assert nec.reason == ref.reason == (
+        "coloring: a forced-red and a forced-blue node share a color class ((0,5) (3,5))"
+    )
 
 
 def test_disconnected_chord_graph_is_out_of_scope(disconnected7):
@@ -185,21 +188,21 @@ def test_coloring_matches_the_list_reference():
                 got = color_constrained(cg, ab)
                 assert got == want, ((a, s, b, y), seed, q is p)
                 if isinstance(got, ColoringRefutation):
-                    seen[got.detail if got.kind == "forced-conflict" else got.kind] += 1
+                    seen[got.reason.split(" (")[0]] += 1
                     if got.detail.endswith("both color classes"):
                         lo, hi = map(cg.nodes.index, got.conflict)
                         seen["witness ascending" if lo < hi else "witness descending"] += 1
-                elif ab.script_a_mask:
+                elif ab[0]:
                     seen["red holds script-A"] += 1
-                elif ab.script_b_mask:
+                elif ab[1]:
                     seen["red opposite script-B"] += 1
                 else:
                     seen["red at the root"] += 1
     assert set(seen) == {
-        "odd-cycle",
-        "forced-red nodes fall in both color classes",
-        "forced-blue nodes fall in both color classes",
-        "a forced-red and a forced-blue node share a color class",
+        "coloring: odd chord-graph cycle",
+        "coloring: forced-red nodes fall in both color classes",
+        "coloring: forced-blue nodes fall in both color classes",
+        "coloring: a forced-red and a forced-blue node share a color class",
         "witness ascending",
         "witness descending",
         "red holds script-A",
@@ -212,7 +215,7 @@ def test_scope_error_takes_precedence_over_odd_cycle():
     """A triangle beside a separate edge: the coloring stops at the second
     component whichever side the odd cycle lies on."""
     nodes = tuple((0, y) for y in range(5))
-    no_forced = AbVertexSets(0, 0)
+    no_forced = (0, 0)
     for adj in ((0b00110, 0b00101, 0b00011, 0b10000, 0b01000),
                 (0b00010, 0b00001, 0b11000, 0b10100, 0b01100)):
         with pytest.raises(ScopeError):
@@ -247,7 +250,7 @@ def test_edgeless_chord_graphs_need_no_bfs(monkeypatch):
         cg = build_chord_graph(g, p)
         assert len(cg.nodes) == node_count and not any(cg.adj)
         assert cg.components() == []
-        assert color_constrained(cg, compute_ab_sets(cg)) == TwoColoring(0, 0)
+        assert color_constrained(cg, compute_ab_sets(cg)) == 0
         rfr = check_rigid_free(g, p, cg)
         assert rfr.side_a_ok and rfr.side_b_ok
         assert audit_assumption1(g, p, cg) == failures
@@ -297,8 +300,31 @@ def test_rigid_free_failure_carries_witnesses():
     assert rfr.b_violations == ((3, RigidPair(x1=0, y1=5, x2=2, y2=6)),)
     nec = check_necessary(g, p, cg)
     assert nec.status is NecessaryStatus.FAIL
-    assert nec.reason == "rigid-free"
+    assert nec.reason == rfr.reason == (
+        "rigid-free: side a: rigid pair (1,4),(3,5) sits inside N_Y(0); "
+        "side b: rigid pair (0,5),(2,6) sits inside N_Y(3)"
+    )
     assert not square_geometric_by_order_search(g)
+
+
+def test_rigid_free_reason_lists_every_violation():
+    """Two trapped vertices on side a and one on side b: the reason names
+    each with its rigid pair, side a first, vertices ascending."""
+    g, p = generate_bab(*RIGID_FAIL_TWICE)
+    cg = build_chord_graph(g, p)
+    rfr = check_rigid_free(g, p, cg)
+    assert rfr.a_violations == (
+        (0, RigidPair(x1=2, y1=9, x2=4, y2=6)),
+        (1, RigidPair(x1=2, y1=9, x2=3, y2=7)),
+    )
+    assert rfr.b_violations == ((4, RigidPair(x1=0, y1=6, x2=3, y2=7)),)
+    nec = check_necessary(g, p, cg)
+    assert nec.status is NecessaryStatus.FAIL
+    assert nec.reason == rfr.reason == (
+        "rigid-free: side a: rigid pair (2,9),(4,6) sits inside N_Y(0); "
+        "side a: rigid pair (2,9),(3,7) sits inside N_Y(1); "
+        "side b: rigid pair (0,6),(3,7) sits inside N_Y(4)"
+    )
 
 
 def test_region_overshoot_alone_is_not_a_violation():
@@ -396,5 +422,5 @@ def test_pass_reports_both_checks(g8):
     nec = check_necessary(g, p, build_chord_graph(g, p))
     assert nec.status is NecessaryStatus.PASS
     assert nec.reason == ""
-    assert isinstance(nec.coloring, TwoColoring)
+    assert isinstance(nec.coloring, int) and nec.coloring
     assert nec.rigid_free is not None and nec.rigid_free.holds
