@@ -53,6 +53,10 @@ class ChordGraph:
     indices. ``a_vertex_mask``/``b_vertex_mask`` mark nodes whose x-end is a
     private X_a (resp. X_b) vertex. ``by_y`` is the y-end table:
     ``by_y[v]`` is the mask of the nodes with y-end v, for every vertex v.
+    ``x_start`` is the x-end table: the nodes with x-end v are the indices
+    ``x_start[v]``..``x_start[v+1]``, an empty range for v outside X;
+    ``build_chord_graph`` fills it, and a graph built by hand may leave it
+    empty.
     ``root_bfs`` is the one BFS from the least non-isolated node, shared by
     the audit's component count, the coloring and the odd-cycle search.
     """
@@ -62,6 +66,7 @@ class ChordGraph:
     a_vertex_mask: int
     b_vertex_mask: int
     by_y: tuple[int, ...]
+    x_start: tuple[int, ...] = ()
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as index pairs (i, j), i < j, lexicographically."""
@@ -141,43 +146,65 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
 
     Nodes are all X-Y non-edges. From node (x, y), neighbors are the nodes
     (x', y') with x' adjacent to both x and y, and y' a Y-neighbor of x (the
-    node property already gives x' !~ y'). One pass over sorted X lays the
-    nodes out and keeps a node mask per x-end, ``by_x`` (a contiguous
-    range); ``by_y`` has one per y-end and is kept as the y-end table.
+    node property already gives x' !~ y'). One pass over ascending ids lays
+    the nodes out and keeps the x-end table ``start``: the nodes with x-end
+    v are the range ``start[v]``..``start[v+1]``, empty for an id outside
+    X; it is kept as ``x_start``. ``by_y`` has one node mask per y-end and
+    is kept as the y-end table.
 
     Each mask is built once per vertex, none per node: ``near_x[v]`` is the
-    union of ``by_x[x']`` over x' in N(v) & X, and ``near[x]`` is
+    mask of the nodes whose x-end lies in N(v) & X, and ``near[x]`` is
     ``near_x[x]`` cut to the union of ``by_y[y']`` over y' in N_Y(x). The
     neighbor mask of (x, y) is ``near[x] & near_x[y]``. This is exact
-    because the ``by_x`` blocks are disjoint: the union of ``by_x`` over
-    N(x) & N(y) & X is the intersection of the unions over N(x) & X and
-    over N(y) & X.
+    because the per-x ranges are disjoint: the nodes with x-end in
+    N(x) & N(y) & X are those in both the N(x) & X and the N(y) & X masks.
+
+    A node mask by x-ends is built one run of consecutive ids at a time,
+    the run lo..hi being the range ``start[lo]``..``start[hi+1]``. For
+    ``near_x[v]``, all of Y and v itself are added to N(v). Y ids have
+    empty ranges, and the nodes of v have y-ends outside N_Y(v), which
+    ``near[v]`` cuts away (a vertex of Y has no nodes). So neither changes
+    a neighbor mask; they only join runs, so fewer ranges are cut.
     """
     nodes: list[tuple[int, int]] = []
-    by_x = [0] * g.n
-    for x in bits(p.x_all):
-        start = len(nodes)
-        nodes.extend((x, y) for y in bits(p.y & ~g.adj[x]))
-        by_x[x] = (1 << len(nodes)) - (1 << start)
+    start = []
+    for v in range(g.n):
+        start.append(len(nodes))
+        if p.x_all >> v & 1:
+            nodes.extend((v, y) for y in bits(p.y & ~g.adj[v]))
+    start.append(len(nodes))
+
+    def at_x(ids: int) -> int:
+        """The mask of the nodes whose x-end is in ``ids``."""
+        out = 0
+        while ids:
+            low = ids & -ids
+            past = ids + low  # the run from ``low`` cleared, the bit past its end set
+            out |= (1 << start[(past & -past).bit_length() - 1]) - (1 << start[low.bit_length() - 1])
+            ids = past & (past - 1)
+        return out
+
     by_y = y_end_masks(nodes, g.n)
-    near_x = [union_of(by_x, a & p.x_all) for a in g.adj]
+    near_x = [at_x(a | p.y | 1 << v) for v, a in enumerate(g.adj)]
     near = {x: near_x[x] & union_of(by_y, g.adj[x] & p.y) for x in bits(p.x_all)}
     # From a list, not a generator: CPython resizes a tuple built from a
     # generator, and once freed it stays on the free list of its length (up
     # to 2,000 per length below 20), so a long run's heap would grow by one
     # tuple per instance.
     adj = tuple([near[x] & near_x[y] for x, y in nodes])
-    return ChordGraph(tuple(nodes), adj, union_of(by_x, p.a_only), union_of(by_x, p.b_only), by_y)
+    return ChordGraph(tuple(nodes), adj, at_x(p.a_only), at_x(p.b_only), by_y, tuple(start))
 
 
 def compute_ab_sets(cg: ChordGraph) -> tuple[int, int]:
     """The chord-graph nodes whose color is forced, as the node-index masks
     (forced red, forced blue): the a-vertices with a neighbor that is not
     itself an a-vertex, and the b-vertices with a neighbor that is not
-    itself a b-vertex."""
+    itself a b-vertex. Only non-isolated nodes can qualify, so only they
+    are read."""
 
     def forced(side: int) -> int:
-        return mask_of(i for i in bits(side) if cg.adj[i] & ~side)
+        other = ~side
+        return mask_of(i for i in bits(side & cg.non_isolated_mask) if cg.adj[i] & other)
 
     return forced(cg.a_vertex_mask), forced(cg.b_vertex_mask)
 
@@ -204,8 +231,8 @@ def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> tuple[str, .
         if all(nyb & ~ny_mask(g, p, u) == 0 for u in bits(p.x_all & ~(1 << b))):
             failures.append(f"N_Y({b}) nests inside every other X vertex's Y-neighborhood")
 
-    ab_mask = cg.a_vertex_mask | cg.b_vertex_mask
-    if not any(cg.adj[i] & ~ab_mask for i in range(len(cg.nodes)) if not (ab_mask >> i) & 1):
+    free = ~(cg.a_vertex_mask | cg.b_vertex_mask)
+    if not any(cg.adj[i] & free for i in bits(cg.non_isolated_mask & free)):
         failures.append("no chord-graph edge avoids the forced-color nodes")
 
     return tuple(failures)

@@ -195,12 +195,22 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
     into the opposite side's region set, so a vertex meeting that set in
     at most one y is clean. The converse is false; a vertex can meet the
     set twice through unrelated rigid pairs. Past the screen, ``near`` is
-    the chord nodes with y in N_Y(v) and x-end not private to v's side, and
-    v is trapped when a chord edge inside ``near`` has a shared x-end; the
-    witness is the first such edge (i ascending, then the lowest j > i).
+    the non-isolated chord nodes with y in N_Y(v) and x-end not private to
+    v's side, and v is trapped when a chord edge inside ``near`` has a
+    shared x-end; the witness is the first such edge (i ascending, then
+    the lowest j > i). Isolated nodes have no edges, so leaving them out
+    of ``near`` changes no witness.
+
+    The test comes first and is exact without the scan: every qualifying
+    edge has an end with a shared x-end, and conversely a node of
+    ``near & shared`` with a neighbor in ``near`` is the shared end of a
+    qualifying edge. So v is trapped exactly when some node of
+    ``near & shared`` has a neighbor in ``near``, and only then does the
+    ordered scan run, to pick the witness.
     """
     r_xa, r_xb = rigid_region_sets(cg)
-    shared = ((1 << len(cg.nodes)) - 1) & ~(cg.a_vertex_mask | cg.b_vertex_mask)
+    live = cg.non_isolated_mask
+    shared = live & ~(cg.a_vertex_mask | cg.b_vertex_mask)
 
     def trapped(private: int, own_nodes: int, region: int):
         out = []
@@ -208,7 +218,9 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
             ny = ny_mask(g, p, v)
             if (ny & region).bit_count() <= 1:
                 continue
-            near = union_of(cg.by_y, ny) & ~own_nodes
+            near = union_of(cg.by_y, ny) & live & ~own_nodes
+            if not any(cg.adj[s] & near for s in bits(near & shared)):
+                continue
             for i in bits(near):
                 js = cg.adj[i] & near
                 if not (shared >> i) & 1:

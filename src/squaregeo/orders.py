@@ -26,7 +26,9 @@ from .graph import BabPartition, Graph, bits, lowest, mask_of, nx_mask, ny_mask
 from .necessary import NecessaryStatus, NecessaryVerdict
 
 
-def derive_relations(cg: ChordGraph, red: int, p: BabPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def derive_relations(
+    g: Graph, p: BabPartition, cg: ChordGraph, red: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orient X and Y pairs from every chord-graph edge under the coloring
     whose red node mask is ``red``.
 
@@ -34,15 +36,38 @@ def derive_relations(cg: ChordGraph, red: int, p: BabPartition) -> tuple[tuple[i
     {xy, x'y'}; red on the (x, y') side puts x before x' and y before y'.
     Each edge is read once, from its red end: the coloring is proper and
     isolated nodes have no edges, so every edge has exactly one red end.
+
+    The edges are read through the graph's vertex masks, not through
+    ``cg.adj``. By the neighbor rule of ``build_chord_graph``, the
+    neighbors of a node (x, y') are the nodes (x', y) with x' in
+    N(x) & N(y') & X, y in N_Y(x) and y not in N(x'). Let C_x be the x' in
+    N(x) & X whose Y-neighborhood does not hold all of N_Y(x): those with
+    at least one such y. The x-ends of the neighbors are then exactly
+    A = C_x & N(y'), and their y-ends are the union over A of N_Y(x) minus
+    N(x'), that is, N_Y(x) minus the intersection of N_Y(x') over A. So a
+    red node costs one vertex-mask operation per member of A, not one
+    node-mask step per neighbor. The red nodes of x are cut out of ``red``
+    once, as the block of x in the x-end table ``cg.x_start``.
     """
-    n = (p.x_all | p.y).bit_length()  # the partition covers 0..n-1
-    x_succ = [0] * n
-    y_succ = [0] * n
-    for i in bits(red):
-        x, yp = cg.nodes[i]
-        for j in bits(cg.adj[i]):
-            xp, y = cg.nodes[j]
-            x_succ[x] |= 1 << xp
+    x_succ = [0] * g.n
+    y_pred = [0] * g.n  # y_pred[y'] holds the y put before y'
+    for x in bits(p.x_all):
+        start = cg.x_start[x]
+        block = red >> start & (1 << cg.x_start[x + 1] - start) - 1
+        if block:
+            ny = g.adj[x] & p.y
+            cx = mask_of(xp for xp in bits(g.adj[x] & p.x_all) if ny & ~g.adj[xp])
+            for k in bits(block):
+                yp = cg.nodes[start + k][1]
+                ends = cx & g.adj[yp]
+                x_succ[x] |= ends
+                common = ny
+                for xp in bits(ends):
+                    common &= g.adj[xp]
+                y_pred[yp] |= ny & ~common
+    y_succ = [0] * g.n
+    for yp, ys in enumerate(y_pred):
+        for y in bits(ys):
             y_succ[y] |= 1 << yp
     return tuple(x_succ), tuple(y_succ)
 
@@ -257,7 +282,7 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
     if nec.status is not NecessaryStatus.PASS:
         raise ScopeError(f"sufficiency needs a passing necessary verdict, got {nec.status.value}")
     red = nec.coloring
-    rel_x, rel_y = derive_relations(cg, red, p)
+    rel_x, rel_y = derive_relations(g, p, cg, red)
     if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
         return SufficiencyVerdict(orders=None, reason="partial-orders")
     if not (p.a_nested and p.b_nested):
@@ -267,7 +292,7 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
     if swapped:
         p = p.mirrored()
         if any(nec.forced):
-            rel_x, rel_y = derive_relations(cg, cg.non_isolated_mask & ~red, p)
+            rel_x, rel_y = derive_relations(g, p, cg, cg.non_isolated_mask & ~red)
     try:
         orders = (build_order1(g, p, rel_x, rel_y), build_order2(g, p, rel_x, rel_y))
     except OrderConstructionError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -129,6 +130,58 @@ def chord_adjacent_by_definition(g: Graph, u, v) -> bool:
     if x == xp:
         return False
     return g.adjacent(x, xp) and g.adjacent(x, yp) and g.adjacent(xp, y)
+
+
+PLANTED_UNIT = 1000
+
+
+def planted_bab(sizes: tuple[int, int, int, int], seed: int) -> tuple[Graph, BabPartition]:
+    """A known-YES instance drawn from integer points with unit
+    ``PLANTED_UNIT``: two points are adjacent iff they are at most one unit
+    apart on both axes, so the points over the unit embed the graph.
+
+    Block sizes are (private a, shared, private b, Y), with ids in that
+    order. Private a points lie on the diagonal (t, t), t in [0, 300];
+    shared points in [600, 1000] x [0, 1000]; private b points in
+    [1301, 1600] x [0, 600]; Y points in [700, 1700] x [700, 1700]. Each
+    block spans at most one unit per axis, and so does each of a+shared,
+    shared+b, so all three are cliques; a and b are more than a unit apart
+    in x, so no edge joins them.
+    """
+    a_size, shared_size, b_size, y_size = sizes
+    rng = random.Random(seed)
+    pts = [(t, t) for t in (rng.randint(0, 300) for _ in range(a_size))]
+    pts += [(rng.randint(600, 1000), rng.randint(0, 1000)) for _ in range(shared_size)]
+    pts += [(rng.randint(1301, 1600), rng.randint(0, 600)) for _ in range(b_size)]
+    pts += [(rng.randint(700, 1700), rng.randint(700, 1700)) for _ in range(y_size)]
+    edges = [(u, v) for (u, pu), (v, pv) in combinations(enumerate(pts), 2)
+             if abs(pu[0] - pv[0]) <= PLANTED_UNIT and abs(pu[1] - pv[1]) <= PLANTED_UNIT]
+    g = build_graph(len(pts), edges)
+    shared_end = a_size + shared_size
+    x_end = shared_end + b_size
+    return g, validate_bab(g, range(shared_end), range(a_size, x_end), range(x_end, len(pts)))
+
+
+def relabelled(g: Graph, p: BabPartition, seed: int) -> tuple[Graph, BabPartition]:
+    """The same instance with its ids permuted by a seeded shuffle, so that
+    X and Y ids interleave."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return h, validate_bab(h, *([perm[v] for v in bits(m)] for m in (p.x_a, p.x_b, p.y)))
+
+
+def ab_sets_by_node_scan(cg: ChordGraph, p: BabPartition) -> tuple[int, int]:
+    """(forced red, forced blue) node masks, node by node and neighbor by
+    neighbor: a node whose x-end is private to one side is forced when some
+    neighbor's x-end is not private to that side."""
+    out = []
+    for side in (p.a_only, p.b_only):
+        out.append(mask_of(
+            i for i, (x, _) in enumerate(cg.nodes)
+            if side >> x & 1 and any(not side >> cg.nodes[j][0] & 1 for j in bits(cg.adj[i]))
+        ))
+    return out[0], out[1]
 
 
 def umbrella_ok(g: Graph, seq) -> bool:
@@ -664,6 +717,33 @@ def brute_force_orders_by_completion(g: Graph, bound: int = 6) -> tuple[tuple[in
                 if mask & mask2 == 0:
                     return (perm, perm2)
     return None
+
+
+# The relation derivation before it read the graph: every neighbor of every
+# red node through ``cg.adj``. Copied verbatim apart from the name, as the
+# reference for ``orders.derive_relations`` under any red mask; on a proper
+# coloring it equals ``derive_relations_by_pairs``.
+
+
+def derive_relations_by_adjacency(cg: ChordGraph, red: int, p: BabPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orient X and Y pairs from every chord-graph edge under the coloring
+    whose red node mask is ``red``.
+
+    An edge joins the chords (x, y') and (x', y) of the rigid pair
+    {xy, x'y'}; red on the (x, y') side puts x before x' and y before y'.
+    Each edge is read once, from its red end: the coloring is proper and
+    isolated nodes have no edges, so every edge has exactly one red end.
+    """
+    n = (p.x_all | p.y).bit_length()  # the partition covers 0..n-1
+    x_succ = [0] * n
+    y_succ = [0] * n
+    for i in bits(red):
+        x, yp = cg.nodes[i]
+        for j in bits(cg.adj[i]):
+            xp, y = cg.nodes[j]
+            x_succ[x] |= 1 << xp
+            y_succ[y] |= 1 << yp
+    return tuple(x_succ), tuple(y_succ)
 
 
 # The constrained coloring before class masks: BFS depth parity as a color

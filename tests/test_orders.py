@@ -62,7 +62,7 @@ def _sufficient(g, p):
 def test_g8_relations_frozen(g8):
     g, p = g8
     cg, ab, col = _prepared(g, p)
-    rel_x, rel_y = derive_relations(cg, col, p)
+    rel_x, rel_y = derive_relations(g, p, cg, col)
     assert relation_pairs(rel_x) == [(0, 2), (1, 2), (1, 3)]
     assert relation_pairs(rel_y) == [(4, 5), (4, 6), (4, 7), (5, 6), (5, 7)]
     assert rel_x[1] >> 3 & 1 and not rel_x[3] >> 1 & 1
@@ -73,7 +73,7 @@ def test_g8_relations_frozen(g8):
 def test_c4_relations_frozen(c4):
     g, p = c4
     cg, ab, col = _prepared(g, p)
-    rel_x, rel_y = derive_relations(cg, col, p)
+    rel_x, rel_y = derive_relations(g, p, cg, col)
     assert relation_pairs(rel_x) == [(0, 1)]
     assert relation_pairs(rel_y) == [(2, 3)]
 
@@ -82,7 +82,7 @@ def test_relation_orientation_matches_coloring(g8):
     """Each chord edge orients its rigid pair red-side-first."""
     g, p = g8
     cg, ab, col = _prepared(g, p)
-    rel_x, rel_y = derive_relations(cg, col, p)
+    rel_x, rel_y = derive_relations(g, p, cg, col)
     for i, j in cg.edges():
         if not (col >> i) & 1:
             i, j = j, i
@@ -94,7 +94,7 @@ def test_relation_orientation_matches_coloring(g8):
 def test_partial_order_check_passes_g8(g8):
     g, p = g8
     cg, ab, col = _prepared(g, p)
-    rel_x, rel_y = derive_relations(cg, col, p)
+    rel_x, rel_y = derive_relations(g, p, cg, col)
     assert validate_partial_order(rel_x).ok
     assert validate_partial_order(rel_y).ok
 
@@ -133,7 +133,7 @@ def test_relations_match_the_pair_reference():
                 outcomes["colored"] += 1
                 for f in (col, cg.non_isolated_mask & ~col):
                     refs = derive_relations_by_pairs(cg, node_coloring(cg, f), p)
-                    for rel, ref in zip(derive_relations(cg, f, p), refs):
+                    for rel, ref in zip(derive_relations(g, p, cg, f), refs):
                         assert relation_pairs(rel) == sorted(ref.pairs), (shape, density, seed)
                         chk = validate_partial_order(rel)
                         assert chk == validate_partial_order_by_pairs(ref), (shape, density, seed)
@@ -244,7 +244,7 @@ def test_builders_match_the_whole_set_reference(monkeypatch):
                     continue
                 f = nec.coloring
                 for flipped, col in enumerate((f, cg.non_isolated_mask & ~f)):
-                    rel_x, rel_y = derive_relations(cg, col, p)
+                    rel_x, rel_y = derive_relations(g, p, cg, col)
                     if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
                         continue
                     if not flipped:
@@ -275,7 +275,7 @@ def test_builders_match_the_whole_set_reference(monkeypatch):
 def test_g8_orders_frozen(g8):
     g, p = g8
     cg, ab, col = _prepared(g, p)
-    rel_x, rel_y = derive_relations(cg, col, p)
+    rel_x, rel_y = derive_relations(g, p, cg, col)
     assert build_order1(g, p, rel_x, rel_y) == (0, 1, 2, 4, 3, 5, 6, 7)
     assert build_order2(g, p, rel_x, rel_y) == (3, 2, 0, 1, 6, 7, 5, 4)
 
@@ -283,7 +283,7 @@ def test_g8_orders_frozen(g8):
 def test_c4_orders_frozen(c4):
     g, p = c4
     cg, ab, col = _prepared(g, p)
-    rel_x, rel_y = derive_relations(cg, col, p)
+    rel_x, rel_y = derive_relations(g, p, cg, col)
     assert build_order1(g, p, rel_x, rel_y) == (0, 1, 2, 3)
     assert build_order2(g, p, rel_x, rel_y) == (1, 0, 3, 2)
 
@@ -365,7 +365,7 @@ def test_crossing_private_neighborhoods_fail_nesting():
     assert s.orders is None and not s.swapped
     # the first order starts with a_seq, which is empty on an unnested side
     cg = build_chord_graph(g, p)
-    rel_x, rel_y = derive_relations(cg, check_necessary(g, p, cg).coloring, p)
+    rel_x, rel_y = derive_relations(g, p, cg, check_necessary(g, p, cg).coloring)
     for q in (p, p.mirrored()):
         with pytest.raises(ScopeError, match="totally nested"):
             build_order1(g, q, rel_x, rel_y)
