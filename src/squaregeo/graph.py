@@ -164,11 +164,6 @@ def ny_mask(g: Graph, p: BabPartition, v: int) -> int:
     return g.adj[v] & p.y
 
 
-def nx_mask(g: Graph, p: BabPartition, v: int) -> int:
-    """Bitmask of v's neighbors inside X_a union X_b."""
-    return g.adj[v] & p.x_all
-
-
 def _nested_sequence(g: Graph, members: int, scope_mask: int):
     """Sort the vertices of mask ``members`` by scoped neighborhood size (ties
     by id) and test that the neighborhoods form an inclusion chain. Returns

@@ -10,8 +10,8 @@ re-verifies. The coloring and the rigid-free report come from the passing
 necessary verdict and are not recomputed here.
 
 The coloring arrives as its red node-index mask; blue is the rest of the
-non-isolated nodes. A relation, like the set of placement constraints, is
-a tuple of successor masks, one per vertex: bit v of ``succ[u]`` says u
+non-isolated nodes. A relation, like each set of placement rules, is a
+sequence of successor masks, one per vertex: bit v of ``succ[u]`` says u
 comes before v. An order is its vertex sequence, a tuple.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .chords import ChordGraph
 from .errors import OrderConstructionError, ScopeError
-from .graph import BabPartition, Graph, bits, lowest, mask_of, nx_mask, ny_mask
+from .graph import BabPartition, Graph, bits, lowest, mask_of
 from .necessary import NecessaryStatus, NecessaryVerdict
 
 
@@ -65,11 +65,7 @@ def derive_relations(
                 for xp in bits(ends):
                     common &= g.adj[xp]
                 y_pred[yp] |= ny & ~common
-    y_succ = [0] * g.n
-    for yp, ys in enumerate(y_pred):
-        for y in bits(ys):
-            y_succ[y] |= 1 << yp
-    return tuple(x_succ), tuple(y_succ)
+    return tuple(x_succ), _transpose(y_pred)
 
 
 @dataclass(frozen=True)
@@ -94,160 +90,139 @@ def validate_partial_order(succ: tuple[int, ...]) -> PartialOrderCheck:
     return PartialOrderCheck(ok=True)
 
 
-class _ConstraintSet:
-    """'u before v' constraints as one successor mask per vertex, with tie
-    handling for equal neighborhoods."""
-
-    def __init__(self, n: int):
-        self.succ = [0] * n
-
-    def add(self, u: int, v: int):
-        if u != v:
-            self.succ[u] |= 1 << v
-
-    def add_all(self, us: int, vs: int):
-        """Every vertex of mask ``us`` before every other vertex of ``vs``."""
-        for u in bits(us):
-            self.succ[u] |= vs & ~(1 << u)
-
-    def add_oriented(self, rel: tuple[int, ...], u: int, v: int, reverse_rel: bool) -> bool:
-        """Order a related pair as the successor masks ``rel`` do, or
-        reversed; False when neither is related to the other."""
-        before = rel[u] >> v & 1
-        if not (before or rel[v] >> u & 1):
-            return False
-        if before != reverse_rel:
-            self.add(u, v)
-        else:
-            self.add(v, u)
-        return True
-
-    def add_inclusion(self, u: int, v: int, mu: int, mv: int):
-        """Order by inclusion of neighborhood masks: strictly smaller first,
-        equal masks broken by ascending id."""
-        if mu == mv:
-            self.add(min(u, v), max(u, v))
-        elif mu & ~mv == 0:
-            self.add(u, v)
-        elif mv & ~mu == 0:
-            self.add(v, u)
-
-    def toposort(self, members: int) -> tuple[int, ...]:
-        """The vertices of mask ``members`` in the topological order that
-        always places the least ready vertex, reading only the constraints
-        between members: a builder adds none across its blocks."""
-        indeg = [0] * len(self.succ)
-        for v in bits(members):
-            for w in bits(self.succ[v] & members):
-                indeg[w] += 1
-        heap = [v for v in bits(members) if not indeg[v]]  # ascending, so a heap
-        seq = []
-        while heap:
-            v = heapq.heappop(heap)
-            seq.append(v)
-            for w in bits(self.succ[v] & members):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(heap, w)
-        if len(seq) < members.bit_count():
-            raise OrderConstructionError(self._find_cycle(members & ~mask_of(seq)))
-        return tuple(seq)
-
-    def _find_cycle(self, left: int) -> tuple[int, ...]:
-        """A cycle among the unplaced vertices ``left``. Vertices with no
-        successor left are dropped until none remain, so every vertex left
-        leads to a cycle; the walk then follows least successors from the
-        least vertex until one repeats."""
-        while dead := mask_of(v for v in bits(left) if not self.succ[v] & left):
-            left &= ~dead
-        path = [lowest(left)]
-        while True:
-            v = lowest(self.succ[path[-1]] & left)
-            if v in path:
-                return tuple(path[path.index(v):])
-            path.append(v)
+def _transpose(succ) -> tuple[int, ...]:
+    """The successor masks of the reversed relation."""
+    pred = [0] * len(succ)
+    for u, s in enumerate(succ):
+        for v in bits(s):
+            pred[v] |= 1 << u
+    return tuple(pred)
 
 
-def _x_rule_pairs(g, p, rel_x, members: int, reverse_rel: bool, cons: _ConstraintSet):
-    """Shared skeleton of rules 1.1 and 2.1 over the X vertices ``members``:
-    the oriented relation (reversed in the second order), else Y-neighborhood
-    inclusion."""
-    xs = [(x, ny_mask(g, p, x)) for x in bits(members)]
-    for i, (x, mx) in enumerate(xs):
-        for xp, mxp in xs[i + 1:]:
-            if not cons.add_oriented(rel_x, x, xp, reverse_rel):
-                cons.add_inclusion(x, xp, mx, mxp)
+def _toposort(succ, members: int) -> tuple[int, ...]:
+    """The vertices of mask ``members`` in the topological order of the
+    successor masks ``succ`` that always places the least ready vertex,
+    reading only the constraints between members."""
+    indeg = [0] * len(succ)
+    for v in bits(members):
+        for w in bits(succ[v] & members):
+            indeg[w] += 1
+    heap = [v for v in bits(members) if not indeg[v]]  # ascending, so a heap
+    seq = []
+    while heap:
+        v = heapq.heappop(heap)
+        seq.append(v)
+        for w in bits(succ[v] & members):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, w)
+    if len(seq) < members.bit_count():
+        raise OrderConstructionError(_find_cycle(succ, members & ~mask_of(seq)))
+    return tuple(seq)
 
 
-def _y_rule_pairs(g, p, rel_y, reverse_rel: bool, cons: _ConstraintSet):
-    """Shared skeleton of rules 1.3/1.4 and 2.3/2.4.
+def _find_cycle(succ, left: int) -> tuple[int, ...]:
+    """A cycle among the unplaced vertices ``left``. Vertices with no
+    successor left are dropped until none remain, so every vertex left
+    leads to a cycle; the walk then follows least successors from the
+    least vertex until one repeats."""
+    while dead := mask_of(v for v in bits(left) if not succ[v] & left):
+        left &= ~dead
+    path = [lowest(left)]
+    while True:
+        v = lowest(succ[path[-1]] & left)
+        if v in path:
+            return tuple(path[path.index(v):])
+        path.append(v)
 
-    Nesting (same direction in both orders) and the oriented relation pairs;
-    the difference-pattern rule applies only to pairs neither related nor
-    nested, where its two clauses cannot clash with the nesting clause. The
-    second order reverses the relation and mirrors the pattern's sides.
+
+def _pair_rules(g: Graph, p: BabPartition, rel_x, rel_y) -> tuple[list[int], list[int]]:
+    """The pairwise placement rules of both orders, as two lists of
+    successor masks: ``keep``, which both orders obey, and ``flip``, which
+    the first order obeys and the second reverses.
+
+    A pair of X, or of Y, that the relation orients goes to ``flip``.
+    Otherwise an X pair is ordered by Y-neighborhood inclusion (smaller
+    first) and a Y pair by X-neighborhood nesting (bigger first), equal
+    masks by ascending id, in ``keep``. A Y pair neither related nor nested
+    goes to ``flip`` by the private-difference pattern, a's on the left.
+    The pattern cannot match a pair both ways, since the private sides are
+    disjoint and the pair is not nested, so the second order's mirrored
+    pattern is ``flip`` reversed.
     """
-    left_target = p.b_only if reverse_rel else p.a_only
-    right_target = p.a_only if reverse_rel else p.b_only
-    ys = [(y, nx_mask(g, p, y)) for y in bits(p.y)]
-    for i, (y, my) in enumerate(ys):
-        for yp, myp in ys[i + 1:]:
-            if cons.add_oriented(rel_y, y, yp, reverse_rel):
-                continue
-            if my & ~myp == 0 or myp & ~my == 0:
-                # bigger X-neighborhood first in both orders
-                cons.add_inclusion(y, yp, ~my, ~myp)
-            elif my & ~myp & ~left_target == 0 and myp & ~my & ~right_target == 0:
-                cons.add(y, yp)
-            elif myp & ~my & ~left_target == 0 and my & ~myp & ~right_target == 0:
-                cons.add(yp, y)
+    keep = [0] * g.n
+    flip = [0] * g.n
+
+    def unrelated(members: int, side: int, rel):
+        """The pairs u < v of ``members`` with their ``side`` neighborhoods;
+        a pair ``rel`` orients goes to ``flip`` instead."""
+        vs =[(v, g.adj[v] & side) for v in bits(members)]
+        for i, (u, mu) in enumerate(vs):
+            for v, mv in vs[i + 1:]:
+                if rel[u] >> v & 1:
+                    flip[u] |= 1 << v
+                elif rel[v] >> u & 1:
+                    flip[v] |= 1 << u
+                else:
+                    yield u, mu, v, mv
+
+    for u, mu, v, mv in unrelated(p.x_all, p.y, rel_x):
+        if mu & ~mv == 0:  # u < v, so equal masks put u first
+            keep[u] |= 1 << v
+        elif mv & ~mu == 0:
+            keep[v] |= 1 << u
+    for u, mu, v, mv in unrelated(p.y, p.x_all, rel_y):
+        if mv & ~mu == 0:
+            keep[u] |= 1 << v
+        elif mu & ~mv == 0:
+            keep[v] |= 1 << u
+        elif mu & ~mv & ~p.a_only == 0 and mv & ~mu & ~p.b_only == 0:
+            flip[u] |= 1 << v
+        elif mv & ~mu & ~p.a_only == 0 and mu & ~mv & ~p.b_only == 0:
+            flip[v] |= 1 << u
+    return keep, flip
 
 
-def build_order1(g: Graph, p: BabPartition, rel_x: tuple[int, ...], rel_y: tuple[int, ...]) -> tuple[int, ...]:
+def build_order1(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]]) -> tuple[int, ...]:
     """First total order: the private a's in their nesting sequence, the
     shared block, then the private b's interleaved into Y around the
     Y-neighborhood of the last a. Raises ScopeError unless both sides are
     totally nested, since ``a_seq`` or ``b_seq`` is empty otherwise.
 
-    Pairwise rules, each inside the shared block or inside the b's plus Y:
-    shared x's by oriented relation or Y-neighborhood inclusion; Y by
-    oriented relation, X-neighborhood inclusion (bigger first), or the
-    private-difference pattern; the b's in sequence, the Y-neighbors of the
-    last a before the first b, the rest of Y after the last b. Unconstrained
-    pairs fall to the ascending-id topological tie-break.
+    The shared block and Y follow the pair rules ``rules`` of
+    ``_pair_rules`` as they stand. The b's follow only their sequence: the
+    Y-neighbors of the last a come before the first b, the rest of Y after
+    the last b. Unconstrained pairs fall to the ascending-id topological
+    tie-break.
     """
     if not (p.a_nested and p.b_nested):
         raise ScopeError("the first order needs both private sides totally nested")
-    cons = _ConstraintSet(g.n)
-    _x_rule_pairs(g, p, rel_x, p.shared, reverse_rel=False, cons=cons)
+    succ = [k | f for k, f in zip(*rules)]
+    for b in bits(p.b_only):  # the b's sort with Y, where no X rule applies
+        succ[b] = 0
     for prev, cur in zip(p.b_seq, p.b_seq[1:]):
-        cons.add(prev, cur)
-
-    _y_rule_pairs(g, p, rel_y, reverse_rel=False, cons=cons)
-
+        succ[prev] = 1 << cur
     if p.a_seq and p.b_seq:
-        nya = ny_mask(g, p, p.a_seq[-1])
-        cons.add_all(nya, 1 << p.b_seq[0])
-        cons.add_all(1 << p.b_seq[-1], p.y & ~nya)
-    return p.a_seq + cons.toposort(p.shared) + cons.toposort(p.b_only | p.y)
+        nya = g.adj[p.a_seq[-1]] & p.y
+        for y in bits(nya):
+            succ[y] |= 1 << p.b_seq[0]
+        succ[p.b_seq[-1]] |= p.y & ~nya
+    return p.a_seq + _toposort(succ, p.shared) + _toposort(succ, p.b_only | p.y)
 
 
-def build_order2(g: Graph, p: BabPartition, rel_x: tuple[int, ...], rel_y: tuple[int, ...]) -> tuple[int, ...]:
-    """Second total order: all of X (oriented relation reversed, inclusion
-    kept; mutually non-nested private pairs put the b before the a), then Y
-    with the oriented relation reversed and the difference pattern mirrored;
-    every rule stays inside X or inside Y."""
-    cons = _ConstraintSet(g.n)
-    _x_rule_pairs(g, p, rel_x, p.x_all, reverse_rel=True, cons=cons)
+def build_order2(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]]) -> tuple[int, ...]:
+    """Second total order: all of X, then Y, each by the pair rules
+    ``rules`` with the oriented relations and the difference pattern
+    reversed; mutually non-nested private pairs put the b before the a."""
+    keep, flip = rules
+    succ = [k | f for k, f in zip(keep, _transpose(flip))]
     for a in bits(p.a_only):
-        nya = ny_mask(g, p, a)
+        nya = g.adj[a] & p.y
         for b in bits(p.b_only):
-            nyb = ny_mask(g, p, b)
+            nyb = g.adj[b] & p.y
             if nya & ~nyb and nyb & ~nya:
-                cons.add(b, a)
-
-    _y_rule_pairs(g, p, rel_y, reverse_rel=True, cons=cons)
-    return cons.toposort(p.x_all) + cons.toposort(p.y)
+                succ[b] |= 1 << a
+    return _toposort(succ, p.x_all) + _toposort(succ, p.y)
 
 
 @dataclass(frozen=True)
@@ -256,7 +231,8 @@ class SufficiencyVerdict:
 
     ``orders`` holds the two orders when construction succeeded; otherwise
     ``reason`` names the failed condition or the constraint cycle.
-    ``swapped`` records that X_a and X_b traded roles before construction.
+    ``swapped`` records that X_a and X_b traded roles before construction,
+    which transposes both relations when the coloring has forced nodes.
     """
 
     orders: tuple[tuple[int, ...], tuple[int, ...]] | None
@@ -276,13 +252,15 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
     X_b are exchanged before construction. The exchange keeps the chord
     graph's nodes and edges, so ``cg`` serves as is, and trades the two
     forced sets, so the canonical coloring of the exchanged instance is the
-    current one with red and blue swapped; with no forced node it stays
-    unchanged. The resulting orders apply to the graph unchanged.
+    current one with red and blue swapped. Each chord edge is then read
+    from its other end, so both relations are transposed. With no
+    forced node the coloring, and with it the relations, stay unchanged.
+    The placement rules are classified once and read by both builders. The
+    resulting orders apply to the graph unchanged.
     """
     if nec.status is not NecessaryStatus.PASS:
         raise ScopeError(f"sufficiency needs a passing necessary verdict, got {nec.status.value}")
-    red = nec.coloring
-    rel_x, rel_y = derive_relations(g, p, cg, red)
+    rel_x, rel_y = derive_relations(g, p, cg, nec.coloring)
     if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
         return SufficiencyVerdict(orders=None, reason="partial-orders")
     if not (p.a_nested and p.b_nested):
@@ -292,9 +270,10 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
     if swapped:
         p = p.mirrored()
         if any(nec.forced):
-            rel_x, rel_y = derive_relations(g, p, cg, cg.non_isolated_mask & ~red)
+            rel_x, rel_y = _transpose(rel_x), _transpose(rel_y)
+    rules = _pair_rules(g, p, rel_x, rel_y)
     try:
-        orders = (build_order1(g, p, rel_x, rel_y), build_order2(g, p, rel_x, rel_y))
+        orders = (build_order1(g, p, rules), build_order2(g, p, rules))
     except OrderConstructionError as exc:
         return SufficiencyVerdict(
             orders=None, swapped=swapped, reason=f"order construction cycled through {exc.cycle}"

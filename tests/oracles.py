@@ -31,7 +31,6 @@ from squaregeo.graph import (
     is_unit_interval_order,
     lowest,
     mask_of,
-    nx_mask,
     ny_mask,
     prefix_masks,
     validate_bab,
@@ -537,16 +536,17 @@ def out_set(rel: tuple[int, ...], v: int) -> frozenset[int]:
     return members(rel[v])
 
 
-def constraint_arcs(cons) -> set[tuple[int, int]]:
-    """The 'u before v' arcs held by a constraint set, which keeps
-    successor masks as a relation does."""
-    return set(relation_pairs(cons.succ))
+def constraint_arcs(succ) -> set[tuple[int, int]]:
+    """The 'u before v' arcs held by successor masks."""
+    return set(relation_pairs(succ))
 
 
 # The relation and constraint formats before successor masks: colorings and
 # relations as frozensets of tuples, constraints as a set of arcs. The three
 # functions below are the original implementations, copied verbatim apart
-# from the class names, as the reference for the mask-based versions.
+# from the class names, as the reference for the mask-based versions. The
+# arc set keeps only its arcs and its sort: its inclusion rule moved into
+# ``orders._pair_rules``, which is tested on its own.
 
 RED = "red"
 BLUE = "blue"
@@ -630,7 +630,7 @@ def validate_partial_order_by_pairs(rel: PairRelation) -> PartialOrderCheck:
 
 
 class ArcConstraintSet:
-    """Accumulates 'u before v' arcs with tie handling for equal neighborhoods."""
+    """Accumulates 'u before v' arcs."""
 
     def __init__(self, n: int):
         self.n = n
@@ -639,16 +639,6 @@ class ArcConstraintSet:
     def add(self, u: int, v: int):
         if u != v:
             self.arcs.add((u, v))
-
-    def add_inclusion(self, u: int, v: int, mu: int, mv: int):
-        """Order by inclusion of neighborhood masks: strictly smaller first,
-        equal masks broken by ascending id."""
-        if mu == mv:
-            self.add(min(u, v), max(u, v))
-        elif mu & ~mv == 0:
-            self.add(u, v)
-        elif mv & ~mu == 0:
-            self.add(v, u)
 
     def toposort(self) -> tuple[int, ...]:
         indeg = [0] * self.n
@@ -1158,7 +1148,7 @@ def _y_rule_pairs_whole_set(g, p, rel_y, reverse_rel: bool, swap_sides: bool, co
     """
     left_target = p.b_only if swap_sides else p.a_only
     right_target = p.a_only if swap_sides else p.b_only
-    ys = [(y, nx_mask(g, p, y)) for y in bits(p.y)]
+    ys = [(y, g.adj[y] & p.x_all) for y in bits(p.y)]
     for i, (y, my) in enumerate(ys):
         for yp, myp in ys[i + 1:]:
             if cons.add_oriented(rel_y, y, yp, reverse_rel):

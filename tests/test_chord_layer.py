@@ -15,7 +15,7 @@ from functools import lru_cache
 from squaregeo import build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets, recognize
 from squaregeo.graph import mask_of
 from squaregeo.instances import generate_bab
-from squaregeo.orders import derive_relations
+from squaregeo.orders import _transpose, derive_relations
 
 from oracles import (
     ab_sets_by_node_scan,
@@ -137,3 +137,19 @@ def test_relations_match_the_references():
                 refs = derive_relations_by_pairs(cg, node_coloring(cg, f), p)
                 assert [relation_pairs(rel) for rel in rels] == [sorted(ref.pairs) for ref in refs], label
     assert proper == {"planted", "rigid-fail-twice"}
+
+
+def test_swapped_coloring_transposes_the_relations():
+    """Under a proper coloring, the mirrored partition with red and blue
+    swapped reads every chord edge from its other end, so both relations
+    come out transposed."""
+    colored = 0
+    for label, g, p, cg in _cases():
+        red = color_constrained(cg, compute_ab_sets(cg))
+        if not isinstance(red, int):
+            continue
+        rel_x, rel_y = derive_relations(g, p, cg, red)
+        swapped = derive_relations(g, p.mirrored(), cg, cg.non_isolated_mask & ~red)
+        assert swapped == (_transpose(rel_x), _transpose(rel_y)), label
+        colored += any(rel_x) and any(rel_y)
+    assert colored == 16

@@ -21,7 +21,8 @@ from squaregeo.errors import OrderConstructionError, ScopeError
 from squaregeo.graph import bits, mask_of
 from squaregeo.instances import generate_bab
 from squaregeo.orders import (
-    _ConstraintSet,
+    _pair_rules,
+    _toposort,
     build_order1,
     build_order2,
     derive_relations,
@@ -152,34 +153,28 @@ def test_relations_match_the_pair_reference():
 
 
 def test_toposort_matches_the_arc_reference():
-    """The same arcs, order and reported cycle as the original arc-set
-    version, on random constraint sets built by add, add_inclusion and
-    add_all, sorted over all vertices and over a random vertex mask. Over a
-    mask, the reference sorts the arcs between members and its order drops
-    the other vertices. Where the original walk hit an unplaced vertex with
-    no unplaced successor and failed, a real cycle is reported instead."""
+    """The same order and reported cycle as the original arc-set version,
+    on random successor lists built from single arcs and from every vertex
+    of one random mask before every other vertex of another, sorted over
+    all vertices and over a random vertex mask. Over a mask, the reference
+    sorts the arcs between members and its order drops the other vertices.
+    Where the original walk hit an unplaced vertex with no unplaced
+    successor and failed, a real cycle is reported instead."""
     rng = random.Random(0)
     outcomes = Counter()
     for _ in range(3000):
         n = rng.randint(1, 9)
-        cons, ref = _ConstraintSet(n), ArcConstraintSet(n)
+        succ, ref = [0] * n, ArcConstraintSet(n)
         for _ in range(rng.randint(0, 2 * n)):
-            kind = rng.random()
-            u, v = rng.randrange(n), rng.randrange(n)
-            if kind < 0.5:
-                cons.add(u, v)
-                ref.add(u, v)
-            elif kind < 0.8:
-                mu, mv = rng.getrandbits(3), rng.getrandbits(3)
-                cons.add_inclusion(u, v, mu, mv)
-                ref.add_inclusion(u, v, mu, mv)
+            if rng.random() < 0.7:
+                us, vs = 1 << rng.randrange(n), 1 << rng.randrange(n)
             else:
                 us, vs = rng.getrandbits(n) & rng.getrandbits(n), rng.getrandbits(n)
-                cons.add_all(us, vs)
-                for a in bits(us):
-                    for b in bits(vs):
-                        ref.add(a, b)
-        assert constraint_arcs(cons) == ref.arcs
+            for a in bits(us):
+                succ[a] |= vs & ~(1 << a)
+                for b in bits(vs):
+                    ref.add(a, b)
+        assert constraint_arcs(succ) == ref.arcs
         members = rng.getrandbits(n)
         induced = ArcConstraintSet(n)
         for a, b in ref.arcs:
@@ -187,7 +182,7 @@ def test_toposort_matches_the_arc_reference():
                 induced.add(a, b)
         for scope, mask, arcs in (("all", (1 << n) - 1, ref), ("mask", members, induced)):
             try:
-                got = ("order", cons.toposort(mask))
+                got = ("order", _toposort(succ, mask))
             except OrderConstructionError as exc:
                 got = ("cycle", exc.cycle)
             try:
@@ -225,9 +220,9 @@ def test_builders_match_the_whole_set_reference(monkeypatch):
 
     monkeypatch.setattr(oracles, "WholeSetConstraintSet", Recorded)
 
-    def outcome(build, g, p, rel_x, rel_y):
+    def outcome(build, *args):
         try:
-            return build(g, p, rel_x, rel_y)
+            return build(*args)
         except OrderConstructionError as exc:
             return exc
 
@@ -249,7 +244,8 @@ def test_builders_match_the_whole_set_reference(monkeypatch):
                         continue
                     if not flipped:
                         cases[bool(p.a_seq), bool(p.b_seq)] += 1
-                    o1, o2 = (outcome(build, g, p, rel_x, rel_y) for build in (build_order1, build_order2))
+                    rules = _pair_rules(g, p, rel_x, rel_y)
+                    o1, o2 = (outcome(build, g, p, rules) for build in (build_order1, build_order2))
                     for got, ref_build in ((o1, build_order1_by_whole_set), (o2, build_order2_by_whole_set)):
                         want = outcome(ref_build, g, p, rel_x, rel_y)
                         where = (shape, density, seed, p == p0, not flipped, ref_build.__name__)
@@ -276,16 +272,18 @@ def test_g8_orders_frozen(g8):
     g, p = g8
     cg, ab, col = _prepared(g, p)
     rel_x, rel_y = derive_relations(g, p, cg, col)
-    assert build_order1(g, p, rel_x, rel_y) == (0, 1, 2, 4, 3, 5, 6, 7)
-    assert build_order2(g, p, rel_x, rel_y) == (3, 2, 0, 1, 6, 7, 5, 4)
+    rules = _pair_rules(g, p, rel_x, rel_y)
+    assert build_order1(g, p, rules) == (0, 1, 2, 4, 3, 5, 6, 7)
+    assert build_order2(g, p, rules) == (3, 2, 0, 1, 6, 7, 5, 4)
 
 
 def test_c4_orders_frozen(c4):
     g, p = c4
     cg, ab, col = _prepared(g, p)
     rel_x, rel_y = derive_relations(g, p, cg, col)
-    assert build_order1(g, p, rel_x, rel_y) == (0, 1, 2, 3)
-    assert build_order2(g, p, rel_x, rel_y) == (1, 0, 3, 2)
+    rules = _pair_rules(g, p, rel_x, rel_y)
+    assert build_order1(g, p, rules) == (0, 1, 2, 3)
+    assert build_order2(g, p, rules) == (1, 0, 3, 2)
 
 
 def test_check_sufficient_g8(g8):
@@ -368,7 +366,7 @@ def test_crossing_private_neighborhoods_fail_nesting():
     rel_x, rel_y = derive_relations(g, p, cg, check_necessary(g, p, cg).coloring)
     for q in (p, p.mirrored()):
         with pytest.raises(ScopeError, match="totally nested"):
-            build_order1(g, q, rel_x, rel_y)
+            build_order1(g, q, _pair_rules(g, q, rel_x, rel_y))
 
 
 def test_rigid_free_blocks_construction():
@@ -378,29 +376,29 @@ def test_rigid_free_blocks_construction():
 
 
 def test_constraint_cycle_raises():
-    cons = _ConstraintSet(3)
-    cons.add(0, 1)
-    cons.add(1, 2)
-    cons.add(2, 0)
     with pytest.raises(OrderConstructionError) as exc:
-        cons.toposort((1 << 3) - 1)
+        _toposort([0b010, 0b100, 0b001], 0b111)
     assert exc.value.cycle == (0, 1, 2)
     # the least unplaced vertex, 0, leads to no cycle; the cycle is 1 -> 2
-    cons = _ConstraintSet(3)
-    cons.add(1, 2)
-    cons.add(2, 1)
-    cons.add(1, 0)
     with pytest.raises(OrderConstructionError) as exc:
-        cons.toposort((1 << 3) - 1)
+        _toposort([0b000, 0b101, 0b010], 0b111)
     assert exc.value.cycle == (1, 2)
 
 
 def test_constraint_tie_break_and_inclusion():
-    cons = _ConstraintSet(4)
-    cons.add_inclusion(2, 1, 0b0011, 0b0011)  # equal masks: ascending id
-    assert (1, 2) in constraint_arcs(cons)
-    cons.add_inclusion(0, 3, 0b0111, 0b0011)  # strictly larger mask second
-    assert (3, 0) in constraint_arcs(cons)
-    cons.add_inclusion(0, 1, 0b0101, 0b0011)  # incomparable: no arc
-    assert not {(0, 1), (1, 0)} & constraint_arcs(cons)
-    assert cons.toposort((1 << 4) - 1) == (1, 2, 3, 0)
+    """X pairs by Y-neighborhood inclusion and Y pairs by X-neighborhood
+    nesting, in ``keep``; a Y pair that is not nested by the difference
+    pattern, in ``flip``. No pair here is related."""
+    # X_a = {0, 1, 2, 3}, X_b = {2, 3, 4}, Y = {5, 6, 7, 8}
+    edges = [(u, v) for block in ((0, 1, 2, 3), (2, 3, 4), (5, 6, 7, 8)) for u, v in itertools.combinations(block, 2)]
+    edges += [(0, 5), (0, 6), (0, 7), (1, 5), (2, 5), (2, 6), (3, 5), (3, 6), (4, 8)]
+    g = build_graph(9, edges)
+    p = validate_bab(g, [0, 1, 2, 3], [2, 3, 4], [5, 6, 7, 8])
+    keep, flip = _pair_rules(g, p, (0,) * 9, (0,) * 9)
+    pairs = set(relation_pairs(keep))
+    assert (2, 3) in pairs and (3, 2) not in pairs  # equal masks: ascending id
+    assert (1, 0) in pairs and (0, 1) not in pairs  # strictly larger mask second
+    assert not {(0, 4), (4, 0)} & pairs  # incomparable X pair: no bit
+    assert (5, 7) in pairs  # bigger X-neighborhood first
+    assert not {(7, 8), (8, 7)} & pairs
+    assert relation_pairs(flip) == [(7, 8)]  # the a-side difference on the left

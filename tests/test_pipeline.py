@@ -32,6 +32,7 @@ from squaregeo.chords import ChordGraph, y_end_masks
 from squaregeo.embedding import embed, make_order_pair
 from squaregeo.errors import ParseError
 from squaregeo.instances import _PAIR_LINE
+from squaregeo.orders import derive_relations
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
 from oracles import mask_of_pairs, pairs_of, verify_certificate_by_sets, verify_embedding_by_pairs
@@ -147,8 +148,9 @@ def test_region_overshoot_recognized_yes():
 
 def test_recognize_runs_each_analysis_once(g8, monkeypatch):
     """The chord graph, its y-end table, its BFS, the forced sets, the
-    coloring and the rigid-free report are computed once per instance, also
-    when construction swaps the two sides."""
+    coloring, the rigid-free report and the derived relations are computed
+    once per instance, also when construction swaps the two sides of an
+    instance with forced nodes."""
     calls = Counter()
     bfs = ChordGraph.bfs
 
@@ -157,7 +159,8 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
         return bfs(self, root)
 
     monkeypatch.setattr(ChordGraph, "bfs", counted_bfs)
-    for fn in (build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets, y_end_masks):
+    for fn in (build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets, derive_relations,
+               y_end_masks):
         def counted(*args, _fn=fn):
             calls[_fn.__name__] += 1
             return _fn(*args)
@@ -172,10 +175,11 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
         cert = recognize(g, p)
         assert cert.verdict == YES
         assert calls == {"build_chord_graph": 1, "color_constrained": 1, "check_rigid_free": 1,
-                         "compute_ab_sets": 1, "y_end_masks": 1, "bfs": 1}
+                         "compute_ab_sets": 1, "derive_relations": 1, "y_end_masks": 1, "bfs": 1}
     g, p = swap
     cg = build_chord_graph(g, p)
-    assert check_sufficient(g, p, cg, check_necessary(g, p, cg)).swapped
+    nec = check_necessary(g, p, cg)
+    assert check_sufficient(g, p, cg, nec).swapped and any(nec.forced)
 
 
 def test_recognize_builds_no_augmented_graph(g8, disconnected7):
