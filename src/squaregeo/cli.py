@@ -129,14 +129,22 @@ def cmd_gen(args) -> int:
         raise GenerationError(f"sizes wants four integers, got {_echo(args.sizes)}") from None
     if len(sizes) != 4:
         raise GenerationError("sizes wants exactly four comma-separated integers")
-    g, p = generate_bab(sizes, args.density, args.seed, filter=args.filter)
+    g, p = generate_bab(sizes, args.density, args.seed)
     sys.stdout.write(emit_instance(g, p))
     return EXIT_YES
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with a value that its type or its choices reject
-    cut in the error as in every error."""
+    """argparse's parser, with a value that its type or its choices reject,
+    and the arguments that no option takes, cut in the error as in every
+    error. The unrecognized arguments are cut as one text, so their number
+    does not lengthen the message either."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + _echo(" ".join(extras), str))
+        return args
 
     def _get_values(self, action, strings):
         try:
@@ -189,7 +197,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="private-a, shared, private-b and y block sizes")
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--filter", choices=("none", "assumption1", "sufficient"), default="none")
     sp.set_defaults(func=cmd_gen)
     return parser
 

@@ -36,7 +36,8 @@ class OrderConstructionError(RuntimeError):
 
 
 class GenerationError(RuntimeError):
-    """Random instance generation exhausted its attempt budget."""
+    """A random instance was requested with bad arguments (block sizes,
+    density)."""
 
 
 class ParseError(ValueError):

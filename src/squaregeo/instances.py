@@ -24,11 +24,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .chords import build_chord_graph
 from .errors import GenerationError, ParseError, _echo
 from .graph import BabPartition, Graph, bits, build_graph, check_cover, validate_bab
-from .necessary import NecessaryStatus, check_necessary
-from .orders import check_sufficient
 from .pipeline import NO, UNDECIDED, YES, Certificate
 
 INSTANCE_HEADER = "bab-instance v1"
@@ -44,7 +41,6 @@ _PAIR_LINE = re.compile(r"[0-9]{1,18},[0-9]{1,18}(?: [0-9]{1,18},[0-9]{1,18}){0,
 # repetition cap keeps the backtracking stack of one match small; the digit
 # cap keeps every id below any int_max_str_digits limit Python allows.
 _EDGE_RUN = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n){1,1024}", re.M)
-_ATTEMPTS = 200  # generate_bab's rejection-sampling cap
 
 
 def _content_lines(text: str, start: int = 1):
@@ -283,23 +279,18 @@ def generate_bab(
     sizes: tuple[int, int, int, int],
     density: float,
     seed: int,
-    filter: str = "none",
 ) -> tuple[Graph, BabPartition]:
     """Random instance with the given block sizes (private a, shared,
-    private b, y) and X-Y edge density in [0, 1]. Deterministic per seed.
-
-    filter "assumption1" keeps only instances passing the structural audit;
-    "sufficient" keeps only instances satisfying every order-construction
-    condition (the construction outcome itself is not consulted). Rejection
-    sampling, so a generation error is raised after 200 attempts.
+    private b, y) and X-Y edge density in [0, 1]. Deterministic per seed:
+    one ``random.Random(seed)`` decides each X-Y edge in turn. A bad
+    request (an empty shared or y block, a negative size, a density
+    outside [0, 1], too many vertices) raises GenerationError.
     """
     a_size, shared_size, b_size, y_size = sizes
     if shared_size < 1 or y_size < 1:
         raise GenerationError("shared part and y part must be nonempty")
     if min(a_size, b_size) < 0:
         raise GenerationError("negative block size")
-    if filter not in ("none", "assumption1", "sufficient"):
-        raise GenerationError(f"unknown filter {filter!r}")
     if not 0 <= density <= 1:  # also rejects NaN, which fails every comparison
         raise GenerationError(f"density wants a number in [0, 1], got {density!r}")
     rng = random.Random(seed)
@@ -311,33 +302,16 @@ def generate_bab(
     b_block = range(a_size + shared_size, a_size + shared_size + b_size)
     y_block = range(n - y_size, n)
 
-    for _ in range(_ATTEMPTS):
-        edges = []
-        xa = list(a_block) + list(shared_block)
-        xb = list(shared_block) + list(b_block)
-        for part in (xa, xb, list(y_block)):
-            for i, u in enumerate(part):
-                for v in part[i + 1:]:
-                    edges.append((u, v))
-        for x in xa + list(b_block):
-            for y in y_block:
-                if rng.random() < density:
-                    edges.append((x, y))
-        g = build_graph(n, sorted(set(edges)))
-        p = validate_bab(g, xa, xb, list(y_block))
-        if filter == "none":
-            return g, p
-        cg = build_chord_graph(g, p)
-        nec = check_necessary(g, p, cg)
-        if nec.status is NecessaryStatus.OUT_OF_SCOPE:
-            continue
-        if filter == "assumption1":
-            return g, p
-        if nec.status is not NecessaryStatus.PASS:
-            continue
-        suff = check_sufficient(g, p, cg, nec)
-        if suff.reason not in ("partial-orders", "nesting"):
-            return g, p
-    raise GenerationError(
-        f"no instance with filter {filter!r} within {_ATTEMPTS} attempts"
-    )
+    edges = []
+    xa = list(a_block) + list(shared_block)
+    xb = list(shared_block) + list(b_block)
+    for part in (xa, xb, list(y_block)):
+        for i, u in enumerate(part):
+            for v in part[i + 1:]:
+                edges.append((u, v))
+    for x in xa + list(b_block):
+        for y in y_block:
+            if rng.random() < density:
+                edges.append((x, y))
+    g = build_graph(n, sorted(set(edges)))
+    return g, validate_bab(g, xa, xb, list(y_block))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from squaregeo.chords import ChordGraph, RigidPair
+from squaregeo.chords import ChordGraph, RigidPair, build_chord_graph
 from squaregeo.embedding import EmbeddingCheck, completion, verify_embedding
 from squaregeo.errors import InputError, OrderConstructionError, ParseError, ScopeError, StructuralError, _echo
 from squaregeo.graph import (
@@ -36,8 +36,8 @@ from squaregeo.graph import (
     validate_bab,
 )
 from squaregeo.instances import INSTANCE_HEADER
-from squaregeo.necessary import ColoringRefutation, _layer_masks, _shortest_odd_cycle
-from squaregeo.orders import PartialOrderCheck
+from squaregeo.necessary import ColoringRefutation, NecessaryStatus, _layer_masks, _shortest_odd_cycle, check_necessary
+from squaregeo.orders import PartialOrderCheck, check_sufficient
 from squaregeo.pipeline import NO, UNDECIDED, YES, Certificate, CertificateCheck
 
 
@@ -1263,3 +1263,47 @@ def verify_certificate_by_sets(g: Graph, cert: Certificate) -> CertificateCheck:
     if not check.ok:
         problems.append(f"embedding fails on pair {check.violation}")
     return CertificateCheck(ok=not problems, problems=tuple(problems))
+
+
+# The generator before it drew once: one random.Random(seed) drew instance
+# after instance until one passed a filter, and the filter "sufficient" kept
+# a draw that met the sufficient conditions. Copied verbatim apart from the
+# names and the split into a draw stream and a test, as the source of the
+# instances the tests select; the first draw is ``generate_bab``'s.
+
+
+def bab_draws(sizes: tuple[int, int, int, int], density: float, seed: int):
+    """The successive draws (g, p) of one ``random.Random(seed)``, endless,
+    for a request ``generate_bab`` accepts."""
+    a_size, shared_size, b_size, y_size = sizes
+    rng = random.Random(seed)
+    n = a_size + shared_size + b_size + y_size
+    a_block = range(a_size)
+    shared_block = range(a_size, a_size + shared_size)
+    b_block = range(a_size + shared_size, a_size + shared_size + b_size)
+    y_block = range(n - y_size, n)
+
+    while True:
+        edges = []
+        xa = list(a_block) + list(shared_block)
+        xb = list(shared_block) + list(b_block)
+        for part in (xa, xb, list(y_block)):
+            for i, u in enumerate(part):
+                for v in part[i + 1:]:
+                    edges.append((u, v))
+        for x in xa + list(b_block):
+            for y in y_block:
+                if rng.random() < density:
+                    edges.append((x, y))
+        g = build_graph(n, sorted(set(edges)))
+        yield g, validate_bab(g, xa, xb, list(y_block))
+
+
+def meets_sufficient_conditions(g: Graph, p: BabPartition) -> bool:
+    """The necessary conditions pass and every order-construction condition
+    holds; the construction outcome itself is not consulted."""
+    cg = build_chord_graph(g, p)
+    nec = check_necessary(g, p, cg)
+    if nec.status is not NecessaryStatus.PASS:
+        return False
+    return check_sufficient(g, p, cg, nec).reason not in ("partial-orders", "nesting")

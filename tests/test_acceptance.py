@@ -5,8 +5,10 @@ tally) before asserting, so the captured output names the criterion that
 broke.
 """
 
+import hashlib
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -14,22 +16,24 @@ from squaregeo import (
     build_chord_graph,
     check_necessary,
     emit_certificate,
+    emit_instance,
     generate_bab,
     parse_certificate,
     recognize,
     verify_certificate,
 )
 from squaregeo.embedding import completion, make_order_pair
-from squaregeo.errors import GenerationError
 from squaregeo.necessary import NecessaryStatus
 
 from conftest import enumerate_bab_instances
 from oracles import (
+    bab_draws,
     bipartite_by_bfs,
     brute_force_orders_by_completion,
     chord_distribution,
     completion_closure_violations,
     linf_embedding_report,
+    meets_sufficient_conditions,
     pairs_of,
 )
 
@@ -76,18 +80,20 @@ def decided_corpus():
 
 @pytest.fixture(scope="session")
 def sufficient_certs():
-    """At least 500 generated instances that pass the sufficiency filter
+    """At least 500 generated instances that meet the sufficient conditions
     (shared block of two or more, at most 12 vertices), each paired with
-    its recognition outcome or the exception it raised."""
+    its recognition outcome or the exception it raised. Each seed gives
+    the first of its first 200 draws that meets them, if one does."""
     out = []
     seed = 0
     while len(out) < 500 and seed < 5000:
         shape = SUFFICIENT_SHAPES[seed % len(SUFFICIENT_SHAPES)]
-        try:
-            g, p = generate_bab(shape, _dens(seed), seed, filter="sufficient")
-        except GenerationError:
+        draws = islice(bab_draws(shape, _dens(seed), seed), 200)
+        found = next((gp for gp in draws if meets_sufficient_conditions(*gp)), None)
+        if found is None:
             seed += 1
             continue
+        g, p = found
         try:
             cert = recognize(g, p)
             out.append((g, p, cert, None))
@@ -123,12 +129,32 @@ def test_criterion_2_constructions_verify(sufficient_certs):
         elif not verify_certificate(g, cert).ok:
             failures.append((g.edges(), verify_certificate(g, cert).problems))
     line = (
-        f"{len(sufficient_certs)} filtered instances recognized and"
+        f"{len(sufficient_certs)} instances meeting the sufficient conditions recognized and"
         f" re-verified, {len(failures)} failures"
     )
     print(f"CRITERION 2: {'PASS' if not failures else 'FAIL'} {line}")
     assert len(sufficient_certs) >= 500
     assert not failures, failures[:3]
+
+
+def test_criterion_2_corpus_is_the_recorded_one(sufficient_certs):
+    """The 500 instances, in seed order, are those the generator's filter
+    "sufficient" selected before the filter left the package: the sha256
+    of their texts was recorded then."""
+    texts = "".join(emit_instance(g, p) for g, p, _, _ in sufficient_certs)
+    assert len(sufficient_certs) == 500
+    assert hashlib.sha256(texts.encode()).hexdigest() == (
+        "b01d79f815deaad5f4c15d9ac85c72226cf6cf373e8ae5cbfd290852e5c69d29"
+    )
+
+
+def test_first_draw_is_the_generators():
+    """On every criterion-2 shape, the first of ``bab_draws`` is the
+    instance ``generate_bab`` returns for the same request."""
+    for shape in SUFFICIENT_SHAPES:
+        for seed in range(10):
+            first = next(bab_draws(shape, _dens(seed), seed))
+            assert emit_instance(*first) == emit_instance(*generate_bab(shape, _dens(seed), seed))
 
 
 def test_criterion_2_completion_lines_are_the_sorted_pairs(sufficient_certs):

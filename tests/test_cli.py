@@ -137,8 +137,7 @@ def test_embed_prints_coords_or_complains(g8_file, rigid_fail_file, capsys):
 
 
 def test_gen_validate_recognize_pipe(tmp_path, capsys):
-    assert main(["gen", "--sizes", "1,2,1,3", "--density", "0.6", "--seed", "5",
-                 "--filter", "sufficient"]) == EXIT_YES
+    assert main(["gen", "--sizes", "1,2,1,3", "--density", "0.6", "--seed", "6"]) == EXIT_YES
     inst = capsys.readouterr().out
     path = tmp_path / "gen.txt"
     path.write_text(inst)
@@ -211,9 +210,8 @@ def test_int_options_bound_a_bad_value_in_their_error(capsys, option, value):
 
 @pytest.mark.parametrize("argv, name", [
     (["recognize", "--format", "x" * 5000, "-"], "--format"),
-    (["gen", "--sizes", "1,1,1,1", "--filter", "x" * 5000], "--filter"),
     (["x" * 5000], "command"),
-], ids=["format", "filter", "subcommand"])
+], ids=["format", "subcommand"])
 def test_choices_bound_a_bad_value_in_their_error(capsys, argv, name):
     """A rejected choice, an unknown subcommand too, is cut in argparse's
     error as in every error; the choices are still listed."""
@@ -224,6 +222,25 @@ def test_choices_bound_a_bad_value_in_their_error(capsys, argv, name):
     assert out == ""
     lines = err.splitlines()
     assert f"error: argument {name}: invalid choice: '{'x' * 40}' … (4960 more characters) (choose from " in lines[-1]
+    assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("argv, extras", [
+    (["gen", "--sizes", "1,1,1,1", "--filter", "x" * 5000], ["--filter", "x" * 5000]),
+    (["validate", "-", "--bogus", "x" * 5000], ["--bogus", "x" * 5000]),
+    (["validate", "-"] + ["--b"] * 3000, ["--b"] * 3000),
+], ids=["gen-filter", "validate-bogus", "validate-many"])
+def test_unrecognized_arguments_are_cut_in_their_error(capsys, argv, extras):
+    """The arguments that no option takes are cut in argparse's error as
+    in every error, however many there are; gen has no --filter option."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    text = " ".join(extras)
+    assert lines[-1] == f"squaregeo: error: unrecognized arguments: {text[:40]} … ({len(text) - 40} more characters)"
     assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
 
 
