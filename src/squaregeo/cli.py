@@ -135,10 +135,14 @@ def cmd_gen(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with a value that its type or its choices reject,
-    and the arguments that no option takes, cut in the error as in every
-    error. The unrecognized arguments are cut as one text, so their number
-    does not lengthen the message either."""
+    """argparse's parser, with every argument that an error echoes cut as
+    in every error, quoted where argparse quotes it: whole, after its first
+    ``=``, or after the ``h``s argparse reads as chained ``-h`` flags. The
+    unrecognized arguments are cut as one text, however many there are."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self._argv, namespace)
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
@@ -146,14 +150,13 @@ class _Parser(argparse.ArgumentParser):
             self.error("unrecognized arguments: " + _echo(" ".join(extras), str))
         return args
 
-    def _get_values(self, action, strings):
-        try:
-            return super()._get_values(action, strings)
-        except argparse.ArgumentError as exc:
-            message = exc.message
-            for text in strings:
-                message = message.replace(repr(text), _echo(text))
-            raise argparse.ArgumentError(action, message) from None
+    def error(self, message):
+        for arg in self._argv:
+            value = arg.partition("=")[2]
+            texts = {arg, value, value.lstrip("h"), arg[1:].lstrip("h")}
+            for text in sorted(texts, key=len, reverse=True):  # no cut inside a longer echo
+                message = message.replace(repr(text), _echo(text)).replace(text, _echo(text, str))
+        super().error(message)
 
 
 def make_parser() -> argparse.ArgumentParser:

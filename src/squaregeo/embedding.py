@@ -23,35 +23,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InputError, ScopeError, StructuralError, _echo
-from .graph import Graph, bits, prefix_masks
-
-
-def _reach(g: Graph, seq: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """The prefix masks of ``seq``, ``first`` and ``reach``. ``reach[i]`` is
-    the last position of a neighbor of any vertex at positions 0..i, or i
-    if later, and ``first[k]`` is L(k), the first position i with
-    ``reach[i] >= k``. In the completion of ``seq``, position k is adjacent
-    to exactly the other positions of its block L(k)..reach[k]. Two
-    pointer sweeps, O(n) mask operations.
-    """
-    n = len(seq)
-    prefix = prefix_masks(seq)
-    reach = []
-    seen = 0  # neighbors of the vertices at positions 0..i
-    r = 0
-    for i, w in enumerate(seq):
-        seen |= g.adj[w]
-        r = max(r, i)
-        while r + 1 < n and seen & ~prefix[r + 1]:
-            r += 1
-        reach.append(r)
-    first = []
-    lo = 0
-    for k in range(n):
-        while reach[lo] < k:
-            lo += 1
-        first.append(lo)
-    return prefix, first, reach
+from .graph import Graph, _reach, bits, prefix_masks
 
 
 def completion(g: Graph, o: tuple[int, ...]) -> int:
@@ -97,14 +69,15 @@ def realize_unit_interval(g: Graph, o: tuple[int, ...]) -> tuple[Fraction, ...]:
     exactly on the completion's edges, each a multiple of 1/(n+1).
 
     There position k is adjacent to exactly the positions L(k)..k-1 before
-    it, L(k) the first i with ``reach[i] >= k`` (``_reach``). So k needs
-    two constraints: within 1 of L(k), which by monotonicity bounds its
-    other earlier neighbors, and at least 1 + 1/(n+1) past L(k)-1, its
-    last earlier non-neighbor. They are feasible for every interval-closed
-    order (Corneil et al. 1995). In units of 1/(n+1) the arcs weigh ints,
-    0 for monotonicity, n+1 for a neighbor and -(n+2) for a separation,
-    and Bellman-Ford solves them, relaxing the arcs from the end of o
-    backwards, which takes fewer rounds.
+    it (``_reach``). So k needs three constraints: nondecreasing from k-1;
+    within 1 of L(k), which by monotonicity bounds its other earlier
+    neighbors; and, if L(k) > 0, at least 1 + 1/(n+1) past L(k)-1, its last
+    earlier non-neighbor. They are feasible for every interval-closed order
+    (Corneil et al. 1995). In units of 1/(n+1) each reads x_b <= x_a + w,
+    w = 0, n+1 or -(n+2), and Bellman-Ford rounds from all zeros relax them
+    in place, at most n+1 rounds. A round walks o from the end backwards,
+    which takes fewer rounds; the fixpoint, the greatest solution at most
+    0, does not depend on the order of relaxation, so no coordinate does.
 
     Exactness: write a weight as a*(n+1) + b, -b the number of separation
     arcs. A simple path among n positions has at most n-1 of them, so two
@@ -119,22 +92,19 @@ def realize_unit_interval(g: Graph, o: tuple[int, ...]) -> tuple[Fraction, ...]:
         return ()
     _, first, _ = _reach(g, o)
     unit = n + 1  # length 1 in steps of 1/(n+1)
-    # constraint x_b - x_a <= w stored as (a, b, w)
-    arcs: list[tuple[int, int, int]] = []
-    for k in range(1, n):
-        arcs.append((k, k - 1, 0))
-        if first[k] <= k - 1:
-            arcs.append((first[k], k, unit))
-        if first[k] > 0:
-            arcs.append((k, first[k] - 1, -unit - 1))
-    arcs.reverse()
-
     dist = [0] * n
     for _ in range(n + 1):
         changed = False
-        for a, b, w in arcs:
-            if dist[a] + w < dist[b]:
-                dist[b] = dist[a] + w
+        for k in range(n - 1, 0, -1):
+            j = first[k]
+            if j > 0 and dist[k] - unit - 1 < dist[j - 1]:  # past L(k)-1
+                dist[j - 1] = dist[k] - unit - 1
+                changed = True
+            if dist[j] + unit < dist[k]:  # within 1 of L(k)
+                dist[k] = dist[j] + unit
+                changed = True
+            if dist[k] < dist[k - 1]:  # nondecreasing
+                dist[k - 1] = dist[k]
                 changed = True
         if not changed:
             break

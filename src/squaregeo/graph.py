@@ -1,10 +1,10 @@
-"""Immutable graphs, the three-clique partition, and unit interval order checks.
+"""Immutable graphs, the three-clique partition, and a linear order's blocks.
 
 Vertices are integers 0..n-1. Adjacency is kept as one bitmask per vertex,
 and the partition's sets are vertex masks too, so all set algebra on
 neighborhoods and parts is integer arithmetic; ``bits`` lists a mask's
-members. Every object here is frozen; functions return new values instead
-of mutating.
+members, ``_reach`` an order's blocks. Every object here is frozen;
+functions return new values instead of mutating.
 """
 
 from __future__ import annotations
@@ -51,6 +51,35 @@ def prefix_masks(seq: Sequence[int]) -> list[int]:
     for v in seq:
         out.append(out[-1] | 1 << v)
     return out
+
+
+def _reach(g: Graph, seq: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """An order's blocks, read by ``completion``, ``realize_unit_interval``
+    and ``is_unit_interval_order``: the prefix masks of ``seq``, ``first``
+    and ``reach``. ``reach[i]`` is the last position of a neighbor of any
+    vertex at positions 0..i, or i if later, and ``first[k]`` is L(k), the
+    first i with ``reach[i] >= k``. Position k's neighbors lie in its block
+    L(k)..reach[k]; in the completion of ``seq`` they are the whole block
+    but k. Two pointer sweeps, O(n) mask operations.
+    """
+    n = len(seq)
+    prefix = prefix_masks(seq)
+    reach = []
+    seen = 0  # neighbors of the vertices at positions 0..i
+    r = 0
+    for i, w in enumerate(seq):
+        seen |= g.adj[w]
+        r = max(r, i)
+        while r + 1 < n and seen & ~prefix[r + 1]:
+            r += 1
+        reach.append(r)
+    first = []
+    lo = 0
+    for k in range(n):
+        while reach[lo] < k:
+            lo += 1
+        first.append(lo)
+    return prefix, first, reach
 
 
 def _capped(ids: Iterable[int], count: int) -> str:
@@ -238,20 +267,17 @@ def is_unit_interval_order(g: Graph, order: Sequence[int]) -> bool:
 
     ``order`` is a permutation of V. The test is the classical three-point
     condition: whenever u comes before z before v and u~v, both u~z and z~v
-    must hold. Equivalently each vertex's closed neighborhood is one block
-    of consecutive positions (Corneil et al. 1995). One sweep along the
-    order counts v's neighbors before and after its position i and compares
-    ``adj[v]`` with the block of that many positions on each side, taken
-    from prefix masks: O(n) mask operations on n-bit integers.
+    must hold (Corneil et al. 1995), i.e. no edge straddles a non-edge and
+    the order's forced set (``completion``) is empty. A vertex's closed
+    neighborhood lies in its block (``_reach``), and the completion makes it
+    the whole block, so the test is that every closed neighborhood already
+    is its block: O(n) mask operations on n-bit integers.
     """
     seq = list(order)
     if sorted(seq) != list(range(g.n)):
         raise InputError("order is not a permutation of V")
-    prefix = prefix_masks(seq)
-    for i, v in enumerate(seq):
-        nbrs = g.adj[v]
-        before = (nbrs & prefix[i]).bit_count()
-        after = nbrs.bit_count() - before
-        if nbrs != prefix[i + 1 + after] ^ prefix[i - before] ^ (1 << v):
-            return False
-    return True
+    prefix, first, reach = _reach(g, seq)
+    return all(
+        g.adj[v] | 1 << v == prefix[reach[k] + 1] ^ prefix[first[k]]
+        for k, v in enumerate(seq)
+    )

@@ -196,10 +196,6 @@ def umbrella_ok(g: Graph, seq) -> bool:
     return True
 
 
-def unit_interval_by_search(g: Graph) -> bool:
-    return any(umbrella_ok(g, perm) for perm in permutations(range(g.n)))
-
-
 def square_geometric_by_order_search(g: Graph) -> bool:
     """Dumb search over all order pairs, no symmetry pruning."""
     perms = list(permutations(range(g.n)))

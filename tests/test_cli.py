@@ -208,20 +208,47 @@ def test_int_options_bound_a_bad_value_in_their_error(capsys, option, value):
     assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["recognize", "--format", "x" * 5000, "-"], "--format"),
-    (["x" * 5000], "command"),
-], ids=["format", "subcommand"])
-def test_choices_bound_a_bad_value_in_their_error(capsys, argv, name):
+CUT = f"'{'x' * 40}' … (4960 more characters)"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["recognize", "--format", "x" * 5000, "-"], f"argument --format: invalid choice: {CUT} (choose from "),
+    (["recognize", "--format=" + "x" * 5000, "-"], f"argument --format: invalid choice: {CUT} (choose from "),
+    (["x" * 5000], f"argument command: invalid choice: {CUT} (choose from "),
+    (["recognize", "-", "--o=" + "x" * 5000], f"ambiguous option: --o={'x' * 36} … (4964 more characters) could match "),
+    (["recognize", "-", "--oracle=" + "x" * 5000], f"argument --oracle: ignored explicit argument {CUT}"),
+], ids=["format", "format-equals", "subcommand", "ambiguous", "explicit"])
+def test_choices_bound_a_bad_value_in_their_error(capsys, argv, want):
     """A rejected choice, an unknown subcommand too, is cut in argparse's
-    error as in every error; the choices are still listed."""
+    error as in every error; the choices are still listed. So is every
+    other argument argparse echoes: an ambiguous option, and the explicit
+    argument that a flag cannot take."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_UNDECIDED
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
-    assert f"error: argument {name}: invalid choice: '{'x' * 40}' … (4960 more characters) (choose from " in lines[-1]
+    assert f"error: {want}" in lines[-1]
+    assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("prefix", ["-h", "-hh", "-h=h", "-hh="])
+def test_help_chains_are_cut_in_their_error(capsys, prefix):
+    """argparse reads the ``h``s after ``-h`` as more ``-h`` flags and
+    rejects the rest as an argument that ``-h`` cannot take; that argument
+    is cut as in every error. From Python 3.13 on, argparse prints the help
+    for some of these instead, with exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["recognize", "-", prefix + "x" * 5000])
+    err = capsys.readouterr().err
+    if exc.value.code == 0:
+        assert sys.version_info >= (3, 13) and err == ""
+        return
+    assert exc.value.code == EXIT_UNDECIDED
+    lines = err.splitlines()
+    assert "error: argument -h/--help: ignored explicit argument '" in lines[-1]
+    assert lines[-1].endswith(" more characters)")
     assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
 
 

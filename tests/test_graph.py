@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from squaregeo import build_graph, is_unit_interval_order, validate_bab
+from squaregeo.embedding import completion
 from squaregeo.errors import InputError, ScopeError, StructuralError
 from squaregeo.graph import bits, mask_of, ny_mask
 
@@ -211,18 +212,19 @@ def test_unit_interval_order_on_a_path():
 
 
 def test_unit_interval_order_matches_three_point_scan_exhaustively():
-    """Every graph on 4 vertices, every order: the incremental test agrees
-    with the direct three-point scan."""
+    """Every graph on 4 vertices, every order: the block test agrees with
+    the direct three-point scan, and with an empty forced set."""
     pairs = list(itertools.combinations(range(4), 2))
     for bitsum in range(1 << len(pairs)):
         g = build_graph(4, [pairs[i] for i in range(len(pairs)) if (bitsum >> i) & 1])
         for seq in itertools.permutations(range(4)):
-            assert is_unit_interval_order(g, seq) == umbrella_ok(g, seq)
+            assert is_unit_interval_order(g, seq) == umbrella_ok(g, seq) == (not completion(g, seq))
 
 
 def test_unit_interval_order_matches_three_point_scan_on_random_orders():
     """Random graphs, and near graphs of points on a quarter-integer line
-    (unit interval graphs) under their sorted order and random orders."""
+    (unit interval graphs) under their sorted order and random orders; an
+    order passes exactly when its forced set is empty."""
     rng = random.Random(3)
     verdicts = set()
     for _ in range(3000):
@@ -238,7 +240,7 @@ def test_unit_interval_order_matches_three_point_scan_on_random_orders():
         g = build_graph(n, edges)
         for seq in seqs:
             got = is_unit_interval_order(g, seq)
-            assert got == umbrella_ok(g, seq)
+            assert got == umbrella_ok(g, seq) == (not completion(g, tuple(seq)))
             verdicts.add(got)
     assert verdicts == {True, False}
 
