@@ -204,13 +204,24 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _os_message(exc: OSError) -> str:
+    """``str(exc)``, with each file name it carries cut by ``_echo``."""
+    if exc.filename is None:
+        return str(exc)
+    text = f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename)}"
+    if exc.filename2 is not None:
+        text += f" -> {_echo(exc.filename2)}"
+    return text
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, GenerationError, OSError) as exc:
         kind = "parse error" if isinstance(exc, ParseError) else "error"
-        print(f"{kind}: {exc}", file=sys.stderr)
+        text = _os_message(exc) if isinstance(exc, OSError) else str(exc)
+        print(f"{kind}: {text}", file=sys.stderr)
         return EXIT_UNDECIDED
 
 

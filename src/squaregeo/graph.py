@@ -125,10 +125,16 @@ class Graph:
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Create a graph from an edge list, validating every endpoint."""
+    """Create a graph from an edge list, validating every endpoint.
+
+    Each edge ORs two bits from one table of the n single-bit masks, built
+    once per call, so no mask is shifted per edge. An endpoint is checked
+    against n, and a self loop refused, before it indexes anything.
+    """
     if n < 0:
         raise InputError(f"negative vertex count {_echo(n, str)}")
     adj = [0] * n
+    one = [1 << v for v in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(
@@ -136,8 +142,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             )
         if u == v:
             raise InputError(f"self loop at {_echo(u, str)}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        adj[u] |= one[v]
+        adj[v] |= one[u]
     return Graph(n, tuple(adj))
 
 

@@ -11,10 +11,15 @@ single spaces, ids of at most 18 digits and a newline end, as
 (extra blanks, CRLF ends, longer ids, ...) is read line by line, parses
 to the same graph and raises the same errors. ``parse_certificate`` reads
 canonical completion lines (``u,v`` tokens, single spaces, ids of at most
-18 digits) in bulk the same way. Each parse call reads its ids through
-one fresh ``_IntMemo``, so a repeated id token is converted once.
+18 digits) in bulk the same way, other spellings token by token. Each
+parse call reads its ids through one fresh ``_IntMemo``, so a repeated id
+token is converted once.
 Only the text spells out a forced set's pairs; a ``Certificate`` holds its
 pair mask over the vertices of order1, bit u*n + v, as ``completion`` does.
+A completion line's ids go straight to one row mask per u, with no tuple
+or set per pair. A line with a pair not u < v among those vertices is
+read again as a frozenset of its pairs, and its error names the first
+bad pair in that set's order.
 """
 
 from __future__ import annotations
@@ -169,37 +174,51 @@ def _emit_pairs(key: str, mask: int, n: int) -> str:
     return " ".join(out)
 
 
-def _parse_pairs(i: int, rest: str, ints: _IntMemo) -> frozenset[tuple[int, int]]:
-    """The pairs of a completion line; a canonical body is read in bulk
-    through ``ints``, any other token by token, with the same pairs and
-    errors."""
+def _parse_pairs(i: int, rest: str, ints: _IntMemo) -> list[int]:
+    """The ids of a completion line's pairs, two per pair in text order. A
+    canonical body is read in bulk through ``ints``, any other token by
+    token, with the same ids and errors."""
     if _PAIR_LINE.fullmatch(rest):
-        ends = map(ints.__getitem__, rest.replace(",", " ").split())
-        return frozenset(zip(ends, ends))
-    pairs = []
+        return list(map(ints.__getitem__, rest.replace(",", " ").split()))
+    ids = []
     for tok in rest.split():
         left, _, right = tok.partition(",")
         try:
-            pairs.append((int(left), int(right)))
+            ids += int(left), int(right)
         except ValueError:
             raise ParseError(f"line {i}: bad pair {_echo(tok)}") from None
-    return frozenset(pairs)
+    return ids
 
 
-def _pair_mask(i: int, pairs: frozenset[tuple[int, int]], n: int) -> int:
-    """The pair mask over n vertices of the pairs of line i. A pair not
-    0 <= u < v < n raises ParseError before it is shifted, so a hostile id
-    never builds a huge int. One row per u, then one shift per row."""
+def _range_error(i: int, ids: list[int], n: int) -> ParseError:
+    """The error for line i, whose ids hold a pair not 0 <= u < v < n. It
+    names the first such pair in the order of a frozenset of the pairs."""
+    ends = iter(ids)
+    u, v = next((u, v) for u, v in frozenset(zip(ends, ends)) if not 0 <= u < v < n)
+    shown = f"{_echo(u, str)},{_echo(v, str)}"
+    return ParseError(f"line {i}: pair {shown} is not u < v among the {n} vertices of order1")
+
+
+def _pair_mask(i: int, ids: list[int], n: int) -> int:
+    """The pair mask over n vertices of the pairs of line i, from their ids
+    as ``_parse_pairs`` lists them. Each pair ORs bit v into row u, with no
+    tuple or set per pair, and the rows then fold in pairs, in log2(n)
+    rounds. A pair not 0 <= u < v < n raises ParseError before it is
+    shifted, so a hostile id never builds a huge int."""
     rows = [0] * n
-    for u, v in pairs:
+    ends = iter(ids)
+    for u, v in zip(ends, ends):
         if not 0 <= u < v < n:
-            shown = f"{_echo(u, str)},{_echo(v, str)}"
-            raise ParseError(f"line {i}: pair {shown} is not u < v among the {n} vertices of order1")
+            raise _range_error(i, ids, n)
         rows[u] |= 1 << v
-    mask = 0
-    for row in reversed(rows):
-        mask = mask << n | row
-    return mask
+    # row u lands at bit u*n: each round joins neighboring rows, doubling the width
+    width = n
+    while len(rows) > 1:
+        if len(rows) % 2:
+            rows.append(0)
+        rows = [lo | hi << width for lo, hi in zip(rows[::2], rows[1::2])]
+        width *= 2
+    return rows[0] if rows else 0
 
 
 def emit_certificate(cert: Certificate) -> str:

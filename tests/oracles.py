@@ -61,6 +61,16 @@ def mask_of_pairs(pairs, n: int) -> int:
     return sum(1 << (u * n + v) for u, v in set(pairs))
 
 
+def mask_of_pairs_by_bytes(pairs, n: int) -> int:
+    """The pair mask of pairs (u, v), bit u*n + v set in a bytearray: linear
+    in n*n where ``mask_of_pairs`` adds one n*n-bit int per pair."""
+    buf = bytearray((n * n + 7) // 8)
+    for u, v in pairs:
+        bit = u * n + v
+        buf[bit >> 3] |= 1 << (bit & 7)
+    return int.from_bytes(buf, "little")
+
+
 def scan_completion(g: Graph, seq) -> frozenset[tuple[int, int]]:
     """Forced non-edges by scanning every edge for a covering witness."""
     pos = {v: i for i, v in enumerate(seq)}
@@ -971,6 +981,63 @@ def coordinate_by_fraction_string(tok: str) -> Fraction:
     if not _COORDINATE_BY_STRING.fullmatch(tok):
         raise ValueError(f"bad coordinate {tok!r}")
     return Fraction(tok)
+
+
+# The completion-line reader before canonical ids went straight to rows:
+# every body became a frozenset of pairs, walked again to fill the rows,
+# and the rows were shifted into the mask one at a time. Copied verbatim
+# apart from the names, as the reference for ``instances._parse_pairs``
+# plus ``instances._pair_mask``; ``ints`` is an ``instances._IntMemo``.
+
+_PAIR_LINE_BY_SET = re.compile(r"[0-9]{1,18},[0-9]{1,18}(?: [0-9]{1,18},[0-9]{1,18}){0,8191}")
+
+
+def parse_pairs_by_set(i: int, rest: str, ints) -> frozenset[tuple[int, int]]:
+    if _PAIR_LINE_BY_SET.fullmatch(rest):
+        ends = map(ints.__getitem__, rest.replace(",", " ").split())
+        return frozenset(zip(ends, ends))
+    pairs = []
+    for tok in rest.split():
+        left, _, right = tok.partition(",")
+        try:
+            pairs.append((int(left), int(right)))
+        except ValueError:
+            raise ParseError(f"line {i}: bad pair {_echo(tok)}") from None
+    return frozenset(pairs)
+
+
+def pair_mask_by_set(i: int, pairs: frozenset[tuple[int, int]], n: int) -> int:
+    rows = [0] * n
+    for u, v in pairs:
+        if not 0 <= u < v < n:
+            shown = f"{_echo(u, str)},{_echo(v, str)}"
+            raise ParseError(f"line {i}: pair {shown} is not u < v among the {n} vertices of order1")
+        rows[u] |= 1 << v
+    mask = 0
+    for row in reversed(rows):
+        mask = mask << n | row
+    return mask
+
+
+# The graph builder before the table of single-bit masks: two fresh shifts
+# per edge. Copied verbatim apart from the name, as the reference for
+# ``graph.build_graph``.
+
+
+def build_graph_by_shifts(n: int, edges) -> Graph:
+    if n < 0:
+        raise InputError(f"negative vertex count {_echo(n, str)}")
+    adj = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(
+                f"edge ({_echo(u, str)},{_echo(v, str)}) out of range for n={_echo(n, str)}"
+            )
+        if u == v:
+            raise InputError(f"self loop at {_echo(u, str)}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
 
 
 # The axis realization before it read the completion of the order itself:

@@ -7,7 +7,8 @@ import pytest
 
 from squaregeo import emit_certificate, emit_instance, generate_bab, parse_certificate, recognize
 from squaregeo import build_chord_graph, check_necessary
-from squaregeo.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, main
+from squaregeo.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, _os_message, main
+from squaregeo.errors import _echo
 from squaregeo.pipeline import NO
 
 from conftest import enumerate_bab_instances
@@ -458,6 +459,33 @@ def test_verify_coprime_denominator_certificate(tmp_path, capsys):
 def test_missing_file_is_an_error(capsys):
     assert main(["validate", "/nonexistent/path.txt"]) == EXIT_UNDECIDED
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "x" * 5000],
+    ["verify", "x" * 5000, "g8"],
+    ["verify", "g8", "x" * 5000],
+], ids=["validate", "verify-instance", "verify-certificate"])
+def test_long_file_names_are_cut_in_their_error(g8_file, capsys, argv):
+    """A file name too long to open is cut like any echoed input: one error
+    line of under 600 bytes, exit 2."""
+    argv = [g8_file if arg == "g8" else arg for arg in argv]
+    assert main(argv) == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(err.encode()) < 600 and sum("error:" in line for line in lines) == 1
+    assert lines[0].startswith("error: [Errno ") and lines[0].endswith(f": {_echo('x' * 5000)}")
+
+
+@pytest.mark.parametrize("exc", [
+    OSError(2, "No such file or directory", "/nonexistent/path.txt"),
+    OSError(18, "Invalid cross-device link", "a.txt", None, "b.txt"),
+    OSError("no file name"),
+    OSError(5, "Input/output error"),
+])
+def test_short_file_errors_read_as_python_writes_them(exc):
+    assert _os_message(exc) == str(exc)
 
 
 NINES = "9" * 4000

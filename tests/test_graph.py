@@ -1,5 +1,6 @@
 """Graph container, partition validation and the interval-order test."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from squaregeo.embedding import completion
 from squaregeo.errors import InputError, ScopeError, StructuralError
 from squaregeo.graph import bits, mask_of, ny_mask
 
-from oracles import NestingRelation, members, nesting, non_edges, umbrella_ok
+from oracles import NestingRelation, build_graph_by_shifts, members, nesting, non_edges, umbrella_ok
 
 
 def test_build_graph_edges_are_sorted_and_symmetric():
@@ -39,6 +40,54 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [(1, 1)])
     with pytest.raises(InputError):
         build_graph(-1, [])
+
+
+def _build_outcome(build, n, edges):
+    """("adj", the adjacency masks), or the exception type and message."""
+    try:
+        return "adj", build(n, edges).adj
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _edge_list(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Random pairs among 0..n-1, with duplicates and reversed pairs, and
+    sometimes one bad pair (an id equal to n, negative or huge, or a self
+    loop) put first, in the middle or last."""
+    edges = []
+    for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+        if rng.random() < 0.2:
+            edges.append(rng.choice([(u, v), (v, u)]))
+    if rng.random() < 0.5:
+        w = rng.randrange(n) if n else 0
+        bad = rng.choice([
+            (w, n), (n, w), (-1, w), (w, -1), (n, n), (10**30, w), (w, -(10**30)),
+            (10**4000, 10**4000), (w, w),
+        ])
+        edges.insert(rng.choice([0, len(edges) // 2, len(edges)]), bad)
+    return edges
+
+
+def test_build_graph_matches_the_shift_loop():
+    """The table build gives the per-edge shift loop's masks, or its exact
+    InputError, on random edge lists: the same check runs first on each
+    edge, so the first bad edge in list order is the one named."""
+    rng = random.Random(11)
+    kinds = collections.Counter()
+    for trial in range(3000):
+        n = rng.choice([0, 1, 2, 3, 5, 8, 30, 70])
+        edges = _edge_list(rng, n)
+        want = _build_outcome(build_graph_by_shifts, n, edges)
+        assert _build_outcome(build_graph, n, edges) == want, (n, edges)
+        kinds[want[0]] += 1
+        if want[0] is InputError:
+            kinds[want[1].split(" ")[0]] += 1
+    assert kinds["adj"] > 1000 and kinds[InputError] > 1000
+    assert kinds["edge"] > 500 and kinds["self"] > 100
+    for n, edges in ((0, []), (5, []), (-1, []), (-(10**50), [(0, 1)]), (0, [(0, 0)])):
+        assert _build_outcome(build_graph, n, edges) == _build_outcome(build_graph_by_shifts, n, edges)
 
 
 def test_bits_and_mask_of_round_trip():

@@ -23,9 +23,17 @@ from squaregeo import (
 )
 from squaregeo.errors import GenerationError, InputError, ParseError, ScopeError, StructuralError, _echo
 from squaregeo.graph import bits
-from squaregeo.instances import _PAIR_LINE, _coordinate, _parse_pairs
+from squaregeo.instances import _PAIR_LINE, _coordinate, _pair_mask, _parse_pairs
 
-from oracles import coordinate_by_fraction_string, parse_instance_by_lines, parse_pairs_by_tokens
+from oracles import (
+    coordinate_by_fraction_string,
+    mask_of_pairs,
+    mask_of_pairs_by_bytes,
+    pair_mask_by_set,
+    parse_instance_by_lines,
+    parse_pairs_by_set,
+    parse_pairs_by_tokens,
+)
 
 
 def test_instance_round_trip(g8):
@@ -404,15 +412,16 @@ def test_coordinate_rejects_what_the_fraction_string_reader_rejected(tok):
 
 
 def _pair_body(rng: random.Random) -> str:
-    """A completion body: canonical, or canonical with one hostile edit."""
-    pairs = sorted({(rng.randint(0, 60), rng.randint(0, 60)) for _ in range(rng.randint(0, 40))})
+    """A completion body of pairs u < v among 0..60: canonical, or canonical
+    with one hostile edit."""
+    pairs = sorted({tuple(sorted(rng.sample(range(61), 2))) for _ in range(rng.randint(0, 40))})
     toks = [f"{u},{v}" for u, v in pairs]
     if toks and rng.random() < 0.6:
         k = rng.randrange(len(toks))
         toks[k] = rng.choice([
             "0," + "9" * 18, "0," + "9" * 19, "1" * 19 + ",0", "007,08", "1,2,3", "1,", ",1", "1",
             "-1,2", "+1,2", "1, 2", "1,\u0663", "\u0663,1", "1_0,2", "1;2", toks[k] + "x", "0x1,2",
-            "0," + "7" * 5000, "0" * 17 + "5,6", toks[k - 1],
+            "0," + "7" * 5000, "0" * 17 + "5,6", toks[k - 1], "5,5", "9,3", "3,61",
         ])
     sep = "  " if toks and rng.random() < 0.1 else " "
     return sep.join(toks)
@@ -420,23 +429,78 @@ def _pair_body(rng: random.Random) -> str:
 
 def test_parse_pairs_matches_the_token_loop():
     """Canonical bodies take the bulk path, every other body the loop; both
-    give the token loop's pairs or its exact ParseError. Bodies past the
-    bulk cap of 8192 pairs go token by token. All bodies share one id
-    memo, as the lines of one certificate do, so later bodies read ids
-    an earlier one converted; a 5000-digit id reads as ``int`` reads it."""
+    give the pair mask of the token loop's pairs over 61 vertices, or the
+    exact ParseError of the token loop and the set path before it. Bodies
+    past the bulk cap of 8192 pairs go token by token; the cap bodies are
+    read over 8194 vertices, enough for their ids, so each gives the mask
+    of all its pairs. All bodies share one id memo, as the lines of one
+    certificate do, so later bodies read ids an earlier one converted; a
+    5000-digit id reads as ``int`` reads it."""
     rng = random.Random(5)
     bodies = [_pair_body(rng) for _ in range(3000)]
-    bodies.append(" ".join(f"{i},{i + 1}" for i in range(8192)))
-    bodies.append(" ".join(f"{i},{i + 1}" for i in range(8193)))
-    bodies.append(" ".join(f"{i},{i + 1}" for i in range(9000)) + " 5,x")
     kinds = collections.Counter()
     ints = instances._IntMemo()
     for rest in bodies:
-        want = _outcome(lambda r: parse_pairs_by_tokens(7, r), rest)
-        assert _outcome(lambda r: _parse_pairs(7, r, ints), rest) == want
+        want = _outcome(lambda r: pair_mask_by_set(7, parse_pairs_by_tokens(7, r), 61), rest)
+        if type(want) is int:
+            pairs = parse_pairs_by_tokens(7, rest)
+            assert want == mask_of_pairs(pairs, 61) == mask_of_pairs_by_bytes(pairs, 61)
+        assert _outcome(lambda r: _pair_mask(7, _parse_pairs(7, r, ints), 61), rest) == want
         kinds[type(want), bool(_PAIR_LINE.fullmatch(rest))] += 1
-    assert set(kinds) == {(frozenset, True), (frozenset, False), (tuple, False)}
-    assert kinds[frozenset, True] > 1000
+    assert set(kinds) == {(int, True), (int, False), (tuple, True), (tuple, False)}
+    assert kinds[int, True] > 1000
+    # shifting 8192 rows of up to 8194**2 bits into a mask one at a time
+    # takes seconds, so the cap bodies' reference sets bits in a bytearray
+    for k, bulk in ((8192, True), (8193, False)):
+        rest = " ".join(f"{i},{i + 1}" for i in range(k))
+        assert bool(_PAIR_LINE.fullmatch(rest)) is bulk
+        got = _pair_mask(7, _parse_pairs(7, rest, ints), 8194)
+        assert got == mask_of_pairs_by_bytes(parse_pairs_by_tokens(7, rest), 8194)
+        assert got.bit_count() == k
+    rest = " ".join(f"{i},{i + 1}" for i in range(9000)) + " 5,x"
+    want = _outcome(lambda r: parse_pairs_by_tokens(7, r), rest)
+    assert want == (ParseError, "line 7: bad pair '5,x'")
+    assert _outcome(lambda r: _pair_mask(7, _parse_pairs(7, r, ints), 9002), rest) == want
+
+
+RANGE_BODIES = {
+    "v=n": "0,6",
+    "v=n-late": "0,1 2,6",
+    "v>n-last": "0,1 1,2 5,9",
+    "v>>n": "0,99",
+    "u>v": "3,2",
+    "u=v-late": "0,1 4,4",
+    "u=v": "5,5",
+    "all-u>v": "1,0 2,1 3,2",
+    "18-digit-pair": "0,1 " + "9" * 18 + "," + "9" * 18,
+    "18-digit-v": "0," + "9" * 18,
+    "18-digit-u": "9" * 18 + ",0",
+    "18-digit-first": "1" * 18 + ",2 0,1",
+    "all-v>=n": "0,7 1,8 2,9 3,10 4,11 5,12",
+    # the set's order names 3,3 here, and 4,0 in the two grids: not the
+    # first bad pair of the text
+    "mixed": "2,1 0,6 3,3 4,5",
+    "grid-6x8": " ".join(f"{u},{v}" for u in range(6) for v in range(8)),
+    "grid-8x6": " ".join(f"{u},{v}" for u in range(8) for v in range(6)),
+    "repeats": "0,1 0,1 0,1 6,0",
+}
+
+
+@pytest.mark.parametrize("rest", RANGE_BODIES.values(), ids=RANGE_BODIES.keys())
+def test_pair_range_error_is_the_set_paths(rest):
+    """A canonical body with pairs not u < v among 6 vertices (v >= n,
+    u > v, u == v, 18-digit ids, several bad pairs at once) raises the
+    byte-identical ParseError of the frozenset path before rows."""
+    assert _PAIR_LINE.fullmatch(rest)
+    with pytest.raises(ParseError) as want:
+        pair_mask_by_set(7, parse_pairs_by_set(7, rest, instances._IntMemo()), 6)
+    with pytest.raises(ParseError) as got:
+        _pair_mask(7, _parse_pairs(7, rest, instances._IntMemo()), 6)
+    assert str(got.value) == str(want.value)
+    text = f"bab-certificate v1\nverdict yes\norder1 0 1 2 3 4 5\ncompletion1 {rest}\n"
+    with pytest.raises(ParseError) as whole:
+        parse_certificate(text)
+    assert str(whole.value) == str(want.value).replace("line 7", "line 4", 1)
 
 
 def test_generator_is_deterministic():
