@@ -127,14 +127,39 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Create a graph from an edge list, validating every endpoint.
 
-    Each edge ORs two bits from one table of the n single-bit masks, built
-    once per call, so no mask is shifted per edge. An endpoint is checked
-    against n, and a self loop refused, before it indexes anything.
+    Each edge ORs two single-bit masks. The first n*n/512 edges shift them;
+    an edge list that goes on past those reads the rest from one table of
+    the n masks, built once per call, so no mask is shifted per edge. The
+    table's n*n/2 bits are then at most 256 bits per edge read, and a short
+    list on a large n, such as an instance text that lacks its clique
+    edges, never builds it. An endpoint is checked against n, and a self
+    loop refused, before it indexes anything.
     """
     if n < 0:
         raise InputError(f"negative vertex count {_echo(n, str)}")
     adj = [0] * n
-    one = [1 << v for v in range(n)]
+    edges = iter(edges)
+    _add_edges(adj, itertools.islice(edges, n * n >> 9), _Shifts())
+    more = next(edges, None)
+    if more is not None:
+        one = [1 << v for v in range(n)]
+        _add_edges(adj, (more,), one)
+        del more  # a zip reuses its result tuple only when no one holds it
+        _add_edges(adj, edges, one)
+    return Graph(n, tuple(adj))
+
+
+class _Shifts:
+    """``_Shifts()[v]`` is ``1 << v``, shifted on each lookup."""
+
+    def __getitem__(self, v: int) -> int:
+        return 1 << v
+
+
+def _add_edges(adj: list[int], edges, one) -> None:
+    """Set both bits of every edge in ``adj``, with ``one[v]`` the mask of
+    vertex v; the first bad edge raises InputError."""
+    n = len(adj)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(
@@ -144,7 +169,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InputError(f"self loop at {_echo(u, str)}")
         adj[u] |= one[v]
         adj[v] |= one[u]
-    return Graph(n, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -247,6 +271,12 @@ def validate_bab(g: Graph, x_a: Iterable[int], x_b: Iterable[int], y: Iterable[i
     """
     sets = tuple(map(frozenset, (x_a, x_b, y)))
     check_cover(g.n, *sets)
+    return _covered_bab(g, *sets)
+
+
+def _covered_bab(g: Graph, *sets: frozenset[int]) -> BabPartition:
+    """``validate_bab`` on the id sets of X_a, X_b and Y once ``check_cover``
+    has passed them for ``g.n``."""
     xa, xb, ys = map(mask_of, sets)
     if not xa & xb:
         raise StructuralError("X_a and X_b must intersect")

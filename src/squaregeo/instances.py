@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .errors import GenerationError, ParseError, _echo
-from .graph import BabPartition, Graph, bits, build_graph, check_cover, validate_bab
+from .graph import BabPartition, Graph, _covered_bab, bits, build_graph, check_cover, validate_bab
 from .pipeline import NO, UNDECIDED, YES, Certificate
 
 INSTANCE_HEADER = "bab-instance v1"
@@ -93,6 +93,19 @@ def _instance_lines(text: str, ints: _IntMemo):
 
 
 def parse_instance(text: str) -> tuple[Graph, BabPartition]:
+    n, sets, ids = _instance_fields(text)
+    # the ids are checked against n before anything of size n is allocated
+    cover = tuple(frozenset(sets.pop(key)) for key in ("xa", "xb", "y"))
+    check_cover(n, *cover)
+    ends = iter(ids)
+    g = build_graph(n, zip(ends, ends))
+    return g, _covered_bab(g, *cover)
+
+
+def _instance_fields(text: str) -> tuple[int, dict[str, list[int]], list[int]]:
+    """n, the id lists of the xa, xb and y lines, and the edge endpoints,
+    two per edge in text order. The id memo goes with the call, before
+    anything of size n is built."""
     n = None
     sets: dict[str, list[int] | None] = {"xa": None, "xb": None, "y": None}
     ids: list[int] = []  # edge endpoints, two per edge, in text order
@@ -136,12 +149,7 @@ def parse_instance(text: str) -> tuple[Graph, BabPartition]:
     for key, val in sets.items():
         if val is None:
             raise ParseError(f"line {last}: missing {key} line")
-    # the ids are checked against n before anything of size n is allocated
-    check_cover(n, *(frozenset(sets[key]) for key in ("xa", "xb", "y")))
-    ends = iter(ids)
-    g = build_graph(n, zip(ends, ends))
-    p = validate_bab(g, sets["xa"], sets["xb"], sets["y"])
-    return g, p
+    return n, sets, ids
 
 
 def emit_instance(g: Graph, p: BabPartition) -> str:

@@ -73,7 +73,9 @@ def _edge_list(rng: random.Random, n: int) -> list[tuple[int, int]]:
 def test_build_graph_matches_the_shift_loop():
     """The table build gives the per-edge shift loop's masks, or its exact
     InputError, on random edge lists: the same check runs first on each
-    edge, so the first bad edge in list order is the one named."""
+    edge, so the first bad edge in list order is the one named. Lists
+    longer than n*n/512 edges go on past the shifted edges to the table,
+    shorter ones never build it; both kinds are common here."""
     rng = random.Random(11)
     kinds = collections.Counter()
     for trial in range(3000):
@@ -82,9 +84,11 @@ def test_build_graph_matches_the_shift_loop():
         want = _build_outcome(build_graph_by_shifts, n, edges)
         assert _build_outcome(build_graph, n, edges) == want, (n, edges)
         kinds[want[0]] += 1
+        kinds["table" if len(edges) > n * n >> 9 else "shifts only"] += 1
         if want[0] is InputError:
             kinds[want[1].split(" ")[0]] += 1
     assert kinds["adj"] > 1000 and kinds[InputError] > 1000
+    assert kinds["table"] > 1000 and kinds["shifts only"] > 300
     assert kinds["edge"] > 500 and kinds["self"] > 100
     for n, edges in ((0, []), (5, []), (-1, []), (-(10**50), [(0, 1)]), (0, [(0, 0)])):
         assert _build_outcome(build_graph, n, edges) == _build_outcome(build_graph_by_shifts, n, edges)

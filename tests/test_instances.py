@@ -23,7 +23,7 @@ from squaregeo import (
 )
 from squaregeo.errors import GenerationError, InputError, ParseError, ScopeError, StructuralError, _echo
 from squaregeo.graph import bits
-from squaregeo.instances import _PAIR_LINE, _coordinate, _pair_mask, _parse_pairs
+from squaregeo.instances import INSTANCE_HEADER, _PAIR_LINE, _coordinate, _pair_mask, _parse_pairs
 
 from oracles import (
     coordinate_by_fraction_string,
@@ -284,6 +284,25 @@ def test_parse_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1_500_000
+
+
+def test_instance_without_clique_edges_parses_in_small_memory():
+    """An instance of n=20,000 that lists every id and no edge (109 KB of
+    text) is refused with its first missing clique edge at a traced peak
+    below 6 MB: an edge list too short to fill the cliques builds no table
+    of single-bit masks, which would hold n*n/2 bits (25 MB), and the id
+    memo is gone before the graph is built."""
+    n = 20_000
+    text = f"{INSTANCE_HEADER}\nn {n}\nxa {' '.join(map(str, range(n - 1)))}\nxb 0\ny {n - 1}\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructuralError) as exc:
+            parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "X_a is not a clique: missing edge (0,1)"
+    assert peak < 6_000_000
 
 
 def test_instance_parse_checks_structure():

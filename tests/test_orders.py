@@ -23,6 +23,7 @@ from squaregeo.instances import generate_bab
 from squaregeo.orders import (
     _pair_rules,
     _toposort,
+    _total_order,
     build_order1,
     build_order2,
     derive_relations,
@@ -40,6 +41,8 @@ from oracles import (
     derive_relations_by_pairs,
     node_coloring,
     out_set,
+    planted_bab,
+    relabelled,
     relation_of,
     relation_pairs,
     validate_partial_order_by_pairs,
@@ -152,28 +155,53 @@ def test_relations_match_the_pair_reference():
     assert all(outcomes["random", ok, anti] for ok, anti in ((True, True), (False, True), (False, False)))
 
 
+def _total_order_arcs(rng: random.Random, n: int) -> tuple[str, list[tuple[int, int]]]:
+    """The arcs of a strict total order on a random permutation of 0..n-1,
+    as they stand, with one arc dropped, or with one arc reversed."""
+    perm = rng.sample(range(n), n)
+    arcs = list(itertools.combinations(perm, 2))
+    kind = rng.choice(["total", "dropped", "reversed"]) if arcs else "total"
+    if kind != "total":
+        a, b = arcs.pop(rng.randrange(len(arcs)))
+        if kind == "reversed":
+            arcs.append((b, a))
+    return kind, arcs
+
+
 def test_toposort_matches_the_arc_reference():
     """The same order and reported cycle as the original arc-set version,
     on random successor lists built from single arcs and from every vertex
-    of one random mask before every other vertex of another, sorted over
-    all vertices and over a random vertex mask. Over a mask, the reference
-    sorts the arcs between members and its order drops the other vertices.
-    Where the original walk hit an unplaced vertex with no unplaced
-    successor and failed, a real cycle is reported instead."""
+    of one random mask before every other vertex of another, and on strict
+    total orders, as they stand or with one arc dropped or reversed. Each
+    is sorted over all vertices and over a random vertex mask. Over a mask,
+    the reference sorts the arcs between members and its order drops the
+    other vertices. Where the original walk hit an unplaced vertex with no
+    unplaced successor and failed, a real cycle is reported instead.
+
+    A total order is read off its successor counts; a dropped arc always
+    sends the whole set to Kahn's sort, and so does a reversed one unless
+    it joins two neighbors of the order, which gives another total order."""
     rng = random.Random(0)
     outcomes = Counter()
-    for _ in range(3000):
+    for _ in range(6000):
         n = rng.randint(1, 9)
         succ, ref = [0] * n, ArcConstraintSet(n)
-        for _ in range(rng.randint(0, 2 * n)):
-            if rng.random() < 0.7:
-                us, vs = 1 << rng.randrange(n), 1 << rng.randrange(n)
-            else:
-                us, vs = rng.getrandbits(n) & rng.getrandbits(n), rng.getrandbits(n)
-            for a in bits(us):
-                succ[a] |= vs & ~(1 << a)
-                for b in bits(vs):
-                    ref.add(a, b)
+        if rng.random() < 0.5:
+            kind, arcs = _total_order_arcs(rng, n)
+            for a, b in arcs:
+                succ[a] |= 1 << b
+                ref.add(a, b)
+        else:
+            kind = "random"
+            for _ in range(rng.randint(0, 2 * n)):
+                if rng.random() < 0.7:
+                    us, vs = 1 << rng.randrange(n), 1 << rng.randrange(n)
+                else:
+                    us, vs = rng.getrandbits(n) & rng.getrandbits(n), rng.getrandbits(n)
+                for a in bits(us):
+                    succ[a] |= vs & ~(1 << a)
+                    for b in bits(vs):
+                        ref.add(a, b)
         assert constraint_arcs(succ) == ref.arcs
         members = rng.getrandbits(n)
         induced = ArcConstraintSet(n)
@@ -196,29 +224,43 @@ def test_toposort_matches_the_arc_reference():
                 want = got
                 outcomes[scope, "dead end"] += 1
             assert got == want
+            read = _total_order(succ, mask)
+            assert read is None or ("order", read) == got
             outcomes[scope, got[0]] += 1
+            outcomes[scope, kind, read is not None] += 1
+        if kind == "dropped":
+            assert _total_order(succ, (1 << n) - 1) is None
     assert all(outcomes[scope, kind] for scope in ("all", "mask") for kind in ("order", "cycle", "dead end"))
+    assert not outcomes["all", "total", False] and outcomes["all", "total", True] > 1000
+    assert outcomes["all", "reversed", True] and outcomes["all", "reversed", False] > 400
+    assert outcomes["mask", "dropped", True] and outcomes["mask", "dropped", False] > 100
+    assert outcomes["all", "random", True] and outcomes["all", "random", False] > 1000
 
 
-def test_builders_match_the_whole_set_reference(monkeypatch):
-    """Both orders equal the ones the earlier builders gave by sorting the
-    whole vertex set with the block layout as constraints. The corpus is
-    every seeded instance with n <= 12 that reaches construction, in both
-    orientations, under its coloring and under the swapped one. Each order
-    starts with its blocks: all of X in the second, the a's in their nesting
-    sequence and then the shared block in the first.
-
-    The swapped coloring can make two blocks cycle; the reported cycle is
-    then the first block's, where the reference may walk into the other
-    one, so only its arcs are checked against the reference's constraints."""
-    sorted_sets = []
+@pytest.fixture
+def sorted_sets(monkeypatch):
+    """The constraint sets the whole-set reference builders sort, in order."""
+    out = []
 
     class Recorded(WholeSetConstraintSet):
         def toposort(self):
-            sorted_sets.append(self)
+            out.append(self)
             return super().toposort()
 
     monkeypatch.setattr(oracles, "WholeSetConstraintSet", Recorded)
+    return out
+
+
+def _match_whole_set_builders(g, p, sorted_sets, cases: Counter, where) -> None:
+    """Both builders against the whole-set references on (g, p), under its
+    coloring and under the swapped one, when it reaches construction.
+
+    The swapped coloring can make two blocks cycle; the reported cycle is
+    then the first block's, where the reference may walk into the other
+    one, so only its arcs are checked against the reference's constraints.
+    ``cases`` counts the shape of the private sides under the coloring as
+    given; under each coloring, whether Y's rules alone are a total order;
+    and the cycles, with whether the first order's runs through a b."""
 
     def outcome(build, *args):
         try:
@@ -226,6 +268,48 @@ def test_builders_match_the_whole_set_reference(monkeypatch):
         except OrderConstructionError as exc:
             return exc
 
+    cg = build_chord_graph(g, p)
+    nec = check_necessary(g, p, cg)
+    if nec.status is not NecessaryStatus.PASS or not (p.a_nested and p.b_nested):
+        return
+    f = nec.coloring
+    for flipped, col in enumerate((f, cg.non_isolated_mask & ~f)):
+        rel_x, rel_y = derive_relations(g, p, cg, col)
+        if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
+            continue
+        rules = _pair_rules(g, p, rel_x, rel_y)
+        if not flipped:
+            cases[bool(p.a_seq), bool(p.b_seq)] += 1
+        y_total = _total_order([k | r for k, r in zip(*rules)], p.y) is not None
+        cases["y total", not flipped, y_total] += 1
+        o1, o2 = (outcome(build, g, p, rules) for build in (build_order1, build_order2))
+        for got, ref_build in ((o1, build_order1_by_whole_set), (o2, build_order2_by_whole_set)):
+            want = outcome(ref_build, g, p, rel_x, rel_y)
+            at = (*where, p, not flipped, ref_build.__name__)
+            if isinstance(want, tuple):
+                assert got == want, at
+                continue
+            assert isinstance(got, OrderConstructionError), at
+            cycle, succ = got.cycle, sorted_sets[-1].succ
+            assert len(set(cycle)) == len(cycle), at
+            assert all((succ[a] >> b) & 1 for a, b in zip(cycle, cycle[1:] + cycle[:1])), at
+            cases["cycle", not flipped] += 1
+            if ref_build is build_order1_by_whole_set:
+                cases["order1 cycle", y_total, bool(mask_of(cycle) & p.b_only)] += 1
+        if isinstance(o1, tuple):
+            a, s = len(p.a_seq), p.shared.bit_count()
+            assert o1[:a] == p.a_seq and mask_of(o1[a:a + s]) == p.shared
+        if isinstance(o2, tuple):
+            assert mask_of(o2[:p.x_all.bit_count()]) == p.x_all
+
+
+def test_builders_match_the_whole_set_reference(sorted_sets):
+    """Both orders equal the ones the earlier builders gave by sorting the
+    whole vertex set with the block layout as constraints. The corpus is
+    every seeded instance with n <= 12 that reaches construction, in both
+    orientations, under its coloring and under the swapped one. Each order
+    starts with its blocks: all of X in the second, the a's in their nesting
+    sequence and then the shared block in the first."""
     cases = Counter()
     for shape in itertools.product(range(4), range(1, 4), range(4), range(1, 6)):
         if sum(shape) > 12:
@@ -233,39 +317,35 @@ def test_builders_match_the_whole_set_reference(monkeypatch):
         for density, seed in itertools.product((0.3, 0.5, 0.7), range(10)):
             g, p0 = generate_bab(shape, density, seed)
             for p in (p0, p0.mirrored()):
-                cg = build_chord_graph(g, p)
-                nec = check_necessary(g, p, cg)
-                if nec.status is not NecessaryStatus.PASS or not (p.a_nested and p.b_nested):
-                    continue
-                f = nec.coloring
-                for flipped, col in enumerate((f, cg.non_isolated_mask & ~f)):
-                    rel_x, rel_y = derive_relations(g, p, cg, col)
-                    if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
-                        continue
-                    if not flipped:
-                        cases[bool(p.a_seq), bool(p.b_seq)] += 1
-                    rules = _pair_rules(g, p, rel_x, rel_y)
-                    o1, o2 = (outcome(build, g, p, rules) for build in (build_order1, build_order2))
-                    for got, ref_build in ((o1, build_order1_by_whole_set), (o2, build_order2_by_whole_set)):
-                        want = outcome(ref_build, g, p, rel_x, rel_y)
-                        where = (shape, density, seed, p == p0, not flipped, ref_build.__name__)
-                        if isinstance(want, tuple):
-                            assert got == want, where
-                            continue
-                        assert isinstance(got, OrderConstructionError), where
-                        cycle, succ = got.cycle, sorted_sets[-1].succ
-                        assert len(set(cycle)) == len(cycle), where
-                        assert all((succ[a] >> b) & 1 for a, b in zip(cycle, cycle[1:] + cycle[:1])), where
-                        cases["cycle", not flipped] += 1
-                    if isinstance(o1, tuple):
-                        a, s = len(p.a_seq), p.shared.bit_count()
-                        assert o1[:a] == p.a_seq and mask_of(o1[a:a + s]) == p.shared
-                    if isinstance(o2, tuple):
-                        assert mask_of(o2[:p.x_all.bit_count()]) == p.x_all
+                _match_whole_set_builders(g, p, sorted_sets, cases, (shape, density, seed))
     # (a_seq non-empty, b_seq non-empty): every case is reached
     assert cases[False, False] == 190 and cases[False, True] == 136
     assert cases[True, False] == 146 and cases[True, True] == 60
     assert not cases["cycle", True] and cases["cycle", False]
+    assert cases["y total", False, False] and cases["order1 cycle", True, True]
+
+
+def test_builders_match_the_whole_set_reference_at_benchmark_sizes(sorted_sets):
+    """The same on planted instances of n = 40 to 110, with the benchmark's
+    block shares and with one private side empty, each with its ids as
+    planted (every b before every y) and shuffled, in both orientations.
+    The seeds are ones whose instance passes the necessary conditions. Y's
+    rules are a total order on each under its own coloring, so the b's
+    merge into it behind the last a's fences; with no a, the b's and Y go
+    to Kahn's sort, and with no b, Y is read off alone. Under the swapped
+    coloring some Y rules are not a total order, and some fences cycle."""
+    cases = Counter()
+    for sizes, seeds in (((6, 8, 6, 20), (3, 4)), ((10, 14, 10, 36), (0, 2)), ((16, 22, 16, 56), (0, 1)),
+                         ((0, 14, 10, 46), (1, 2)), ((10, 14, 0, 46), (0, 2)),
+                         ((0, 22, 16, 72), (0,)), ((16, 22, 0, 72), (0,))):
+        for seed in seeds:
+            g, p = planted_bab(sizes, seed)
+            for h, q in ((g, p), relabelled(g, p, seed)):
+                for r in (q, q.mirrored()):
+                    _match_whole_set_builders(h, r, sorted_sets, cases, (sizes, seed))
+    assert cases[True, True] == 10 and cases[False, True] == 6 and cases[True, False] == 12
+    assert cases["y total", True, True] == 28 and not cases["y total", True, False]
+    assert cases["y total", False, False] and cases["order1 cycle", True, True]
 
 
 def test_g8_orders_frozen(g8):
@@ -383,6 +463,10 @@ def test_constraint_cycle_raises():
     with pytest.raises(OrderConstructionError) as exc:
         _toposort([0b000, 0b101, 0b010], 0b111)
     assert exc.value.cycle == (1, 2)
+    # distinct successor counts 2, 1, 0, but 0 and 1 precede each other
+    with pytest.raises(OrderConstructionError) as exc:
+        _toposort([0b110, 0b001, 0b000], 0b111)
+    assert exc.value.cycle == (0, 1)
 
 
 def test_constraint_tie_break_and_inclusion():
