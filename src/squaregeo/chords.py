@@ -56,9 +56,13 @@ class ChordGraph:
     ``x_start`` is the x-end table: the nodes with x-end v are the indices
     ``x_start[v]``..``x_start[v+1]``, an empty range for v outside X;
     ``build_chord_graph`` fills it, and a graph built by hand may leave it
-    empty.
+    empty. ``y_cut`` is the y-cut table: ``y_cut[x]`` is the mask of the
+    nodes whose y-end lies in N_Y(x), for x in X, and 0 for a vertex off X;
+    ``build_chord_graph`` fills it too.
     ``root_bfs`` is the one BFS from the least non-isolated node, shared by
-    the audit's component count, the coloring and the odd-cycle search.
+    the audit's component count, the coloring and the odd-cycle search; each
+    reads the layer masks and in-layer nodes the BFS records as it runs, so
+    none of them rebuilds them node by node.
     """
 
     nodes: tuple[tuple[int, int], ...]
@@ -67,6 +71,7 @@ class ChordGraph:
     b_vertex_mask: int
     by_y: tuple[int, ...]
     x_start: tuple[int, ...] = ()
+    y_cut: tuple[int, ...] = ()
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as index pairs (i, j), i < j, lexicographically."""
@@ -86,7 +91,7 @@ class ChordGraph:
         return m
 
     @cached_property
-    def root_bfs(self) -> tuple[list[int], list[int], list[int]]:
+    def root_bfs(self) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
         """``bfs`` from the least non-isolated node, run once per chord graph;
         its readers must not mutate it. Only read when some node has a
         neighbor."""
@@ -99,37 +104,52 @@ class ChordGraph:
         (x, y), (xp, yp) = self.nodes[i], self.nodes[j]
         return make_rigid_pair((x, yp), (xp, y))
 
-    def bfs(self, root: int) -> tuple[list[int], list[int], list[int]]:
+    def bfs(self, root: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
         """Breadth-first search from ``root``, the one traversal of this graph.
 
-        Returns the reached nodes in FIFO queue order, each node enqueuing its
-        unseen neighbors ``adj[u] & ~seen`` in ascending order, and per node
-        its depth and parent; both are -1 where undefined.
+        Returns ``(order, depth, parent, layers, inner)``. ``order`` is the
+        reached nodes in FIFO queue order, each node enqueuing its unseen
+        neighbors ``adj[u] & ~seen`` in ascending order; ``depth`` and
+        ``parent`` are per node, -1 where undefined. ``layers[d]`` is the
+        mask of the nodes at depth d, and ``inner`` lists, in queue order,
+        the nodes with a neighbor in their own layer: the ends of the edges
+        that join two nodes of one depth parity class.
+
+        Both are built in the loop, one mask operation per dequeued node u
+        at depth d: its unseen neighbors are OR-ed into layer d+1, and
+        ``adj[u] & layers[d]`` is tested. That test is exact when made at
+        dequeue: FIFO dequeues depth d only after every node of depth d-1,
+        and those discover all of depth d, so layer d is complete by then.
+        Made when u is discovered instead, it would miss the neighbors of u
+        in its layer that are discovered after it.
         """
-        depth = [-1] * len(self.nodes)
-        parent = [-1] * len(self.nodes)
+        adj = self.adj
+        depth = [-1] * len(adj)
+        parent = [-1] * len(adj)
         depth[root] = 0
         order = [root]
+        layers = [1 << root]
+        inner = []
         seen = 1 << root
         for u in order:
-            new = self.adj[u] & ~seen
+            d = depth[u]
+            a = adj[u]
+            if a & layers[d]:
+                inner.append(u)
+            new = a & ~seen
+            if not new:
+                continue
             seen |= new
+            d += 1
+            if d < len(layers):
+                layers[d] |= new
+            else:
+                layers.append(new)
             for v in bits(new):
-                depth[v] = depth[u] + 1
+                depth[v] = d
                 parent[v] = u
                 order.append(v)
-        return order, depth, parent
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components over non-isolated nodes, as sorted tuples;
-        the first is the one ``root_bfs`` reaches."""
-        comps = []
-        left = self.non_isolated_mask
-        while left:
-            order = self.bfs(lowest(left))[0] if comps else self.root_bfs[0]
-            left &= ~mask_of(order)
-            comps.append(tuple(sorted(order)))
-        return comps
+        return order, depth, parent, layers, inner
 
 
 def y_end_masks(nodes: Sequence[tuple[int, int]], n: int) -> tuple[int, ...]:
@@ -154,7 +174,8 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
 
     Each mask is built once per vertex, none per node: ``near_x[v]`` is the
     mask of the nodes whose x-end lies in N(v) & X, and ``near[x]`` is
-    ``near_x[x]`` cut to the union of ``by_y[y']`` over y' in N_Y(x). The
+    ``near_x[x]`` cut to ``y_cut[x]``, the union of ``by_y[y']`` over y' in
+    N_Y(x), which is kept as the y-cut table. The
     neighbor mask of (x, y) is ``near[x] & near_x[y]``. This is exact
     because the per-x ranges are disjoint: the nodes with x-end in
     N(x) & N(y) & X are those in both the N(x) & X and the N(y) & X masks.
@@ -186,13 +207,14 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
 
     by_y = y_end_masks(nodes, g.n)
     near_x = [at_x(a | p.y | 1 << v) for v, a in enumerate(g.adj)]
-    near = {x: near_x[x] & union_of(by_y, g.adj[x] & p.y) for x in bits(p.x_all)}
+    y_cut = [union_of(by_y, a & p.y) if p.x_all >> v & 1 else 0 for v, a in enumerate(g.adj)]
+    near = {x: near_x[x] & y_cut[x] for x in bits(p.x_all)}
     # From a list, not a generator: CPython resizes a tuple built from a
     # generator, and once freed it stays on the free list of its length (up
     # to 2,000 per length below 20), so a long run's heap would grow by one
     # tuple per instance.
     adj = tuple([near[x] & near_x[y] for x, y in nodes])
-    return ChordGraph(tuple(nodes), adj, at_x(p.a_only), at_x(p.b_only), by_y, tuple(start))
+    return ChordGraph(tuple(nodes), adj, at_x(p.a_only), at_x(p.b_only), by_y, tuple(start), tuple(y_cut))
 
 
 def compute_ab_sets(cg: ChordGraph) -> tuple[int, int]:
@@ -216,9 +238,14 @@ def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> tuple[str, .
     allowed), never to a hard failure."""
     failures = []
 
-    components = cg.components()
-    if len(components) > 1:
-        failures.append(f"chord graph splits into {len(components)} non-isolated components")
+    components = 0
+    left = cg.non_isolated_mask
+    while left:
+        layers = (cg.bfs(lowest(left)) if components else cg.root_bfs)[3]
+        left &= ~sum(layers)  # the layers are disjoint
+        components += 1
+    if components > 1:
+        failures.append(f"chord graph splits into {components} non-isolated components")
 
     y_size = p.y.bit_count()
     for v in bits(p.a_only | p.b_only):

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .chords import ChordGraph, RigidPair, audit_assumption1, compute_ab_sets
 from .errors import ScopeError
-from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask, union_of
+from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask
 
 
 def _spell(nodes: tuple[tuple[int, int], ...]) -> str:
@@ -47,19 +47,11 @@ class ColoringRefutation:
         return f"coloring: {self.detail} ({_spell(self.conflict)})"
 
 
-def _layer_masks(order: list[int], depth: list[int]) -> list[int]:
-    """One node mask per BFS depth."""
-    layers = [0] * (depth[order[-1]] + 1)
-    for v in order:
-        layers[depth[v]] |= 1 << v
-    return layers
-
-
 def _bfs_coloring(cg: ChordGraph) -> tuple[int, bool]:
     """Color the non-isolated nodes by depth parity in ``cg.root_bfs``;
     returns the mask of the even-depth nodes and whether some edge joins two
-    nodes of one class, that is, some node's neighbor mask meets its own BFS
-    layer.
+    nodes of one class. Both are read off the BFS: the even layers, and
+    whether it recorded a node with a neighbor in its own layer.
 
     A non-isolated node the BFS leaves unreached raises ScopeError, so the
     scope check takes precedence over any refutation.
@@ -67,12 +59,10 @@ def _bfs_coloring(cg: ChordGraph) -> tuple[int, bool]:
     live = cg.non_isolated_mask
     if not live:
         return 0, False
-    order, depth, _ = cg.root_bfs
+    order, _, _, layers, inner = cg.root_bfs
     if len(order) < live.bit_count():
         raise ScopeError("chord graph has several non-isolated components")
-    layers = _layer_masks(order, depth)
-    conflict = any(cg.adj[v] & layers[depth[v]] for v in order)
-    return sum(layers[::2]), conflict  # the layers are disjoint
+    return sum(layers[::2]), bool(inner)  # the layers are disjoint
 
 
 def _shortest_odd_cycle(cg: ChordGraph) -> tuple[int, ...]:
@@ -80,16 +70,18 @@ def _shortest_odd_cycle(cg: ChordGraph) -> tuple[int, ...]:
     least root reads ``cg.root_bfs``.
 
     An edge u < v inside a BFS layer closes the cycle from u up the parent
-    chain to the nearest common ancestor and down to v. Roots go ascending,
-    edges in queue order of u then ascending v; the first strictly shortest
-    cycle is kept, and a triangle ends the search at once.
+    chain to the nearest common ancestor and down to v. Each BFS records its
+    layers and, in queue order, the nodes with a neighbor in their own
+    layer, so only those nodes are read. Roots go ascending, edges in queue
+    order of u then ascending v; the first strictly shortest cycle is kept,
+    and a triangle ends the search at once.
     """
     best: tuple[int, ...] | None = None
     live = cg.non_isolated_mask
+    first = lowest(live)
     for root in bits(live):
-        order, depth, parent = cg.root_bfs if root == lowest(live) else cg.bfs(root)
-        layers = _layer_masks(order, depth)
-        for u in order:
+        _, depth, parent, layers, inner = cg.root_bfs if root == first else cg.bfs(root)
+        for u in inner:
             for v in bits(cg.adj[u] & layers[depth[u]] >> (u + 1) << (u + 1)):
                 a, b, k = u, v, 0
                 while a != b:
@@ -196,7 +188,8 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
     at most one y is clean. The converse is false; a vertex can meet the
     set twice through unrelated rigid pairs. Past the screen, ``near`` is
     the non-isolated chord nodes with y in N_Y(v) and x-end not private to
-    v's side, and v is trapped when a chord edge inside ``near`` has a
+    v's side, cut from the y-cut ``cg.y_cut[v]`` that ``build_chord_graph``
+    kept, and v is trapped when a chord edge inside ``near`` has a
     shared x-end; the witness is the first such edge (i ascending, then
     the lowest j > i). Isolated nodes have no edges, so leaving them out
     of ``near`` changes no witness.
@@ -218,7 +211,7 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
             ny = ny_mask(g, p, v)
             if (ny & region).bit_count() <= 1:
                 continue
-            near = union_of(cg.by_y, ny) & live & ~own_nodes
+            near = cg.y_cut[v] & live & ~own_nodes
             if not any(cg.adj[s] & near for s in bits(near & shared)):
                 continue
             for i in bits(near):

@@ -49,7 +49,11 @@ def derive_relations(
     neighbors of a node (x, y') are the nodes (x', y) with x' in
     N(x) & N(y') & X, y in N_Y(x) and y not in N(x'). Let C_x be the x' in
     N(x) & X whose Y-neighborhood does not hold all of N_Y(x): those with
-    at least one such y. The x-ends of the neighbors are then exactly
+    at least one such y. It takes one AND per y in N_Y(x), as
+    C_x = N(x) & X & ~(X & the intersection of N(y) over y in N_Y(x)),
+    since the x' of X adjacent to every such y are those whose
+    Y-neighborhood holds N_Y(x); when N_Y(x) is empty that intersection is
+    all of X and C_x is empty. The x-ends of the neighbors are then exactly
     A = C_x & N(y'), and their y-ends are the union over A of N_Y(x) minus
     N(x'), that is, N_Y(x) minus the intersection of N_Y(x') over A. So a
     red node costs one vertex-mask operation per member of A, not one
@@ -63,7 +67,10 @@ def derive_relations(
         block = red >> start & (1 << cg.x_start[x + 1] - start) - 1
         if block:
             ny = g.adj[x] & p.y
-            cx = mask_of(xp for xp in bits(g.adj[x] & p.x_all) if ny & ~g.adj[xp])
+            sup = p.x_all
+            for y in bits(ny):
+                sup &= g.adj[y]
+            cx = g.adj[x] & p.x_all & ~sup
             for k in bits(block):
                 yp = cg.nodes[start + k][1]
                 ends = cx & g.adj[yp]

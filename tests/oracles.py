@@ -36,7 +36,7 @@ from squaregeo.graph import (
     validate_bab,
 )
 from squaregeo.instances import INSTANCE_HEADER
-from squaregeo.necessary import ColoringRefutation, NecessaryStatus, _layer_masks, _shortest_odd_cycle, check_necessary
+from squaregeo.necessary import ColoringRefutation, NecessaryStatus, _shortest_odd_cycle, check_necessary
 from squaregeo.orders import PartialOrderCheck, check_sufficient
 from squaregeo.pipeline import NO, UNDECIDED, YES, Certificate, CertificateCheck
 
@@ -742,6 +742,43 @@ def derive_relations_by_adjacency(cg: ChordGraph, red: int, p: BabPartition) -> 
     return tuple(x_succ), tuple(y_succ)
 
 
+# The BFS readers before ``ChordGraph.bfs`` recorded its layers and in-layer
+# nodes: the layer masks rebuilt from the queue order and the depths, one
+# shift per node, and the components as sorted node tuples, one BFS per
+# component. Copied verbatim apart from the names and the BFS's two new
+# results, as the references for ``bfs``'s layers and for the audit's
+# component count.
+
+
+def _layer_masks(order: list[int], depth: list[int]) -> list[int]:
+    """One node mask per BFS depth."""
+    layers = [0] * (depth[order[-1]] + 1)
+    for v in order:
+        layers[depth[v]] |= 1 << v
+    return layers
+
+
+def layers_and_inner_by_order(cg: ChordGraph, root: int) -> tuple[list[int], list[int]]:
+    """The layer masks and the in-layer nodes of ``cg.bfs(root)``, rebuilt
+    from its queue order and depths: ``_layer_masks``, then, in queue
+    order, the nodes whose neighbor mask meets their own layer."""
+    order, depth = cg.bfs(root)[:2]
+    layers = _layer_masks(order, depth)
+    return layers, [v for v in order if cg.adj[v] & layers[depth[v]]]
+
+
+def components_by_bfs(cg: ChordGraph) -> list[tuple[int, ...]]:
+    """Connected components over non-isolated nodes, as sorted tuples;
+    the first is the one ``root_bfs`` reaches."""
+    comps = []
+    left = cg.non_isolated_mask
+    while left:
+        order = cg.bfs(lowest(left))[0] if comps else cg.root_bfs[0]
+        left &= ~mask_of(order)
+        comps.append(tuple(sorted(order)))
+    return comps
+
+
 # The constrained coloring before class masks: BFS depth parity as a color
 # list with one entry per chord node, turned back into masks at the end.
 # Copied verbatim apart from the names, as the reference for
@@ -759,7 +796,7 @@ def _bfs_coloring_by_list(cg: ChordGraph) -> tuple[list[int | None], bool]:
     live = cg.non_isolated_mask
     if not live:
         return [None] * len(cg.nodes), False
-    order, depth, _ = cg.bfs(next(bits(live)))
+    order, depth = cg.bfs(next(bits(live)))[:2]
     if len(order) < live.bit_count():
         raise ScopeError("chord graph has several non-isolated components")
     layers = _layer_masks(order, depth)

@@ -13,7 +13,7 @@ import random
 from functools import lru_cache
 
 from squaregeo import build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets, recognize
-from squaregeo.graph import mask_of
+from squaregeo.graph import bits, mask_of, union_of
 from squaregeo.instances import generate_bab
 from squaregeo.orders import _transpose, derive_relations
 
@@ -23,6 +23,7 @@ from oracles import (
     chord_nodes_by_definition,
     derive_relations_by_adjacency,
     derive_relations_by_pairs,
+    layers_and_inner_by_order,
     node_coloring,
     planted_bab,
     relabelled,
@@ -95,6 +96,32 @@ def test_chord_graph_matches_definition():
             assert cg.adj[i] == want, (label, u)
         checked += 1
     assert checked == 12
+
+
+def test_bfs_layers_and_inner_match_the_references():
+    """From every non-isolated root, as given and shuffled: the layers
+    equal the masks rebuilt from the queue order and depths, and the
+    in-layer nodes the per-node test against them. A planted instance's
+    chord graph is bipartite, so no BFS on it records an in-layer node; the
+    generated ones have odd cycles, so many do."""
+    roots = {"planted": 0, "generated": 0}
+    odd = {"planted": 0, "generated": 0}
+    for (kind, *rest), g, p, cg in _cases():
+        if kind not in roots or rest[-1]:
+            continue
+        for root in bits(cg.non_isolated_mask):
+            layers, inner = cg.bfs(root)[3:]
+            assert (layers, inner) == layers_and_inner_by_order(cg, root), (kind, rest, root)
+            roots[kind] += 1
+            odd[kind] += bool(inner)
+    assert roots["planted"] > 2000 and roots["generated"] > 1000
+    assert odd["planted"] == 0 and odd["generated"] > 1000
+
+
+def test_y_cut_table_is_the_union_of_the_y_ends():
+    for label, g, p, cg in _cases():
+        want = [union_of(cg.by_y, g.adj[v] & p.y) if p.x_all >> v & 1 else 0 for v in range(g.n)]
+        assert list(cg.y_cut) == want, label
 
 
 def test_forced_sets_match_the_node_scan():

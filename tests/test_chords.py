@@ -12,7 +12,7 @@ from squaregeo import (
 )
 from squaregeo.chords import RigidPair, make_rigid_pair
 from squaregeo.errors import InputError
-from squaregeo.graph import mask_of
+from squaregeo.graph import bits, mask_of, union_of
 from squaregeo.instances import generate_bab
 
 from conftest import enumerate_bab_instances
@@ -20,7 +20,9 @@ from oracles import (
     chord_adjacent_by_definition,
     chord_nodes_by_definition,
     classify_nonedges,
+    components_by_bfs,
     edge_pairs,
+    layers_and_inner_by_order,
     nodes_of,
     rigid_pairs_by_definition,
 )
@@ -109,10 +111,13 @@ def test_chord_graph_matches_definition_at_real_sizes():
 
 
 def test_y_end_table_holds_each_node_under_its_y():
-    for _, _, g, _, cg in _real_size_instances():
+    """Also the y-cut table: ``y_cut[x]`` is the union of the y-end masks
+    over N_Y(x) for every X vertex x, and 0 off X."""
+    for _, _, g, p, cg in _real_size_instances():
         assert cg.by_y == tuple(
             mask_of(i for i, (_, y) in enumerate(cg.nodes) if y == v) for v in range(g.n)
         )
+        assert cg.y_cut == tuple(union_of(cg.by_y, g.adj[v] & p.y) if p.x_all >> v & 1 else 0 for v in range(g.n))
 
 
 def test_worked_example_chord_edges(g8):
@@ -152,32 +157,90 @@ def test_each_chord_edge_has_a_unique_rigid_witness(g8):
 
 def test_components_single_and_split(g8, disconnected7):
     g, p = g8
-    assert build_chord_graph(g, p).components() == [(0, 1, 2, 3, 4, 5, 6, 7)]
+    assert components_by_bfs(build_chord_graph(g, p)) == [(0, 1, 2, 3, 4, 5, 6, 7)]
     g, p = disconnected7
     cg = build_chord_graph(g, p)
-    assert cg.components() == [(0, 3), (1, 6), (4, 7)]
+    assert components_by_bfs(cg) == [(0, 3), (1, 6), (4, 7)]
 
 
 def test_bfs_queue_order_depths_and_parents(g8):
     g, p = g8
     cg = build_chord_graph(g, p)
-    order, depth, parent = cg.bfs(0)
+    order, depth, parent, layers, inner = cg.bfs(0)
     assert order == [0, 5, 1, 2, 3, 4, 6, 7]
     assert depth == [0, 2, 2, 2, 2, 1, 3, 3]
     assert parent == [-1, 5, 5, 5, 5, 0, 3, 3]
-    order, depth, parent = cg.bfs(5)
+    assert layers == [0b1, 0b100000, 0b11110, 0b11000000] and inner == []
+    order, depth, parent, layers, inner = cg.bfs(5)
     assert order == [5, 0, 1, 2, 3, 4, 6, 7]
     assert depth == [1, 1, 1, 1, 1, 0, 2, 2]
     assert parent == [5, 5, 5, 5, 5, -1, 3, 3]
+    assert layers == [0b100000, 0b11111, 0b11000000] and inner == []
+
+
+def test_bfs_records_the_in_layer_nodes_of_a_triangle(triangle6):
+    """Nodes 1 and 2 are both at depth 1 from node 0 and adjacent, so each
+    has a neighbor in its own layer."""
+    g, p = triangle6
+    assert build_chord_graph(g, p).bfs(0) == ([0, 1, 2], [0, 1, 1], [-1, 0, 0], [0b1, 0b110], [1, 2])
 
 
 def test_bfs_stays_in_the_root_component(disconnected7):
     g, p = disconnected7
     cg = build_chord_graph(g, p)
-    order, depth, parent = cg.bfs(0)
+    order, depth, parent, layers, inner = cg.bfs(0)
     assert order == [0, 3]
     assert depth == [0, -1, -1, 1, -1, -1, -1, -1, -1]
     assert parent == [-1, -1, -1, 0, -1, -1, -1, -1, -1]
+    assert layers == [0b1, 0b1000] and inner == []
+
+
+REFUTE_SHAPES = ((3, 4, 3, 8), (3, 6, 3, 10), (4, 6, 4, 10), (4, 7, 4, 12), (5, 8, 5, 12))
+
+
+def _refute_shaped_instances():
+    """The block shapes of the refute-random benchmark workload, n = 18 to
+    30, at the low, middle and high end of its densities."""
+    for k, shape in enumerate(REFUTE_SHAPES):
+        for density in (0.3, 0.5, 0.7):
+            yield generate_bab(shape, density, 10 * k + round(10 * density))
+
+
+def test_bfs_layers_and_inner_match_the_references():
+    """From every non-isolated root: the layers equal the masks rebuilt
+    from the queue order and depths, and the in-layer nodes equal the
+    per-node test against them, on every instance with 4 vertices and on
+    the refute-random shapes; the latter must record in-layer nodes."""
+    roots = odd = 0
+    cases = [*enumerate_bab_instances(4), *_refute_shaped_instances()]
+    for g, p in cases:
+        cg = build_chord_graph(g, p)
+        for root in bits(cg.non_isolated_mask):
+            layers, inner = cg.bfs(root)[3:]
+            assert (layers, inner) == layers_and_inner_by_order(cg, root), (g.edges(), root)
+            roots += 1
+            odd += bool(inner)
+    assert roots > 1000 and odd > 500
+
+
+def test_audit_counts_the_reference_components(disconnected7):
+    """The audit's component count equals the number of reference
+    components: 3 on disconnected7, 6 on ``gen --sizes 2,3,2,6 --density
+    0.3 --seed 0``, and likewise on sparse generated instances, which
+    often split, on every instance with 4 vertices and on the refute-random
+    shapes. A count of one or none reports nothing."""
+    sparse = [generate_bab(shape, density, seed) for shape in ((2, 3, 2, 6), (3, 4, 3, 8))
+              for density in (0.2, 0.3) for seed in range(10)]
+    cases = [disconnected7, generate_bab((2, 3, 2, 6), 0.3, 0), *sparse, *enumerate_bab_instances(4),
+             *_refute_shaped_instances()]
+    split = []
+    for g, p in cases:
+        cg = build_chord_graph(g, p)
+        k = len(components_by_bfs(cg))
+        said = [f for f in audit_assumption1(g, p, cg) if "components" in f]
+        assert said == ([f"chord graph splits into {k} non-isolated components"] if k > 1 else []), g.edges()
+        split.append(k)
+    assert split[:2] == [3, 6] and {2, 3, 4} <= set(split[2:])
 
 
 def test_forced_color_node_sets(g8, c4):

@@ -30,6 +30,7 @@ from squaregeo.instances import generate_bab
 from conftest import enumerate_bab_instances
 from oracles import (
     color_constrained_by_list,
+    components_by_bfs,
     members,
     nodes_of,
     rigid_free_by_pair_scan,
@@ -249,7 +250,7 @@ def test_edgeless_chord_graphs_need_no_bfs(monkeypatch):
         g, p = generate_bab(shape, density, 0)
         cg = build_chord_graph(g, p)
         assert len(cg.nodes) == node_count and not any(cg.adj)
-        assert cg.components() == []
+        assert components_by_bfs(cg) == []
         assert color_constrained(cg, compute_ab_sets(cg)) == 0
         rfr = check_rigid_free(g, p, cg)
         assert rfr.side_a_ok and rfr.side_b_ok
