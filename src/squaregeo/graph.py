@@ -156,6 +156,55 @@ class _Shifts:
         return 1 << v
 
 
+# the byte of a bit matrix row whose bits c have c & j set, for j = 1, 2, 4
+_LOW_COLUMNS = {1: b"\xaa", 2: b"\xcc", 4: b"\xf0"}
+
+
+def _swap_mask(s: int, j: int) -> int:
+    """The bits of an s×s bit matrix, row r at bits r*s..r*s+s-1, whose row
+    has bit j clear and whose column has bit j set; built from one repeated
+    bytes pattern, not as a sum of shifted rows."""
+    w = s >> 3  # bytes per row
+    reps = s // (2 * j)  # blocks of j rows, or of j columns, with bit j clear
+    cols = _LOW_COLUMNS[j] * w if j < 8 else (bytes(j >> 3) + b"\xff" * (j >> 3)) * reps
+    return int.from_bytes((cols * j + bytes(w * j)) * reps, "little")
+
+
+def _transpose(m: int, s: int) -> int:
+    """The transpose of the s×s bit matrix ``m``, whose row r is bits
+    r*s..r*s+s-1, for s a power of two of at least 8.
+
+    Round j, for j = s/2, s/4, ..., 1, swaps in every 2j×2j block its
+    upper right j×j block with its lower left one, j*(s-1) bits higher:
+    log2(s) delta swaps on one int (Warren, Hacker's Delight, §7-3). A
+    round holds four ints of s*s bits at a time, ``m`` among them, so the
+    peak is four times the matrix's s*s/8 bytes when the caller keeps no
+    other reference to ``m``.
+    """
+    j = s >> 1
+    while j:
+        d = j * (s - 1)
+        t = (m ^ m >> d) & _swap_mask(s, j)
+        m ^= t ^ t << d
+        del t
+        j >>= 1
+    return m
+
+
+def _symmetric_rows(rows: Sequence[int], s: int) -> list[int]:
+    """The n×n bit matrix whose row u is ``rows[u]``, a mask below bit n,
+    OR-ed with its transpose: row u gains bit v wherever ``rows[v]`` holds
+    bit u. The matrix goes into one int of s*s bits through bytes, s a
+    power of two of at least max(n, 8), and its transpose comes out the
+    same way."""
+    w = s >> 3
+    # no name holds the matrix while _transpose runs, so its rounds free it
+    m = _transpose(int.from_bytes(b"".join(row.to_bytes(w, "little") for row in rows), "little"), s)
+    data = m.to_bytes(len(rows) * w, "little")
+    del m
+    return [row | int.from_bytes(data[k:k + w], "little") for k, row in zip(range(0, len(data), w), rows)]
+
+
 def _add_edges(adj: list[int], edges, one) -> None:
     """Set both bits of every edge in ``adj``, with ``one[v]`` the mask of
     vertex v; the first bad edge raises InputError."""

@@ -7,13 +7,18 @@ decimals.
 
 ``parse_instance`` reads canonical edge lines in bulk: ``edge u v`` with
 single spaces, ids of at most 18 digits and a newline end, as
-``emit_instance`` writes them. Every other spelling the parser accepts
-(extra blanks, CRLF ends, longer ids, ...) is read line by line, parses
-to the same graph and raises the same errors. ``parse_certificate`` reads
-canonical completion lines (``u,v`` tokens, single spaces, ids of at most
-18 digits) in bulk the same way, other spellings token by token. Each
-parse call reads its ids through one fresh ``_IntMemo``, so a repeated id
-token is converted once.
+``emit_instance`` writes them. A short text reads each run of them as a
+list of ids; a long one reads them a row at a time, one row mask per u,
+and one bit-matrix transpose adds the other half of the adjacency.
+``parse_instance`` says when, and why a text the rows refuse keeps its
+first error. Every other spelling the parser accepts (extra blanks, CRLF
+ends, longer ids, ...) is read line by line, parses to the same graph
+and raises the same errors.
+``parse_certificate`` reads canonical completion lines (``u,v`` tokens,
+single spaces, ids of at most 18 digits) in bulk the same way, other
+spellings token by token. Each parse call reads its ids, those of edge
+rows aside, through one fresh ``_IntMemo``, so a repeated id token is
+converted once.
 Only the text spells out a forced set's pairs; a ``Certificate`` holds its
 pair mask over the vertices of order1, bit u*n + v, as ``completion`` does.
 A completion line's ids go straight to one row mask per u, with no tuple
@@ -30,7 +35,8 @@ import sys
 from fractions import Fraction
 
 from .errors import GenerationError, ParseError, _echo
-from .graph import BabPartition, Graph, _covered_bab, bits, build_graph, check_cover, validate_bab
+from .graph import BabPartition, Graph, _add_edges, _covered_bab, _Shifts, _symmetric_rows
+from .graph import bits, build_graph, check_cover, validate_bab
 from .pipeline import NO, UNDECIDED, YES, Certificate
 
 INSTANCE_HEADER = "bab-instance v1"
@@ -46,6 +52,15 @@ _PAIR_LINE = re.compile(r"[0-9]{1,18},[0-9]{1,18}(?: [0-9]{1,18},[0-9]{1,18}){0,
 # repetition cap keeps the backtracking stack of one match small; the digit
 # cap keeps every id below any int_max_str_digits limit Python allows.
 _EDGE_RUN = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n){1,1024}", re.M)
+# The same lines, one match to a run of lines that share their u token,
+# group 1: in canonical text, one row of the adjacency, or 1024 of its
+# edges. Both scans match exactly the same lines, so the lines left to the
+# line-by-line reader, their numbers and their errors do not depend on
+# which scan runs.
+_EDGE_ROWS = re.compile(r"^edge ([0-9]{1,18}) [0-9]{1,18}\n(?:edge \1 [0-9]{1,18}\n){0,1023}", re.M)
+# The first two lines of a text as emit_instance writes them; group 1 is n.
+_HEAD = re.compile(re.escape(INSTANCE_HEADER) + r"\nn ([0-9]{1,18})\n")
+_ROWS_FROM = 8192  # the least text length read by rows; see parse_instance
 
 
 def _content_lines(text: str, start: int = 1):
@@ -73,56 +88,95 @@ def _int_fields(i: int, rest: str, what: str, ints: _IntMemo) -> list[int]:
         raise ParseError(f"line {i}: {what} wants integers, got {_echo(rest)}") from None
 
 
-def _instance_lines(text: str, ints: _IntMemo):
+def _instance_lines(text: str, scan: re.Pattern):
     """The content lines of an instance text in order, as (line number,
-    stripped line, None), except that each run of canonical edge lines
-    comes as one (number of its first line, None, its ids in text order)."""
+    line number, stripped line, None), except that each match of ``scan``,
+    a run of canonical edge lines, comes as (number of its first line,
+    number of its last line, None, the match)."""
     i, pos = 1, 0
-    for run in _EDGE_RUN.finditer(text):
-        piece = text[pos:run.start()]
-        for j, line in _content_lines(piece, i):
-            yield j, line, None
-        # a run starts a line, so the piece before it ends in a line break
-        i += len(piece.splitlines())
-        chunk = run.group()
-        yield i, None, map(ints.__getitem__, chunk.replace("edge ", "").split())
-        i += chunk.count("\n")
-        pos = run.end()
+    for run in scan.finditer(text):
+        start, end = run.span()
+        if start > pos:
+            piece = text[pos:start]
+            for j, line in _content_lines(piece, i):
+                yield j, j, line, None
+            # a run starts a line, so the piece before it ends in a line break
+            i += len(piece.splitlines())
+        j = i + text.count("\n", start, end)
+        yield i, j - 1, None, run
+        i, pos = j, end
     for j, line in _content_lines(text[pos:], i):
-        yield j, line, None
+        yield j, j, line, None
 
 
 def parse_instance(text: str) -> tuple[Graph, BabPartition]:
-    n, sets, ids = _instance_fields(text)
+    """The graph and partition of an instance text.
+
+    A text of at least ``_ROWS_FROM`` characters that opens with the header
+    and an n line as ``emit_instance`` writes them, and whose bit matrix
+    fits (``_row_side``), reads its canonical edge lines by rows
+    (``_graph_of_rows``); any other text reads each run of them as a list
+    of ids. The choice is made once, from the text's length and head,
+    before the text is scanned.
+    On ``generate_bab`` texts, best of 15 in one process, rows cost 1.6
+    times as much at n=18 (1 KB), break even near 5,000 characters (n=36
+    to 42) and save 10-26% from 9,000 characters (n=50 to 70), so texts
+    of the two small benchmark workloads, at most 3.7 KB, never take them.
+
+    Rows that do not come in order of u, as canonical text lists them, or
+    a run that fails a check of ``_graph_of_rows``, send the whole text
+    back to the lists of ids, read again from the start. Every edge then
+    goes through ``build_graph`` in text order, so the first bad edge
+    raises the error it raised before.
+    """
+    head = len(text) >= _ROWS_FROM and _HEAD.match(text)
+    fields = head and _row_side(int(head[1]), len(text)) and _instance_fields(text, _EDGE_ROWS)
+    n, sets, ids, runs = fields or _instance_fields(text, _EDGE_RUN)
     # the ids are checked against n before anything of size n is allocated
     cover = tuple(frozenset(sets.pop(key)) for key in ("xa", "xb", "y"))
     check_cover(n, *cover)
-    ends = iter(ids)
-    g = build_graph(n, zip(ends, ends))
+    g = _graph_of_rows(n, runs, ids, len(text)) if runs else None
+    if g is None:
+        if runs:  # the rows were refused: every edge id again, in text order
+            ids = _instance_fields(text, _EDGE_RUN)[2]
+        ends = iter(ids)
+        g = build_graph(n, zip(ends, ends))
     return g, _covered_bab(g, *cover)
 
 
-def _instance_fields(text: str) -> tuple[int, dict[str, list[int]], list[int]]:
-    """n, the id lists of the xa, xb and y lines, and the edge endpoints,
-    two per edge in text order. The id memo goes with the call, before
-    anything of size n is built."""
+def _instance_fields(
+    text: str, scan: re.Pattern
+) -> tuple[int, dict[str, list[int]], list[int], list[tuple[int, re.Match]]] | None:
+    """n, the id lists of the xa, xb and y lines, the endpoints of the edges
+    read line by line, two per edge in text order, and the runs ``scan``
+    matches. ``_EDGE_RUN``'s runs go to the endpoints; ``_EDGE_ROWS``'s are
+    kept as (line count, match), and must come in order of u, or the result
+    is None. The id memo goes with the call, before anything of size n is
+    built."""
     n = None
     sets: dict[str, list[int] | None] = {"xa": None, "xb": None, "y": None}
     ids: list[int] = []  # edge endpoints, two per edge, in text order
+    runs: list[tuple[int, re.Match]] = []
+    top = 0  # the largest u of a run so far
     last = None  # number of the last content line
     ints = _IntMemo()
-    for i, line, run in _instance_lines(text, ints):
+    for i, j, line, run in _instance_lines(text, scan):
         if last is None:
             if line != INSTANCE_HEADER:
                 raise ParseError(f"line {i}: expected header {INSTANCE_HEADER!r}")
             last = i
             continue
+        last = j
         if run is not None:
-            start = len(ids)
-            ids.extend(run)
-            last = i + (len(ids) - start) // 2 - 1
+            if scan is _EDGE_RUN:
+                ids.extend(map(ints.__getitem__, run[0].replace("edge ", "").split()))
+                continue
+            u = int(run[1])
+            if u < top:
+                return None
+            top = u
+            runs.append((last - i + 1, run))
             continue
-        last = i
         key, _, rest = line.partition(" ")
         if key == "n":
             if n is not None:
@@ -149,7 +203,65 @@ def _instance_fields(text: str) -> tuple[int, dict[str, list[int]], list[int]]:
     for key, val in sets.items():
         if val is None:
             raise ParseError(f"line {last}: missing {key} line")
-    return n, sets, ids
+    return n, sets, ids, runs
+
+
+def _row_side(n: int, size: int) -> int:
+    """The side of the bit matrix of n vertices, the least power of two
+    at least max(n, 8), or 0 when its square exceeds two bits per character
+    of a text of ``size`` characters."""
+    s = max(8, 1 << (n - 1).bit_length())
+    return s if s * s <= 2 * size else 0
+
+
+def _graph_of_rows(n: int, runs: list[tuple[int, re.Match]], ids: list[int], size: int) -> Graph | None:
+    """The graph of an instance text of ``size`` characters, from its
+    ``_EDGE_ROWS`` runs and the endpoints of its other edges, once its ids
+    have passed ``check_cover`` for n; None when the text is to be read by
+    lists of ids instead.
+
+    Each run becomes one row mask: the sum of the single-bit masks of its
+    v tokens, from a table keyed by ``str(v)``. The sum is the OR of one
+    edge per line, all of them valid, when four checks pass: each v token
+    is a key, so 0 <= v < n (an id past n or spelled with a leading zero is
+    not); so is the u token; the sum has one bit per line, so no v repeats
+    and no bits carry; and the row lacks bit u, so no line is a self loop.
+    Rows of one u OR together. One transpose of the S×S bit matrix,
+    S = ``_row_side(n, size)``, adds the other half of the adjacency, and
+    the other edges go through ``build_graph``'s check and shifts in text
+    order: with every run passed, only they can be bad, so the first bad
+    one is the first of the text.
+
+    Memory: the table's n*n/2 bits are built only once n*n/512 edges are
+    read, as in ``build_graph``, and the matrix's S*S bits are at most two
+    per character of text, so each of the four matrix-sized ints the
+    transpose holds at a time takes at most a quarter of the text's size.
+    The kernel's traced peak stays under four times the text's size: it is
+    about 1.1 times past 100 KB, and 3.0 times on the text that costs it
+    the most per character, 8,192 characters at n=128, where the table's
+    entries outweigh the matrix.
+    """
+    s = _row_side(n, size)
+    if not s or sum(k for k, _ in runs) + len(ids) // 2 < n * n >> 9:
+        return None
+    one = {str(v): 1 << v for v in range(n)}
+    get = one.__getitem__
+    rows = [0] * n
+    for k, run in runs:
+        u = run[1]
+        bit = one.get(u)
+        try:
+            row = sum(map(get, run.string[run.start() + len(u) + 6:run.end() - 1].split(f"\nedge {u} ")))
+        except KeyError:
+            return None
+        if bit is None or row & bit or row.bit_count() != k:
+            return None
+        rows[bit.bit_length() - 1] |= row
+    del one, get  # the table is not held through the transpose
+    adj = _symmetric_rows(rows, s)
+    ends = iter(ids)
+    _add_edges(adj, zip(ends, ends), _Shifts())
+    return Graph(n, tuple(adj))
 
 
 def emit_instance(g: Graph, p: BabPartition) -> str:

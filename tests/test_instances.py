@@ -33,6 +33,7 @@ from oracles import (
     parse_instance_by_lines,
     parse_pairs_by_set,
     parse_pairs_by_tokens,
+    planted_bab,
 )
 
 
@@ -206,6 +207,89 @@ def test_parse_matches_the_line_reference():
     assert kinds == {"ok", ParseError, InputError, StructuralError, ScopeError, "late error"}
 
 
+# Respellings of a canonical text, and how parse_instance reads each: by
+# rows as it stands, by rows and then again as lists of ids, or as lists of
+# ids from the start.
+RESPELLINGS = {
+    "swapped": "ids again", "shuffled": "ids again", "reversed": "ids again",
+    "repeated": "ids again", "self loop": "ids again", "out of range": "ids again",
+    "padded u": "ids again", "padded v": "ids again",
+    "comment": "rows", "double blank": "rows", "crlf": "ids",
+}
+
+
+def _respell(text: str, kind: str, rng: random.Random) -> str:
+    """``text``, canonical, with its edge lines respelled as ``kind`` says.
+    The edits of one line land inside a run, between two lines of one u."""
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    lines = text.split("\n")
+    first = next(j for j, line in enumerate(lines) if line.startswith("edge "))
+    head, edges = lines[:first], lines[first:-1]
+    n = int(lines[1].split()[1])
+    if kind == "swapped":
+        edges = [re.sub(r"^edge (\d+) (\d+)$", r"edge \2 \1", e) for e in edges]
+    elif kind == "shuffled":
+        rng.shuffle(edges)
+    elif kind == "reversed":
+        edges.reverse()
+    else:
+        # a self loop goes into row 3n/4 (150 at n=200), an id out of range into row 3
+        row = {"self loop": str(n * 3 // 4), "out of range": "3"}.get(kind)
+        us = [e.split()[1] for e in edges]
+        j = rng.choice([j for j in range(1, len(edges)) if us[j] == us[j - 1] and row in (None, us[j])])
+        u, v = edges[j].split()[1:]
+        edit = {
+            "repeated": [edges[j], edges[j]], "self loop": [f"edge {u} {u}", edges[j]],
+            "out of range": [f"edge {u} {n}", edges[j]], "padded u": [f"edge 0{u} {v}"],
+            "padded v": [f"edge {u} 0{v}"], "comment": ["# note", edges[j]], "double blank": ["", "", edges[j]],
+        }
+        edges[j:j + 1] = edit[kind]
+    return "\n".join(head + edges + [""])
+
+
+def test_row_kernel_matches_the_line_reference(monkeypatch):
+    """Planted and generated instances of n = 70 to 200 are read by rows,
+    and so are their respellings that keep every run canonical; the others
+    are read as lists of ids, again or from the start (``RESPELLINGS``).
+    Every one gives the line-by-line reference's graph and partition, or
+    its exception and message, self loops and ids out of range included."""
+    calls = collections.Counter()
+    fields, build = instances._instance_fields, instances.build_graph
+
+    def counted_fields(text, scan):
+        calls["rows pass" if scan is instances._EDGE_ROWS else "ids pass"] += 1
+        return fields(text, scan)
+
+    def counted_build(n, edges):
+        calls["build_graph"] += 1
+        return build(n, edges)
+
+    monkeypatch.setattr(instances, "_instance_fields", counted_fields)
+    monkeypatch.setattr(instances, "build_graph", counted_build)
+    bases = [emit_instance(*planted_bab(sizes, seed))
+             for sizes, seed in (((10, 14, 10, 36), 1), ((16, 22, 16, 56), 2), ((30, 40, 30, 100), 3))]
+    bases += [emit_instance(*generate_bab(sizes, 0.5, seed))
+              for sizes, seed in (((10, 14, 10, 36), 4), ((30, 40, 30, 100), 0))]
+    rng = random.Random(30)
+    ways = collections.defaultdict(set)
+    outcomes = collections.Counter()
+    for base in bases:
+        for kind in ("base", *RESPELLINGS):
+            text = base if kind == "base" else _respell(base, kind, rng)
+            assert text != base or kind == "base"
+            calls.clear()
+            got = _outcome(parse_instance, text)
+            assert got == _reference_outcome(text), (kind, text[:300])
+            way = {(1, 0): "rows", (1, 1): "ids again", (0, 1): "ids"}[calls["rows pass"], calls["ids pass"]]
+            assert (way == "rows") == (calls["build_graph"] == 0), kind
+            ways[kind].add(way)
+            outcomes[kind, got[0] if isinstance(got[0], type) else "ok"] += 1
+    assert ways == {"base": {"rows"}, **{kind: {way} for kind, way in RESPELLINGS.items()}}
+    assert {kind for kind, result in outcomes if result != "ok"} == {"self loop", "out of range"}
+    assert outcomes["self loop", InputError] == outcomes["out of range", InputError] == len(bases)
+
+
 class IntPerToken(dict):
     """A stand-in for the parse calls' id memo that stores nothing: every
     lookup is ``int(tok)``, as each id was read before the memo."""
@@ -303,6 +387,42 @@ def test_instance_without_clique_edges_parses_in_small_memory():
         tracemalloc.stop()
     assert str(exc.value) == "X_a is not a clique: missing edge (0,1)"
     assert peak < 6_000_000
+
+
+@pytest.mark.parametrize("side", [128, 512])
+def test_row_kernel_peak_memory(monkeypatch, side):
+    """The texts that cost the row kernel the most memory per character:
+    for each length, the largest n whose bit matrix it lets in. At 8,192
+    characters, the shortest text read by rows, that is n=128; at 131,072
+    it is n=512. The edges fill rows 2, 3, ... and leave out the clique
+    edge (0,1). Above what the parse held when the kernel began, the
+    kernel's traced peak stays under four times the text's size, the
+    multiple ``_graph_of_rows`` states; the parse then refuses the text."""
+    n = side
+    text = f"{INSTANCE_HEADER}\nn {n}\nxa {' '.join(map(str, range(n - 1)))}\nxb 0\ny {n - 1}\n"
+    edges = (f"edge {u} {v}\n" for u in range(2, n) for v in range(u + 1, n))
+    while len(text) < side * side // 2:
+        text += next(edges)
+    assert instances._row_side(n, len(text)) == side and instances._row_side(n + 1, len(text)) == 0
+    kernel, peaks = instances._graph_of_rows, []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        g = kernel(*args)
+        peaks.append((g is not None, tracemalloc.get_traced_memory()[1] - start))
+        return g
+
+    monkeypatch.setattr(instances, "_graph_of_rows", traced)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructuralError) as exc:
+            parse_instance(text)
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "X_a is not a clique: missing edge (0,1)"
+    [(read, peak)] = peaks
+    assert read and peak < 4 * len(text), (peak, len(text))
 
 
 def test_instance_parse_checks_structure():
