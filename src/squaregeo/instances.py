@@ -118,16 +118,17 @@ def parse_instance(text: str) -> tuple[Graph, BabPartition]:
     (``_graph_of_rows``); any other text reads each run of them as a list
     of ids. The choice is made once, from the text's length and head,
     before the text is scanned.
-    On ``generate_bab`` texts, best of 15 in one process, rows cost 1.6
-    times as much at n=18 (1 KB), break even near 5,000 characters (n=36
-    to 42) and save 10-26% from 9,000 characters (n=50 to 70), so texts
-    of the two small benchmark workloads, at most 3.7 KB, never take them.
+    On ``generate_bab`` texts, best of 15 in one process, rows cost 1.3
+    to 1.4 times as much at n=18 (1 KB), break even near 5,000 characters
+    (n=36 to 42), save 5-11% at 6,500-8,000 and 14-27% from 9,000 (n=50 to
+    70). The cut at 8192 leaves a margin, and the texts of the two small
+    benchmark workloads, at most 3.7 KB, never take rows.
 
     Rows that do not come in order of u, as canonical text lists them, or
     a run that fails a check of ``_graph_of_rows``, send the whole text
     back to the lists of ids, read again from the start. Every edge then
     goes through ``build_graph`` in text order, so the first bad edge
-    raises the error it raised before.
+    raises the error a short text would give it.
     """
     head = len(text) >= _ROWS_FROM and _HEAD.match(text)
     fields = head and _row_side(int(head[1]), len(text)) and _instance_fields(text, _EDGE_ROWS)
