@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .chords import build_chord_graph
+from .embedding import ORACLE_BOUND
 from .errors import GenerationError, ParseError, _echo
 from .graph import BabPartition, Graph
 from .instances import emit_certificate, emit_instance, generate_bab, parse_certificate, parse_instance
@@ -183,11 +184,11 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         sp = instance_cmd(name, func, help_)
         sp.add_argument("--oracle", action="store_true", help="fall back to exhaustive search")
-        sp.add_argument("--oracle-bound", type=int, default=6, metavar="N")
+        sp.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND, metavar="N")
         sp.add_argument("--format", choices=("text", "structured"), default="text")
 
     sp = instance_cmd("oracle", cmd_oracle, "exhaustive order search only")
-    sp.add_argument("--oracle-bound", type=int, default=6, metavar="N")
+    sp.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND, metavar="N")
     sp.add_argument("--format", choices=("text", "structured"), default="text")
 
     sp = sub.add_parser("verify", help="re-check a certificate against an instance")

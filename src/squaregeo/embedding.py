@@ -315,7 +315,11 @@ def _clean_orders(g: Graph, win: _Windows, avoid: int = 0, start: int = 0):
         yield tuple(seq), mask
 
 
-def brute_force_orders(g: Graph, bound: int = 6) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+# the default largest n the exhaustive search takes, in the library and the CLI
+ORACLE_BOUND = 6
+
+
+def brute_force_orders(g: Graph, bound: int = ORACLE_BOUND) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Exhaustive search for two orders with disjoint forced sets.
 
     Each order's forced set is one pair mask, {u, v} (u < v) at bit

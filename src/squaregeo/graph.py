@@ -225,18 +225,11 @@ class BabPartition:
     """A validated partition of V(G) into cliques X_a, X_b (overlapping) and Y.
 
     ``x_a``, ``x_b`` and ``y`` are vertex masks, as are the derived parts.
-    ``a_seq``/``b_seq`` list the private vertices of each side sorted so that
-    Y-neighborhoods form an ascending inclusion chain; they are empty with the
-    corresponding flag set to False when the side is not totally nested.
     """
 
     x_a: int
     x_b: int
     y: int
-    a_seq: tuple[int, ...]
-    b_seq: tuple[int, ...]
-    a_nested: bool
-    b_nested: bool
 
     @property
     def x_all(self) -> int:
@@ -256,31 +249,12 @@ class BabPartition:
 
     def mirrored(self) -> "BabPartition":
         """The same partition with the roles of X_a and X_b exchanged."""
-        return BabPartition(
-            x_a=self.x_b,
-            x_b=self.x_a,
-            y=self.y,
-            a_seq=self.b_seq,
-            b_seq=self.a_seq,
-            a_nested=self.b_nested,
-            b_nested=self.a_nested,
-        )
+        return BabPartition(self.x_b, self.x_a, self.y)
 
 
 def ny_mask(g: Graph, p: BabPartition, v: int) -> int:
     """Bitmask of v's neighbors inside Y."""
     return g.adj[v] & p.y
-
-
-def _nested_sequence(g: Graph, members: int, scope_mask: int):
-    """Sort the vertices of mask ``members`` by scoped neighborhood size (ties
-    by id) and test that the neighborhoods form an inclusion chain. Returns
-    (sequence, nested_flag)."""
-    seq = sorted(bits(members), key=lambda v: ((g.adj[v] & scope_mask).bit_count(), v))
-    for prev, cur in zip(seq, seq[1:]):
-        if (g.adj[prev] & scope_mask) & ~(g.adj[cur] & scope_mask):
-            return (), False
-    return tuple(seq), True
 
 
 def check_cover(n: int, xa: frozenset[int], xb: frozenset[int], ys: frozenset[int]) -> None:
@@ -307,7 +281,7 @@ def check_cover(n: int, xa: frozenset[int], xb: frozenset[int], ys: frozenset[in
 
 
 def validate_bab(g: Graph, x_a: Iterable[int], x_b: Iterable[int], y: Iterable[int]) -> BabPartition:
-    """Validate the clique partition and derive the nesting sequences.
+    """Validate the clique partition.
 
     Raises StructuralError when a set fails to be a clique (naming the first
     missing edge), when the sets do not partition V, or when X_a and X_b are
@@ -341,10 +315,7 @@ def _covered_bab(g: Graph, *sets: frozenset[int]) -> BabPartition:
         hit = g.adj[a] & xb & ~xa
         if hit:
             raise ScopeError(f"edge ({a},{lowest(hit)}) joins the private sides of X_a and X_b")
-
-    a_seq, a_nested = _nested_sequence(g, xa & ~xb, ys)
-    b_seq, b_nested = _nested_sequence(g, xb & ~xa, ys)
-    return BabPartition(xa, xb, ys, a_seq, b_seq, a_nested, b_nested)
+    return BabPartition(xa, xb, ys)
 
 
 def is_unit_interval_order(g: Graph, order: Sequence[int]) -> bool:

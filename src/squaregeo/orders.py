@@ -4,10 +4,12 @@ From an admissible chord-graph coloring, each rigid pair orients one
 X-relation pair and one Y-relation pair. When both relations are partial
 orders and both private sides are totally nested, two total orders are laid
 out as blocks in sequence: the a's, the shared block, then the b's within Y;
-and X, then Y. Pairwise placement rules order each block. Their interval
-completions are disjoint for every instance in scope, which the caller
-re-verifies. The coloring and the rigid-free report come from the passing
-necessary verdict and are not recomputed here.
+and X, then Y. Pairwise placement rules order each block. The nesting is
+tested once, in ``check_sufficient`` before any swap, and its sequences
+are the first order's a's and b's. The orders' interval completions are
+disjoint for every instance in scope, which the caller re-verifies. The
+coloring and the rigid-free report come from the passing necessary verdict
+and are not recomputed here.
 
 A block sorts by the topological order that places the least ready vertex
 first. The rules are dense, and where they totally order a block, as they
@@ -234,11 +236,22 @@ def _pair_rules(g: Graph, p: BabPartition, rel_x, rel_y) -> tuple[list[int], lis
     return keep, flip
 
 
-def build_order1(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]]) -> tuple[int, ...]:
-    """First total order: the private a's in their nesting sequence, the
-    shared block, then the private b's interleaved into Y around the
-    Y-neighborhood of the last a. Raises ScopeError unless both sides are
-    totally nested, since ``a_seq`` or ``b_seq`` is empty otherwise.
+def _nested_sequence(g: Graph, members: int, y: int) -> tuple[int, ...] | None:
+    """The vertices of mask ``members`` sorted by Y-neighborhood size, ties
+    by id, when their Y-neighborhoods form an inclusion chain in that order;
+    None when two consecutive ones are not nested."""
+    seq = sorted(bits(members), key=lambda v: ((g.adj[v] & y).bit_count(), v))
+    for prev, cur in zip(seq, seq[1:]):
+        if g.adj[prev] & y & ~g.adj[cur]:
+            return None
+    return tuple(seq)
+
+
+def build_order1(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]],
+                 a_seq: tuple[int, ...], b_seq: tuple[int, ...]) -> tuple[int, ...]:
+    """First total order: the private a's in their nesting sequence
+    ``a_seq``, the shared block, then the private b's, in theirs, ``b_seq``,
+    interleaved into Y around the Y-neighborhood of the last a.
 
     The shared block and Y follow the pair rules ``rules`` of
     ``_pair_rules`` as they stand. The b's follow only their sequence: the
@@ -255,25 +268,23 @@ def build_order1(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]]) 
     rules on Y that are not a total order, and a block with no fences go to
     ``_toposort``, with the fences as arcs.
     """
-    if not (p.a_nested and p.b_nested):
-        raise ScopeError("the first order needs both private sides totally nested")
     succ = [k | f for k, f in zip(*rules)]
-    head = p.a_seq + _toposort(succ, p.shared)
-    fenced = bool(p.a_seq and p.b_seq)
+    head = a_seq + _toposort(succ, p.shared)
+    fenced = bool(a_seq and b_seq)
     if fenced:
-        nya = g.adj[p.a_seq[-1]] & p.y
+        nya = g.adj[a_seq[-1]] & p.y
         ys = _total_order(succ, p.y)
         cut = nya.bit_count()
         if ys is not None and mask_of(ys[:cut]) == nya:
-            return head + ys[:cut] + p.b_seq + ys[cut:]
+            return head + ys[:cut] + b_seq + ys[cut:]
     for b in bits(p.b_only):  # the b's sort with Y, where no X rule applies
         succ[b] = 0
-    for prev, cur in zip(p.b_seq, p.b_seq[1:]):
+    for prev, cur in zip(b_seq, b_seq[1:]):
         succ[prev] = 1 << cur
     if fenced:
         for y in bits(nya):
-            succ[y] |= 1 << p.b_seq[0]
-        succ[p.b_seq[-1]] |= p.y & ~nya
+            succ[y] |= 1 << b_seq[0]
+        succ[b_seq[-1]] |= p.y & ~nya
     return head + _toposort(succ, p.b_only | p.y)
 
 
@@ -298,12 +309,9 @@ class SufficiencyVerdict:
 
     ``orders`` holds the two orders when construction succeeded; otherwise
     ``reason`` names the failed condition or the constraint cycle.
-    ``swapped`` records that X_a and X_b traded roles before construction,
-    which transposes both relations when the coloring has forced nodes.
     """
 
     orders: tuple[tuple[int, ...], tuple[int, ...]] | None
-    swapped: bool = False
     reason: str = ""
 
 
@@ -314,35 +322,37 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
     the PASS verdict of ``check_necessary`` on the same (g, p, cg); any other
     status raises ScopeError. Its coloring and rigid-free report are reused,
     leaving the partial orders, the nesting and the construction to check.
+    The nesting is tested once, before any swap: ``_nested_sequence`` of
+    each private side, both read by ``build_order1``.
 
     When only the b-side passes the rigid-free test, the roles of X_a and
-    X_b are exchanged before construction. The exchange keeps the chord
-    graph's nodes and edges, so ``cg`` serves as is, and trades the two
-    forced sets, so the canonical coloring of the exchanged instance is the
-    current one with red and blue swapped. Each chord edge is then read
-    from its other end, so both relations are transposed. With no
-    forced node the coloring, and with it the relations, stay unchanged.
-    The placement rules are classified once and read by both builders. The
-    resulting orders apply to the graph unchanged.
+    X_b, and their sequences, are exchanged before construction. The
+    exchange keeps the chord graph's nodes and edges, so ``cg`` serves as
+    is, and trades the two forced sets, so the canonical coloring of the
+    exchanged instance is the current one with red and blue swapped. Each
+    chord edge is then read from its other end, so both relations are
+    transposed. With no forced node the coloring, and with it the
+    relations, stay unchanged. The placement rules are classified once and
+    read by both builders. The resulting orders apply to the graph
+    unchanged.
     """
     if nec.status is not NecessaryStatus.PASS:
         raise ScopeError(f"sufficiency needs a passing necessary verdict, got {nec.status.value}")
     rel_x, rel_y = derive_relations(g, p, cg, nec.coloring)
     if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
         return SufficiencyVerdict(orders=None, reason="partial-orders")
-    if not (p.a_nested and p.b_nested):
+    a_seq = _nested_sequence(g, p.a_only, p.y)
+    b_seq = _nested_sequence(g, p.b_only, p.y)
+    if a_seq is None or b_seq is None:
         return SufficiencyVerdict(orders=None, reason="nesting")
 
-    swapped = not nec.rigid_free.side_a_ok
-    if swapped:
-        p = p.mirrored()
+    if not nec.rigid_free.side_a_ok:
+        p, a_seq, b_seq = p.mirrored(), b_seq, a_seq
         if any(nec.forced):
             rel_x, rel_y = _transpose(rel_x), _transpose(rel_y)
     rules = _pair_rules(g, p, rel_x, rel_y)
     try:
-        orders = (build_order1(g, p, rules), build_order2(g, p, rules))
+        orders = (build_order1(g, p, rules, a_seq, b_seq), build_order2(g, p, rules))
     except OrderConstructionError as exc:
-        return SufficiencyVerdict(
-            orders=None, swapped=swapped, reason=f"order construction cycled through {exc.cycle}"
-        )
-    return SufficiencyVerdict(orders=orders, swapped=swapped)
+        return SufficiencyVerdict(orders=None, reason=f"order construction cycled through {exc.cycle}")
+    return SufficiencyVerdict(orders=orders)

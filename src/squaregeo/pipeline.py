@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .chords import build_chord_graph
 from .embedding import (
+    ORACLE_BOUND,
     OrderPair,
     brute_force_orders,
     completion,
@@ -27,7 +28,6 @@ from .embedding import (
     make_order_pair,
     verify_embedding,
 )
-from .errors import StructuralError
 from .graph import BabPartition, Graph
 from .necessary import NecessaryStatus, check_necessary
 from .orders import check_sufficient
@@ -80,7 +80,7 @@ def recognize(
     g: Graph,
     p: BabPartition,
     allow_oracle: bool = False,
-    oracle_bound: int = 6,
+    oracle_bound: int = ORACLE_BOUND,
 ) -> Certificate:
     """Decide whether (g, p) embeds in the plane under the max metric."""
     cg = build_chord_graph(g, p)
@@ -97,11 +97,7 @@ def recognize(
         pair = make_order_pair(g, *suff.orders)
         if pair.valid:
             return _yes_certificate(g, pair, "sufficient")
-        if p.a_only and p.b_only:
-            raise StructuralError(
-                "constructed orders have intersecting forced sets on a two-sided instance"
-            )
-        note = "construction left unverified on a one-sided instance"
+        note = "constructed orders have intersecting forced sets"
     else:
         note = f"sufficiency: {suff.reason}"
 

@@ -1262,9 +1262,22 @@ def _y_rule_pairs_whole_set(g, p, rel_y, reverse_rel: bool, swap_sides: bool, co
                 cons.add(yp, y)
 
 
+def nesting_sequence_by_sets(g: Graph, members: int, y: int) -> tuple[int, ...] | None:
+    """The vertices of mask ``members`` sorted by the size of their
+    Y-neighborhood sets, ties by id, or None unless each of those sets
+    holds the one before it."""
+    ny = {v: {w for w in bits(y) if g.adjacent(v, w)} for v in bits(members)}
+    seq = sorted(ny, key=lambda v: (len(ny[v]), v))
+    if all(ny[u] <= ny[v] for u, v in zip(seq, seq[1:])):
+        return tuple(seq)
+    return None
+
+
 def build_order1_by_whole_set(g: Graph, p: BabPartition, rel_x: tuple[int, ...], rel_y: tuple[int, ...]) -> tuple[int, ...]:
     """First total order: private a's, then the shared block, then private
-    b's interleaved into Y around the Y-neighborhood of the last a.
+    b's interleaved into Y around the Y-neighborhood of the last a. Each
+    private side comes in its nesting sequence, and raises ScopeError when
+    it has none.
 
     Pairwise rules: shared x's by oriented relation or Y-neighborhood
     inclusion; Y by oriented relation, X-neighborhood inclusion (bigger
@@ -1273,22 +1286,26 @@ def build_order1_by_whole_set(g: Graph, p: BabPartition, rel_x: tuple[int, ...],
     rest of Y after the last b. Unconstrained pairs fall to the ascending-id
     topological tie-break.
     """
+    a_seq = nesting_sequence_by_sets(g, p.a_only, p.y)
+    b_seq = nesting_sequence_by_sets(g, p.b_only, p.y)
+    if a_seq is None or b_seq is None:
+        raise ScopeError("the first order needs both private sides totally nested")
     cons = WholeSetConstraintSet(g.n)
     _x_rule_pairs_whole_set(g, p, rel_x, p.shared, reverse_rel=False, cons=cons)
-    for seq in (p.a_seq, p.b_seq):
+    for seq in (a_seq, b_seq):
         for prev, cur in zip(seq, seq[1:]):
             cons.add(prev, cur)
-    if p.a_seq:
-        cons.add_all(1 << p.a_seq[-1], p.shared)
-    if p.b_seq:
-        cons.add_all(p.shared, 1 << p.b_seq[0])
+    if a_seq:
+        cons.add_all(1 << a_seq[-1], p.shared)
+    if b_seq:
+        cons.add_all(p.shared, 1 << b_seq[0])
 
     _y_rule_pairs_whole_set(g, p, rel_y, reverse_rel=False, swap_sides=False, cons=cons)
 
-    if p.a_seq and p.b_seq:
-        nya = ny_mask(g, p, p.a_seq[-1])
-        cons.add_all(nya, 1 << p.b_seq[0])
-        cons.add_all(1 << p.b_seq[-1], p.y & ~nya)
+    if a_seq and b_seq:
+        nya = ny_mask(g, p, a_seq[-1])
+        cons.add_all(nya, 1 << b_seq[0])
+        cons.add_all(1 << b_seq[-1], p.y & ~nya)
     cons.add_all(p.x_a, p.y)
     return cons.toposort()
 

@@ -12,6 +12,7 @@ from squaregeo import build_graph, is_unit_interval_order, validate_bab
 from squaregeo.embedding import completion
 from squaregeo.errors import InputError, ScopeError, StructuralError
 from squaregeo.graph import bits, mask_of, ny_mask
+from squaregeo.orders import _nested_sequence
 
 from oracles import NestingRelation, build_graph_by_shifts, members, nesting, non_edges, umbrella_ok
 
@@ -118,9 +119,8 @@ def test_validate_bab_worked_example_fields(g8):
     assert members(p.b_only) == {3}
     assert members(p.x_all) == {0, 1, 2, 3}
     assert members(p.y) == {4, 5, 6, 7}
-    assert p.a_seq == (0,)
-    assert p.b_seq == (3,)
-    assert p.a_nested and p.b_nested
+    assert _nested_sequence(g, p.a_only, p.y) == (0,)
+    assert _nested_sequence(g, p.b_only, p.y) == (3,)
     assert p.x_a == 0b0111
     assert p.x_b == 0b1110
     assert p.shared == 0b0110
@@ -132,8 +132,8 @@ def test_validate_bab_equal_cliques(c4):
     g, p = c4
     assert members(p.shared) == {0, 1}
     assert not p.a_only and not p.b_only
-    assert p.a_seq == () and p.a_nested
-    assert p.b_seq == () and p.b_nested
+    assert _nested_sequence(g, p.a_only, p.y) == ()
+    assert _nested_sequence(g, p.b_only, p.y) == ()
 
 
 def test_nesting_sequence_orders_private_vertices_by_inclusion():
@@ -144,13 +144,11 @@ def test_nesting_sequence_orders_private_vertices_by_inclusion():
         (0, 4), (1, 4), (1, 5), (2, 4), (3, 5),
     ])
     p = validate_bab(g, [0, 1, 2, 3], [2, 3], [4, 5])
-    assert p.a_seq == (0, 1)
-    assert p.a_nested
-    # crossing neighborhoods clear the sequence and the flag
+    assert _nested_sequence(g, p.a_only, p.y) == (0, 1)
+    # crossing neighborhoods have no sequence
     g2 = build_graph(6, [e for e in g.edges() if e != (1, 4)])
     p2 = validate_bab(g2, [0, 1, 2, 3], [2, 3], [4, 5])
-    assert not p2.a_nested
-    assert p2.a_seq == ()
+    assert _nested_sequence(g2, p2.a_only, p2.y) is None
 
 
 def test_validate_bab_rejects_broken_partitions():
@@ -251,8 +249,7 @@ def test_private_cross_edge_is_out_of_scope():
 def test_mirrored_swaps_the_roles_and_is_an_involution(g8):
     _, p = g8
     q = p.mirrored()
-    assert q.x_a == p.x_b and q.x_b == p.x_a
-    assert q.a_seq == p.b_seq and q.b_seq == p.a_seq
+    assert q.x_a == p.x_b and q.x_b == p.x_a and q.y == p.y
     assert q.mirrored() == p
 
 

@@ -21,6 +21,7 @@ from squaregeo.errors import OrderConstructionError, ScopeError
 from squaregeo.graph import bits, mask_of
 from squaregeo.instances import generate_bab
 from squaregeo.orders import (
+    _nested_sequence,
     _pair_rules,
     _toposort,
     _total_order,
@@ -39,6 +40,7 @@ from oracles import (
     build_order2_by_whole_set,
     constraint_arcs,
     derive_relations_by_pairs,
+    nesting_sequence_by_sets,
     node_coloring,
     out_set,
     planted_bab,
@@ -59,8 +61,11 @@ def _prepared(g, p):
 
 
 def _sufficient(g, p):
+    """The sufficiency verdict on (g, p), and whether construction swaps the
+    sides: exactly when the a-side fails the rigid-free test."""
     cg = build_chord_graph(g, p)
-    return check_sufficient(g, p, cg, check_necessary(g, p, cg))
+    nec = check_necessary(g, p, cg)
+    return check_sufficient(g, p, cg, nec), not nec.rigid_free.side_a_ok
 
 
 def test_g8_relations_frozen(g8):
@@ -253,7 +258,8 @@ def sorted_sets(monkeypatch):
 
 def _match_whole_set_builders(g, p, sorted_sets, cases: Counter, where) -> None:
     """Both builders against the whole-set references on (g, p), under its
-    coloring and under the swapped one, when it reaches construction.
+    coloring and under the swapped one, when it reaches construction; the
+    two nesting sequences against the set reference's on every (g, p).
 
     The swapped coloring can make two blocks cycle; the reported cycle is
     then the first block's, where the reference may walk into the other
@@ -270,8 +276,11 @@ def _match_whole_set_builders(g, p, sorted_sets, cases: Counter, where) -> None:
 
     cg = build_chord_graph(g, p)
     nec = check_necessary(g, p, cg)
-    if nec.status is not NecessaryStatus.PASS or not (p.a_nested and p.b_nested):
+    seqs = _nested_sequence(g, p.a_only, p.y), _nested_sequence(g, p.b_only, p.y)
+    assert seqs == (nesting_sequence_by_sets(g, p.a_only, p.y), nesting_sequence_by_sets(g, p.b_only, p.y))
+    if nec.status is not NecessaryStatus.PASS or None in seqs:
         return
+    a_seq, b_seq = seqs
     f = nec.coloring
     for flipped, col in enumerate((f, cg.non_isolated_mask & ~f)):
         rel_x, rel_y = derive_relations(g, p, cg, col)
@@ -279,10 +288,10 @@ def _match_whole_set_builders(g, p, sorted_sets, cases: Counter, where) -> None:
             continue
         rules = _pair_rules(g, p, rel_x, rel_y)
         if not flipped:
-            cases[bool(p.a_seq), bool(p.b_seq)] += 1
+            cases[bool(a_seq), bool(b_seq)] += 1
         y_total = _total_order([k | r for k, r in zip(*rules)], p.y) is not None
         cases["y total", not flipped, y_total] += 1
-        o1, o2 = (outcome(build, g, p, rules) for build in (build_order1, build_order2))
+        o1, o2 = outcome(build_order1, g, p, rules, a_seq, b_seq), outcome(build_order2, g, p, rules)
         for got, ref_build in ((o1, build_order1_by_whole_set), (o2, build_order2_by_whole_set)):
             want = outcome(ref_build, g, p, rel_x, rel_y)
             at = (*where, p, not flipped, ref_build.__name__)
@@ -297,8 +306,8 @@ def _match_whole_set_builders(g, p, sorted_sets, cases: Counter, where) -> None:
             if ref_build is build_order1_by_whole_set:
                 cases["order1 cycle", y_total, bool(mask_of(cycle) & p.b_only)] += 1
         if isinstance(o1, tuple):
-            a, s = len(p.a_seq), p.shared.bit_count()
-            assert o1[:a] == p.a_seq and mask_of(o1[a:a + s]) == p.shared
+            a, s = len(a_seq), p.shared.bit_count()
+            assert o1[:a] == a_seq and mask_of(o1[a:a + s]) == p.shared
         if isinstance(o2, tuple):
             assert mask_of(o2[:p.x_all.bit_count()]) == p.x_all
 
@@ -353,7 +362,7 @@ def test_g8_orders_frozen(g8):
     cg, ab, col = _prepared(g, p)
     rel_x, rel_y = derive_relations(g, p, cg, col)
     rules = _pair_rules(g, p, rel_x, rel_y)
-    assert build_order1(g, p, rules) == (0, 1, 2, 4, 3, 5, 6, 7)
+    assert build_order1(g, p, rules, (0,), (3,)) == (0, 1, 2, 4, 3, 5, 6, 7)
     assert build_order2(g, p, rules) == (3, 2, 0, 1, 6, 7, 5, 4)
 
 
@@ -362,14 +371,14 @@ def test_c4_orders_frozen(c4):
     cg, ab, col = _prepared(g, p)
     rel_x, rel_y = derive_relations(g, p, cg, col)
     rules = _pair_rules(g, p, rel_x, rel_y)
-    assert build_order1(g, p, rules) == (0, 1, 2, 3)
+    assert build_order1(g, p, rules, (), ()) == (0, 1, 2, 3)
     assert build_order2(g, p, rules) == (1, 0, 3, 2)
 
 
 def test_check_sufficient_g8(g8):
     g, p = g8
-    s = _sufficient(g, p)
-    assert not s.swapped
+    s, swaps = _sufficient(g, p)
+    assert not swaps
     assert s.reason == ""
     assert s.orders[0] == (0, 1, 2, 4, 3, 5, 6, 7)
     assert s.orders[1] == (3, 2, 0, 1, 6, 7, 5, 4)
@@ -380,12 +389,12 @@ def test_swap_fires_when_only_b_side_is_free():
     its b side; construction swaps back and lands on the same orders."""
     g = build_graph(7, REGION_OVERSHOOT_EDGES)
     p = validate_bab(g, [0, 1, 2], [1, 2, 3], [4, 5, 6])
-    plain = _sufficient(g, p)
-    assert not plain.swapped and plain.orders is not None
+    plain, swaps = _sufficient(g, p)
+    assert not swaps and plain.orders is not None
 
     pm = validate_bab(g, [1, 2, 3], [0, 1, 2], [4, 5, 6])
-    swapped = _sufficient(g, pm)
-    assert swapped.swapped and swapped.reason == ""
+    swapped, swaps = _sufficient(g, pm)
+    assert swaps and swapped.reason == ""
     assert swapped.orders[0] == plain.orders[0] == (0, 2, 1, 5, 6, 3, 4)
     assert swapped.orders[1] == plain.orders[1] == (1, 2, 3, 0, 4, 5, 6)
     assert make_order_pair(g, *swapped.orders).valid
@@ -399,8 +408,9 @@ def test_swap_without_forced_nodes_keeps_the_coloring():
     p = validate_bab(g, [0, 1, 2], [1, 2], [3, 4, 5])
     cg, ab, _ = _prepared(g, p)
     assert ab == (0, 0)
-    s = check_sufficient(g, p, cg, check_necessary(g, p, cg))
-    assert s.swapped
+    nec = check_necessary(g, p, cg)
+    s = check_sufficient(g, p, cg, nec)
+    assert not nec.rigid_free.side_a_ok
     assert s.orders[0] == (1, 2, 0, 4, 3, 5)
     assert s.orders[1] == (2, 1, 0, 3, 4, 5)
     assert make_order_pair(g, *s.orders).valid
@@ -411,8 +421,8 @@ def test_mirrored_g8_builds_without_swap(g8):
     roles changes the constructed orders but not their validity."""
     g, _ = g8
     pm = validate_bab(g, [1, 2, 3], [0, 1, 2], [4, 5, 6, 7])
-    s = _sufficient(g, pm)
-    assert s.reason == "" and not s.swapped
+    s, swaps = _sufficient(g, pm)
+    assert s.reason == "" and not swaps
     assert s.orders[0] == (3, 2, 1, 6, 7, 0, 5, 4)
     assert s.orders[1] == (0, 1, 3, 2, 4, 5, 6, 7)
     assert make_order_pair(g, *s.orders).valid
@@ -437,16 +447,12 @@ def test_out_of_scope_blocks_construction(disconnected7):
 def test_crossing_private_neighborhoods_fail_nesting():
     g = build_graph(8, NON_NESTED_EDGES)
     p = validate_bab(g, [0, 1, 2, 3], [2, 3, 4], [5, 6, 7])
-    assert not p.a_nested
-    s = _sufficient(g, p)
-    assert s.reason == "nesting"
-    assert s.orders is None and not s.swapped
-    # the first order starts with a_seq, which is empty on an unnested side
-    cg = build_chord_graph(g, p)
-    rel_x, rel_y = derive_relations(g, p, cg, check_necessary(g, p, cg).coloring)
-    for q in (p, p.mirrored()):
-        with pytest.raises(ScopeError, match="totally nested"):
-            build_order1(g, q, _pair_rules(g, q, rel_x, rel_y))
+    # the private a's cross, so they have no sequence, in either orientation
+    assert _nested_sequence(g, p.b_only, p.y) == (4,)
+    for q, crossing in ((p, p.a_only), (p.mirrored(), p.mirrored().b_only)):
+        assert _nested_sequence(g, crossing, q.y) is None
+        s, _ = _sufficient(g, q)
+        assert s.reason == "nesting" and s.orders is None
 
 
 def test_rigid_free_blocks_construction():

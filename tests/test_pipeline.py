@@ -29,10 +29,10 @@ from squaregeo import (
     verify_certificate,
 )
 from squaregeo.chords import ChordGraph, y_end_masks
-from squaregeo.embedding import embed, make_order_pair
+from squaregeo.embedding import completion, embed, make_order_pair
 from squaregeo.errors import ParseError
 from squaregeo.instances import _PAIR_LINE
-from squaregeo.orders import derive_relations
+from squaregeo.orders import SufficiencyVerdict, derive_relations
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
 from oracles import mask_of_pairs, pairs_of, verify_certificate_by_sets, verify_embedding_by_pairs
@@ -179,7 +179,9 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
     g, p = swap
     cg = build_chord_graph(g, p)
     nec = check_necessary(g, p, cg)
-    assert check_sufficient(g, p, cg, nec).swapped and any(nec.forced)
+    # construction swaps the sides, and the coloring has forced nodes
+    assert check_sufficient(g, p, cg, nec).orders is not None
+    assert not nec.rigid_free.side_a_ok and any(nec.forced)
 
 
 def test_recognize_builds_no_augmented_graph(g8, disconnected7):
@@ -239,6 +241,27 @@ def test_audit_failure_resolved_no_by_oracle():
         " no order pair with disjoint forced sets"
     )
     assert verify_certificate(g, cert).ok
+
+
+def test_constructed_pair_with_meeting_forced_sets_is_undecided(monkeypatch):
+    """A constructed pair whose forced sets meet never raises: with or
+    without private b's it is UNDECIDED on route ``sufficiency``, or the
+    oracle's certificate led by the same note."""
+    note = "constructed orders have intersecting forced sets"
+    two_sided = build_graph(6, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)])
+    one_sided = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)])
+    for g, p in ((two_sided, validate_bab(two_sided, [0, 1, 2], [1, 2, 3], [4, 5])),
+                 (one_sided, validate_bab(one_sided, [0, 1, 2], [1, 2], [3, 4]))):
+        assert recognize(g, p).route == "sufficient"
+        o = tuple(range(g.n))
+        assert completion(g, o)
+        monkeypatch.setattr(pipeline, "check_sufficient", lambda *args, o=o: SufficiencyVerdict(orders=(o, o)))
+        cert = recognize(g, p)
+        assert cert.verdict == UNDECIDED and cert.route == "sufficiency" and cert.reason == note
+        cert = recognize(g, p, allow_oracle=True)
+        assert cert.verdict == YES and cert.route == "oracle" and cert.reason == note
+        assert verify_certificate(g, cert).ok
+        monkeypatch.undo()
 
 
 def test_verify_catches_tampering(g8):
