@@ -253,9 +253,9 @@ def audit_assumption1(g: Graph, p: BabPartition, cg: ChordGraph) -> tuple[str, .
         if not 0 < d < y_size:
             failures.append(f"private vertex {v} has {d} Y-neighbors out of {y_size}")
 
-    for b in bits(p.b_only):
-        nyb = ny_mask(g, p, b)
-        if all(nyb & ~ny_mask(g, p, u) == 0 for u in bits(p.x_all & ~(1 << b))):
+    common = mask_of(y for y in bits(p.y) if g.adj[y] & p.x_all == p.x_all)  # Y seen by all of X
+    for b in bits(p.b_only):  # b's own term always holds, so all of X stands for X minus b
+        if not g.adj[b] & p.y & ~common:
             failures.append(f"N_Y({b}) nests inside every other X vertex's Y-neighborhood")
 
     free = ~(cg.a_vertex_mask | cg.b_vertex_mask)

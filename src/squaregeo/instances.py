@@ -437,21 +437,16 @@ def generate_bab(
     n = a_size + shared_size + b_size + y_size
     if n > sys.maxsize:  # no list that long can be built
         raise GenerationError(f"block sizes sum to {_echo(n, str)}, more than {sys.maxsize} vertices")
-    a_block = range(a_size)
-    shared_block = range(a_size, a_size + shared_size)
-    b_block = range(a_size + shared_size, a_size + shared_size + b_size)
-    y_block = range(n - y_size, n)
-
-    edges = []
-    xa = list(a_block) + list(shared_block)
-    xb = list(shared_block) + list(b_block)
-    for part in (xa, xb, list(y_block)):
-        for i, u in enumerate(part):
-            for v in part[i + 1:]:
-                edges.append((u, v))
-    for x in xa + list(b_block):
-        for y in y_block:
+    xa, xb, ys = range(a_size + shared_size), range(a_size, n - y_size), range(n - y_size, n)
+    adj = [0] * n
+    for part in (xa, xb, ys):
+        clique = (1 << part.stop) - (1 << part.start)
+        for v in part:
+            adj[v] |= clique & ~(1 << v)
+    for x in range(n - y_size):
+        for y in ys:
             if rng.random() < density:
-                edges.append((x, y))
-    g = build_graph(n, sorted(set(edges)))
-    return g, validate_bab(g, xa, xb, list(y_block))
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    g = Graph(n, tuple(adj))
+    return g, validate_bab(g, xa, xb, ys)

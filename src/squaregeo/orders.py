@@ -5,7 +5,7 @@ X-relation pair and one Y-relation pair. When both relations are partial
 orders and both private sides are totally nested, two total orders are laid
 out as blocks in sequence: the a's, the shared block, then the b's within Y;
 and X, then Y. Pairwise placement rules order each block. The nesting is
-tested once, in ``check_sufficient`` before any swap, and its sequences
+tested once, in ``check_sufficient`` after orienting, and its sequences
 are the first order's a's and b's. The orders' interval completions are
 disjoint for every instance in scope, which the caller re-verifies. The
 coloring and the rigid-free report come from the passing necessary verdict
@@ -322,34 +322,35 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
     the PASS verdict of ``check_necessary`` on the same (g, p, cg); any other
     status raises ScopeError. Its coloring and rigid-free report are reused,
     leaving the partial orders, the nesting and the construction to check.
-    The nesting is tested once, before any swap: ``_nested_sequence`` of
+    The nesting is tested once, after orienting: ``_nested_sequence`` of
     each private side, both read by ``build_order1``.
 
-    When only the b-side passes the rigid-free test, the roles of X_a and
-    X_b, and their sequences, are exchanged before construction. The
+    Construction puts a rigid-free private side in the role of X_a. When
+    only the b-side passes the rigid-free test, the instance is oriented
+    first: X_a and X_b trade roles before anything is derived. The
     exchange keeps the chord graph's nodes and edges, so ``cg`` serves as
-    is, and trades the two forced sets, so the canonical coloring of the
-    exchanged instance is the current one with red and blue swapped. Each
-    chord edge is then read from its other end, so both relations are
-    transposed. With no forced node the coloring, and with it the
-    relations, stay unchanged. The placement rules are classified once and
-    read by both builders. The resulting orders apply to the graph
+    is, and trades the two forced sets, so with a forced node the
+    canonical coloring of the exchanged instance is the complement of
+    ``nec.coloring`` within the non-isolated nodes; with none it is
+    ``nec.coloring`` itself. The relations, the nesting and the placement
+    rules are then computed once, for the oriented instance, and the rules
+    are read by both builders. The resulting orders apply to the graph
     unchanged.
     """
     if nec.status is not NecessaryStatus.PASS:
         raise ScopeError(f"sufficiency needs a passing necessary verdict, got {nec.status.value}")
-    rel_x, rel_y = derive_relations(g, p, cg, nec.coloring)
+    red = nec.coloring
+    if not nec.rigid_free.side_a_ok:
+        p = p.mirrored()
+        if any(nec.forced):
+            red = cg.non_isolated_mask & ~red
+    rel_x, rel_y = derive_relations(g, p, cg, red)
     if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
         return SufficiencyVerdict(orders=None, reason="partial-orders")
     a_seq = _nested_sequence(g, p.a_only, p.y)
     b_seq = _nested_sequence(g, p.b_only, p.y)
     if a_seq is None or b_seq is None:
         return SufficiencyVerdict(orders=None, reason="nesting")
-
-    if not nec.rigid_free.side_a_ok:
-        p, a_seq, b_seq = p.mirrored(), b_seq, a_seq
-        if any(nec.forced):
-            rel_x, rel_y = _transpose(rel_x), _transpose(rel_y)
     rules = _pair_rules(g, p, rel_x, rel_y)
     try:
         orders = (build_order1(g, p, rules, a_seq, b_seq), build_order2(g, p, rules))

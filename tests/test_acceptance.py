@@ -202,12 +202,15 @@ def test_criterion_2_corpus_is_the_recorded_one(sufficient_certs):
 
 
 def test_first_draw_is_the_generators():
-    """On every criterion-2 shape, the first of ``bab_draws`` is the
-    instance ``generate_bab`` returns for the same request."""
-    for shape in SUFFICIENT_SHAPES:
+    """On every criterion-2 shape, on shapes with no private a or no
+    private b, and on one n=200 shape, the first of ``bab_draws`` is the
+    instance ``generate_bab`` returns for the same request, at the
+    criterion's densities and at 0 and 1."""
+    for shape in SUFFICIENT_SHAPES + [(0, 2, 2, 3), (2, 2, 0, 3), (60, 20, 60, 60)]:
         for seed in range(10):
-            first = next(bab_draws(shape, _dens(seed), seed))
-            assert emit_instance(*first) == emit_instance(*generate_bab(shape, _dens(seed), seed))
+            for density in (_dens(seed), 0.0, 1.0):
+                first = next(bab_draws(shape, density, seed))
+                assert emit_instance(*first) == emit_instance(*generate_bab(shape, density, seed))
 
 
 def test_criterion_2_completion_lines_are_the_sorted_pairs(sufficient_certs):

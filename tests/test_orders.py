@@ -32,6 +32,7 @@ from squaregeo.orders import (
 )
 
 import oracles
+from census import census
 from oracles import (
     ArcConstraintSet,
     PairRelation,
@@ -386,7 +387,13 @@ def test_check_sufficient_g8(g8):
 
 def test_swap_fires_when_only_b_side_is_free():
     """With roles exchanged, the overshoot instance is rigid-free only on
-    its b side; construction swaps back and lands on the same orders."""
+    its b side; construction swaps back and lands on the same orders.
+
+    So does every census(6) instance that swaps: its verdict equals the one
+    built on the mirror with the mirror's own chord graph and necessary
+    verdict, which passes and does not swap. The mirror's canonical
+    coloring is the complement of the instance's exactly when a node is
+    forced, as construction assumes when it orients."""
     g = build_graph(7, REGION_OVERSHOOT_EDGES)
     p = validate_bab(g, [0, 1, 2], [1, 2, 3], [4, 5, 6])
     plain, swaps = _sufficient(g, p)
@@ -398,6 +405,23 @@ def test_swap_fires_when_only_b_side_is_free():
     assert swapped.orders[0] == plain.orders[0] == (0, 2, 1, 5, 6, 3, 4)
     assert swapped.orders[1] == plain.orders[1] == (1, 2, 3, 0, 4, 5, 6)
     assert make_order_pair(g, *swapped.orders).valid
+
+    forced = Counter()
+    for g, p in census(6):
+        cg = build_chord_graph(g, p)
+        nec = check_necessary(g, p, cg)
+        if nec.status is not NecessaryStatus.PASS or nec.rigid_free.side_a_ok:
+            continue
+        pm = p.mirrored()
+        cgm = build_chord_graph(g, pm)
+        necm = check_necessary(g, pm, cgm)
+        assert necm.status is NecessaryStatus.PASS and necm.rigid_free.side_a_ok
+        assert cgm.nodes == cg.nodes
+        oriented = cg.non_isolated_mask & ~nec.coloring if any(nec.forced) else nec.coloring
+        assert necm.coloring == oriented
+        assert check_sufficient(g, p, cg, nec) == check_sufficient(g, pm, cgm, necm)
+        forced[any(nec.forced)] += 1
+    assert forced == {False: 6, True: 12}
 
 
 def test_swap_without_forced_nodes_keeps_the_coloring():
