@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask, union_of
+from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask, union_of, upper_pairs
 from .errors import InputError
 
 
@@ -75,11 +75,7 @@ class ChordGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as index pairs (i, j), i < j, lexicographically."""
-        out = []
-        for i, a in enumerate(self.adj):
-            for j in bits(a >> (i + 1) << (i + 1)):
-                out.append((i, j))
-        return out
+        return upper_pairs(self.adj)
 
     @cached_property
     def non_isolated_mask(self) -> int:

@@ -36,6 +36,12 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def upper_pairs(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, with bit v set in ``adj[u]``, in
+    lexicographic order: the edges of a symmetric table of masks."""
+    return [(u, v) for u, m in enumerate(adj) for v in bits(m >> (u + 1) << (u + 1))]
+
+
 def union_of(masks: Sequence[int], ids: int) -> int:
     """The union of ``masks[i]`` over the set bits i of ``ids``."""
     m = 0
@@ -113,12 +119,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            high = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(high):
-                out.append((u, v))
-        return out
+        return upper_pairs(self.adj)
 
     def edge_count(self) -> int:
         return sum(self.adj[v].bit_count() for v in range(self.n)) // 2

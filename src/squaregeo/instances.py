@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .errors import GenerationError, ParseError, _echo
 from .graph import BabPartition, Graph, _add_edges, _covered_bab, _Shifts, _symmetric_rows
-from .graph import bits, build_graph, check_cover, validate_bab
+from .graph import bits, build_graph, check_cover
 from .pipeline import NO, UNDECIDED, YES, Certificate
 
 INSTANCE_HEADER = "bab-instance v1"
@@ -424,7 +424,9 @@ def generate_bab(
     private b, y) and X-Y edge density in [0, 1]. Deterministic per seed:
     one ``random.Random(seed)`` decides each X-Y edge in turn. A bad
     request (an empty shared or y block, a negative size, a density
-    outside [0, 1], too many vertices) raises GenerationError.
+    outside [0, 1], too many vertices) raises GenerationError. The three
+    blocks are cliques and only X-Y edges are drawn, so the partition is
+    read off the block masks without validation.
     """
     a_size, shared_size, b_size, y_size = sizes
     if shared_size < 1 or y_size < 1:
@@ -439,8 +441,8 @@ def generate_bab(
         raise GenerationError(f"block sizes sum to {_echo(n, str)}, more than {sys.maxsize} vertices")
     xa, xb, ys = range(a_size + shared_size), range(a_size, n - y_size), range(n - y_size, n)
     adj = [0] * n
-    for part in (xa, xb, ys):
-        clique = (1 << part.stop) - (1 << part.start)
+    cliques = [(1 << part.stop) - (1 << part.start) for part in (xa, xb, ys)]
+    for part, clique in zip((xa, xb, ys), cliques):
         for v in part:
             adj[v] |= clique & ~(1 << v)
     for x in range(n - y_size):
@@ -448,5 +450,4 @@ def generate_bab(
             if rng.random() < density:
                 adj[x] |= 1 << y
                 adj[y] |= 1 << x
-    g = Graph(n, tuple(adj))
-    return g, validate_bab(g, xa, xb, ys)
+    return Graph(n, tuple(adj)), BabPartition(*cliques)

@@ -4,12 +4,13 @@ From an admissible chord-graph coloring, each rigid pair orients one
 X-relation pair and one Y-relation pair. When both relations are partial
 orders and both private sides are totally nested, two total orders are laid
 out as blocks in sequence: the a's, the shared block, then the b's within Y;
-and X, then Y. Pairwise placement rules order each block. The nesting is
-tested once, in ``check_sufficient`` after orienting, and its sequences
-are the first order's a's and b's. The orders' interval completions are
-disjoint for every instance in scope, which the caller re-verifies. The
-coloring and the rigid-free report come from the passing necessary verdict
-and are not recomputed here.
+and X, then Y. Pairwise placement rules order each block: the relations'
+own pairs, and one classification of each pair they leave unordered, made
+once for both orders. The nesting is tested once, in ``check_sufficient``
+after orienting, and its sequences are the first order's a's and b's. The
+orders' interval completions are disjoint for every instance in scope,
+which the caller re-verifies. The coloring and the rigid-free report come
+from the passing necessary verdict and are not recomputed here.
 
 A block sorts by the topological order that places the least ready vertex
 first. The rules are dense, and where they totally order a block, as they
@@ -190,33 +191,31 @@ def _find_cycle(succ, left: int) -> tuple[int, ...]:
 
 
 def _pair_rules(g: Graph, p: BabPartition, rel_x, rel_y) -> tuple[list[int], list[int]]:
-    """The pairwise placement rules of both orders, as two lists of
-    successor masks: ``keep``, which both orders obey, and ``flip``, which
-    the first order obeys and the second reverses.
+    """The pairwise placement rules of both orders, each pair classified
+    once, as two lists of successor masks: ``keep``, which both orders
+    obey, and ``flip``, which the first order obeys and the second reverses.
 
-    A pair of X, or of Y, that the relation orients goes to ``flip``.
-    Otherwise an X pair is ordered by Y-neighborhood inclusion (smaller
-    first) and a Y pair by X-neighborhood nesting (bigger first), equal
-    masks by ascending id, in ``keep``. A Y pair neither related nor nested
-    goes to ``flip`` by the private-difference pattern, a's on the left.
-    The pattern cannot match a pair both ways, since the private sides are
-    disjoint and the pair is not nested, so the second order's mirrored
-    pattern is ``flip`` reversed.
+    ``flip`` starts as the relations, each antisymmetric on its own side;
+    only the pairs neither orders are walked. An X pair is ordered by
+    Y-neighborhood inclusion (smaller first) and a Y pair by X-neighborhood
+    nesting (bigger first), equal masks by ascending id, in ``keep``. A
+    private a and a private b, never adjacent and so never related, that
+    are not nested put the b first in ``keep``; only the second order reads
+    that rule. A Y pair neither related nor nested goes to ``flip`` by the
+    private-difference pattern, a's on the left. The pattern cannot match a
+    pair both ways, since the private sides are disjoint and the pair is
+    not nested, so the second order's mirrored pattern is ``flip`` reversed.
     """
     keep = [0] * g.n
-    flip = [0] * g.n
+    flip = [x | y for x, y in zip(rel_x, rel_y)]
 
     def unrelated(members: int, side: int, rel):
-        """The pairs u < v of ``members`` with their ``side`` neighborhoods;
-        a pair ``rel`` orients goes to ``flip`` instead."""
-        vs =[(v, g.adj[v] & side) for v in bits(members)]
+        """The pairs u < v of ``members`` that ``rel`` leaves unordered,
+        with their ``side`` neighborhoods."""
+        vs = [(v, g.adj[v] & side) for v in bits(members)]
         for i, (u, mu) in enumerate(vs):
             for v, mv in vs[i + 1:]:
-                if rel[u] >> v & 1:
-                    flip[u] |= 1 << v
-                elif rel[v] >> u & 1:
-                    flip[v] |= 1 << u
-                else:
+                if not (rel[u] >> v | rel[v] >> u) & 1:
                     yield u, mu, v, mv
 
     for u, mu, v, mv in unrelated(p.x_all, p.y, rel_x):
@@ -224,6 +223,10 @@ def _pair_rules(g: Graph, p: BabPartition, rel_x, rel_y) -> tuple[list[int], lis
             keep[u] |= 1 << v
         elif mv & ~mu == 0:
             keep[v] |= 1 << u
+        elif p.a_only >> u & p.b_only >> v & 1:
+            keep[v] |= 1 << u
+        elif p.b_only >> u & p.a_only >> v & 1:
+            keep[u] |= 1 << v
     for u, mu, v, mv in unrelated(p.y, p.x_all, rel_y):
         if mv & ~mu == 0:
             keep[u] |= 1 << v
@@ -291,15 +294,10 @@ def build_order1(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]],
 def build_order2(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]]) -> tuple[int, ...]:
     """Second total order: all of X, then Y, each by the pair rules
     ``rules`` with the oriented relations and the difference pattern
-    reversed; mutually non-nested private pairs put the b before the a."""
+    reversed; ``keep`` puts the b before the a of mutually non-nested
+    private pairs."""
     keep, flip = rules
     succ = [k | f for k, f in zip(keep, _transpose(flip))]
-    for a in bits(p.a_only):
-        nya = g.adj[a] & p.y
-        for b in bits(p.b_only):
-            nyb = g.adj[b] & p.y
-            if nya & ~nyb and nyb & ~nya:
-                succ[b] |= 1 << a
     return _toposort(succ, p.x_all) + _toposort(succ, p.y)
 
 

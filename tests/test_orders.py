@@ -14,6 +14,7 @@ from squaregeo import (
     check_sufficient,
     color_constrained,
     compute_ab_sets,
+    orders,
     validate_bab,
 )
 from squaregeo.embedding import make_order_pair
@@ -25,6 +26,7 @@ from squaregeo.orders import (
     _pair_rules,
     _toposort,
     _total_order,
+    _transpose,
     build_order1,
     build_order2,
     derive_relations,
@@ -501,8 +503,9 @@ def test_constraint_cycle_raises():
 
 def test_constraint_tie_break_and_inclusion():
     """X pairs by Y-neighborhood inclusion and Y pairs by X-neighborhood
-    nesting, in ``keep``; a Y pair that is not nested by the difference
-    pattern, in ``flip``. No pair here is related."""
+    nesting, in ``keep``, as is a private a and b that are not nested, b
+    first; a Y pair that is not nested by the difference pattern, in
+    ``flip``. No pair here is related."""
     # X_a = {0, 1, 2, 3}, X_b = {2, 3, 4}, Y = {5, 6, 7, 8}
     edges = [(u, v) for block in ((0, 1, 2, 3), (2, 3, 4), (5, 6, 7, 8)) for u, v in itertools.combinations(block, 2)]
     edges += [(0, 5), (0, 6), (0, 7), (1, 5), (2, 5), (2, 6), (3, 5), (3, 6), (4, 8)]
@@ -512,7 +515,52 @@ def test_constraint_tie_break_and_inclusion():
     pairs = set(relation_pairs(keep))
     assert (2, 3) in pairs and (3, 2) not in pairs  # equal masks: ascending id
     assert (1, 0) in pairs and (0, 1) not in pairs  # strictly larger mask second
-    assert not {(0, 4), (4, 0)} & pairs  # incomparable X pair: no bit
+    assert (4, 0) in pairs and (0, 4) not in pairs  # private a and b, not nested: b first
     assert (5, 7) in pairs  # bigger X-neighborhood first
     assert not {(7, 8), (8, 7)} & pairs
     assert relation_pairs(flip) == [(7, 8)]  # the a-side difference on the left
+    order2 = build_order2(g, p, (keep, flip))
+    assert order2.index(4) < order2.index(0)
+
+
+def test_pair_rules_keep_the_relations_and_order2_puts_private_b_first(monkeypatch):
+    """On every census(6) instance that reaches the placement rules, and on
+    planted n=70 and n=110 instances, as ``check_sufficient`` orients them:
+    ``flip`` holds exactly the relations' bits on the pairs they order, and
+    ``keep`` none there; and in a second order that is built, every private
+    a and private b whose Y-neighborhoods are not nested has the b first."""
+    calls = []
+
+    def recorded(g, p, rel_x, rel_y):
+        rules = _pair_rules(g, p, rel_x, rel_y)
+        calls.append((p, rel_x, rel_y, rules))
+        return rules
+
+    monkeypatch.setattr(orders, "_pair_rules", recorded)
+    planted = [planted_bab(sizes, seed) for sizes, seeds in (((10, 14, 10, 36), (0, 2)), ((16, 22, 16, 56), (0, 1)))
+               for seed in seeds]
+    counts = Counter()
+    for g, p in itertools.chain(census(6), planted):
+        cg = build_chord_graph(g, p)
+        nec = check_necessary(g, p, cg)
+        if nec.status is not NecessaryStatus.PASS:
+            continue
+        calls.clear()
+        verdict = check_sufficient(g, p, cg, nec)
+        if not calls:
+            continue
+        (q, rel_x, rel_y, (keep, flip)), = calls
+        rel = [x | y for x, y in zip(rel_x, rel_y)]
+        for u, (r, t) in enumerate(zip(rel, _transpose(rel))):
+            assert flip[u] & (r | t) == r and not keep[u] & (r | t), (g, q, u)
+        counts[g.n, "rules"] += 1
+        if verdict.orders is None:
+            continue
+        at = {v: i for i, v in enumerate(verdict.orders[1])}
+        for a in bits(q.a_only):
+            for b in bits(q.b_only):
+                nya, nyb = g.adj[a] & q.y, g.adj[b] & q.y
+                if nya & ~nyb and nyb & ~nya:
+                    assert at[b] < at[a], (g, q, a, b)
+                    counts[g.n, "pairs"] += 1
+    assert all(counts[n, key] for n in (6, 70, 110) for key in ("rules", "pairs")), counts
