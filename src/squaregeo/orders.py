@@ -12,12 +12,31 @@ orders' interval completions are disjoint for every instance in scope,
 which the caller re-verifies. The coloring and the rigid-free report come
 from the passing necessary verdict and are not recomputed here.
 
-A block sorts by the topological order that places the least ready vertex
-first. The rules are dense, and where they totally order a block, as they
-mostly do, the order is read off each member's successor count in O(k)
-mask operations; behind the last a's fences, the b's then merge into Y's
-order in one pass. Kahn's heap sort remains for rules that are partial or
-cycle.
+Every block the orders sort is a tournament under its rules: each pair of
+members has exactly one direction. So a block's order is read off its
+successor counts, or its rules have a cycle, which is named. The proof:
+
+- The coloring is proper on the non-isolated chord nodes, so
+  ``derive_relations`` orients the X pair and the Y pair of every rigid
+  pair.
+- An X pair x, x' that is adjacent and whose Y-neighborhoods cross, with
+  y in N_Y(x) - N(x') and y' in N_Y(x') - N(x), is the rigid pair
+  x-y-y'-x', so it is related. An adjacent pair that is not related is
+  therefore nested, and goes in ``keep``. A pair that is not adjacent is a
+  private a and a private b, and goes in ``keep`` whether nested or not.
+- A Y pair y, y' is always adjacent. If some x in N_X(y) - N(y') and x' in
+  N_X(y') - N(y) are adjacent, the pair is related. Otherwise every such x
+  and x' are non-adjacent, so one difference is all private a's and the
+  other all private b's, and the pattern branch puts the pair in
+  ``flip``; a nested pair goes in ``keep``.
+- Each pair gets exactly one rule: the walk of ``_pair_rules`` skips the
+  related pairs, ``validate_partial_order`` has already made each
+  relation antisymmetric, and the ``keep`` and ``flip`` branches exclude
+  each other.
+
+So ``keep | flip`` (first order) and ``keep`` with ``flip`` reversed
+(second order) are tournaments on each block, and a tournament is a strict
+total order exactly when it has no cycle.
 
 The coloring arrives as its red node-index mask; blue is the rest of the
 non-isolated nodes. A relation, like each set of placement rules, is a
@@ -85,26 +104,14 @@ def derive_relations(
     return tuple(x_succ), _transpose(y_pred)
 
 
-@dataclass(frozen=True)
-class PartialOrderCheck:
-    ok: bool
-    antisymmetry_violation: tuple[int, int] | None = None
-    transitivity_violation: tuple[int, int, int] | None = None
-
-
-def validate_partial_order(succ: tuple[int, ...]) -> PartialOrderCheck:
-    """Antisymmetry, then transitivity through successor-mask containment;
-    each reports its least violation."""
+def validate_partial_order(succ: tuple[int, ...]) -> bool:
+    """Whether the successor masks ``succ`` are antisymmetric and, through
+    successor-mask containment, transitive."""
     for u, s in enumerate(succ):
         for v in bits(s & ~(1 << u)):
             if (succ[v] >> u) & 1:
-                return PartialOrderCheck(ok=False, antisymmetry_violation=(u, v))
-    for v, s in enumerate(succ):
-        for u in bits(s):
-            extra = succ[u] & ~s
-            if extra:
-                return PartialOrderCheck(ok=False, transitivity_violation=(v, u, lowest(extra)))
-    return PartialOrderCheck(ok=True)
+                return False
+    return all(not succ[u] & ~s for s in succ for u in bits(s))
 
 
 def _transpose(succ) -> tuple[int, ...]:
@@ -116,72 +123,50 @@ def _transpose(succ) -> tuple[int, ...]:
     return tuple(pred)
 
 
-def _total_order(succ, members: int) -> tuple[int, ...] | None:
+def _total_order(succ, members: int) -> tuple[int, ...]:
     """The vertices of mask ``members`` in the one order the successor
-    masks ``succ`` allow when, between members, they are a strict total
-    order; None otherwise.
+    masks ``succ`` allow between members, which must be a tournament there:
+    a strict total order, or else a cycle, which raises
+    OrderConstructionError naming it.
 
     A member with d successors among the k members goes to position
     k - 1 - d; two members on one position, or one before itself, end the
     read-off. It stands if every member's successors among the members
-    are exactly the members placed after it. Proof of exactness: the rules
-    between members are then the strict total order of the read-off, which
-    has one topological order, so Kahn's sort gives the same sequence.
-    O(k) mask operations, against Kahn's two reads of every successor bit.
+    are exactly the members placed after it. Those rules are then the
+    strict total order of the read-off. O(k) mask operations.
     """
     k = members.bit_count()
     seq = [-1] * k
     for v in bits(members):
         i = k - 1 - (succ[v] & members).bit_count()
         if i < 0 or seq[i] >= 0:
-            return None
+            raise OrderConstructionError(_find_cycle(succ, members))
         seq[i] = v
     after = 0  # the members placed after seq[i]
     for v in reversed(seq):
         if succ[v] & members != after:
-            return None
+            raise OrderConstructionError(_find_cycle(succ, members))
         after |= 1 << v
     return tuple(seq)
 
 
-def _toposort(succ, members: int) -> tuple[int, ...]:
-    """The vertices of mask ``members`` in the topological order of the
-    successor masks ``succ`` that always places the least ready vertex,
-    reading only the constraints between members.
-
-    A total order has one topological order, which ``_total_order`` reads
-    off the successor counts. Other rules run Kahn's algorithm with a heap
-    of the ready vertices, and a cycle among them raises
-    OrderConstructionError naming it.
-    """
-    seq = _total_order(succ, members)
-    if seq is not None:
-        return seq
-    indeg = [0] * len(succ)
-    for v in bits(members):
-        for w in bits(succ[v] & members):
-            indeg[w] += 1
-    heap = [v for v in bits(members) if not indeg[v]]  # ascending, so a heap
-    seq = []
-    while heap:
-        v = heapq.heappop(heap)
-        seq.append(v)
-        for w in bits(succ[v] & members):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(seq) < members.bit_count():
-        raise OrderConstructionError(_find_cycle(succ, members & ~mask_of(seq)))
-    return tuple(seq)
-
-
 def _find_cycle(succ, left: int) -> tuple[int, ...]:
-    """A cycle among the unplaced vertices ``left``. Vertices with no
-    successor left are dropped until none remain, so every vertex left
-    leads to a cycle; the walk then follows least successors from the
-    least vertex until one repeats."""
-    while dead := mask_of(v for v in bits(left) if not succ[v] & left):
+    """A cycle among the vertices ``left`` under the successor masks
+    ``succ``. Vertices with no successor or no predecessor left are dropped
+    until none remain, so every vertex left lies on a walk from a cycle to
+    a cycle; the walk then follows least successors from the least vertex
+    until one repeats. Raises ValueError when nothing is left: the rules
+    are acyclic, so they were not a tournament."""
+    while True:
+        ahead = 0  # the vertices some vertex left precedes
+        for v in bits(left):
+            ahead |= succ[v]
+        dead = left & ~ahead | mask_of(v for v in bits(left) if not succ[v] & left)
+        if not dead:
+            break
         left &= ~dead
+    if not left:
+        raise ValueError("the rules between the members are acyclic but not a total order")
     path = [lowest(left)]
     while True:
         v = lowest(succ[path[-1]] & left)
@@ -254,51 +239,40 @@ def build_order1(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]],
                  a_seq: tuple[int, ...], b_seq: tuple[int, ...]) -> tuple[int, ...]:
     """First total order: the private a's in their nesting sequence
     ``a_seq``, the shared block, then the private b's, in theirs, ``b_seq``,
-    interleaved into Y around the Y-neighborhood of the last a.
+    placed in Y's order around the Y-neighborhood N of the last a.
 
-    The shared block and Y follow the pair rules ``rules`` of
-    ``_pair_rules`` as they stand. The b's follow only their sequence: the
-    Y-neighbors of the last a come before the first b, the rest of Y after
-    the last b. Unconstrained pairs fall to the ascending-id topological
-    tie-break.
-
-    When there are a's and b's and Y's rules alone are a total order T, the
-    b's merge into T. The only arcs between the b's and Y are the fences
-    above, so Kahn's ready set holds at most the next y of T and the next b.
-    No y outside the last a's neighborhood N is ready before the last b, and
-    the first b waits for all of N; so the block is T's prefix N, the b's,
-    then the rest of T, or a cycle when N is not a prefix of T. A cycle,
-    rules on Y that are not a total order, and a block with no fences go to
-    ``_toposort``, with the fences as arcs.
+    The shared block and Y are each read off ``keep | flip`` of the pair
+    rules ``rules`` of ``_pair_rules``, or raise their cycle; no rule is
+    added. With a's and b's, N comes before the first b and the rest of Y
+    after the last b, so the b's go between N and the rest of Y when N is a
+    prefix of Y's order. When it is not, the first y of Y's order outside
+    N comes before the last y' in N, and y, y', then the b's back to y is
+    the cycle raised. With no a or no b, nothing ties the b's to Y, and
+    they interleave with Y's order by least id, as the topological order
+    that places the least ready vertex would.
     """
     succ = [k | f for k, f in zip(*rules)]
-    head = a_seq + _toposort(succ, p.shared)
-    fenced = bool(a_seq and b_seq)
-    if fenced:
-        nya = g.adj[a_seq[-1]] & p.y
-        ys = _total_order(succ, p.y)
-        cut = nya.bit_count()
-        if ys is not None and mask_of(ys[:cut]) == nya:
-            return head + ys[:cut] + b_seq + ys[cut:]
-    for b in bits(p.b_only):  # the b's sort with Y, where no X rule applies
-        succ[b] = 0
-    for prev, cur in zip(b_seq, b_seq[1:]):
-        succ[prev] = 1 << cur
-    if fenced:
-        for y in bits(nya):
-            succ[y] |= 1 << b_seq[0]
-        succ[b_seq[-1]] |= p.y & ~nya
-    return head + _toposort(succ, p.b_only | p.y)
+    head = a_seq + _total_order(succ, p.shared)
+    ys = _total_order(succ, p.y)
+    if not (a_seq and b_seq):
+        return head + tuple(heapq.merge(b_seq, ys))
+    nya = g.adj[a_seq[-1]] & p.y
+    cut = nya.bit_count()
+    if mask_of(ys[:cut]) != nya:
+        y_out = next(y for y in ys if not nya >> y & 1)
+        y_in = next(y for y in reversed(ys) if nya >> y & 1)
+        raise OrderConstructionError((y_out, y_in, *b_seq))
+    return head + ys[:cut] + b_seq + ys[cut:]
 
 
-def build_order2(g: Graph, p: BabPartition, rules: tuple[list[int], list[int]]) -> tuple[int, ...]:
-    """Second total order: all of X, then Y, each by the pair rules
+def build_order2(p: BabPartition, rules: tuple[list[int], list[int]]) -> tuple[int, ...]:
+    """Second total order: all of X, then Y, each read off the pair rules
     ``rules`` with the oriented relations and the difference pattern
     reversed; ``keep`` puts the b before the a of mutually non-nested
     private pairs."""
     keep, flip = rules
     succ = [k | f for k, f in zip(keep, _transpose(flip))]
-    return _toposort(succ, p.x_all) + _toposort(succ, p.y)
+    return _total_order(succ, p.x_all) + _total_order(succ, p.y)
 
 
 @dataclass(frozen=True)
@@ -343,7 +317,7 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
         if any(nec.forced):
             red = cg.non_isolated_mask & ~red
     rel_x, rel_y = derive_relations(g, p, cg, red)
-    if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
+    if not (validate_partial_order(rel_x) and validate_partial_order(rel_y)):
         return SufficiencyVerdict(orders=None, reason="partial-orders")
     a_seq = _nested_sequence(g, p.a_only, p.y)
     b_seq = _nested_sequence(g, p.b_only, p.y)
@@ -351,7 +325,7 @@ def check_sufficient(g: Graph, p: BabPartition, cg: ChordGraph, nec: NecessaryVe
         return SufficiencyVerdict(orders=None, reason="nesting")
     rules = _pair_rules(g, p, rel_x, rel_y)
     try:
-        orders = (build_order1(g, p, rules, a_seq, b_seq), build_order2(g, p, rules))
+        orders = (build_order1(g, p, rules, a_seq, b_seq), build_order2(p, rules))
     except OrderConstructionError as exc:
         return SufficiencyVerdict(orders=None, reason=f"order construction cycled through {exc.cycle}")
     return SufficiencyVerdict(orders=orders)

@@ -37,7 +37,7 @@ from squaregeo.graph import (
 )
 from squaregeo.instances import INSTANCE_HEADER
 from squaregeo.necessary import ColoringRefutation, NecessaryStatus, _shortest_odd_cycle, check_necessary
-from squaregeo.orders import PartialOrderCheck, check_sufficient
+from squaregeo.orders import check_sufficient
 from squaregeo.pipeline import NO, UNDECIDED, YES, Certificate, CertificateCheck
 
 
@@ -542,11 +542,6 @@ def out_set(rel: tuple[int, ...], v: int) -> frozenset[int]:
     return members(rel[v])
 
 
-def constraint_arcs(succ) -> set[tuple[int, int]]:
-    """The 'u before v' arcs held by successor masks."""
-    return set(relation_pairs(succ))
-
-
 # The relation and constraint formats before successor masks: colorings and
 # relations as frozensets of tuples, constraints as a set of arcs. The three
 # functions below are the original implementations, copied verbatim apart
@@ -617,22 +612,19 @@ def derive_relations_by_pairs(cg: ChordGraph, f: NodeColoring, p: BabPartition) 
     )
 
 
-def validate_partial_order_by_pairs(rel: PairRelation) -> PartialOrderCheck:
+def validate_partial_order_by_pairs(rel: PairRelation) -> bool:
     """Antisymmetry, then transitivity through out-set containment."""
     for u, v in sorted(rel.pairs):
         if u != v and (v, u) in rel.pairs:
-            return PartialOrderCheck(ok=False, antisymmetry_violation=(u, v))
+            return False
     outs: dict[int, set[int]] = {}
     for u, v in rel.pairs:
         outs.setdefault(u, set()).add(v)
     for v in sorted(outs):
         for u in sorted(outs[v]):
-            extra = outs.get(u, set()) - outs[v]
-            if extra:
-                return PartialOrderCheck(
-                    ok=False, transitivity_violation=(v, u, min(extra))
-                )
-    return PartialOrderCheck(ok=True)
+            if outs.get(u, set()) - outs[v]:
+                return False
+    return True
 
 
 class ArcConstraintSet:

@@ -24,7 +24,6 @@ from squaregeo.instances import generate_bab
 from squaregeo.orders import (
     _nested_sequence,
     _pair_rules,
-    _toposort,
     _total_order,
     _transpose,
     build_order1,
@@ -41,7 +40,6 @@ from oracles import (
     WholeSetConstraintSet,
     build_order1_by_whole_set,
     build_order2_by_whole_set,
-    constraint_arcs,
     derive_relations_by_pairs,
     nesting_sequence_by_sets,
     node_coloring,
@@ -107,23 +105,19 @@ def test_partial_order_check_passes_g8(g8):
     g, p = g8
     cg, ab, col = _prepared(g, p)
     rel_x, rel_y = derive_relations(g, p, cg, col)
-    assert validate_partial_order(rel_x).ok
-    assert validate_partial_order(rel_y).ok
+    assert validate_partial_order(rel_x)
+    assert validate_partial_order(rel_y)
 
 
 def test_partial_order_check_antisymmetry():
-    rel = relation_of(2, {(0, 1), (1, 0)})
-    chk = validate_partial_order(rel)
-    assert not chk.ok
-    assert chk.antisymmetry_violation == (0, 1)
-    assert chk.transitivity_violation is None
+    assert validate_partial_order(relation_of(2, {(0, 1), (1, 0)})) is False
+    # transitive, so only antisymmetry fails
+    assert validate_partial_order(relation_of(2, {(0, 0), (0, 1), (1, 0), (1, 1)})) is False
 
 
 def test_partial_order_check_out_set_containment():
-    rel = relation_of(3, {(0, 1), (1, 2)})
-    chk = validate_partial_order(rel)
-    assert not chk.ok
-    assert chk.transitivity_violation == (0, 1, 2)
+    assert validate_partial_order(relation_of(3, {(0, 1), (1, 2)})) is False
+    assert validate_partial_order(relation_of(3, {(0, 1), (1, 2), (0, 2)})) is True
 
 
 def test_relations_match_the_pair_reference():
@@ -147,102 +141,104 @@ def test_relations_match_the_pair_reference():
                     refs = derive_relations_by_pairs(cg, node_coloring(cg, f), p)
                     for rel, ref in zip(derive_relations(g, p, cg, f), refs):
                         assert relation_pairs(rel) == sorted(ref.pairs), (shape, density, seed)
-                        chk = validate_partial_order(rel)
-                        assert chk == validate_partial_order_by_pairs(ref), (shape, density, seed)
-                        outcomes["generated", chk.ok] += 1
+                        ok = validate_partial_order(rel)
+                        assert ok == validate_partial_order_by_pairs(ref), (shape, density, seed)
+                        outcomes["generated", ok] += 1
     rng = random.Random(0)
     for _ in range(2000):
         n = rng.randint(1, 7)
         pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
-        chk = validate_partial_order(relation_of(n, pairs))
-        assert chk == validate_partial_order_by_pairs(PairRelation(frozenset(range(n)), frozenset(pairs)))
-        outcomes["random", chk.ok, chk.antisymmetry_violation is None] += 1
+        ok = validate_partial_order(relation_of(n, pairs))
+        assert ok == validate_partial_order_by_pairs(PairRelation(frozenset(range(n)), frozenset(pairs)))
+        antisymmetric = not any((v, u) in pairs for u, v in pairs if u != v)
+        outcomes["random", ok, antisymmetric] += 1
     assert outcomes["colored"] == 643
     assert outcomes["generated", False] == 2 * 5  # five instances, both colorings
     assert outcomes["generated", True] > 0
     assert all(outcomes["random", ok, anti] for ok, anti in ((True, True), (False, True), (False, False)))
 
 
-def _total_order_arcs(rng: random.Random, n: int) -> tuple[str, list[tuple[int, int]]]:
-    """The arcs of a strict total order on a random permutation of 0..n-1,
-    as they stand, with one arc dropped, or with one arc reversed."""
+def _tournament_arcs(rng: random.Random, n: int) -> tuple[str, list[tuple[int, int]]]:
+    """The arcs of a tournament on 0..n-1: a strict total order on a random
+    permutation as it stands, with one arc reversed, or with each arc
+    reversed with probability 1/4."""
     perm = rng.sample(range(n), n)
     arcs = list(itertools.combinations(perm, 2))
-    kind = rng.choice(["total", "dropped", "reversed"]) if arcs else "total"
-    if kind != "total":
-        a, b = arcs.pop(rng.randrange(len(arcs)))
-        if kind == "reversed":
-            arcs.append((b, a))
+    kind = rng.choice(["total", "reversed", "tournament"]) if arcs else "total"
+    if kind == "reversed":
+        i = rng.randrange(len(arcs))
+        arcs[i] = arcs[i][::-1]
+    elif kind == "tournament":
+        arcs = [(b, a) if rng.random() < 0.25 else (a, b) for a, b in arcs]
     return kind, arcs
 
 
 def test_toposort_matches_the_arc_reference():
-    """The same order and reported cycle as the original arc-set version,
-    on random successor lists built from single arcs and from every vertex
-    of one random mask before every other vertex of another, and on strict
-    total orders, as they stand or with one arc dropped or reversed. Each
-    is sorted over all vertices and over a random vertex mask. Over a mask,
-    the reference sorts the arcs between members and its order drops the
-    other vertices. Where the original walk hit an unplaced vertex with no
-    unplaced successor and failed, a real cycle is reported instead.
+    """The block sort against the original arc-set version, which sorts
+    with Kahn's heap. The sort reads tournaments: on every strict total
+    order it gives the reference's order, on every digraph with a cycle the
+    reference's cycle, and on an acyclic input that is not a total order it
+    raises ValueError. Where the reference's walk hits a vertex with no
+    unplaced successor and fails, the cycle is the one the whole-set
+    reference's pruned walk names.
 
-    A total order is read off its successor counts; a dropped arc always
-    sends the whole set to Kahn's sort, and so does a reversed one unless
-    it joins two neighbors of the order, which gives another total order."""
+    The inputs are tournaments (strict total orders on a random
+    permutation, as they stand, with one arc reversed, or with arcs
+    reversed at random) and random successor lists built from single arcs
+    and from every vertex of one random mask before every other vertex of
+    another. Each is sorted over all vertices and over a random vertex
+    mask, where the references sort the arcs between members."""
     rng = random.Random(0)
     outcomes = Counter()
     for _ in range(6000):
         n = rng.randint(1, 9)
-        succ, ref = [0] * n, ArcConstraintSet(n)
         if rng.random() < 0.5:
-            kind, arcs = _total_order_arcs(rng, n)
-            for a, b in arcs:
-                succ[a] |= 1 << b
-                ref.add(a, b)
+            kind, arcs = _tournament_arcs(rng, n)
         else:
-            kind = "random"
+            kind, arcs = "random", []
             for _ in range(rng.randint(0, 2 * n)):
                 if rng.random() < 0.7:
                     us, vs = 1 << rng.randrange(n), 1 << rng.randrange(n)
                 else:
                     us, vs = rng.getrandbits(n) & rng.getrandbits(n), rng.getrandbits(n)
-                for a in bits(us):
-                    succ[a] |= vs & ~(1 << a)
-                    for b in bits(vs):
-                        ref.add(a, b)
-        assert constraint_arcs(succ) == ref.arcs
-        members = rng.getrandbits(n)
-        induced = ArcConstraintSet(n)
-        for a, b in ref.arcs:
-            if (members >> a) & (members >> b) & 1:
-                induced.add(a, b)
-        for scope, mask, arcs in (("all", (1 << n) - 1, ref), ("mask", members, induced)):
+                arcs += [(a, b) for a in bits(us) for b in bits(vs) if a != b]
+        succ = [0] * n
+        for a, b in arcs:
+            succ[a] |= 1 << b
+        for scope, mask in (("all", (1 << n) - 1), ("mask", rng.getrandbits(n))):
+            ref, pruned = ArcConstraintSet(n), WholeSetConstraintSet(n)
+            for a, b in arcs:
+                if (mask >> a) & (mask >> b) & 1:
+                    ref.add(a, b)
+                    pruned.add(a, b)
             try:
-                got = ("order", _toposort(succ, mask))
+                got = ("order", _total_order(succ, mask))
             except OrderConstructionError as exc:
                 got = ("cycle", exc.cycle)
+            except ValueError:
+                got = ("not total",)
             try:
-                want = ("order", tuple(v for v in arcs.toposort() if (mask >> v) & 1))
+                order = tuple(v for v in ref.toposort() if (mask >> v) & 1)
+                total = all(arc in ref.arcs for arc in itertools.combinations(order, 2))
+                want = ("order", order) if total else ("not total",)
             except OrderConstructionError as exc:
                 want = ("cycle", exc.cycle)
             except ValueError:
-                cycle = got[1]
-                assert got[0] == "cycle" and len(set(cycle)) == len(cycle)
-                assert all((a, b) in arcs.arcs for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-                want = got
+                with pytest.raises(OrderConstructionError) as exc:
+                    pruned.toposort()
+                want = ("cycle", exc.value.cycle)
                 outcomes[scope, "dead end"] += 1
             assert got == want
-            read = _total_order(succ, mask)
-            assert read is None or ("order", read) == got
-            outcomes[scope, got[0]] += 1
-            outcomes[scope, kind, read is not None] += 1
-        if kind == "dropped":
-            assert _total_order(succ, (1 << n) - 1) is None
-    assert all(outcomes[scope, kind] for scope in ("all", "mask") for kind in ("order", "cycle", "dead end"))
-    assert not outcomes["all", "total", False] and outcomes["all", "total", True] > 1000
-    assert outcomes["all", "reversed", True] and outcomes["all", "reversed", False] > 400
-    assert outcomes["mask", "dropped", True] and outcomes["mask", "dropped", False] > 100
-    assert outcomes["all", "random", True] and outcomes["all", "random", False] > 1000
+            outcomes[scope, kind, got[0]] += 1
+    for scope in ("all", "mask"):
+        assert outcomes[scope, "dead end"] and outcomes[scope, "random", "not total"]
+        assert not outcomes[scope, "total", "cycle"] and not outcomes[scope, "total", "not total"]
+        for kind in ("reversed", "tournament"):
+            assert outcomes[scope, kind, "order"] and outcomes[scope, kind, "cycle"]
+            assert not outcomes[scope, kind, "not total"]
+    assert outcomes["all", "total", "order"] > 1000
+    assert outcomes["all", "reversed", "cycle"] > 400 and outcomes["all", "tournament", "cycle"] > 400
+    assert outcomes["all", "random", "cycle"] > 1000 and outcomes["all", "random", "not total"] > 1000
 
 
 @pytest.fixture
@@ -287,14 +283,14 @@ def _match_whole_set_builders(g, p, sorted_sets, cases: Counter, where) -> None:
     f = nec.coloring
     for flipped, col in enumerate((f, cg.non_isolated_mask & ~f)):
         rel_x, rel_y = derive_relations(g, p, cg, col)
-        if not (validate_partial_order(rel_x).ok and validate_partial_order(rel_y).ok):
+        if not (validate_partial_order(rel_x) and validate_partial_order(rel_y)):
             continue
         rules = _pair_rules(g, p, rel_x, rel_y)
         if not flipped:
             cases[bool(a_seq), bool(b_seq)] += 1
-        y_total = _total_order([k | r for k, r in zip(*rules)], p.y) is not None
+        y_total = isinstance(outcome(_total_order, [k | r for k, r in zip(*rules)], p.y), tuple)
         cases["y total", not flipped, y_total] += 1
-        o1, o2 = outcome(build_order1, g, p, rules, a_seq, b_seq), outcome(build_order2, g, p, rules)
+        o1, o2 = outcome(build_order1, g, p, rules, a_seq, b_seq), outcome(build_order2, p, rules)
         for got, ref_build in ((o1, build_order1_by_whole_set), (o2, build_order2_by_whole_set)):
             want = outcome(ref_build, g, p, rel_x, rel_y)
             at = (*where, p, not flipped, ref_build.__name__)
@@ -342,10 +338,10 @@ def test_builders_match_the_whole_set_reference_at_benchmark_sizes(sorted_sets):
     block shares and with one private side empty, each with its ids as
     planted (every b before every y) and shuffled, in both orientations.
     The seeds are ones whose instance passes the necessary conditions. Y's
-    rules are a total order on each under its own coloring, so the b's
-    merge into it behind the last a's fences; with no a, the b's and Y go
-    to Kahn's sort, and with no b, Y is read off alone. Under the swapped
-    coloring some Y rules are not a total order, and some fences cycle."""
+    rules are a total order on each under its own coloring, so the b's go
+    between the last a's Y-neighborhood and the rest of Y; with no a, they
+    interleave with Y by least id, and with no b, Y is read off alone.
+    Under the swapped coloring some Y rules cycle, and so do some fences."""
     cases = Counter()
     for sizes, seeds in (((6, 8, 6, 20), (3, 4)), ((10, 14, 10, 36), (0, 2)), ((16, 22, 16, 56), (0, 1)),
                          ((0, 14, 10, 46), (1, 2)), ((10, 14, 0, 46), (0, 2)),
@@ -366,7 +362,7 @@ def test_g8_orders_frozen(g8):
     rel_x, rel_y = derive_relations(g, p, cg, col)
     rules = _pair_rules(g, p, rel_x, rel_y)
     assert build_order1(g, p, rules, (0,), (3,)) == (0, 1, 2, 4, 3, 5, 6, 7)
-    assert build_order2(g, p, rules) == (3, 2, 0, 1, 6, 7, 5, 4)
+    assert build_order2(p, rules) == (3, 2, 0, 1, 6, 7, 5, 4)
 
 
 def test_c4_orders_frozen(c4):
@@ -375,7 +371,7 @@ def test_c4_orders_frozen(c4):
     rel_x, rel_y = derive_relations(g, p, cg, col)
     rules = _pair_rules(g, p, rel_x, rel_y)
     assert build_order1(g, p, rules, (), ()) == (0, 1, 2, 3)
-    assert build_order2(g, p, rules) == (1, 0, 3, 2)
+    assert build_order2(p, rules) == (1, 0, 3, 2)
 
 
 def test_check_sufficient_g8(g8):
@@ -489,15 +485,15 @@ def test_rigid_free_blocks_construction():
 
 def test_constraint_cycle_raises():
     with pytest.raises(OrderConstructionError) as exc:
-        _toposort([0b010, 0b100, 0b001], 0b111)
+        _total_order([0b010, 0b100, 0b001], 0b111)
     assert exc.value.cycle == (0, 1, 2)
     # the least unplaced vertex, 0, leads to no cycle; the cycle is 1 -> 2
     with pytest.raises(OrderConstructionError) as exc:
-        _toposort([0b000, 0b101, 0b010], 0b111)
+        _total_order([0b000, 0b101, 0b010], 0b111)
     assert exc.value.cycle == (1, 2)
     # distinct successor counts 2, 1, 0, but 0 and 1 precede each other
     with pytest.raises(OrderConstructionError) as exc:
-        _toposort([0b110, 0b001, 0b000], 0b111)
+        _total_order([0b110, 0b001, 0b000], 0b111)
     assert exc.value.cycle == (0, 1)
 
 
@@ -519,8 +515,64 @@ def test_constraint_tie_break_and_inclusion():
     assert (5, 7) in pairs  # bigger X-neighborhood first
     assert not {(7, 8), (8, 7)} & pairs
     assert relation_pairs(flip) == [(7, 8)]  # the a-side difference on the left
-    order2 = build_order2(g, p, (keep, flip))
-    assert order2.index(4) < order2.index(0)
+
+
+def test_order1_names_the_fence_cycle():
+    """With a's and b's, the b's go between the last a's Y-neighborhood N
+    and the rest of Y's order. When Y's order puts a y outside N before a
+    y' in N, the fences close the cycle y, y', then the b's: the first
+    such y and the last such y'. The rules here are made by hand."""
+    # X_a = {0, 1}, X_b = {1, 2, 3}, Y = {4, 5, 6}; N = N_Y(0) = {4}
+    edges = [(0, 1), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (0, 4), (2, 5), (3, 5), (3, 6)]
+    g = build_graph(7, edges)
+    p = validate_bab(g, [0, 1], [1, 2, 3], [4, 5, 6])
+    a_seq, b_seq = _nested_sequence(g, p.a_only, p.y), _nested_sequence(g, p.b_only, p.y)
+    assert (a_seq, b_seq) == ((0,), (2, 3))
+
+    def rules(y_order):
+        keep = [0] * g.n
+        for i, y in enumerate(y_order):
+            keep[y] = mask_of(y_order[i + 1:])
+        return keep, [0] * g.n
+
+    assert build_order1(g, p, rules((4, 6, 5)), a_seq, b_seq) == (0, 1, 4, 2, 3, 6, 5)
+    for y_order, cycle in (((5, 4, 6), (5, 4, 2, 3)), ((6, 5, 4), (6, 4, 2, 3))):
+        with pytest.raises(OrderConstructionError) as exc:
+            build_order1(g, p, rules(y_order), a_seq, b_seq)
+        assert exc.value.cycle == cycle
+
+
+def test_every_block_is_a_tournament():
+    """Each block the orders sort, X and Y, has exactly one direction per
+    pair under ``keep | flip`` (first order) and under ``keep`` with
+    ``flip`` reversed (second order), with no vertex before itself: on
+    every census(6) instance that reaches the placement rules, and on
+    planted n=70 and n=110 instances, as ``check_sufficient`` orients
+    them, under their coloring and under the swapped one."""
+    planted = [planted_bab(sizes, seed) for sizes, seeds in (((10, 14, 10, 36), (0, 2)), ((16, 22, 16, 56), (0, 1)))
+               for seed in seeds]
+    counts = Counter()
+    for g, p in itertools.chain(census(6), planted):
+        cg = build_chord_graph(g, p)
+        nec = check_necessary(g, p, cg)
+        if nec.status is not NecessaryStatus.PASS:
+            continue
+        q = p if nec.rigid_free.side_a_ok else p.mirrored()
+        red = nec.coloring if q is p or not any(nec.forced) else cg.non_isolated_mask & ~nec.coloring
+        for flipped, col in enumerate((red, cg.non_isolated_mask & ~red)):
+            rel_x, rel_y = derive_relations(g, q, cg, col)
+            if not (validate_partial_order(rel_x) and validate_partial_order(rel_y)):
+                continue
+            keep, flip = _pair_rules(g, q, rel_x, rel_y)
+            for succ in ([k | f for k, f in zip(keep, flip)], [k | f for k, f in zip(keep, _transpose(flip))]):
+                pred = _transpose(succ)
+                for block in (q.x_all, q.y):
+                    for v in bits(block):
+                        others = block & ~(1 << v)
+                        assert (succ[v] | pred[v]) & block == others, (g, q, flipped, v)
+                        assert not succ[v] & pred[v] & block, (g, q, flipped, v)
+            counts[g.n, flipped] += 1
+    assert all(counts[n, flipped] for n in (6, 70, 110) for flipped in (0, 1)), counts
 
 
 def test_pair_rules_keep_the_relations_and_order2_puts_private_b_first(monkeypatch):
