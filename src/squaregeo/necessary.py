@@ -7,7 +7,9 @@ re-checkable witnesses.
 
 Sets of chord-graph nodes, the coloring's red class and the forced sets,
 are node-index masks over ``ChordGraph.nodes``; the blue class is the rest
-of ``ChordGraph.non_isolated_mask``. The rigid region sets are vertex masks.
+of ``ChordGraph.non_isolated_mask``. The paper's rigid region sets are
+vertex masks; no decision reads them, since the exact rigid-free test needs
+no screen in front of it.
 A refutation spells out its own NO reason, the text its certificate carries.
 """
 
@@ -18,7 +20,7 @@ from enum import Enum
 
 from .chords import ChordGraph, RigidPair, audit_assumption1, compute_ab_sets
 from .errors import ScopeError
-from .graph import BabPartition, Graph, bits, lowest, mask_of, ny_mask
+from .graph import BabPartition, Graph, bits, lowest, mask_of
 
 
 def _spell(nodes: tuple[tuple[int, int], ...]) -> str:
@@ -134,11 +136,13 @@ def color_constrained(cg: ChordGraph, forced: tuple[int, int]) -> int | Coloring
 def rigid_region_sets(cg: ChordGraph) -> tuple[int, int]:
     """R(X_a), R(X_b) as vertex masks: y's appearing in a non-isolated node
     whose x-end lies in X_a (resp. X_b); shared x-ends contribute to both.
-    Read off the y-end table, one mask test per vertex."""
+    Read off each node's y-end. The paper screens the rigid-free test with
+    them; ``check_rigid_free`` does without, and its docstring says why, so
+    only the tests and traced runs call this."""
     live = cg.non_isolated_mask
 
     def y_ends(nodes: int) -> int:
-        return mask_of(y for y, at_y in enumerate(cg.by_y) if at_y & nodes)
+        return mask_of(cg.nodes[i][1] for i in bits(nodes))
 
     return y_ends(live & ~cg.b_vertex_mask), y_ends(live & ~cg.a_vertex_mask)
 
@@ -183,16 +187,12 @@ class RigidFreeReport:
 def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeReport:
     """Find the trapped private vertices of each side.
 
-    The region sets are a screen: a trapping pair drops both of its y's
-    into the opposite side's region set, so a vertex meeting that set in
-    at most one y is clean. The converse is false; a vertex can meet the
-    set twice through unrelated rigid pairs. Past the screen, ``near`` is
-    the non-isolated chord nodes with y in N_Y(v) and x-end not private to
-    v's side, cut from the y-cut ``cg.y_cut[v]`` that ``build_chord_graph``
-    kept, and v is trapped when a chord edge inside ``near`` has a
-    shared x-end; the witness is the first such edge (i ascending, then
-    the lowest j > i). Isolated nodes have no edges, so leaving them out
-    of ``near`` changes no witness.
+    For each private vertex v, ``near`` is the non-isolated chord nodes
+    with y in N_Y(v) and x-end not private to v's side, cut from the y-cut
+    ``cg.y_cut[v]`` that ``build_chord_graph`` kept, and v is trapped when
+    a chord edge inside ``near`` has a shared x-end; the witness is the
+    first such edge (i ascending, then the lowest j > i). Isolated nodes
+    have no edges, so leaving them out of ``near`` changes no witness.
 
     The test comes first and is exact without the scan: every qualifying
     edge has an end with a shared x-end, and conversely a node of
@@ -200,17 +200,21 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
     qualifying edge. So v is trapped exactly when some node of
     ``near & shared`` has a neighbor in ``near``, and only then does the
     ordered scan run, to pick the witness.
+
+    The paper's region sets R(X_a), R(X_b) (``rigid_region_sets``) need
+    not screen the vertices first. Let v be a private a-vertex and take a
+    rigid pair that traps it. Its two chord nodes are live, their x-ends
+    lie in X_b (shared or private b), and their y-ends are distinct and lie
+    in N_Y(v). So both y-ends lie in R(X_b) & N_Y(v): a vertex meeting
+    R(X_b) in at most one y has no trapping pair, and the exact test
+    already calls it clean. Side b is symmetric.
     """
-    r_xa, r_xb = rigid_region_sets(cg)
     live = cg.non_isolated_mask
     shared = live & ~(cg.a_vertex_mask | cg.b_vertex_mask)
 
-    def trapped(private: int, own_nodes: int, region: int):
+    def trapped(private: int, own_nodes: int):
         out = []
         for v in bits(private):
-            ny = ny_mask(g, p, v)
-            if (ny & region).bit_count() <= 1:
-                continue
             near = cg.y_cut[v] & live & ~own_nodes
             if not any(cg.adj[s] & near for s in bits(near & shared)):
                 continue
@@ -225,8 +229,8 @@ def check_rigid_free(g: Graph, p: BabPartition, cg: ChordGraph) -> RigidFreeRepo
         return tuple(out)
 
     return RigidFreeReport(
-        trapped(p.a_only, cg.a_vertex_mask, r_xb),
-        trapped(p.b_only, cg.b_vertex_mask, r_xa),
+        trapped(p.a_only, cg.a_vertex_mask),
+        trapped(p.b_only, cg.b_vertex_mask),
     )
 
 

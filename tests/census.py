@@ -10,8 +10,10 @@ added to the three cliques' edges. Private a's and b's are never joined.
     PYTHONPATH=src python tests/census.py N
 
 prints the sha256 of census(N)'s concatenated certificate texts, the
-instance count, the tally of (verdict, route) and the number of YES
-certificates that fail to re-verify.
+instance count, the tally of (verdict, route), the tally of NO certificates
+by refutation kind (the part of the reason before its colon: ``coloring``
+or ``rigid-free``) and the number of YES certificates that fail to
+re-verify.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from collections import Counter
 from itertools import combinations
 
-from squaregeo import YES, build_graph, emit_certificate, recognize, validate_bab, verify_certificate
+from squaregeo import NO, YES, build_graph, emit_certificate, recognize, validate_bab, verify_certificate
 from squaregeo.graph import bits
 
 
@@ -41,28 +43,40 @@ def census(n: int):
                     yield g, validate_bab(g, xa, xb, ys)
 
 
-def census_record(n: int) -> tuple[str, int, Counter, int]:
-    """``recognize`` with no oracle on every instance of census(n): the
-    sha256 of the concatenated ``emit_certificate`` texts, the instance
-    count, the (verdict, route) tally and the count of YES certificates
-    that ``verify_certificate`` refuses."""
+def _run(n: int) -> tuple[str, int, Counter, Counter, int]:
+    """``census_record``'s figures, with the NO tally by refutation kind
+    after the route tally."""
     digest = hashlib.sha256()
     routes = Counter()
+    kinds = Counter()
     count = unverified = 0
     for g, p in census(n):
         cert = recognize(g, p)
         digest.update(emit_certificate(cert).encode())
         routes[cert.verdict, cert.route] += 1
         count += 1
-        if cert.verdict == YES and not verify_certificate(g, cert).ok:
+        if cert.verdict == NO:
+            kinds[cert.reason.partition(":")[0]] += 1
+        elif cert.verdict == YES and not verify_certificate(g, cert).ok:
             unverified += 1
-    return digest.hexdigest(), count, routes, unverified
+    return digest.hexdigest(), count, routes, kinds, unverified
+
+
+def census_record(n: int) -> tuple[str, int, Counter, int]:
+    """``recognize`` with no oracle on every instance of census(n): the
+    sha256 of the concatenated ``emit_certificate`` texts, the instance
+    count, the (verdict, route) tally and the count of YES certificates
+    that ``verify_certificate`` refuses."""
+    hexdigest, count, routes, _, unverified = _run(n)
+    return hexdigest, count, routes, unverified
 
 
 if __name__ == "__main__":
-    hexdigest, count, routes, unverified = census_record(int(sys.argv[1]))
+    hexdigest, count, routes, kinds, unverified = _run(int(sys.argv[1]))
     print(hexdigest)
     print(f"instances {count}")
     for (verdict, route), k in sorted(routes.items()):
         print(f"{verdict} {route} {k}")
+    for kind, k in sorted(kinds.items()):
+        print(f"{NO} by {kind} {k}")
     print(f"unverified {unverified}")

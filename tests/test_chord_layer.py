@@ -13,6 +13,7 @@ import random
 from functools import lru_cache
 
 from squaregeo import build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets, recognize
+from squaregeo.chords import y_end_masks
 from squaregeo.graph import bits, mask_of, union_of
 from squaregeo.instances import generate_bab
 from squaregeo.orders import _transpose, derive_relations
@@ -120,7 +121,8 @@ def test_bfs_layers_and_inner_match_the_references():
 
 def test_y_cut_table_is_the_union_of_the_y_ends():
     for label, g, p, cg in _cases():
-        want = [union_of(cg.by_y, g.adj[v] & p.y) if p.x_all >> v & 1 else 0 for v in range(g.n)]
+        by_y = y_end_masks(cg.nodes, g.n)
+        want = [union_of(by_y, g.adj[v] & p.y) if p.x_all >> v & 1 else 0 for v in range(g.n)]
         assert list(cg.y_cut) == want, label
 
 

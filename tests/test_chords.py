@@ -10,7 +10,7 @@ from squaregeo import (
     enumerate_rigid_pairs,
     validate_bab,
 )
-from squaregeo.chords import RigidPair, make_rigid_pair
+from squaregeo.chords import ChordGraph, RigidPair, make_rigid_pair, y_end_masks
 from squaregeo.errors import InputError
 from squaregeo.graph import bits, mask_of, union_of
 from squaregeo.instances import generate_bab
@@ -111,13 +111,24 @@ def test_chord_graph_matches_definition_at_real_sizes():
 
 
 def test_y_end_table_holds_each_node_under_its_y():
-    """Also the y-cut table: ``y_cut[x]`` is the union of the y-end masks
-    over N_Y(x) for every X vertex x, and 0 off X."""
+    """``y_end_masks`` files each node under its y, and the y-cut table
+    ``y_cut[x]`` is the union of those masks over N_Y(x) for every X
+    vertex x, and 0 off X."""
     for _, _, g, p, cg in _real_size_instances():
-        assert cg.by_y == tuple(
+        by_y = y_end_masks(cg.nodes, g.n)
+        assert by_y == tuple(
             mask_of(i for i, (_, y) in enumerate(cg.nodes) if y == v) for v in range(g.n)
         )
-        assert cg.y_cut == tuple(union_of(cg.by_y, g.adj[v] & p.y) if p.x_all >> v & 1 else 0 for v in range(g.n))
+        assert cg.y_cut == tuple(union_of(by_y, g.adj[v] & p.y) if p.x_all >> v & 1 else 0 for v in range(g.n))
+
+
+def test_chord_graph_tables_pass_by_keyword_only():
+    """A table given by position would land in the wrong field unseen, so
+    it is refused."""
+    nodes, adj = ((0, 2), (1, 3)), (0b10, 0b01)
+    with pytest.raises(TypeError):
+        ChordGraph(nodes, adj, 0, 0, (0, 1, 2))
+    assert ChordGraph(nodes, adj, 0, 0, y_cut=(2, 1)).x_start == ()
 
 
 def test_worked_example_chord_edges(g8):

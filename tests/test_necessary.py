@@ -16,7 +16,7 @@ from squaregeo import (
     compute_ab_sets,
     validate_bab,
 )
-from squaregeo.chords import ChordGraph, RigidPair, y_end_masks
+from squaregeo.chords import ChordGraph, RigidPair
 from squaregeo.errors import ScopeError
 from squaregeo.graph import bits
 from squaregeo.necessary import (
@@ -27,12 +27,14 @@ from squaregeo.necessary import (
 )
 from squaregeo.instances import generate_bab
 
+from census import census
 from conftest import enumerate_bab_instances
 from oracles import (
     color_constrained_by_list,
     components_by_bfs,
     members,
     nodes_of,
+    relabelled,
     rigid_free_by_pair_scan,
     rigid_pairs_by_definition,
     shortest_odd_cycle_by_all_roots,
@@ -220,7 +222,7 @@ def test_scope_error_takes_precedence_over_odd_cycle():
     for adj in ((0b00110, 0b00101, 0b00011, 0b10000, 0b01000),
                 (0b00010, 0b00001, 0b11000, 0b10100, 0b01100)):
         with pytest.raises(ScopeError):
-            color_constrained(ChordGraph(nodes, adj, 0, 0, y_end_masks(nodes, 5)), no_forced)
+            color_constrained(ChordGraph(nodes, adj, 0, 0), no_forced)
 
 
 def test_edgeless_chord_graphs_need_no_bfs(monkeypatch):
@@ -393,14 +395,20 @@ def test_rigid_free_matches_direct_scan_generated():
     assert wide_differs > 0
 
 
+def _seeded_instances():
+    """Seeded random instances on three block shapes, 90 in all."""
+    return [
+        generate_bab(shape, 0.3 + (seed % 5) / 10, seed)
+        for shape in ((2, 3, 2, 6), (3, 3, 3, 6), (3, 4, 3, 8))
+        for seed in range(30)
+    ]
+
+
 def test_rigid_free_witnesses_match_the_pair_scan():
     """Each trapped vertex and its rigid pair equal the original scan over
     one RigidPair per chord edge, on every n <= 5 isomorphism class and on
     seeded random instances; both sides have violations."""
-    instances = [gp for n in range(2, 6) for gp in enumerate_bab_instances(n)]
-    for shape in ((2, 3, 2, 6), (3, 3, 3, 6), (3, 4, 3, 8)):
-        for seed in range(30):
-            instances.append(generate_bab(shape, 0.3 + (seed % 5) / 10, seed))
+    instances = [gp for n in range(2, 6) for gp in enumerate_bab_instances(n)] + _seeded_instances()
     seen_a = seen_b = 0
     for g, p in instances:
         cg = build_chord_graph(g, p)
@@ -410,6 +418,30 @@ def test_rigid_free_witnesses_match_the_pair_scan():
         seen_a += len(ref[0])
         seen_b += len(ref[1])
     assert seen_a > 0 and seen_b > 0
+
+
+def test_trapped_vertices_meet_the_opposite_region_set_twice():
+    """The argument that lets ``check_rigid_free`` skip the paper's
+    region-set screen: every trapped private a-vertex meets R(X_b) in at
+    least two Y vertices, and every trapped private b-vertex R(X_a); and
+    ``check_rigid_free`` equals the pair scan, which keeps the screen. On every
+    census(6) instance and the seeded instances, each as given and
+    relabelled; many private vertices there meet the opposite region set
+    in at most one Y vertex, so the screen would have skipped them."""
+    base = list(census(6)) + _seeded_instances()
+    trapped = screened = 0
+    for i, (g, p) in enumerate(base + [relabelled(g, p, i) for i, (g, p) in enumerate(base)]):
+        cg = build_chord_graph(g, p)
+        rfr = check_rigid_free(g, p, cg)
+        assert (rfr.a_violations, rfr.b_violations) == rigid_free_by_pair_scan(g, p, cg), i
+        r_xa, r_xb = rigid_region_sets(cg)
+        for private, region, violations in ((p.a_only, r_xb, rfr.a_violations),
+                                            (p.b_only, r_xa, rfr.b_violations)):
+            for v, _ in violations:
+                assert (g.adj[v] & region).bit_count() >= 2, (i, v)
+            trapped += len(violations)
+            screened += sum((g.adj[v] & region).bit_count() <= 1 for v in bits(private))
+    assert trapped > 100 and screened > 1000, (trapped, screened)
 
 
 def test_pass_reports_both_checks(g8):

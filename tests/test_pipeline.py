@@ -32,6 +32,7 @@ from squaregeo.chords import ChordGraph, y_end_masks
 from squaregeo.embedding import completion, embed, make_order_pair
 from squaregeo.errors import ParseError
 from squaregeo.instances import _PAIR_LINE
+from squaregeo.necessary import rigid_region_sets
 from squaregeo.orders import SufficiencyVerdict, derive_relations
 from squaregeo.pipeline import NO, UNDECIDED, YES
 
@@ -150,7 +151,8 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
     """The chord graph, its y-end table, its BFS, the forced sets, the
     coloring, the rigid-free report and the derived relations are computed
     once per instance, also when construction swaps the two sides of an
-    instance with forced nodes."""
+    instance with forced nodes. The rigid region sets are not computed at
+    all: the rigid-free test needs no screen."""
     calls = Counter()
     bfs = ChordGraph.bfs
 
@@ -160,7 +162,7 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
 
     monkeypatch.setattr(ChordGraph, "bfs", counted_bfs)
     for fn in (build_chord_graph, check_rigid_free, color_constrained, compute_ab_sets, derive_relations,
-               y_end_masks):
+               rigid_region_sets, y_end_masks):
         def counted(*args, _fn=fn):
             calls[_fn.__name__] += 1
             return _fn(*args)
@@ -176,6 +178,7 @@ def test_recognize_runs_each_analysis_once(g8, monkeypatch):
         assert cert.verdict == YES
         assert calls == {"build_chord_graph": 1, "color_constrained": 1, "check_rigid_free": 1,
                          "compute_ab_sets": 1, "derive_relations": 1, "y_end_masks": 1, "bfs": 1}
+        assert calls["rigid_region_sets"] == 0
     g, p = swap
     cg = build_chord_graph(g, p)
     nec = check_necessary(g, p, cg)
