@@ -169,10 +169,12 @@ def test_gen_rejects_bad_sizes(capsys):
 @pytest.mark.parametrize("sizes, start", [
     ("1,2,1," + "9" * 30, "error: block sizes sum to 10000"),
     ("x" * 5000, "error: sizes wants four integers, got 'xxxx"),
-], ids=["sum", "text"])
+    ("1,2,-1,3", "error: negative block size"),
+], ids=["sum", "text", "negative"])
 def test_gen_bounds_bad_sizes_in_one_line(capsys, sizes, start):
     """A block size past any list length is refused before a range is
-    built, and a 5,000-character sizes text is cut in the message."""
+    built, a 5,000-character sizes text is cut in the message, and a
+    negative block size is refused."""
     assert main(["gen", "--sizes", sizes]) == EXIT_UNDECIDED
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(start), err[:100]

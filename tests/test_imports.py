@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module, and every
-public name the package defines has a user."""
+"""Every name a package module imports is used in that module, every
+public name the package defines has a user, and every name the
+benchmark traces exists."""
 
 import ast
+import importlib
+import inspect
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -123,3 +127,12 @@ def test_every_public_name_has_a_user():
     users = [p.read_text() for p in USERS]
     readme = (ROOT / "README.md").read_text()
     assert unused_public_names(modules, users, readme) == []
+
+
+def test_every_traced_name_resolves():
+    """Every ``squaregeo.<module>.<name>`` that the benchmark's traced run
+    wraps (``TRACED`` in ``perfbench/tracing.py``) is a function."""
+    traced = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["TRACED"]
+    missing = [f"{mod}.{name}" for mod, names in traced.items() for name in names
+               if not inspect.isfunction(getattr(importlib.import_module(f"squaregeo.{mod}"), name, None))]
+    assert traced and missing == []

@@ -74,6 +74,7 @@ def test_instance_text_is_normalized():
     "text, fragment",
     [
         ("bogus v9\nn 1\n", "line 1: expected header"),
+        ("# a comment, and no content line\n\n", "line 1: expected header"),
         ("bab-instance v1\nn one\n", "line 2: n wants integers"),
         ("bab-instance v1\nn 2 3\n", "line 2: n wants one nonnegative"),
         ("bab-instance v1\nn 4\nxa 0\nxa 1\n", "line 4: duplicate xa"),
@@ -180,8 +181,9 @@ def _mutate(text: str, rng: random.Random) -> str:
 
 def test_parse_matches_the_line_reference():
     """parse_instance agrees with the line-by-line parser it replaced, on
-    seeded instances, random edits of them and over-long ids: equal graph
-    and partition, or an equal exception type and message."""
+    seeded instances, random edits of them, over-long ids and a sparse
+    n=128 text that the row kernel refuses: equal graph and partition, or
+    an equal exception type and message."""
     bases = [emit_instance(*generate_bab(shape, 0.5, seed)) for shape in ((1, 2, 1, 3), (3, 3, 3, 6)) for seed in range(4)]
     bases.append(emit_instance(*generate_bab((20, 20, 20, 40), 0.5, 0)))
     lines = bases[-1].split("\n")
@@ -192,12 +194,17 @@ def test_parse_matches_the_line_reference():
         for j in (30, 1500, 3000)
         for digits in (19, 5000)
     ]
+    # n=128 with 31 edges, fewer than n*n/512, padded by comments to the
+    # length read by rows: the row kernel refuses it and the ids are read again
+    sparse = (f"{INSTANCE_HEADER}\nn 128\nxa {' '.join(map(str, range(127)))}\nxb 0\ny 127\n"
+              + "".join(f"edge 2 {v}\n" for v in range(3, 34)) + "# padding\n" * 800)
+    assert len(sparse) >= instances._ROWS_FROM
     rng = random.Random(0)
     kinds = set()
     for base in bases:
         texts = [base, base.rstrip("\n")] + [_mutate(base, rng) for _ in range(120)]
         if base is bases[-1]:
-            texts += long_ids
+            texts += long_ids + [sparse]
         for text in texts:
             want = _reference_outcome(text)
             assert _outcome(parse_instance, text) == want, text[:300]

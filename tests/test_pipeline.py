@@ -30,7 +30,7 @@ from squaregeo import (
 )
 from squaregeo.chords import ChordGraph, y_end_masks
 from squaregeo.embedding import completion, embed, make_order_pair
-from squaregeo.errors import ParseError
+from squaregeo.errors import OrderConstructionError, ParseError
 from squaregeo.instances import _PAIR_LINE
 from squaregeo.necessary import rigid_region_sets
 from squaregeo.orders import SufficiencyVerdict, derive_relations
@@ -234,6 +234,18 @@ def test_nesting_failure_undecided():
     assert verify_certificate(g, cert).ok
 
 
+def test_order_construction_cycle_is_undecided(g8, monkeypatch):
+    """A constraint cycle met while building the orders is UNDECIDED on
+    route ``sufficiency``, and the reason names the cycle."""
+    def cycled(*args):
+        raise OrderConstructionError((4, 5, 4))
+
+    monkeypatch.setattr(orders, "build_order2", cycled)
+    cert = recognize(*g8)
+    assert cert.verdict == UNDECIDED and cert.route == "sufficiency"
+    assert cert.reason == "sufficiency: order construction cycled through (4, 5, 4)"
+
+
 def test_audit_failure_resolved_no_by_oracle():
     g = build_graph(6, NO_CORE_EDGE_EDGES)
     p = validate_bab(g, [0, 1, 2], [1, 2, 3], [4, 5])
@@ -285,6 +297,11 @@ def test_verify_catches_tampering(g8):
 
     short = replace(cert, order1=cert.order1[:-1])
     assert not verify_certificate(g, short).ok
+
+    for bad, problem in ((replace(cert, embedding=None), "embedding missing"),
+                         (replace(cert, verdict="maybe"), "unknown verdict 'maybe'"),
+                         (replace(cert, verdict=NO, reason=""), "refutation without a reason")):
+        assert verify_certificate(g, bad).problems == (problem,)
 
 
 def test_forged_forced_sets_match_the_set_reference(g8, disconnected7):
